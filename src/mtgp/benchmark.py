@@ -11,8 +11,6 @@ root-mean-square errors on held-out task-1 points. A study sweeps
 correlation levels and per-task sample sizes over seeded replicates.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -280,18 +278,6 @@ class StudyResult:
     series: dict  # (target, n1, n2) -> prediction-band arrays for replicate 0
 
 
-def _worker_count(num_jobs: int) -> int:
-    cap = os.environ.get("MTGP_NUM_THREADS")
-    if cap is not None:
-        try:
-            workers = int(cap)
-        except ValueError:
-            workers = 1
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, num_jobs))
-
-
 def _scenario_seed(study_seed: int, n_primary: int, replicate: int) -> int:
     # shared across correlation levels and auxiliary sizes so the task-1
     # design (and hence the GP baseline) is paired within a replicate
@@ -339,9 +325,7 @@ def run_study(
             "stddev": pred.stddev,
         }
 
-    workers = _worker_count(len(gp_keys))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        gp_results = dict(pool.map(gp_job, gp_keys))
+    gp_results = dict(gp_job(key) for key in gp_keys)
 
     def mtgp_job(job):
         target, n1, n2, rep = job
@@ -370,9 +354,7 @@ def run_study(
             "y_test": y_test,
         }
 
-    workers = _worker_count(len(jobs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        mtgp_results = dict(pool.map(mtgp_job, jobs))
+    mtgp_results = dict(mtgp_job(job) for job in jobs)
 
     rows = []
     series = {}

@@ -6,11 +6,12 @@ task-major: all rows of task 0, then task 1, and so on.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +44,7 @@ class MultiTaskDataset:
                     f"task {d}: input dimension {X.shape[1]} differs from task 0's {dim}"
                 )
             if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
-                raise ValueError(f"task {d}: inputs and targets must be finite")
+                raise DomainError(f"task {d}: inputs and targets must be finite")
             xs.append(X)
             ys.append(Y)
         if all(X.shape[0] == 0 for X in xs):
@@ -150,10 +151,13 @@ def read_task_csv(path) -> tuple[MultiTaskDataset, list[str]]:
         rows_x, rows_task, rows_y = [], [], []
         for lineno, row in enumerate(reader, start=2):
             try:
-                rows_x.append([float(row[c]) for c in xcols])
-                rows_y.append(float(row["y"]))
+                values = [float(row[c]) for c in xcols] + [float(row["y"])]
             except (TypeError, ValueError):
                 raise ValidationError(f"{path}: line {lineno}: non-numeric value") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValidationError(f"{path}: line {lineno}: non-finite value")
+            rows_x.append(values[:-1])
+            rows_y.append(values[-1])
             raw_task = (row["task"] or "").strip()
             try:
                 task = int(raw_task)

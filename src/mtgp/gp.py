@@ -13,28 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ShapeError
+from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
+from .data import MultiTaskDataset
+from .errors import IllConditionedKernelError, ShapeError
 from .kernels import ScalarKernelSpec
-from .linalg import cholesky_with_jitter, chol_solve, logdet_from_chol, tri_solve
-
-NOISE_FLOOR = 1e-10
-
-
-@dataclass(eq=False)
-class PosteriorPrediction:
-    """Posterior mean and variance per query point; variance is clamped at 0.
-
-    ``covariance`` is populated only when the full posterior covariance was
-    requested; its diagonal then equals ``variance``.
-    """
-
-    mean: np.ndarray
-    variance: np.ndarray
-    covariance: np.ndarray | None = None
-
-    @property
-    def stddev(self) -> np.ndarray:
-        return np.sqrt(self.variance)
+from .linalg import cholesky_with_jitter, chol_solve, tri_solve
+from .multitask import NOISE_FLOOR, ExactGPLayout, PosteriorPrediction
 
 
 @dataclass(eq=False)
@@ -112,6 +96,18 @@ def gp_predict(model: GPModel, Xstar, full_cov: bool = False) -> PosteriorPredic
     return PosteriorPrediction(mean, np.maximum(variance, 0.0))
 
 
+def gp_layout(kernel: ScalarKernelSpec, noise_variance: float, X, Y) -> ExactGPLayout:
+    """The single-task GP as the one-task, one-term exact-GP layout.
+
+    W is fixed at 1 and gamma at 0; the flat vector is
+    ``[log l_1, ..., log l_P, log s2, log noise]``.
+    """
+    spec = MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
+    return ExactGPLayout(
+        spec, [noise_variance], MultiTaskDataset((X,), (Y,)), learn_W=False, learn_gamma=False
+    )
+
+
 def gp_log_marginal_likelihood(
     kernel: ScalarKernelSpec,
     noise_variance: float,
@@ -122,7 +118,8 @@ def gp_log_marginal_likelihood(
     """Log marginal likelihood of Y and its gradient over log-parameters.
 
     The gradient is ordered ``[log l_1, ..., log l_P, log s2, log noise]``
-    and uses the identity dL/dt = 1/2 tr((alpha alpha^T - K^{-1}) dK/dt).
+    and uses the identity dL/dt = 1/2 tr((alpha alpha^T - K^{-1}) dK/dt);
+    it is the B=1 case of the exact-GP core on :func:`gp_layout`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -130,19 +127,7 @@ def gp_log_marginal_likelihood(
     Y = np.asarray(Y, dtype=float).reshape(-1)
     if X.shape[0] != Y.shape[0]:
         raise ShapeError(f"{X.shape[0]} input rows but {Y.shape[0]} targets")
-    n = X.shape[0]
-    noise = float(noise_variance)
-    K = kernels.kernel_matrix(kernel, X, X) + noise * np.eye(n)
-    L, _ = cholesky_with_jitter(K)
-    resid = Y - mean_const
-    alpha = chol_solve(L, resid)
-    value = (
-        -0.5 * float(resid @ alpha)
-        - 0.5 * logdet_from_chol(L)
-        - 0.5 * n * np.log(2.0 * np.pi)
-    )
-    Kinv = chol_solve(L, np.eye(n))
-    M = np.outer(alpha, alpha) - Kinv
-    grads = [0.5 * float(np.sum(M * dK)) for dK in kernels.kernel_matrix_grad(kernel, X)]
-    grads.append(0.5 * noise * float(np.trace(M)))
-    return value, np.asarray(grads)
+    batch = gp_layout(kernel, float(noise_variance), X, Y - mean_const).evaluate_template()
+    if batch.errors:
+        raise IllConditionedKernelError(batch.errors[0])
+    return float(batch.values[0]), batch.grads[0]

@@ -133,21 +133,23 @@ def kernel_matrix_grad(spec: ScalarKernelSpec, X) -> list[np.ndarray]:
         raise ShapeError("kernel_matrix_grad requires a nonempty X")
     diff = X[:, None, :] - X[None, :, :]
     scaled_sq = (diff / spec.lengthscales) ** 2  # per-dimension (d_p / l_p)^2
-    sq = np.sum(scaled_sq, axis=-1)
-
-    grads: list[np.ndarray] = []
-    if spec.kind == SQUARED_EXPONENTIAL:
-        K = spec.signal_variance * np.exp(-0.5 * sq)
-        for p in range(spec.input_dim):
-            grads.append(K * scaled_sq[:, :, p])
-    else:
-        r = np.sqrt(sq)
-        e = np.exp(-_SQRT5 * r)
-        K = spec.signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * e
-        # dK/d(log l_p) = (5/3) s2 (1 + sqrt5 r) e^{-sqrt5 r} * (d_p/l_p)^2;
-        # the 1/r singularity cancels exactly, so r=0 entries are simply 0.
-        front = (5.0 / 3.0) * spec.signal_variance * (1.0 + _SQRT5 * r) * e
-        for p in range(spec.input_dim):
-            grads.append(front * scaled_sq[:, :, p])
-    grads.append(K.copy())
+    unit, slope = kernel_profile(spec.kind, np.sum(scaled_sq, axis=-1))
+    front = spec.signal_variance * slope
+    grads = [front * scaled_sq[:, :, p] for p in range(spec.input_dim)]
+    grads.append(spec.signal_variance * unit)
     return grads
+
+
+def kernel_profile(kind: str, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-variance kernel and its lengthscale slope at scaled squared distances.
+
+    For ``K = s2 * unit`` the derivative with respect to ``log l_p`` is
+    ``s2 * slope * (d_p / l_p)^2``. Works elementwise on arrays of any shape.
+    """
+    if kind == SQUARED_EXPONENTIAL:
+        unit = np.exp(-0.5 * sq)
+        return unit, unit
+    r = np.sqrt(sq)
+    e = np.exp(-_SQRT5 * r)
+    # the 1/r singularity of d/dr cancels exactly, so r=0 entries are simply 0
+    return (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * e, (5.0 / 3.0) * (1.0 + _SQRT5 * r) * e

@@ -2,6 +2,7 @@
 
 import numpy as np
 from scipy.linalg import cholesky, cho_solve, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import IllConditionedKernelError
 
@@ -46,6 +47,52 @@ def cholesky_with_jitter(
     )
 
 
+def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Lower Cholesky factors of a stack ``K`` of shape (B, N, N).
+
+    One batched factorization adds the base relative jitter to every matrix.
+    If it fails, each matrix goes through :func:`cholesky_with_jitter`'s
+    escalation ladder on its own.
+
+    Returns:
+        (L, escalated, errors): the factors, a (B,) flag for matrices that
+        needed more than the base jitter, and ``{row: message}`` for
+        matrices that failed even at the maximum jitter (their L is NaN).
+    """
+    B, N = K.shape[0], K.shape[-1]
+    jittered = np.array(K, dtype=float)
+    diag = jittered.reshape(B, N * N)[:, :: N + 1]
+    scale = diag.sum(axis=1) / N
+    diag += BASE_JITTER_REL * np.where(scale > 0.0, scale, 1.0)[:, None]
+    escalated = np.zeros(B, dtype=bool)
+    try:
+        return np.linalg.cholesky(jittered), escalated, {}
+    except np.linalg.LinAlgError:
+        pass
+    L = np.full(K.shape, np.nan)
+    errors = {}
+    for b in range(B):
+        if not np.all(np.isfinite(K[b])):
+            errors[b] = "covariance matrix has non-finite entries"
+            continue
+        try:
+            L[b], jitter = cholesky_with_jitter(K[b])
+        except IllConditionedKernelError as exc:
+            errors[b] = str(exc)
+            continue
+        escalated[b] = jitter > BASE_JITTER_REL * jitter_scale(K[b])
+    return L, escalated, errors
+
+
+def cholesky_inverse_batch(L: np.ndarray) -> np.ndarray:
+    """``K^{-1} = L^{-T} L^{-1}`` for each lower factor of a stack L (B, N, N)."""
+    U = np.empty_like(L)
+    for b in range(L.shape[0]):
+        # L[b].T is L^T in Fortran order, so LAPACK inverts it without a copy
+        U[b], _ = dtrtri(L[b].T, lower=0)
+    return U @ U.swapaxes(-1, -2)
+
+
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(L L^T) x = b`` given the lower factor L."""
     return cho_solve((L, True), b)
@@ -54,8 +101,3 @@ def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L x = b`` for lower-triangular L."""
     return solve_triangular(L, b, lower=True)
-
-
-def logdet_from_chol(L: np.ndarray) -> float:
-    """log|A| where ``A = L L^T``."""
-    return 2.0 * float(np.sum(np.log(np.diag(L))))

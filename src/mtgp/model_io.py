@@ -180,8 +180,8 @@ def load_model(path):
         if kind not in KERNEL_KINDS:
             raise ValidationError(f"{path}: unknown kernel kind {kind!r}")
     params = _require(doc, "parameters")
-    vector = np.asarray([_unhex(s) for s in params["values_hex"]], dtype=float)
-    dataset = _decode_dataset(_require(doc, "data")["tasks"])
+    vector = np.asarray([_unhex(s) for s in _require(params, "values_hex")], dtype=float)
+    dataset = _decode_dataset(_require(_require(doc, "data"), "tasks"))
     input_dim = int(_require(doc, "input_dim"))
 
     if model_type == "gp":

@@ -9,18 +9,53 @@ task borrow strength from every coupled task.
 Targets are standardized per task inside fitting by default (tasks often
 live in wildly different units); statistics are stored on the model and
 inverted at prediction time. Pass ``standardize=False`` to work in raw units.
+
+The log marginal likelihood and its gradient have one implementation: a
+batched core over the flat parameter vectors of :class:`ExactGPLayout`,
+which training drives with all restarts at once and of which both
+likelihood functions (this module's and :mod:`mtgp.gp`'s) are the B=1 case.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .coregionalization import MultiTaskKernelSpec, build_B, joint_covariance_parts
+from .coregionalization import (
+    CoregionalizationTerm,
+    MultiTaskKernelSpec,
+    build_B,
+    joint_covariance_parts,
+)
 from .data import MultiTaskDataset, standardize_targets
-from .errors import ShapeError
-from .gp import NOISE_FLOOR, PosteriorPrediction
-from .linalg import cholesky_with_jitter, chol_solve, logdet_from_chol, tri_solve
+from .errors import IllConditionedKernelError, ShapeError
+from .linalg import (
+    cholesky_batch,
+    cholesky_inverse_batch,
+    cholesky_with_jitter,
+    chol_solve,
+    tri_solve,
+)
+
+NOISE_FLOOR = 1e-10
+
+
+@dataclass(eq=False)
+class PosteriorPrediction:
+    """Posterior mean and variance per query point; variance is clamped at 0.
+
+    ``covariance`` is populated only when the full posterior covariance was
+    requested; its diagonal then equals ``variance``.
+    """
+
+    mean: np.ndarray
+    variance: np.ndarray
+    covariance: np.ndarray | None = None
+
+    @property
+    def stddev(self) -> np.ndarray:
+        return np.sqrt(self.variance)
 
 
 @dataclass(eq=False)
@@ -156,6 +191,247 @@ def mtgp_parameter_names(spec: MultiTaskKernelSpec) -> list[str]:
     return names
 
 
+# ---------------------------------------------------------------------------
+# The exact-GP objective: log marginal likelihood and gradient, batched
+# ---------------------------------------------------------------------------
+
+
+class LMLBatch(NamedTuple):
+    """Log marginal likelihoods and flat gradients of B parameter vectors.
+
+    ``escalated`` flags rows whose Cholesky factorization needed more than
+    the base jitter; ``errors`` maps each row whose factorization failed even
+    at the maximum jitter to its message (its value and gradient are NaN).
+    """
+
+    values: np.ndarray
+    grads: np.ndarray
+    escalated: np.ndarray
+    errors: dict
+
+
+class _Block(NamedTuple):
+    """One parameter group: template values and where the learned entries sit.
+
+    ``index`` holds the flat positions of the learned entries (shaped like
+    ``value`` when every entry is learned, else listed in C order of
+    ``mask``); ``None`` means the group is fixed at ``value``.
+    """
+
+    value: np.ndarray
+    index: np.ndarray | None
+    mask: np.ndarray | None
+    log: bool
+
+    def natural(self, X: np.ndarray) -> np.ndarray:
+        """Natural values for each row of the flat batch X, shape (B, *value.shape)."""
+        if self.index is None:
+            return np.broadcast_to(self.value, (X.shape[0],) + self.value.shape)
+        raw = X[:, self.index]
+        if self.log:
+            raw = np.exp(raw)
+        if self.mask is None:
+            return raw
+        out = np.repeat(self.value[None], X.shape[0], axis=0)
+        out[:, self.mask] = raw
+        return out
+
+    def scatter(self, grads: np.ndarray, g: np.ndarray):
+        """Write the learned entries of the group gradient g into flat grads."""
+        if self.index is not None:
+            grads[:, self.index] = g if self.mask is None else g[:, self.mask]
+
+    def flat(self, vector: np.ndarray):
+        """Write the template's transformed learned values into a flat vector."""
+        if self.index is not None:
+            v = np.log(np.maximum(self.value, 1e-300)) if self.log else self.value
+            vector[self.index] = v if self.mask is None else v[self.mask]
+
+
+class ExactGPLayout:
+    """Flat parameter layout and fixed data of the exact-GP objective.
+
+    Built once per fit from a template kernel, noise vector and dataset. The
+    flat vector is the learned subset of :func:`mtgp_parameter_names`, in
+    that order: log-lengthscales (Q, P), log-signal-variances (Q,) and
+    log-noise (D,) always, W (Q, D, R) when ``learn_W`` and log-gamma (Q, D)
+    when ``learn_gamma``. Groups not learned keep the template's values. The
+    layout also holds the per-dimension squared input differences, the task
+    one-hot and the targets, so evaluating a batch builds no Python objects.
+
+    The single-task GP is the one-task, one-term case with W fixed at 1 and
+    gamma at 0, whose flat vector is ``[log l..., log s2, log noise]``.
+    """
+
+    def __init__(
+        self,
+        spec: MultiTaskKernelSpec,
+        noise_variances,
+        dataset: MultiTaskDataset,
+        learn_W: bool = True,
+        learn_gamma: bool = True,
+    ):
+        if dataset.num_tasks != spec.num_tasks:
+            raise ShapeError(
+                f"dataset has {dataset.num_tasks} tasks, kernel spec declares {spec.num_tasks}"
+            )
+        if dataset.input_dim != spec.input_dim:
+            raise ShapeError(
+                f"dataset input dimension {dataset.input_dim} != kernel's {spec.input_dim}"
+            )
+        noise = _noise_vector(noise_variances, spec.num_tasks)
+        Q, D, P = spec.num_terms, spec.num_tasks, spec.input_dim
+        self.ranks = [t.rank for t in spec.terms]
+        R = max(self.ranks)
+        W = np.zeros((Q, D, R))
+        W_mask = np.zeros((Q, D, R), dtype=bool)
+        ls_index = np.empty((Q, P), dtype=int)
+        s2_index = np.empty(Q, dtype=int)
+        gamma_index = np.empty((Q, D), dtype=int)
+        W_index = []
+        pos = 0
+        for q, term in enumerate(spec.terms):
+            W[q, :, : term.rank] = term.W
+            ls_index[q] = np.arange(pos, pos + P)
+            s2_index[q] = pos + P
+            pos += P + 1
+            if learn_W:
+                W_mask[q, :, : term.rank] = True
+                W_index.extend(range(pos, pos + D * term.rank))
+                pos += D * term.rank
+            if learn_gamma:
+                gamma_index[q] = np.arange(pos, pos + D)
+                pos += D
+        noise_index = np.arange(pos, pos + D)
+        self.size = pos + D
+        if not learn_W:
+            W_block = _Block(W, None, None, False)
+        elif W_mask.all():
+            W_block = _Block(W, np.asarray(W_index).reshape(Q, D, R), None, False)
+        else:
+            W_block = _Block(W, np.asarray(W_index), W_mask, False)
+        ls = np.array([t.base_kernel.lengthscales for t in spec.terms])
+        s2 = np.array([t.base_kernel.signal_variance for t in spec.terms])
+        gamma = np.array([t.gamma for t in spec.terms])
+        self.blocks = (
+            _Block(ls, ls_index, None, True),
+            _Block(s2, s2_index, None, True),
+            W_block,
+            _Block(gamma, gamma_index if learn_gamma else None, None, True),
+            _Block(noise, noise_index, None, True),
+        )
+        self.has_gamma = learn_gamma or bool(np.any(gamma))
+        self.is_W = np.zeros(self.size, dtype=bool)
+        self.is_W[W_index] = True
+
+        kinds = [t.base_kernel.kind for t in spec.terms]
+        self.kinds = kinds
+        self.kind_groups = [
+            (kind, np.asarray([q for q in range(Q) if kinds[q] == kind]))
+            for kind in sorted(set(kinds))
+        ]
+        X = dataset.stacked_inputs()
+        N = X.shape[0]
+        diff = X[:, None, :] - X[None, :, :]
+        self.sqdiff = np.ascontiguousarray((diff**2).reshape(N * N, P).T)  # (P, N*N)
+        self.tasks = dataset.task_indices()
+        self.pair_index = self.tasks[:, None] * D + self.tasks[None, :]  # into flat (D, D)
+        self.onehot = np.zeros((N, D))
+        self.onehot[np.arange(N), self.tasks] = 1.0
+        self.y = dataset.stacked_targets()
+        self.shape = (Q, D, P, N)
+
+    def initial_vector(self) -> np.ndarray:
+        """The template's learned parameters as a flat vector."""
+        vector = np.empty(self.size)
+        for block in self.blocks:
+            block.flat(vector)
+        return vector
+
+    def materialize(self, vector: np.ndarray) -> tuple[MultiTaskKernelSpec, np.ndarray]:
+        """Kernel spec and noise vector of one flat parameter vector."""
+        ls, s2, W, gamma, noise = (b.natural(np.asarray(vector)[None])[0] for b in self.blocks)
+        terms = tuple(
+            CoregionalizationTerm(
+                W[q, :, :rank],
+                gamma[q],
+                kernels.ScalarKernelSpec(self.kinds[q], ls[q], float(s2[q])),
+            )
+            for q, rank in enumerate(self.ranks)
+        )
+        return MultiTaskKernelSpec(self.shape[1], terms), np.array(noise)
+
+    def evaluate(self, X: np.ndarray) -> LMLBatch:
+        """Log marginal likelihood and flat gradient for each row of X (B, size)."""
+        X = np.asarray(X, dtype=float)
+        return self._evaluate_natural([b.natural(X) for b in self.blocks])
+
+    def evaluate_template(self) -> LMLBatch:
+        """The B=1 batch of the template's own parameters, with no transform round trip."""
+        return self._evaluate_natural([b.value[None] for b in self.blocks])
+
+    def _evaluate_natural(self, params) -> LMLBatch:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values, group_grads, escalated, errors = _lml_batch(self, *params)
+        grads = np.empty((values.shape[0], self.size))
+        for block, g in zip(self.blocks, group_grads):
+            block.scatter(grads, g)
+        if errors:
+            grads[list(errors)] = np.nan
+        return LMLBatch(values, grads, escalated, errors)
+
+
+def _lml_batch(layout: ExactGPLayout, ls, s2, W, gamma, noise):
+    """Value and per-group gradients of the joint log marginal likelihood.
+
+    Natural parameters carry a leading batch axis B: ls (B,Q,P), s2 (B,Q),
+    W (B,Q,D,R), gamma (B,Q,D), noise (B,D). With ``M = alpha alpha^T - K^{-1}``
+    every derivative is ``1/2 tr(M dK/dt)``; per term, ``T = E^T (M * K_q) E``
+    sums M * K_q over task blocks, so dL/dW = T W, dL/d(log gamma) =
+    gamma diag(T) / 2 and dL/d(log s2) = sum(B_q * T) / 2. Gradients of
+    positive parameters are in log space.
+    """
+    Q, D, P, N = layout.shape
+    B = ls.shape[0]
+    inv_ls2 = ls**-2.0
+    sq = (inv_ls2 @ layout.sqdiff).reshape(B, Q, N, N)
+    if len(layout.kind_groups) == 1:
+        unit, slope = kernels.kernel_profile(layout.kind_groups[0][0], sq)
+    else:
+        unit, slope = np.empty_like(sq), np.empty_like(sq)
+        for kind, qs in layout.kind_groups:
+            unit[:, qs], slope[:, qs] = kernels.kernel_profile(kind, sq[:, qs])
+    Bq = W @ W.swapaxes(-1, -2)
+    if layout.has_gamma:
+        Bq.reshape(B, Q, D * D)[..., :: D + 1] += gamma
+    mask = np.take(Bq.reshape(B, Q, D * D), layout.pair_index, axis=-1)
+    Kq = s2[..., None, None] * unit
+    K = (mask * Kq).sum(axis=1)
+    K.reshape(B, N * N)[:, :: N + 1] += noise[:, layout.tasks]
+
+    L, escalated, errors = cholesky_batch(K)
+    if errors:
+        L[list(errors)] = np.eye(N)
+    Kinv = cholesky_inverse_batch(L)
+    alpha = Kinv @ layout.y
+    logdet = 2.0 * np.log(L.reshape(B, N * N)[:, :: N + 1]).sum(axis=1)
+    values = -0.5 * (alpha @ layout.y) - 0.5 * logdet - 0.5 * N * np.log(2.0 * np.pi)
+    if errors:
+        values[list(errors)] = np.nan
+
+    M = alpha[:, :, None] * alpha[:, None, :] - Kinv
+    MK = M[:, None] * Kq
+    T = layout.onehot.T @ MK @ layout.onehot
+    # G = M * dK/d(log l_p) without the (d_p / l_p)^2 factor; slope is unit for SE
+    G = MK * mask if slope is unit else (M[:, None] * mask) * (s2[..., None, None] * slope)
+    g_ls = 0.5 * inv_ls2 * (G.reshape(B, Q, N * N) @ layout.sqdiff.T)
+    g_s2 = 0.5 * (Bq * T).sum(axis=(-2, -1))
+    g_W = T @ W
+    g_gamma = 0.5 * gamma * T.reshape(B, Q, D * D)[..., :: D + 1]
+    g_noise = 0.5 * noise * (M.reshape(B, N * N)[:, :: N + 1] @ layout.onehot)
+    return values, (g_ls, g_s2, g_W, g_gamma, g_noise), escalated, errors
+
+
 def mtgp_log_marginal_likelihood(
     kernel: MultiTaskKernelSpec,
     noise_variances,
@@ -167,39 +443,10 @@ def mtgp_log_marginal_likelihood(
     prior plus block-diagonal noise, with the Gaussian constant using the
     total observation count. Gradient order follows
     :func:`mtgp_parameter_names`; gamma gradients are reported in log-space
-    (zero whenever gamma is pinned at zero).
+    (zero whenever gamma is pinned at zero). This is the B=1 case of
+    :class:`ExactGPLayout` with every parameter learned.
     """
-    noise = _noise_vector(noise_variances, kernel.num_tasks)
-    K, K_terms, B_masks = joint_covariance_parts(kernel, dataset)
-    tasks = dataset.task_indices()
-    K += np.diag(noise[tasks])
-    L, _ = cholesky_with_jitter(K)
-    y = dataset.stacked_targets()
-    alpha = chol_solve(L, y)
-    ntot = dataset.total_count
-    value = (
-        -0.5 * float(y @ alpha)
-        - 0.5 * logdet_from_chol(L)
-        - 0.5 * ntot * np.log(2.0 * np.pi)
-    )
-
-    Kinv = chol_solve(L, np.eye(ntot))
-    M = np.outer(alpha, alpha) - Kinv
-    onehot = np.zeros((ntot, kernel.num_tasks))
-    onehot[np.arange(ntot), tasks] = 1.0
-
-    X_all = dataset.stacked_inputs()
-    grads: list[float] = []
-    for q, term in enumerate(kernel.terms):
-        masked = M * B_masks[q]
-        for dKq in kernels.kernel_matrix_grad(term.base_kernel, X_all):
-            grads.append(0.5 * float(np.sum(masked * dKq)))
-        # T[d, e] = sum of (M * K_q) over the (d, e) task block; then
-        # dL/dW = T W and dL/d(log gamma_d) = gamma_d * T[d, d] / 2.
-        T = onehot.T @ (M * K_terms[q]) @ onehot
-        grads.extend((T @ term.W).reshape(-1).tolist())
-        grads.extend((0.5 * term.gamma * np.diag(T)).tolist())
-    diag_M = np.diag(M)
-    for d in range(kernel.num_tasks):
-        grads.append(0.5 * noise[d] * float(np.sum(diag_M[tasks == d])))
-    return value, np.asarray(grads)
+    batch = ExactGPLayout(kernel, noise_variances, dataset).evaluate_template()
+    if batch.errors:
+        raise IllConditionedKernelError(batch.errors[0])
+    return float(batch.values[0]), batch.grads[0]

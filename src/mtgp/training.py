@@ -3,7 +3,9 @@
 Positive parameters are optimized through log-transforms; task loadings W
 are unconstrained, which keeps every task matrix positive semidefinite by
 construction. The optimizer is Adam with bias correction run full-batch,
-restarted from several seeded initializations; the restart with the best
+restarted from several seeded initializations; all restarts of a fit run as
+one batch through the vectorized objective of
+:class:`~mtgp.multitask.ExactGPLayout`, and the restart with the best
 objective wins (ties to the lowest restart index).
 """
 
@@ -16,14 +18,9 @@ from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
 from .errors import MTGPError, TrainingFailedError
-from .gp import GPModel, gp_fit, gp_log_marginal_likelihood
+from .gp import GPModel, gp_fit, gp_layout, gp_log_marginal_likelihood
 from .kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
-from .multitask import (
-    MTGPModel,
-    mtgp_fit,
-    mtgp_log_marginal_likelihood,
-    mtgp_parameter_names,
-)
+from .multitask import ExactGPLayout, LMLBatch, MTGPModel, mtgp_fit, mtgp_parameter_names
 from .seeding import make_rng
 
 ADAM_BETA1 = 0.9
@@ -80,6 +77,14 @@ class MTGPFamily:
             raise ValueError(f"unknown family mode {self.mode!r}")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
+
+    @property
+    def learns_W(self) -> bool:
+        return self.mode != "independent"
+
+    @property
+    def learns_gamma(self) -> bool:
+        return self.mode == "lmc"
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +166,11 @@ def mtgp_schema(spec: MultiTaskKernelSpec, family: MTGPFamily) -> ParameterSchem
     entries = []
     for name in mtgp_parameter_names(spec):
         if ".W[" in name:
-            if family.mode == "independent":
+            if not family.learns_W:
                 continue
             entries.append(ParamSpec(name, IDENTITY))
         elif ".log_gamma" in name:
-            if family.mode != "lmc":
+            if not family.learns_gamma:
                 continue
             entries.append(ParamSpec(name, LOG))
         else:
@@ -280,12 +285,36 @@ def check_gradients(objective, point, step: float = 1e-6) -> float:
 
 @dataclass
 class AdamRun:
+    """Outcome of :func:`adam_maximize` for a batch of B problems.
+
+    Per-row arrays, except ``iterations``: the number of batch steps taken,
+    which is the most any row took. ``value`` is NaN for rows whose initial
+    point failed (``failed``). ``stop_reasons`` holds ``converged``,
+    ``max_iterations`` or ``objective_failed: <message>`` per row, and
+    ``jitter_escalations`` counts the row's evaluations whose Cholesky
+    factorization needed more than the base jitter.
+    """
+
     vector: np.ndarray
-    value: float
-    initial_value: float
+    value: np.ndarray
+    initial_value: np.ndarray
     iterations: int
-    converged: bool
+    row_iterations: np.ndarray
+    converged: np.ndarray
+    failed: np.ndarray
+    stop_reasons: list
+    jitter_escalations: np.ndarray
     trajectory: list | None = None
+
+
+def _failures(batch: LMLBatch) -> dict:
+    """Row -> message for every row whose evaluation failed or is not finite."""
+    if not batch.errors and np.isfinite(batch.values).all() and np.isfinite(batch.grads).all():
+        return {}
+    finite = np.isfinite(batch.values) & np.all(np.isfinite(batch.grads), axis=1)
+    failures = {int(i): "objective not finite" for i in np.flatnonzero(~finite)}
+    failures.update(batch.errors)
+    return failures
 
 
 def adam_maximize(
@@ -295,51 +324,110 @@ def adam_maximize(
     trace=None,
     record_trajectory: bool = False,
 ) -> AdamRun:
-    """Maximize ``objective`` with bias-corrected Adam from ``x0``.
+    """Maximize B independent problems at once with bias-corrected Adam.
 
-    Returns the best iterate seen (the initialization included), so the
-    reported value never falls below the initial one. Stops early when the
-    objective changed by less than the relative tolerance over the last
-    :data:`CONVERGENCE_WINDOW` iterations.
+    ``x0`` has shape (B, n). ``objective(X)`` receives the (b, n) rows that
+    are still running and returns an :class:`~mtgp.multitask.LMLBatch` for
+    them. Each row keeps the best iterate it has seen (its initialization
+    included), so its reported value never falls below the initial one. A
+    row stops when its objective changed by less than the relative
+    tolerance over the last :data:`CONVERGENCE_WINDOW` iterations, or when
+    its objective fails (Cholesky failure or a non-finite value); a failed
+    step is rejected and the row keeps its best iterate. Rows never
+    influence each other. ``trace(row, iteration, value, grad_norm)`` is
+    called per row and evaluation, iteration by iteration.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    value, grad = objective(x)
-    if not np.isfinite(value):
-        raise MTGPError("objective not finite at the initial point")
-    initial_value = value
-    best_x, best_value = x.copy(), value
+    x = np.array(x0, dtype=float)
+    B = x.shape[0]
+    batch = objective(x)
+    initial_value = np.array(batch.values, dtype=float)
+    best_x, best_value = x.copy(), initial_value.copy()
+    escalations = np.array(batch.escalated, dtype=int)
+    row_iterations = np.zeros(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+    failed = np.zeros(B, dtype=bool)
+    stop_reasons = ["max_iterations"] * B
+    for r, message in _failures(batch).items():
+        failed[r] = True
+        best_value[r] = np.nan
+        stop_reasons[r] = f"objective_failed: {message}"
     trajectory = [x.copy()] if record_trajectory else None
+    rows = np.flatnonzero(~failed)
     if trace is not None:
-        trace(0, value, float(np.linalg.norm(grad)))
+        _trace_rows(trace, rows, 0, initial_value[rows], batch.grads[rows])
 
+    # the state of the rows still running, compacted to those rows
+    x, grad = x[rows], np.asarray(batch.grads)[rows]
+    bx, bv = x.copy(), initial_value[rows]
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    history = [value]
-    converged = False
-    iterations = 0
+    window = CONVERGENCE_WINDOW + 1
+    history = np.empty((window, rows.size))
+    history[0] = bv
     for t in range(1, config.max_iterations + 1):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
+        if rows.size == 0:
+            break
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad**2
         mhat = m / (1.0 - ADAM_BETA1**t)
         vhat = v / (1.0 - ADAM_BETA2**t)
-        x = x + config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        iterations = t
+        x += config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
         if record_trajectory:
-            trajectory.append(x.copy())
-        value, grad = objective(x)
+            snapshot = trajectory[-1].copy()
+            snapshot[rows] = x
+            trajectory.append(snapshot)
+        batch = objective(x)
+        values, grad = batch.values, batch.grads
+        if batch.escalated.any():
+            escalations[rows] += batch.escalated
+        stop = np.zeros(rows.size, dtype=bool)
+        for i, message in _failures(batch).items():
+            stop[i] = True
+            stop_reasons[rows[i]] = f"objective_failed: {message}"
         if trace is not None:
-            trace(t, value, float(np.linalg.norm(grad)))
-        if np.isfinite(value) and value > best_value:
-            best_value = value
-            best_x = x.copy()
-        history.append(value)
-        if len(history) > CONVERGENCE_WINDOW:
-            prev = history[-1 - CONVERGENCE_WINDOW]
-            if np.isfinite(value) and np.isfinite(prev):
-                if abs(value - prev) <= config.convergence_tolerance * max(1.0, abs(prev)):
-                    converged = True
-                    break
-    return AdamRun(best_x, best_value, initial_value, iterations, converged, trajectory)
+            _trace_rows(trace, rows[~stop], t, values[~stop], grad[~stop])
+        better = (values > bv) & ~stop
+        bv[better] = values[better]
+        bx[better] = x[better]
+        history[t % window] = values
+        if t >= CONVERGENCE_WINDOW:
+            prev = history[(t - CONVERGENCE_WINDOW) % window]
+            tolerance = config.convergence_tolerance * np.maximum(1.0, np.abs(prev))
+            done = (np.abs(values - prev) <= tolerance) & ~stop
+            for r in rows[done]:
+                converged[r] = True
+                stop_reasons[r] = "converged"
+            stop |= done
+        if stop.any():
+            row_iterations[rows[stop]] = t
+            best_x[rows[stop]] = bx[stop]
+            best_value[rows[stop]] = bv[stop]
+            keep = ~stop
+            rows, x, grad, m, v = rows[keep], x[keep], grad[keep], m[keep], v[keep]
+            bx, bv, history = bx[keep], bv[keep], history[:, keep]
+    row_iterations[rows] = config.max_iterations
+    best_x[rows] = bx
+    best_value[rows] = bv
+    return AdamRun(
+        best_x,
+        best_value,
+        initial_value,
+        int(row_iterations.max(initial=0)),
+        row_iterations,
+        converged,
+        failed,
+        stop_reasons,
+        escalations,
+        trajectory,
+    )
+
+
+def _trace_rows(trace, rows, iteration, values, grads):
+    norms = np.linalg.norm(grads, axis=1)
+    for r, value, norm in zip(rows, values, norms):
+        trace(int(r), iteration, float(value), float(norm))
 
 
 # ---------------------------------------------------------------------------
@@ -374,34 +462,34 @@ def _target_variance(Y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _run_restarts(objective, initial_vector_for, config: TrainConfig, trace=None):
-    """Run the configured restarts; return (best run, restart index, diagnostics)."""
-    best_run, best_index = None, -1
+def _run_restarts(objective, x0: np.ndarray, config: TrainConfig, trace=None):
+    """Run all restarts as one batch; return (best run, restart index, diagnostics)."""
+    try:
+        run = adam_maximize(objective, x0, config, trace=trace)
+    except MTGPError as exc:
+        diagnostics = [
+            {"restart": r, "status": "failed", "error": str(exc)} for r in range(x0.shape[0])
+        ]
+        raise TrainingFailedError("all restarts failed", diagnostics) from exc
     diagnostics = []
-    for r in range(config.num_restarts):
-        run_trace = None
-        if trace is not None:
-            run_trace = lambda it, val, gn, _r=r: trace(_r, it, val, gn)
-        try:
-            run = adam_maximize(objective, initial_vector_for(r), config, trace=run_trace)
-        except MTGPError as exc:
-            diagnostics.append({"restart": r, "status": "failed", "error": str(exc)})
-            continue
-        diagnostics.append(
-            {
-                "restart": r,
-                "status": "ok",
-                "initial_objective": run.initial_value,
-                "final_objective": run.value,
-                "iterations": run.iterations,
-                "converged": run.converged,
-            }
-        )
-        if best_run is None or run.value > best_run.value:
-            best_run, best_index = run, r
-    if best_run is None:
+    for r in range(x0.shape[0]):
+        info = {"restart": r, "status": "failed" if run.failed[r] else "ok"}
+        if run.failed[r]:
+            info["error"] = run.stop_reasons[r]
+        else:
+            info.update(
+                initial_objective=float(run.initial_value[r]),
+                final_objective=float(run.value[r]),
+                iterations=int(run.row_iterations[r]),
+                converged=bool(run.converged[r]),
+            )
+        info["stop_reason"] = run.stop_reasons[r]
+        info["jitter_escalations"] = int(run.jitter_escalations[r])
+        diagnostics.append(info)
+    if np.all(run.failed):
         raise TrainingFailedError("all restarts failed", diagnostics)
-    return best_run, best_index, diagnostics
+    best = int(np.argmax(np.where(run.failed, -np.inf, run.value)))
+    return run, best, diagnostics
 
 
 def train_gp(
@@ -433,11 +521,10 @@ def train_gp(
         mu, s = 0.0, 1.0
     Ys = (Y - mu) / s
 
-    template = ScalarKernelSpec(kernel_kind, np.ones(X.shape[1]), 1.0)
     var = _target_variance(Ys)
-    base = np.concatenate(
-        [np.log(median_lengthscales(X)), [np.log(var), np.log(0.01 * var)]]
-    )
+    template = ScalarKernelSpec(kernel_kind, median_lengthscales(X), var)
+    layout = gp_layout(template, 0.01 * var, X, Ys)
+    base = layout.initial_vector()
 
     def initial_vector(restart: int) -> np.ndarray:
         vec = base.copy()
@@ -446,19 +533,17 @@ def train_gp(
             vec = vec + rng.normal(0.0, RESTART_LOG_JITTER, size=vec.shape)
         return vec
 
-    def objective(vec):
-        kern, noise = gp_materialize(template, vec)
-        return gp_log_marginal_likelihood(kern, noise, X, Ys)
-
-    run, restart, diagnostics = _run_restarts(objective, initial_vector, config, trace)
-    kern_s, noise_s = gp_materialize(template, run.vector)
+    x0 = np.stack([initial_vector(r) for r in range(config.num_restarts)])
+    run, restart, diagnostics = _run_restarts(layout.evaluate, x0, config, trace)
+    spec, noise = layout.materialize(run.vector[restart])
+    kern_s, noise_s = spec.terms[0].base_kernel, float(noise[0])
     kern = kern_s.with_params(kern_s.lengthscales, kern_s.signal_variance * s**2)
     model = gp_fit(kern, noise_s * s**2, X, Y, mean_const=mu)
     value_raw, _ = gp_log_marginal_likelihood(kern, noise_s * s**2, X, Y, mean_const=mu)
     model.fit_info = {
         "log_marginal_likelihood": value_raw,
-        "objective": run.value,
-        "iterations": run.iterations,
+        "objective": float(run.value[restart]),
+        "iterations": int(run.row_iterations[restart]),
         "restart": restart,
         "wall_time_s": time.perf_counter() - started,
         "restarts": diagnostics,
@@ -531,12 +616,15 @@ def train_mtgp(
         work = dataset
         log_scale = 0.0
     template, template_noise = build_mtgp_template(family, work)
-    schema = mtgp_schema(template, family)
-    canonical = mtgp_parameter_names(template)
-    positions = {name: i for i, name in enumerate(canonical)}
-    grad_index = np.asarray([positions[n] for n in schema.names()], dtype=int)
-    base = mtgp_vector(template, template_noise, schema)
-    is_w = np.asarray([".W[" in n for n in schema.names()])
+    layout = ExactGPLayout(
+        template,
+        template_noise,
+        work,
+        learn_W=family.learns_W,
+        learn_gamma=family.learns_gamma,
+    )
+    base = layout.initial_vector()
+    is_w = layout.is_W
     w_std = LMC_W_INIT_STD if family.mode == "lmc" else W_INIT_STD
 
     def initial_vector(restart: int) -> np.ndarray:
@@ -550,18 +638,14 @@ def train_mtgp(
             )
         return vec
 
-    def objective(vec):
-        spec, noise = mtgp_materialize(template, template_noise, schema, vec)
-        value, full_grad = mtgp_log_marginal_likelihood(spec, noise, work)
-        return value, full_grad[grad_index]
-
-    run, restart, diagnostics = _run_restarts(objective, initial_vector, config, trace)
-    spec, noise = mtgp_materialize(template, template_noise, schema, run.vector)
+    x0 = np.stack([initial_vector(r) for r in range(config.num_restarts)])
+    run, restart, diagnostics = _run_restarts(layout.evaluate, x0, config, trace)
+    spec, noise = layout.materialize(run.vector[restart])
     model = mtgp_fit(spec, noise, dataset, standardize=standardize)
     model.fit_info = {
-        "log_marginal_likelihood": run.value - log_scale,
-        "objective": run.value,
-        "iterations": run.iterations,
+        "log_marginal_likelihood": float(run.value[restart]) - log_scale,
+        "objective": float(run.value[restart]),
+        "iterations": int(run.row_iterations[restart]),
         "restart": restart,
         "wall_time_s": time.perf_counter() - started,
         "restarts": diagnostics,

@@ -272,8 +272,3 @@ class TestRunStudy:
         assert "MTGP \\ GP RMSE" in table
         assert "% Improvement" in table
         assert "r=0.89" in table
-
-    def test_worker_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("MTGP_NUM_THREADS", "1")
-        res = run_study(self.small_study(), TINY)
-        assert len(res.rows) == 4

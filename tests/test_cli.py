@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mtgp
 import mtgp.cli as cli
 from mtgp import model_io
 from mtgp.benchmark import forrester
@@ -179,6 +183,67 @@ class TestTrainPredict:
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert {rec["restart"] for rec in lines} == {0, 1}
         assert all({"iteration", "objective", "grad_norm"} <= set(rec) for rec in lines)
+
+
+class TestBadInputExitCodes:
+    """Bad input exits 2 with a one-line error, never a traceback."""
+
+    def _assert_exit_2(self, argv, capsys, needle):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_training_value_exits_2(self, tmp_path, capsys, bad):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"x1,task,y\n0.1,0,1.0\n0.2,0,{bad}\n0.3,1,2.0\n", encoding="utf-8")
+        config = write_config(tmp_path / "config.json")
+        argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        self._assert_exit_2(argv, capsys, "line 3: non-finite value")
+
+    @pytest.mark.parametrize("drop", ["values_hex", "tasks"])
+    def test_model_file_missing_key_exits_2(self, tmp_path, capsys, drop):
+        data = write_two_task_csv(tmp_path / "data.csv")
+        config = write_config(tmp_path / "config.json", max_iterations=5)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
+        doc = json.loads((out / "model.json").read_text())
+        del (doc["parameters"] if drop == "values_hex" else doc["data"])[drop]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        query = tmp_path / "query.csv"
+        query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
+        argv = ["predict", "--model", str(bad), "--data", str(query), "--out", str(tmp_path / "p.csv")]
+        self._assert_exit_2(argv, capsys, repr(drop))
+
+
+class TestModuleEntryPoint:
+    """``python -m mtgp`` and ``python -m mtgp.cli`` run the CLI."""
+
+    def _run(self, *args, cwd):
+        src = os.path.dirname(os.path.dirname(mtgp.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-m", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_package_help_exits_0(self, tmp_path):
+        done = self._run("mtgp", "--help", cwd=tmp_path)
+        assert done.returncode == 0
+        assert "train" in done.stdout
+
+    def test_cli_module_nan_csv_exits_2(self, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_text("x1,task,y\n0.1,0,nan\n0.3,0,2.0\n", encoding="utf-8")
+        config = write_config(tmp_path / "config.json")
+        done = self._run(
+            "mtgp.cli", "train", "--data", str(data), "--config", str(config), "--out", "o", cwd=tmp_path
+        )
+        assert done.returncode == 2
+        assert "non-finite" in done.stderr and "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestModelIO:

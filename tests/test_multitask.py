@@ -353,3 +353,154 @@ class TestMTGPLogMarginalLikelihood:
             - 0.5 * 5 * np.log(2 * np.pi)
         )
         assert value == pytest.approx(expected, abs=1e-10)
+
+
+def _batch_case(name):
+    """(layout, dataset) for one configuration of the batched objective."""
+    from mtgp.gp import gp_layout
+    from mtgp.kernels import MATERN52
+    from mtgp.multitask import ExactGPLayout
+    from mtgp.training import MTGPFamily, build_mtgp_template
+
+    rng = make_rng("batch-core", name)
+    if name == "gp":
+        X = rng.uniform(0, 1, (6, 2))
+        layout = gp_layout(ScalarKernelSpec(MATERN52, [0.4, 0.7], 1.3), 0.1, X, rng.normal(size=6))
+        return layout, MultiTaskDataset((X,), (layout.y,))
+    counts = {"empty-task": (4, 0, 3)}.get(name, (4, 5))
+    dataset = MultiTaskDataset(
+        tuple(rng.uniform(0, 1, (n, 2)) for n in counts),
+        tuple(rng.normal(size=n) for n in counts),
+    )
+    mode, kind, rank = {
+        "se-slfm": ("slfm", SQUARED_EXPONENTIAL, 1),
+        "matern-lmc": ("lmc", MATERN52, 2),
+        "mixed-lmc": ("lmc", SQUARED_EXPONENTIAL, 1),
+        "independent": ("independent", MATERN52, 1),
+        "empty-task": ("lmc", SQUARED_EXPONENTIAL, 1),
+        "ragged-rank": ("lmc", SQUARED_EXPONENTIAL, 1),
+    }[name]
+    family = MTGPFamily(mode=mode, kernel_kind=kind, rank=rank)
+    spec, noise = build_mtgp_template(family, dataset)
+    if name == "ragged-rank":
+        # terms of different ranks: W is padded and only the real columns learned
+        W = rng.normal(size=(2, 2))
+        terms = (CoregionalizationTerm(W, spec.terms[0].gamma, spec.terms[0].base_kernel),) + spec.terms[1:]
+        spec = MultiTaskKernelSpec(spec.num_tasks, terms)
+    if name == "mixed-lmc":
+        terms = list(spec.terms)
+        base = terms[1].base_kernel
+        terms[1] = CoregionalizationTerm(
+            terms[1].W, terms[1].gamma, ScalarKernelSpec(MATERN52, base.lengthscales, base.signal_variance)
+        )
+        spec = MultiTaskKernelSpec(spec.num_tasks, tuple(terms))
+    layout = ExactGPLayout(
+        spec, noise, dataset, learn_W=family.learns_W, learn_gamma=family.learns_gamma
+    )
+    return layout, dataset
+
+
+BATCH_CASES = ["se-slfm", "matern-lmc", "mixed-lmc", "independent", "empty-task", "ragged-rank", "gp"]
+
+
+class TestBatchedObjective:
+    """The vectorized exact-GP core against dense per-row references."""
+
+    def _batch(self, layout, name, B=3):
+        rng = make_rng("batch-points", name)
+        X = layout.initial_vector() + rng.normal(0.0, 0.3, size=(B, layout.size))
+        X[:, layout.is_W] = rng.normal(0.0, 0.7, size=(B, int(np.sum(layout.is_W))))
+        return X
+
+    @pytest.mark.parametrize("name", BATCH_CASES)
+    def test_rows_match_dense_reference(self, name):
+        layout, dataset = _batch_case(name)
+        X = self._batch(layout, name)
+        batch = layout.evaluate(X)
+        assert not batch.errors and not np.any(batch.escalated)
+        y = dataset.stacked_targets()
+        n = y.size
+        for b in range(X.shape[0]):
+            spec, noise = layout.materialize(X[b])
+            K = assemble_joint_covariance(spec, dataset) + np.diag(noise[dataset.task_indices()])
+            K += 1e-8 * np.mean(np.diag(K)) * np.eye(n)
+            dense = (
+                -0.5 * y @ np.linalg.solve(K, y)
+                - 0.5 * np.linalg.slogdet(K)[1]
+                - 0.5 * n * np.log(2 * np.pi)
+            )
+            assert batch.values[b] == pytest.approx(dense, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("name", BATCH_CASES)
+    def test_row_gradients_match_finite_differences(self, name):
+        from mtgp.training import check_gradients
+
+        layout, _ = _batch_case(name)
+        X = self._batch(layout, name)
+
+        def objective(vec):
+            batch = layout.evaluate(vec[None])
+            return batch.values[0], batch.grads[0]
+
+        for b in range(X.shape[0]):
+            assert check_gradients(objective, X[b]) < 1e-4
+
+    @pytest.mark.parametrize("name", BATCH_CASES)
+    def test_rows_do_not_depend_on_the_batch(self, name):
+        layout, _ = _batch_case(name)
+        X = self._batch(layout, name, B=4)
+        batch = layout.evaluate(X)
+        for b in range(X.shape[0]):
+            alone = layout.evaluate(X[b : b + 1])
+            assert alone.values[0] == pytest.approx(batch.values[b], rel=1e-12)
+            np.testing.assert_allclose(alone.grads[0], batch.grads[b], rtol=1e-10, atol=1e-12)
+
+    def test_fixed_groups_keep_template_values(self):
+        layout, _ = _batch_case("se-slfm")
+        spec, _ = layout.materialize(self._batch(layout, "se-slfm")[0])
+        assert spec.is_rank_one_factor_model()
+        layout, _ = _batch_case("independent")
+        spec, _ = layout.materialize(self._batch(layout, "independent")[0])
+        for q, term in enumerate(spec.terms):
+            np.testing.assert_array_equal(term.W[:, 0], np.eye(spec.num_tasks)[q])
+
+    def test_flat_order_is_the_canonical_parameter_order(self):
+        from mtgp.training import IDENTITY, LOG, ParameterSchema, ParamSpec, mtgp_vector
+
+        layout, _ = _batch_case("ragged-rank")
+        vec = self._batch(layout, "ragged-rank", B=1)[0]
+        spec, noise = layout.materialize(vec)
+        assert [t.rank for t in spec.terms] == [2, 1]
+        names = mtgp_parameter_names(spec)
+        schema = ParameterSchema(
+            tuple(ParamSpec(n, IDENTITY if ".W[" in n else LOG) for n in names)
+        )
+        np.testing.assert_allclose(mtgp_vector(spec, noise, schema), vec, rtol=1e-12)
+
+    def test_wrapper_is_the_template_row(self):
+        layout, dataset = _batch_case("matern-lmc")
+        X = self._batch(layout, "matern-lmc", B=1)
+        spec, noise = layout.materialize(X[0])
+        value, grad = mtgp_log_marginal_likelihood(spec, noise, dataset)
+        batch = layout.evaluate(X)
+        assert value == pytest.approx(batch.values[0], rel=1e-12)
+        # lmc learns every parameter, so both gradients use the canonical order
+        assert grad.shape == (len(mtgp_parameter_names(spec)),)
+        np.testing.assert_allclose(grad, batch.grads[0], rtol=1e-9, atol=1e-12)
+
+    def test_failed_and_escalated_rows_are_reported(self):
+        from mtgp.linalg import cholesky_batch
+
+        K = np.stack(
+            [
+                np.eye(2),
+                np.diag([1.0, -1e-7]),  # needs jitter above the base
+                np.diag([1.0, -1.0]),  # indefinite beyond the maximum jitter
+                np.full((2, 2), np.nan),
+            ]
+        )
+        L, escalated, errors = cholesky_batch(K)
+        np.testing.assert_allclose(L[0], np.eye(2), atol=1e-7)
+        assert list(escalated) == [False, True, False, False]
+        assert set(errors) == {2, 3}
+        assert np.all(np.isnan(L[2])) and np.all(np.isnan(L[3]))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mtgp.data import MultiTaskDataset
 from mtgp.errors import TrainingFailedError
 from mtgp.kernels import MATERN52, SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
-from mtgp.multitask import mtgp_log_marginal_likelihood, mtgp_parameter_names
+from mtgp.multitask import LMLBatch, mtgp_log_marginal_likelihood, mtgp_parameter_names
 from mtgp.seeding import make_rng
 from mtgp.training import (
     IDENTITY,
@@ -31,6 +31,21 @@ from mtgp.training import (
 )
 
 FAST = TrainConfig(max_iterations=150, num_restarts=2, seed=0)
+
+
+def batched(objective):
+    """Batch objective for adam_maximize from a (value, gradient) one."""
+
+    def evaluate(X):
+        values, grads = zip(*(objective(x) for x in X))
+        return LMLBatch(
+            np.array(values, dtype=float),
+            np.array(grads, dtype=float),
+            np.zeros(len(X), dtype=bool),
+            {},
+        )
+
+    return evaluate
 
 
 class TestParameterSchema:
@@ -123,8 +138,8 @@ class TestAdam:
         def objective(v):
             return -float(v @ v), -2.0 * v
 
-        x0 = np.array([3.0, -1.0])
-        run = adam_maximize(objective, x0, TrainConfig(max_iterations=0))
+        x0 = np.array([[3.0, -1.0]])
+        run = adam_maximize(batched(objective), x0, TrainConfig(max_iterations=0))
         np.testing.assert_array_equal(run.vector, x0)
         assert run.iterations == 0
 
@@ -134,21 +149,24 @@ class TestAdam:
             return -float(v[0] ** 2 + 50 * v[1] ** 2), -np.array([2 * v[0], 100 * v[1]])
 
         run = adam_maximize(
-            objective, np.array([2.0, 0.3]), TrainConfig(max_iterations=40, learning_rate=0.4)
+            batched(objective),
+            np.array([[2.0, 0.3]]),
+            TrainConfig(max_iterations=40, learning_rate=0.4),
         )
-        assert run.value >= run.initial_value
+        assert run.value[0] >= run.initial_value[0]
 
     def test_converges_on_smooth_objective(self):
         def objective(v):
             return -float((v - 2.0) @ (v - 2.0)), -2.0 * (v - 2.0)
 
         run = adam_maximize(
-            objective,
-            np.zeros(2),
+            batched(objective),
+            np.zeros((1, 2)),
             TrainConfig(max_iterations=2000, learning_rate=0.1, convergence_tolerance=1e-9),
         )
-        assert run.converged
-        np.testing.assert_allclose(run.vector, 2.0, atol=1e-2)
+        assert run.converged[0]
+        assert run.stop_reasons == ["converged"]
+        np.testing.assert_allclose(run.vector[0], 2.0, atol=1e-2)
 
     def test_trajectory_positive_after_inverse_transform(self):
         rng = make_rng("transform-safety", 0)
@@ -163,16 +181,60 @@ class TestAdam:
             return gp_log_marginal_likelihood(kern, noise, X, Y)
 
         run = adam_maximize(
-            objective,
-            np.zeros(3),
+            batched(objective),
+            np.zeros((1, 3)),
             TrainConfig(max_iterations=60, learning_rate=0.3),
             record_trajectory=True,
         )
         for vec in run.trajectory:
-            kern, noise = gp_materialize(template, vec)
+            kern, noise = gp_materialize(template, vec[0])
             assert np.all(kern.lengthscales > 0)
             assert kern.signal_variance > 0
             assert noise > 0
+
+    def test_failed_row_keeps_best_iterate_and_spares_the_others(self):
+        # row 1 sits far from the others; its objective fails at step 3
+        def quadratic(v):
+            return -float((v - 1.0) @ (v - 1.0)), -2.0 * (v - 1.0)
+
+        calls = []
+
+        def objective(X):
+            calls.append(len(X))
+            batch = batched(quadratic)(X)
+            if len(calls) == 4:
+                for i in np.flatnonzero(X[:, 0] > 50.0):
+                    batch.errors[int(i)] = "synthetic Cholesky failure"
+            return batch
+
+        x0 = np.array([[0.0, 0.5], [100.0, 0.0], [-1.0, 2.0]])
+        config = TrainConfig(max_iterations=30, learning_rate=0.1)
+        run = adam_maximize(objective, x0, config)
+        assert not run.failed[1]
+        assert run.stop_reasons[1] == "objective_failed: synthetic Cholesky failure"
+        assert run.row_iterations[1] == 3
+        # the best iterate of row 1 is its step-2 point, not the rejected step 3
+        assert run.value[1] == pytest.approx(quadratic(run.vector[1])[0], rel=1e-15)
+        assert run.value[1] > run.initial_value[1]
+        assert calls[4:] == [2] * (len(calls) - 4)
+        alone = adam_maximize(batched(quadratic), x0[[0, 2]], config)
+        np.testing.assert_array_equal(run.vector[[0, 2]], alone.vector)
+        np.testing.assert_array_equal(run.value[[0, 2]], alone.value)
+        np.testing.assert_array_equal(run.row_iterations[[0, 2]], alone.row_iterations)
+        assert [run.stop_reasons[i] for i in (0, 2)] == alone.stop_reasons
+
+    def test_failed_initial_point_marks_row_failed(self):
+        def objective(v):
+            value = np.nan if v[0] > 50.0 else -float(v @ v)
+            return value, -2.0 * v
+
+        run = adam_maximize(
+            batched(objective), np.array([[1.0], [100.0]]), TrainConfig(max_iterations=5)
+        )
+        assert list(run.failed) == [False, True]
+        assert run.stop_reasons[1] == "objective_failed: objective not finite"
+        assert run.row_iterations[1] == 0
+        assert run.row_iterations[0] == 5
 
 
 class TestTrainGP:
@@ -340,6 +402,29 @@ class TestTrainMTGP:
                 rtol=1e-12,
             )
         assert model.fit_info["iterations"] == 0
+
+    def test_restart_independent_of_batch(self):
+        # restart 0 follows the same path whether it runs alone or in a batch;
+        # with the Matern lmc family it converges while the others keep running
+        dataset = self._dataset()
+        config = TrainConfig(max_iterations=400, num_restarts=1, seed=5, convergence_tolerance=1e-4)
+        for family in (MTGPFamily(mode="slfm"), MTGPFamily(mode="lmc", kernel_kind=MATERN52)):
+            alone = train_mtgp(dataset, config, family=family).fit_info["restarts"][0]
+            batch = train_mtgp(
+                dataset, TrainConfig(**{**config.__dict__, "num_restarts": 4}), family=family
+            ).fit_info["restarts"][0]
+            assert batch["final_objective"] == pytest.approx(alone["final_objective"], rel=1e-8)
+            assert batch["iterations"] == alone["iterations"]
+            assert batch["stop_reason"] == alone["stop_reason"]
+
+    def test_restart_diagnostics_report_stop_reason_and_escalations(self):
+        dataset = self._dataset()
+        model = train_mtgp(dataset, TrainConfig(max_iterations=300, num_restarts=3, seed=1))
+        for diag in model.fit_info["restarts"]:
+            assert diag["status"] == "ok"
+            assert diag["stop_reason"] in ("converged", "max_iterations")
+            assert diag["converged"] == (diag["stop_reason"] == "converged")
+            assert diag["jitter_escalations"] >= 0
 
     def test_training_failure_carries_diagnostics(self):
         dataset = self._dataset()
