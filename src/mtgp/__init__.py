@@ -65,8 +65,6 @@ from .multitask import (
 from .selfcheck import run_self_checks
 from .training import (
     MTGPFamily,
-    ParameterSchema,
-    ParamSpec,
     TrainConfig,
     check_gradients,
     train_gp,

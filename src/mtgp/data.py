@@ -224,4 +224,7 @@ def read_query_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
                 )
             rows_task.append(task)
     X = np.asarray(rows_x, dtype=float).reshape(len(rows_x), len(xcols))
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"{path}: line {int(bad[0]) + 2}: non-finite value")
     return X, np.asarray(rows_task, dtype=int), xcols

@@ -18,7 +18,7 @@ from .data import MultiTaskDataset
 from .errors import IllConditionedKernelError, ShapeError
 from .kernels import ScalarKernelSpec
 from .linalg import cholesky_with_jitter, chol_solve, tri_solve
-from .multitask import NOISE_FLOOR, ExactGPLayout, PosteriorPrediction
+from .multitask import NOISE_FLOOR, ExactGPLayout, ParameterLayout, PosteriorPrediction
 
 
 @dataclass(eq=False)
@@ -96,15 +96,30 @@ def gp_predict(model: GPModel, Xstar, full_cov: bool = False) -> PosteriorPredic
     return PosteriorPrediction(mean, np.maximum(variance, 0.0))
 
 
-def gp_layout(kernel: ScalarKernelSpec, noise_variance: float, X, Y) -> ExactGPLayout:
-    """The single-task GP as the one-task, one-term exact-GP layout.
+def _one_task_spec(kernel: ScalarKernelSpec) -> MultiTaskKernelSpec:
+    return MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
+
+
+def gp_parameters(kernel: ScalarKernelSpec, noise_variance: float) -> ParameterLayout:
+    """The single-task GP's parameters as the one-task, one-term layout.
 
     W is fixed at 1 and gamma at 0; the flat vector is
-    ``[log l_1, ..., log l_P, log s2, log noise]``.
+    ``[log l_1, ..., log l_P, log s2, log noise]``, and ``materialize``
+    returns a one-term spec whose base kernel is the GP's kernel.
     """
-    spec = MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
+    return ParameterLayout(
+        _one_task_spec(kernel), [noise_variance], learn_W=False, learn_gamma=False
+    )
+
+
+def gp_layout(kernel: ScalarKernelSpec, noise_variance: float, X, Y) -> ExactGPLayout:
+    """The exact-GP objective of :func:`gp_parameters` on the data (X, Y)."""
     return ExactGPLayout(
-        spec, [noise_variance], MultiTaskDataset((X,), (Y,)), learn_W=False, learn_gamma=False
+        _one_task_spec(kernel),
+        [noise_variance],
+        MultiTaskDataset((X,), (Y,)),
+        learn_W=False,
+        learn_gamma=False,
     )
 
 

@@ -9,16 +9,17 @@ on the stored data, which reproduces the in-process model.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
-from . import training
+from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset
 from .errors import ValidationError
-from .gp import GPModel, gp_fit
+from .gp import GPModel, gp_fit, gp_parameters
 from .kernels import KERNEL_KINDS, ScalarKernelSpec
-from .multitask import MTGPModel, mtgp_fit, mtgp_parameter_names
+from .multitask import MTGPModel, ParameterLayout, mtgp_fit, mtgp_parameter_names
 
 SCHEMA_VERSION = 1
 
@@ -48,8 +49,11 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(doc: dict) -> np.ndarray:
-    flat = np.asarray([_unhex(s) for s in doc["hex"]], dtype=float)
-    return flat.reshape(doc["shape"])
+    flat = np.asarray([_unhex(s) for s in _require(doc, "hex")], dtype=float)
+    shape = _require(doc, "shape")
+    if not all(isinstance(n, int) and n >= 0 for n in shape) or math.prod(shape) != flat.size:
+        raise ValidationError(f"model file array of shape {shape} has {flat.size} values")
+    return flat.reshape(shape)
 
 
 def dataset_fingerprint(dataset: MultiTaskDataset) -> str:
@@ -69,37 +73,32 @@ def _encode_dataset(dataset: MultiTaskDataset) -> list:
 
 
 def _decode_dataset(tasks_doc: list) -> MultiTaskDataset:
-    inputs = tuple(_decode_array(t["x"]) for t in tasks_doc)
-    targets = tuple(_decode_array(t["y"]) for t in tasks_doc)
+    inputs = tuple(_decode_array(_require(t, "x")) for t in tasks_doc)
+    targets = tuple(_decode_array(_require(t, "y")) for t in tasks_doc)
     return MultiTaskDataset(inputs, targets)
 
 
-def _full_mtgp_schema(spec: MultiTaskKernelSpec) -> training.ParameterSchema:
-    entries = tuple(
-        training.ParamSpec(n, training.IDENTITY if ".W[" in n else training.LOG)
-        for n in mtgp_parameter_names(spec)
-    )
-    return training.ParameterSchema(entries)
-
-
-def _full_mtgp_vector(model: MTGPModel) -> np.ndarray:
-    raw = []
-    for term in model.kernel.terms:
-        raw.extend(np.log(term.base_kernel.lengthscales))
-        raw.append(np.log(term.base_kernel.signal_variance))
-        raw.extend(term.W.reshape(-1))
-        with np.errstate(divide="ignore"):
-            raw.extend(np.log(term.gamma))  # gamma 0 -> -inf -> exact 0 on reload
-    with np.errstate(divide="ignore"):
-        raw.extend(np.log(model.noise_variances))
-    return np.asarray(raw, dtype=float)
+def _parameters_doc(layout: ParameterLayout, names: list[str]) -> dict:
+    """The ``parameters`` section: names with transforms, then the flat vector."""
+    vector = layout.initial_vector()
+    return {
+        "schema": [[n, "identity" if w else "log"] for n, w in zip(names, layout.is_W)],
+        "values_hex": [_hex(v) for v in vector],
+        "values": [_decimal(v) for v in vector],
+    }
 
 
 def model_document(model, family: str) -> dict:
-    """Serializable dict for a fitted GP or MTGP model."""
+    """Serializable dict for a fitted GP or MTGP model.
+
+    An MTGP's parameter vector is its fully learned :class:`ParameterLayout`'s,
+    in :func:`mtgp_parameter_names` order; a GP's is that of
+    :func:`~mtgp.gp.gp_parameters`. Every value is log-transformed except W,
+    so a zero gamma is ``-inf`` and reloads to exactly 0.
+    """
     if isinstance(model, GPModel):
-        schema = training.gp_schema(model.kernel.input_dim)
-        vector = training.gp_vector(model.kernel, model.noise_variance)
+        layout = gp_parameters(model.kernel, model.noise_variance)
+        names = kernels.log_param_names(model.kernel) + ["log_noise"]
         dataset = MultiTaskDataset((model.X,), (model.Y,))
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -108,19 +107,14 @@ def model_document(model, family: str) -> dict:
             "input_dim": model.kernel.input_dim,
             "num_tasks": 1,
             "kernel_kinds": [model.kernel.kind],
-            "parameters": {
-                "schema": [[e.name, e.transform] for e in schema.entries],
-                "values_hex": [_hex(v) for v in vector],
-                "values": [_decimal(v) for v in vector],
-            },
+            "parameters": _parameters_doc(layout, names),
             "mean_const": {"hex": _hex(model.mean_const), "value": model.mean_const},
             "data": {"tasks": _encode_dataset(dataset)},
             "dataset_fingerprint": dataset_fingerprint(dataset),
         }
         return doc
     if isinstance(model, MTGPModel):
-        schema = _full_mtgp_schema(model.kernel)
-        vector = _full_mtgp_vector(model)
+        layout = ParameterLayout(model.kernel, model.noise_variances)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "family": family,
@@ -136,11 +130,7 @@ def model_document(model, family: str) -> dict:
                 "task_means_hex": [_hex(v) for v in model.task_means],
                 "task_stds_hex": [_hex(v) for v in model.task_stds],
             },
-            "parameters": {
-                "schema": [[e.name, e.transform] for e in schema.entries],
-                "values_hex": [_hex(v) for v in vector],
-                "values": [_decimal(v) for v in vector],
-            },
+            "parameters": _parameters_doc(layout, mtgp_parameter_names(model.kernel)),
             "data": {"tasks": _encode_dataset(model.dataset)},
             "dataset_fingerprint": dataset_fingerprint(model.dataset),
         }
@@ -185,29 +175,25 @@ def load_model(path):
     input_dim = int(_require(doc, "input_dim"))
 
     if model_type == "gp":
-        template = ScalarKernelSpec(kinds[0], np.ones(input_dim), 1.0)
-        if vector.shape[0] != input_dim + 2:
-            raise ValidationError(f"{path}: parameter vector has wrong length")
-        kernel, noise = training.gp_materialize(template, vector)
-        mean_const = _unhex(_require(doc, "mean_const")["hex"])
-        return gp_fit(kernel, noise, dataset.inputs[0], dataset.targets[0], mean_const)
-
-    if model_type == "mtgp":
+        layout = gp_parameters(ScalarKernelSpec(kinds[0], np.ones(input_dim), 1.0), 1.0)
+    elif model_type == "mtgp":
         num_tasks = int(_require(doc, "num_tasks"))
-        ranks = _require(doc, "ranks")
-        terms = []
-        for kind, rank in zip(kinds, ranks):
-            base = ScalarKernelSpec(kind, np.ones(input_dim), 1.0)
-            terms.append(
-                CoregionalizationTerm(np.zeros((num_tasks, rank)), np.zeros(num_tasks), base)
+        terms = tuple(
+            CoregionalizationTerm(
+                np.zeros((num_tasks, rank)),
+                np.zeros(num_tasks),
+                ScalarKernelSpec(kind, np.ones(input_dim), 1.0),
             )
-        template = MultiTaskKernelSpec(num_tasks, tuple(terms))
-        schema = _full_mtgp_schema(template)
-        if vector.shape[0] != schema.size:
-            raise ValidationError(f"{path}: parameter vector has wrong length")
-        spec, noise = training.mtgp_materialize(
-            template, np.ones(num_tasks), schema, vector
+            for kind, rank in zip(kinds, _require(doc, "ranks"))
         )
-        return mtgp_fit(spec, noise, dataset, standardize=bool(_require(doc, "standardize")))
-
-    raise ValidationError(f"{path}: unknown model_type {model_type!r}")
+        layout = ParameterLayout(MultiTaskKernelSpec(num_tasks, terms), np.ones(num_tasks))
+    else:
+        raise ValidationError(f"{path}: unknown model_type {model_type!r}")
+    if vector.shape[0] != layout.size:
+        raise ValidationError(f"{path}: parameter vector has wrong length")
+    spec, noise = layout.materialize(vector)
+    if model_type == "gp":
+        mean_const = _unhex(_require(_require(doc, "mean_const"), "hex"))
+        X, Y = dataset.inputs[0], dataset.targets[0]
+        return gp_fit(spec.terms[0].base_kernel, noise[0], X, Y, mean_const)
+    return mtgp_fit(spec, noise, dataset, standardize=bool(_require(doc, "standardize")))

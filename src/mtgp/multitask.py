@@ -11,7 +11,8 @@ live in wildly different units); statistics are stored on the model and
 inverted at prediction time. Pass ``standardize=False`` to work in raw units.
 
 The log marginal likelihood and its gradient have one implementation: a
-batched core over the flat parameter vectors of :class:`ExactGPLayout`,
+batched core over the flat parameter vectors of :class:`ExactGPLayout`
+(a :class:`ParameterLayout`, the package's one flat-vector conversion),
 which training drives with all restarts at once and of which both
 likelihood functions (this module's and :mod:`mtgp.gp`'s) are the B=1 case.
 """
@@ -244,20 +245,20 @@ class _Block(NamedTuple):
     def flat(self, vector: np.ndarray):
         """Write the template's transformed learned values into a flat vector."""
         if self.index is not None:
-            v = np.log(np.maximum(self.value, 1e-300)) if self.log else self.value
+            with np.errstate(divide="ignore"):
+                v = np.log(self.value) if self.log else self.value  # gamma 0 -> -inf
             vector[self.index] = v if self.mask is None else v[self.mask]
 
 
-class ExactGPLayout:
-    """Flat parameter layout and fixed data of the exact-GP objective.
+class ParameterLayout:
+    """Flat parameter vector <-> (kernel spec, noise vector) of one model shape.
 
-    Built once per fit from a template kernel, noise vector and dataset. The
-    flat vector is the learned subset of :func:`mtgp_parameter_names`, in
-    that order: log-lengthscales (Q, P), log-signal-variances (Q,) and
-    log-noise (D,) always, W (Q, D, R) when ``learn_W`` and log-gamma (Q, D)
-    when ``learn_gamma``. Groups not learned keep the template's values. The
-    layout also holds the per-dimension squared input differences, the task
-    one-hot and the targets, so evaluating a batch builds no Python objects.
+    Built from a template kernel spec and noise vector. The flat vector is
+    the learned subset of :func:`mtgp_parameter_names`, in that order:
+    log-lengthscales (Q, P), log-signal-variances (Q,) and log-noise (D,)
+    always, W (Q, D, R) when ``learn_W`` and log-gamma (Q, D) when
+    ``learn_gamma``. W is untransformed; a zero gamma is ``-inf``. Groups
+    not learned keep the template's values.
 
     The single-task GP is the one-task, one-term case with W fixed at 1 and
     gamma at 0, whose flat vector is ``[log l..., log s2, log noise]``.
@@ -267,18 +268,9 @@ class ExactGPLayout:
         self,
         spec: MultiTaskKernelSpec,
         noise_variances,
-        dataset: MultiTaskDataset,
         learn_W: bool = True,
         learn_gamma: bool = True,
     ):
-        if dataset.num_tasks != spec.num_tasks:
-            raise ShapeError(
-                f"dataset has {dataset.num_tasks} tasks, kernel spec declares {spec.num_tasks}"
-            )
-        if dataset.input_dim != spec.input_dim:
-            raise ShapeError(
-                f"dataset input dimension {dataset.input_dim} != kernel's {spec.input_dim}"
-            )
         noise = _noise_vector(noise_variances, spec.num_tasks)
         Q, D, P = spec.num_terms, spec.num_tasks, spec.input_dim
         self.ranks = [t.rank for t in spec.terms]
@@ -323,23 +315,8 @@ class ExactGPLayout:
         self.has_gamma = learn_gamma or bool(np.any(gamma))
         self.is_W = np.zeros(self.size, dtype=bool)
         self.is_W[W_index] = True
-
-        kinds = [t.base_kernel.kind for t in spec.terms]
-        self.kinds = kinds
-        self.kind_groups = [
-            (kind, np.asarray([q for q in range(Q) if kinds[q] == kind]))
-            for kind in sorted(set(kinds))
-        ]
-        X = dataset.stacked_inputs()
-        N = X.shape[0]
-        diff = X[:, None, :] - X[None, :, :]
-        self.sqdiff = np.ascontiguousarray((diff**2).reshape(N * N, P).T)  # (P, N*N)
-        self.tasks = dataset.task_indices()
-        self.pair_index = self.tasks[:, None] * D + self.tasks[None, :]  # into flat (D, D)
-        self.onehot = np.zeros((N, D))
-        self.onehot[np.arange(N), self.tasks] = 1.0
-        self.y = dataset.stacked_targets()
-        self.shape = (Q, D, P, N)
+        self.kinds = [t.base_kernel.kind for t in spec.terms]
+        self.num_tasks = D
 
     def initial_vector(self) -> np.ndarray:
         """The template's learned parameters as a flat vector."""
@@ -359,7 +336,50 @@ class ExactGPLayout:
             )
             for q, rank in enumerate(self.ranks)
         )
-        return MultiTaskKernelSpec(self.shape[1], terms), np.array(noise)
+        return MultiTaskKernelSpec(self.num_tasks, terms), np.array(noise)
+
+
+class ExactGPLayout(ParameterLayout):
+    """The parameter layout plus the fixed data of the exact-GP objective.
+
+    Built once per fit from a template kernel, noise vector and dataset. On
+    top of :class:`ParameterLayout` it holds the per-dimension squared input
+    differences, the task one-hot and the targets, so evaluating a batch
+    builds no Python objects.
+    """
+
+    def __init__(
+        self,
+        spec: MultiTaskKernelSpec,
+        noise_variances,
+        dataset: MultiTaskDataset,
+        learn_W: bool = True,
+        learn_gamma: bool = True,
+    ):
+        if dataset.num_tasks != spec.num_tasks:
+            raise ShapeError(
+                f"dataset has {dataset.num_tasks} tasks, kernel spec declares {spec.num_tasks}"
+            )
+        if dataset.input_dim != spec.input_dim:
+            raise ShapeError(
+                f"dataset input dimension {dataset.input_dim} != kernel's {spec.input_dim}"
+            )
+        super().__init__(spec, noise_variances, learn_W, learn_gamma)
+        Q, D, P = spec.num_terms, spec.num_tasks, spec.input_dim
+        self.kind_groups = [
+            (kind, np.asarray([q for q in range(Q) if self.kinds[q] == kind]))
+            for kind in sorted(set(self.kinds))
+        ]
+        X = dataset.stacked_inputs()
+        N = X.shape[0]
+        diff = X[:, None, :] - X[None, :, :]
+        self.sqdiff = np.ascontiguousarray((diff**2).reshape(N * N, P).T)  # (P, N*N)
+        self.tasks = dataset.task_indices()
+        self.pair_index = self.tasks[:, None] * D + self.tasks[None, :]  # into flat (D, D)
+        self.onehot = np.zeros((N, D))
+        self.onehot[np.arange(N), self.tasks] = 1.0
+        self.y = dataset.stacked_targets()
+        self.shape = (Q, D, P, N)
 
     def evaluate(self, X: np.ndarray) -> LMLBatch:
         """Log marginal likelihood and flat gradient for each row of X (B, size)."""

@@ -210,10 +210,11 @@ def _check_gp_gradient(seed: int) -> CheckResult:
         X = rng.uniform(0.0, 1.0, size=(5, dim))
         Y = rng.normal(size=5)
         template = kernels.ScalarKernelSpec(kernels.SQUARED_EXPONENTIAL, np.ones(dim), 1.0)
+        layout = gp.gp_parameters(template, 1.0)
 
         def objective(vec):
-            kern, noise = training.gp_materialize(template, vec)
-            return gp.gp_log_marginal_likelihood(kern, noise, X, Y)
+            spec, noise = layout.materialize(vec)
+            return gp.gp_log_marginal_likelihood(spec.terms[0].base_kernel, noise[0], X, Y)
 
         point = rng.normal(0.0, 0.5, size=dim + 2)
         worst = max(worst, training.check_gradients(objective, point))
@@ -227,21 +228,13 @@ def _check_mtgp_gradient(seed: int) -> CheckResult:
     for i in range(5):
         rng = make_rng(seed, "chk-mt-grad", i)
         spec, dataset, noise = _random_mtgp_instance(rng, slfm=False)
-
-        names = multitask.mtgp_parameter_names(spec)
-        schema = training.ParameterSchema(
-            tuple(
-                training.ParamSpec(n, training.IDENTITY if ".W[" in n else training.LOG)
-                for n in names
-            )
-        )
-        base = training.mtgp_vector(spec, noise, schema)
+        layout = multitask.ParameterLayout(spec, noise)
 
         def objective(vec):
-            spec_v, noise_v = training.mtgp_materialize(spec, noise, schema, vec)
+            spec_v, noise_v = layout.materialize(vec)
             return multitask.mtgp_log_marginal_likelihood(spec_v, noise_v, dataset)
 
-        worst = max(worst, training.check_gradients(objective, base))
+        worst = max(worst, training.check_gradients(objective, layout.initial_vector()))
     return CheckResult(
         "mtgp-gradient-finite-difference", worst < 1e-4, f"max relative error {worst:.3e} (tol 1e-4)"
     )

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
 from .errors import MTGPError, TrainingFailedError
 from .gp import GPModel, gp_fit, gp_layout, gp_log_marginal_likelihood
 from .kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
-from .multitask import ExactGPLayout, LMLBatch, MTGPModel, mtgp_fit, mtgp_parameter_names
+from .multitask import ExactGPLayout, LMLBatch, MTGPModel, mtgp_fit
 from .seeding import make_rng
 
 ADAM_BETA1 = 0.9
@@ -33,9 +32,6 @@ W_INIT_STD = 0.5
 # nearly independent and coupling grows only where the data supports it
 LMC_W_INIT_STD = 0.2
 LMC_GAMMA_INIT_FRACTION = 0.6
-
-LOG = "log"
-IDENTITY = "identity"
 
 
 @dataclass(frozen=True)
@@ -85,170 +81,6 @@ class MTGPFamily:
     @property
     def learns_gamma(self) -> bool:
         return self.mode == "lmc"
-
-
-# ---------------------------------------------------------------------------
-# Parameter schema: flat unconstrained vector <-> named raw values
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    transform: str  # LOG or IDENTITY
-
-
-@dataclass(frozen=True)
-class ParameterSchema:
-    entries: tuple
-
-    def __post_init__(self):
-        names = [e.name for e in self.entries]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate parameter names in schema")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
-    def unpack(self, vector: np.ndarray) -> dict:
-        """Flat vector -> {name: raw transformed value}; pure reshaping."""
-        vector = np.asarray(vector, dtype=float).reshape(-1)
-        if vector.shape[0] != self.size:
-            raise ValueError(f"vector has {vector.shape[0]} entries, schema {self.size}")
-        return {e.name: float(v) for e, v in zip(self.entries, vector)}
-
-    def pack(self, values: dict) -> np.ndarray:
-        """{name: raw value} -> flat vector; exact inverse of :meth:`unpack`."""
-        return np.asarray([values[e.name] for e in self.entries], dtype=float)
-
-
-def _inverse(raw: float, transform: str) -> float:
-    return float(np.exp(raw)) if transform == LOG else float(raw)
-
-
-# ---------------------------------------------------------------------------
-# Single-task parameterization
-# ---------------------------------------------------------------------------
-
-
-def gp_schema(input_dim: int) -> ParameterSchema:
-    entries = [ParamSpec(f"log_lengthscale{p}", LOG) for p in range(input_dim)]
-    entries.append(ParamSpec("log_signal_variance", LOG))
-    entries.append(ParamSpec("log_noise", LOG))
-    return ParameterSchema(tuple(entries))
-
-
-def gp_vector(kernel: ScalarKernelSpec, noise_variance: float) -> np.ndarray:
-    raw = [np.log(l) for l in kernel.lengthscales]
-    raw += [np.log(kernel.signal_variance), np.log(noise_variance)]
-    return np.asarray(raw)
-
-
-def gp_materialize(template: ScalarKernelSpec, vector: np.ndarray) -> tuple[ScalarKernelSpec, float]:
-    P = template.input_dim
-    lengthscales = np.exp(vector[:P])
-    signal_variance = float(np.exp(vector[P]))
-    noise = float(np.exp(vector[P + 1]))
-    return template.with_params(lengthscales, signal_variance), noise
-
-
-# ---------------------------------------------------------------------------
-# Multi-task parameterization
-# ---------------------------------------------------------------------------
-
-
-def mtgp_schema(spec: MultiTaskKernelSpec, family: MTGPFamily) -> ParameterSchema:
-    """Learnable subset of the canonical parameter list for the family."""
-    entries = []
-    for name in mtgp_parameter_names(spec):
-        if ".W[" in name:
-            if not family.learns_W:
-                continue
-            entries.append(ParamSpec(name, IDENTITY))
-        elif ".log_gamma" in name:
-            if not family.learns_gamma:
-                continue
-            entries.append(ParamSpec(name, LOG))
-        else:
-            entries.append(ParamSpec(name, LOG))
-    return ParameterSchema(tuple(entries))
-
-
-def mtgp_vector(
-    spec: MultiTaskKernelSpec, noise_variances: np.ndarray, schema: ParameterSchema
-) -> np.ndarray:
-    values = {}
-    for q, term in enumerate(spec.terms):
-        for kname, raw in zip(
-            kernels.log_param_names(term.base_kernel),
-            gp_vector(term.base_kernel, 1.0)[:-1],
-        ):
-            values[f"term{q}.{kname}"] = float(raw)
-        for d in range(term.num_tasks):
-            for r in range(term.rank):
-                values[f"term{q}.W[{d},{r}]"] = float(term.W[d, r])
-        for d in range(term.num_tasks):
-            values[f"term{q}.log_gamma{d}"] = float(np.log(max(term.gamma[d], 1e-300)))
-    for d, nv in enumerate(np.asarray(noise_variances, dtype=float)):
-        values[f"log_noise{d}"] = float(np.log(nv))
-    return schema.pack({n: values[n] for n in schema.names()})
-
-
-def mtgp_materialize(
-    template: MultiTaskKernelSpec,
-    template_noise: np.ndarray,
-    schema: ParameterSchema,
-    vector: np.ndarray,
-) -> tuple[MultiTaskKernelSpec, np.ndarray]:
-    """Rebuild (kernel spec, noise vector) from a schema vector.
-
-    Parameters absent from the schema keep their template values (fixed W
-    for independent mode, pinned gamma for rank-one factor models).
-    """
-    raw = schema.unpack(vector)
-    transforms = {e.name: e.transform for e in schema.entries}
-
-    def natural(name: str, default: float) -> float:
-        if name in raw:
-            return _inverse(raw[name], transforms[name])
-        return default
-
-    terms = []
-    for q, term in enumerate(template.terms):
-        P = term.base_kernel.input_dim
-        ls = np.array(
-            [
-                natural(f"term{q}.log_lengthscale{p}", term.base_kernel.lengthscales[p])
-                for p in range(P)
-            ]
-        )
-        sv = natural(f"term{q}.log_signal_variance", term.base_kernel.signal_variance)
-        W = np.array(
-            [
-                [natural(f"term{q}.W[{d},{r}]", term.W[d, r]) for r in range(term.rank)]
-                for d in range(term.num_tasks)
-            ]
-        )
-        gamma = np.array(
-            [
-                natural(f"term{q}.log_gamma{d}", term.gamma[d])
-                for d in range(term.num_tasks)
-            ]
-        )
-        terms.append(
-            CoregionalizationTerm(W, gamma, term.base_kernel.with_params(ls, sv))
-        )
-    noise = np.array(
-        [
-            natural(f"log_noise{d}", float(template_noise[d]))
-            for d in range(template.num_tasks)
-        ]
-    )
-    return MultiTaskKernelSpec(template.num_tasks, tuple(terms)), noise
 
 
 # ---------------------------------------------------------------------------

@@ -27,27 +27,16 @@ from mtgp.coregionalization import (
     assemble_joint_covariance,
 )
 from mtgp.data import MultiTaskDataset
-from mtgp.gp import gp_fit, gp_log_marginal_likelihood, gp_predict
+from mtgp.gp import gp_fit, gp_log_marginal_likelihood, gp_parameters, gp_predict
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import (
+    ParameterLayout,
     mtgp_fit,
     mtgp_log_marginal_likelihood,
-    mtgp_parameter_names,
     mtgp_predict,
 )
 from mtgp.seeding import make_rng
-from mtgp.training import (
-    IDENTITY,
-    LOG,
-    ParameterSchema,
-    ParamSpec,
-    TrainConfig,
-    check_gradients,
-    gp_materialize,
-    mtgp_materialize,
-    mtgp_vector,
-    train_mtgp,
-)
+from mtgp.training import TrainConfig, check_gradients, train_mtgp
 
 
 def report(number, name, detail=""):
@@ -212,11 +201,11 @@ def test_criterion_05_gradient_correctness():
         dim = int(rng.integers(1, 3))
         X = rng.uniform(0, 1, size=(int(rng.integers(3, 7)), dim))
         Y = rng.normal(size=X.shape[0])
-        template = ScalarKernelSpec(SQUARED_EXPONENTIAL, np.ones(dim), 1.0)
+        layout = gp_parameters(ScalarKernelSpec(SQUARED_EXPONENTIAL, np.ones(dim), 1.0), 1.0)
 
         def objective(vec):
-            kern, noise = gp_materialize(template, vec)
-            return gp_log_marginal_likelihood(kern, noise, X, Y)
+            spec, noise = layout.materialize(vec)
+            return gp_log_marginal_likelihood(spec.terms[0].base_kernel, noise[0], X, Y)
 
         worst_gp = max(worst_gp, check_gradients(objective, rng.normal(0, 0.5, size=dim + 2)))
 
@@ -239,18 +228,13 @@ def test_criterion_05_gradient_correctness():
             (rng.uniform(0, 1, (3, 1)), rng.uniform(0, 1, (3, 1))),
             (rng.normal(size=3), rng.normal(size=3)),
         )
-        noise = rng.uniform(0.05, 0.3, size=D)
-        names = mtgp_parameter_names(spec)
-        schema = ParameterSchema(
-            tuple(ParamSpec(n, IDENTITY if ".W[" in n else LOG) for n in names)
-        )
-        base = mtgp_vector(spec, noise, schema)
+        mt_layout = ParameterLayout(spec, rng.uniform(0.05, 0.3, size=D))
 
         def objective(vec):
-            s, nz = mtgp_materialize(spec, noise, schema, vec)
+            s, nz = mt_layout.materialize(vec)
             return mtgp_log_marginal_likelihood(s, nz, dataset)
 
-        worst_mt = max(worst_mt, check_gradients(objective, base))
+        worst_mt = max(worst_mt, check_gradients(objective, mt_layout.initial_vector()))
     elapsed = time.perf_counter() - started
     assert worst_gp < 1e-4
     assert worst_mt < 1e-4

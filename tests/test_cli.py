@@ -52,6 +52,48 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
+def train_model(tmp_path, family, **overrides):
+    """Train a small model of the family (single-task data for "gp"); returns model.json."""
+    data = write_two_task_csv(tmp_path / "data.csv", n1=0 if family == "gp" else 5)
+    config = write_config(tmp_path / "config.json", family=family, **{"max_iterations": 5, **overrides})
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
+    return out / "model.json"
+
+
+# damaged model files: (family, damage to the document, expected message)
+MODEL_FILE_DAMAGE = {
+    "values_hex": ("mtgp-slfm", lambda doc: doc["parameters"].pop("values_hex"), "'values_hex'"),
+    "tasks": ("mtgp-slfm", lambda doc: doc["data"].pop("tasks"), "'tasks'"),
+    "x-hex": ("mtgp-slfm", lambda doc: doc["data"]["tasks"][0]["x"].pop("hex"), "'hex'"),
+    "y": ("mtgp-slfm", lambda doc: doc["data"]["tasks"][1].pop("y"), "'y'"),
+    "mean_const-hex": ("gp", lambda doc: doc["mean_const"].pop("hex"), "'hex'"),
+    "shape": ("mtgp-slfm", lambda doc: doc["data"]["tasks"][0]["y"].update(shape=[7]), "shape [7]"),
+}
+
+# the parameters.schema lists model files have always carried
+MODEL_FILE_SCHEMAS = {
+    "gp": [["log_lengthscale0", "log"], ["log_signal_variance", "log"], ["log_noise", "log"]],
+    "mtgp-slfm": [
+        ["term0.log_lengthscale0", "log"], ["term0.log_signal_variance", "log"],
+        ["term0.W[0,0]", "identity"], ["term0.W[1,0]", "identity"],
+        ["term0.log_gamma0", "log"], ["term0.log_gamma1", "log"],
+        ["term1.log_lengthscale0", "log"], ["term1.log_signal_variance", "log"],
+        ["term1.W[0,0]", "identity"], ["term1.W[1,0]", "identity"],
+        ["term1.log_gamma0", "log"], ["term1.log_gamma1", "log"],
+        ["log_noise0", "log"], ["log_noise1", "log"],
+    ],
+    "mtgp-lmc": [
+        ["term0.log_lengthscale0", "log"], ["term0.log_signal_variance", "log"],
+        ["term0.W[0,0]", "identity"], ["term0.W[0,1]", "identity"],
+        ["term0.W[1,0]", "identity"], ["term0.W[1,1]", "identity"],
+        ["term0.log_gamma0", "log"], ["term0.log_gamma1", "log"],
+        ["log_noise0", "log"], ["log_noise1", "log"],
+    ],
+}
+FIXTURES = os.path.join(os.path.dirname(__file__), "data")
+
+
 class TestTrainPredict:
     def test_mtgp_round_trip(self, tmp_path):
         data = write_two_task_csv(tmp_path / "data.csv")
@@ -202,20 +244,25 @@ class TestBadInputExitCodes:
         argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
         self._assert_exit_2(argv, capsys, "line 3: non-finite value")
 
-    @pytest.mark.parametrize("drop", ["values_hex", "tasks"])
-    def test_model_file_missing_key_exits_2(self, tmp_path, capsys, drop):
-        data = write_two_task_csv(tmp_path / "data.csv")
-        config = write_config(tmp_path / "config.json", max_iterations=5)
-        out = tmp_path / "run"
-        assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
-        doc = json.loads((out / "model.json").read_text())
-        del (doc["parameters"] if drop == "values_hex" else doc["data"])[drop]
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_query_value_exits_2(self, tmp_path, capsys, bad):
+        model = train_model(tmp_path, "mtgp-slfm")
+        query = tmp_path / "query.csv"
+        query.write_text(f"x1,task\n0.5,0\n{bad},0\n", encoding="utf-8")
+        argv = ["predict", "--model", str(model), "--data", str(query), "--out", str(tmp_path / "p.csv")]
+        self._assert_exit_2(argv, capsys, "line 3: non-finite value")
+
+    @pytest.mark.parametrize("damage", list(MODEL_FILE_DAMAGE))
+    def test_model_file_missing_key_exits_2(self, tmp_path, capsys, damage):
+        family, mutate, needle = MODEL_FILE_DAMAGE[damage]
+        doc = json.loads(train_model(tmp_path, family).read_text())
+        mutate(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         query = tmp_path / "query.csv"
         query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
         argv = ["predict", "--model", str(bad), "--data", str(query), "--out", str(tmp_path / "p.csv")]
-        self._assert_exit_2(argv, capsys, repr(drop))
+        self._assert_exit_2(argv, capsys, needle)
 
 
 class TestModuleEntryPoint:
@@ -263,16 +310,30 @@ class TestModelIO:
         dataset, _ = read_task_csv(data)
         assert model_io.dataset_fingerprint(dataset) == model_io.dataset_fingerprint(dataset)
 
-    def test_lmc_round_trip(self, tmp_path):
-        data = write_two_task_csv(tmp_path / "data.csv")
-        config = write_config(tmp_path / "config.json", family="mtgp-lmc", rank=1, q=2)
-        out = tmp_path / "run"
-        assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
-        model = model_io.load_model(out / "model.json")
-        assert any(np.any(t.gamma > 0) for t in model.kernel.terms)
-        saved_again = tmp_path / "again.json"
-        model_io.save_model(model, saved_again, "mtgp-lmc")
-        assert (out / "model.json").read_text() == saved_again.read_text()
+    @pytest.mark.parametrize("family", ["gp", "mtgp-slfm", "mtgp-lmc"])
+    def test_model_file_round_trip(self, tmp_path, family):
+        overrides = {"rank": 2, "q": 1} if family == "mtgp-lmc" else {}
+        path = train_model(tmp_path, family, max_iterations=60, **overrides)
+        text = path.read_text()
+        model = model_io.load_model(path)
+        again = tmp_path / "again.json"
+        model_io.save_model(model, again, family)
+        assert again.read_text() == text
+        schema = MODEL_FILE_SCHEMAS[family]
+        params = json.loads(text)["parameters"]
+        assert params["schema"] == schema
+        gammas = [h for (name, _), h in zip(schema, params["values_hex"]) if "log_gamma" in name]
+        if family == "mtgp-slfm":
+            assert gammas == ["-inf"] * 4
+            assert all(np.all(t.gamma == 0.0) for t in model.kernel.terms)
+        if family == "mtgp-lmc":
+            assert "-inf" not in gammas
+            assert all(np.all(t.gamma > 0.0) for t in model.kernel.terms)
+        # a file written by an earlier version loads and saves back unchanged
+        earlier = os.path.join(FIXTURES, f"model_v1_{family}.json")
+        model_io.save_model(model_io.load_model(earlier), again, family)
+        with open(earlier, encoding="utf-8") as fh:
+            assert again.read_text() == fh.read()
 
 
 class TestBenchmarkCommand:

@@ -171,18 +171,19 @@ class TestGPLogMarginalLikelihood:
             assert value == pytest.approx(dense, abs=1e-8)
 
     def test_gradient_matches_finite_differences(self):
-        from mtgp.training import check_gradients, gp_materialize
+        from mtgp.gp import gp_parameters
+        from mtgp.training import check_gradients
 
         for i in range(5):
             rng = make_rng("gp-lml-fd", i)
             dim = int(rng.integers(1, 3))
             X = rng.uniform(0, 1, size=(5, dim))
             Y = rng.normal(size=5)
-            template = se(np.ones(dim))
+            layout = gp_parameters(se(np.ones(dim)), 1.0)
 
             def objective(vec):
-                kern, noise = gp_materialize(template, vec)
-                return gp_log_marginal_likelihood(kern, noise, X, Y)
+                spec, noise = layout.materialize(vec)
+                return gp_log_marginal_likelihood(spec.terms[0].base_kernel, noise[0], X, Y)
 
             point = rng.normal(0, 0.5, size=dim + 2)
             assert check_gradients(objective, point) < 1e-4

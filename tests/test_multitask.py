@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_gaussian_conditioning, random_dataset, random_mtgp_spec
 from mtgp.coregionalization import (
@@ -262,6 +264,71 @@ class TestMTGPPredict:
         assert np.all(pred.variance >= 0.0)
 
 
+def _close(a, b, tol=1e-10):
+    """|a - b| <= tol, relative once |a| exceeds 1."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(a)))
+
+
+class TestInvariances:
+    """Predictions and likelihoods do not depend on how the data is ordered."""
+
+    @staticmethod
+    def _instance(seed):
+        rng = make_rng("invariance", seed)
+        spec = random_mtgp_spec(rng, 3, dim=2, with_gamma=True)
+        dataset = random_dataset(rng, 3, dim=2, max_per_task=5)
+        noise = rng.uniform(0.05, 0.3, size=3)
+        return rng, spec, dataset, noise
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_rows_permuted_within_tasks(self, seed):
+        rng, spec, dataset, noise = self._instance(seed)
+        perms = [rng.permutation(n) for n in dataset.counts]
+        shuffled = MultiTaskDataset(
+            tuple(X[p] for X, p in zip(dataset.inputs, perms)),
+            tuple(Y[p] for Y, p in zip(dataset.targets, perms)),
+        )
+        _close(
+            mtgp_log_marginal_likelihood(spec, noise, dataset)[0],
+            mtgp_log_marginal_likelihood(spec, noise, shuffled)[0],
+        )
+        model, model_s = mtgp_fit(spec, noise, dataset), mtgp_fit(spec, noise, shuffled)
+        Xs = rng.uniform(0, 1, size=(4, 2))
+        for d in range(3):
+            a, b = mtgp_predict(model, d, Xs), mtgp_predict(model_s, d, Xs)
+            _close(a.mean, b.mean)
+            _close(a.variance, b.variance)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.permutations(range(3)))
+    def test_tasks_relabelled(self, seed, perm):
+        # new task k is old task perm[k]: rows of W, gamma and noise follow
+        rng, spec, dataset, noise = self._instance(seed)
+        perm = np.asarray(perm)
+        spec_p = MultiTaskKernelSpec(
+            3,
+            tuple(
+                CoregionalizationTerm(t.W[perm], t.gamma[perm], t.base_kernel)
+                for t in spec.terms
+            ),
+        )
+        dataset_p = MultiTaskDataset(
+            tuple(dataset.inputs[d] for d in perm), tuple(dataset.targets[d] for d in perm)
+        )
+        _close(
+            mtgp_log_marginal_likelihood(spec, noise, dataset)[0],
+            mtgp_log_marginal_likelihood(spec_p, noise[perm], dataset_p)[0],
+        )
+        model, model_p = mtgp_fit(spec, noise, dataset), mtgp_fit(spec_p, noise[perm], dataset_p)
+        Xs = rng.uniform(0, 1, size=(4, 2))
+        for new, old in enumerate(perm):
+            a, b = mtgp_predict(model, old, Xs), mtgp_predict(model_p, new, Xs)
+            _close(a.mean, b.mean)
+            _close(a.variance, b.variance)
+
+
 class TestMTGPLogMarginalLikelihood:
     def test_single_task_equals_gp(self):
         rng = make_rng("mt-lml-single", 0)
@@ -291,15 +358,8 @@ class TestMTGPLogMarginalLikelihood:
         assert value == pytest.approx(expected, abs=1e-8)
 
     def test_gradient_matches_finite_differences(self):
-        from mtgp.training import (
-            IDENTITY,
-            LOG,
-            ParameterSchema,
-            ParamSpec,
-            check_gradients,
-            mtgp_materialize,
-            mtgp_vector,
-        )
+        from mtgp.multitask import ParameterLayout
+        from mtgp.training import check_gradients
 
         for i in range(5):
             rng = make_rng("mt-lml-fd", i)
@@ -308,18 +368,13 @@ class TestMTGPLogMarginalLikelihood:
                 (rng.uniform(0, 1, (3, 1)), rng.uniform(0, 1, (3, 1))),
                 (rng.normal(size=3), rng.normal(size=3)),
             )
-            noise = rng.uniform(0.05, 0.3, size=2)
-            names = mtgp_parameter_names(spec)
-            schema = ParameterSchema(
-                tuple(ParamSpec(n, IDENTITY if ".W[" in n else LOG) for n in names)
-            )
-            base = mtgp_vector(spec, noise, schema)
+            layout = ParameterLayout(spec, rng.uniform(0.05, 0.3, size=2))
 
             def objective(vec):
-                s, n = mtgp_materialize(spec, noise, schema, vec)
+                s, n = layout.materialize(vec)
                 return mtgp_log_marginal_likelihood(s, n, dataset)
 
-            assert check_gradients(objective, base) < 1e-4
+            assert check_gradients(objective, layout.initial_vector()) < 1e-4
 
     def test_parameter_name_order(self):
         spec = random_mtgp_spec(make_rng("mt-names", 0), 2, num_terms=1)
@@ -465,17 +520,18 @@ class TestBatchedObjective:
             np.testing.assert_array_equal(term.W[:, 0], np.eye(spec.num_tasks)[q])
 
     def test_flat_order_is_the_canonical_parameter_order(self):
-        from mtgp.training import IDENTITY, LOG, ParameterSchema, ParamSpec, mtgp_vector
-
         layout, _ = _batch_case("ragged-rank")
         vec = self._batch(layout, "ragged-rank", B=1)[0]
         spec, noise = layout.materialize(vec)
         assert [t.rank for t in spec.terms] == [2, 1]
-        names = mtgp_parameter_names(spec)
-        schema = ParameterSchema(
-            tuple(ParamSpec(n, IDENTITY if ".W[" in n else LOG) for n in names)
-        )
-        np.testing.assert_allclose(mtgp_vector(spec, noise, schema), vec, rtol=1e-12)
+        expected = []
+        for term in spec.terms:
+            expected += list(np.log(term.base_kernel.lengthscales))
+            expected += [np.log(term.base_kernel.signal_variance)]
+            expected += list(term.W.reshape(-1)) + list(np.log(term.gamma))
+        expected += list(np.log(noise))
+        assert len(expected) == len(mtgp_parameter_names(spec))
+        np.testing.assert_allclose(expected, vec, rtol=1e-12)
 
     def test_wrapper_is_the_template_row(self):
         layout, dataset = _batch_case("matern-lmc")

@@ -5,27 +5,23 @@ from hypothesis import strategies as st
 
 from mtgp.data import MultiTaskDataset
 from mtgp.errors import TrainingFailedError
+from mtgp.gp import gp_parameters
 from mtgp.kernels import MATERN52, SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
-from mtgp.multitask import LMLBatch, mtgp_log_marginal_likelihood, mtgp_parameter_names
+from mtgp.multitask import (
+    LMLBatch,
+    ParameterLayout,
+    mtgp_log_marginal_likelihood,
+    mtgp_parameter_names,
+)
 from mtgp.seeding import make_rng
 from mtgp.training import (
-    IDENTITY,
-    LOG,
     AdamRun,
     MTGPFamily,
-    ParameterSchema,
-    ParamSpec,
     TrainConfig,
     adam_maximize,
     build_mtgp_template,
     check_gradients,
-    gp_materialize,
-    gp_schema,
-    gp_vector,
     median_lengthscales,
-    mtgp_materialize,
-    mtgp_schema,
-    mtgp_vector,
     train_gp,
     train_mtgp,
 )
@@ -48,74 +44,88 @@ def batched(objective):
     return evaluate
 
 
-class TestParameterSchema:
+def _family_layout(mode, rank=1):
+    """A family's layout on a 2-task, 2-input dataset, and its template spec."""
+    rng = make_rng("layout", mode)
+    dataset = MultiTaskDataset(
+        (rng.uniform(0, 1, (3, 2)), rng.uniform(0, 1, (2, 2))),
+        (rng.normal(size=3), rng.normal(size=2)),
+    )
+    family = MTGPFamily(mode=mode, rank=rank)
+    template, noise = build_mtgp_template(family, dataset)
+    layout = ParameterLayout(
+        template, noise, learn_W=family.learns_W, learn_gamma=family.learns_gamma
+    )
+    return layout, template
+
+
+class TestParameterLayout:
     @settings(max_examples=50, deadline=None)
     @given(
-        st.lists(
-            st.floats(allow_nan=False, width=64),
-            min_size=1,
-            max_size=12,
-        )
+        st.sampled_from(["slfm", "lmc", "independent"]),
+        st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
     )
-    def test_pack_unpack_roundtrip_bitwise(self, values):
-        schema = ParameterSchema(
-            tuple(
-                ParamSpec(f"p{i}", LOG if i % 2 else IDENTITY)
-                for i in range(len(values))
-            )
+    def test_round_trip_property(self, mode, values):
+        layout, _ = _family_layout(mode, rank=2)
+        vec = np.asarray(values[: layout.size])  # the lmc layout has 20 entries
+        spec, noise = layout.materialize(vec)
+        family = MTGPFamily(mode=mode)
+        again = ParameterLayout(
+            spec, noise, learn_W=family.learns_W, learn_gamma=family.learns_gamma
+        ).initial_vector()
+        np.testing.assert_array_equal(again[layout.is_W], vec[layout.is_W])
+        np.testing.assert_allclose(again, vec, rtol=0, atol=1e-14)
+
+    def test_gp_flat_order(self):
+        layout = gp_parameters(ScalarKernelSpec(SQUARED_EXPONENTIAL, [0.4, 2.2], 1.9), 0.07)
+        np.testing.assert_array_equal(
+            layout.initial_vector(), np.log([0.4, 2.2, 1.9, 0.07])
         )
-        vec = np.asarray(values)
-        np.testing.assert_array_equal(schema.pack(schema.unpack(vec)), vec)
+        assert not layout.is_W.any()
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            ParameterSchema((ParamSpec("a", LOG), ParamSpec("a", LOG)))
-
-    def test_gp_schema_order(self):
-        names = gp_schema(2).names()
-        assert names == [
-            "log_lengthscale0",
-            "log_lengthscale1",
-            "log_signal_variance",
-            "log_noise",
-        ]
-
-    def test_gp_vector_materialize_near_inverse(self):
+    def test_gp_near_inverse(self):
         kern = ScalarKernelSpec(SQUARED_EXPONENTIAL, [0.4, 2.2], 1.9)
-        vec = gp_vector(kern, 0.07)
-        kern2, noise2 = gp_materialize(ScalarKernelSpec(SQUARED_EXPONENTIAL, [1, 1], 1), vec)
-        np.testing.assert_allclose(kern2.lengthscales, kern.lengthscales, rtol=1e-15)
-        assert noise2 == pytest.approx(0.07, rel=1e-15)
+        vec = gp_parameters(kern, 0.07).initial_vector()
+        ones = gp_parameters(ScalarKernelSpec(SQUARED_EXPONENTIAL, [1, 1], 1), 1.0)
+        spec, noise = ones.materialize(vec)
+        np.testing.assert_allclose(spec.terms[0].base_kernel.lengthscales, kern.lengthscales, rtol=1e-15)
+        assert noise[0] == pytest.approx(0.07, rel=1e-15)
 
-    def test_mtgp_schema_by_family(self):
-        dataset = MultiTaskDataset(
-            (np.zeros((2, 1)), np.ones((2, 1))), (np.zeros(2), np.ones(2))
-        )
-        for mode, has_w, has_gamma in [
-            ("slfm", True, False),
-            ("lmc", True, True),
-            ("independent", False, False),
+    def test_learned_groups_by_family(self):
+        # Q = D = 2 terms, P = 2 inputs: per term 2 log-lengthscales and a
+        # log-signal-variance, then W (D x R) and log-gamma (D) when learned
+        for mode, rank, has_W, has_gamma in [
+            ("slfm", 1, True, False),
+            ("lmc", 2, True, True),
+            ("independent", 1, False, False),
         ]:
-            family = MTGPFamily(mode=mode)
-            template, _ = build_mtgp_template(family, dataset)
-            names = mtgp_schema(template, family).names()
-            assert any(".W[" in n for n in names) == has_w
-            assert any("log_gamma" in n for n in names) == has_gamma
-            assert any("log_noise" in n for n in names)
+            layout, template = _family_layout(mode, rank)
+            size = 2 * 3 + 2 * (2 * rank if has_W else 0) + 2 * (2 if has_gamma else 0) + 2
+            assert layout.size == size
+            assert int(layout.is_W.sum()) == (2 * 2 * rank if has_W else 0)
+            spec, _ = layout.materialize(layout.initial_vector())
+            if not has_W:
+                for t, t0 in zip(spec.terms, template.terms):
+                    np.testing.assert_array_equal(t.W, t0.W)
+            if not has_gamma:
+                assert all(np.all(t.gamma == 0.0) for t in spec.terms)
 
-    def test_mtgp_vector_materialize_roundtrip(self):
-        rng = make_rng("schema-rt", 0)
-        dataset = MultiTaskDataset(
-            (rng.uniform(0, 1, (3, 1)), rng.uniform(0, 1, (2, 1))),
-            (rng.normal(size=3), rng.normal(size=2)),
+    def test_lmc_rank2_round_trip(self):
+        layout, _ = _family_layout("lmc", rank=2)
+        vec = make_rng("layout-rt", 0).normal(size=layout.size)
+        spec, noise = layout.materialize(vec)
+        np.testing.assert_allclose(
+            ParameterLayout(spec, noise).initial_vector(), vec, rtol=1e-12, atol=1e-12
         )
-        family = MTGPFamily(mode="lmc", rank=2)
-        template, noise0 = build_mtgp_template(family, dataset)
-        schema = mtgp_schema(template, family)
-        vec = rng.normal(size=schema.size)
-        spec, noise = mtgp_materialize(template, noise0, schema, vec)
-        vec2 = mtgp_vector(spec, noise, schema)
-        np.testing.assert_allclose(vec2, vec, rtol=1e-12, atol=1e-12)
+
+    def test_zero_gamma_is_minus_infinity(self):
+        _, template = _family_layout("slfm")
+        full = ParameterLayout(template, np.ones(2))
+        vec = full.initial_vector()
+        gamma = ["log_gamma" in n for n in mtgp_parameter_names(template)]
+        assert np.all(vec[gamma] == -np.inf)
+        spec, _ = full.materialize(vec)
+        assert all(np.all(t.gamma == 0.0) for t in spec.terms)
 
 
 class TestCheckGradients:
@@ -172,13 +182,13 @@ class TestAdam:
         rng = make_rng("transform-safety", 0)
         X = rng.uniform(0, 1, size=(8, 1))
         Y = rng.normal(size=8)
-        template = ScalarKernelSpec(SQUARED_EXPONENTIAL, [1.0], 1.0)
+        layout = gp_parameters(ScalarKernelSpec(SQUARED_EXPONENTIAL, [1.0], 1.0), 1.0)
 
         from mtgp.gp import gp_log_marginal_likelihood
 
         def objective(vec):
-            kern, noise = gp_materialize(template, vec)
-            return gp_log_marginal_likelihood(kern, noise, X, Y)
+            spec, noise = layout.materialize(vec)
+            return gp_log_marginal_likelihood(spec.terms[0].base_kernel, noise[0], X, Y)
 
         run = adam_maximize(
             batched(objective),
@@ -187,10 +197,11 @@ class TestAdam:
             record_trajectory=True,
         )
         for vec in run.trajectory:
-            kern, noise = gp_materialize(template, vec[0])
+            spec, noise = layout.materialize(vec[0])
+            kern = spec.terms[0].base_kernel
             assert np.all(kern.lengthscales > 0)
             assert kern.signal_variance > 0
-            assert noise > 0
+            assert noise[0] > 0
 
     def test_failed_row_keeps_best_iterate_and_spares_the_others(self):
         # row 1 sits far from the others; its objective fails at step 3
