@@ -26,7 +26,6 @@ from .coregionalization import (
     MultiTaskKernelSpec,
     assemble_joint_covariance,
     build_B,
-    cross_covariance_block,
 )
 from .data import MultiTaskDataset, read_task_csv, standardize_targets
 from .errors import (
@@ -51,9 +50,7 @@ from .kernels import (
     MATERN52,
     SQUARED_EXPONENTIAL,
     ScalarKernelSpec,
-    kernel_eval,
     kernel_matrix,
-    kernel_matrix_grad,
 )
 from .multitask import (
     MTGPModel,

@@ -177,9 +177,9 @@ class BenchmarkScenario:
 
     def __post_init__(self):
         if min(self.n_primary, self.n_auxiliary, self.n_test) < 1:
-            raise ValueError("sample counts must be at least 1")
+            raise DomainError("sample counts must be at least 1")
         if self.observation_noise < 0.0:
-            raise ValueError("observation_noise must be non-negative")
+            raise DomainError("observation_noise must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ class StudyConfig:
 
     def __post_init__(self):
         if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+            raise DomainError("replicates must be at least 1")
 
 
 @dataclass
@@ -305,64 +305,38 @@ def run_study(
         for rep in range(study.replicates)
     ]
 
-    gp_keys = sorted({(n1, rep) for _, n1, _, rep in jobs})
-
-    def gp_job(key):
-        n1, rep = key
-        scenario = BenchmarkScenario(
-            n_primary=n1,
-            n_auxiliary=1,
-            n_test=study.n_test,
-            observation_noise=study.observation_noise,
-            seed=_scenario_seed(study.seed, n1, rep),
+    def scenario_data(n1, n2, seed, aux=PRIMARY_PARAMS):
+        return _scenario_data(
+            BenchmarkScenario(
+                auxiliary_params=aux,
+                n_primary=n1,
+                n_auxiliary=n2,
+                n_test=study.n_test,
+                observation_noise=study.observation_noise,
+                seed=seed,
+            )
         )
-        x1, y1, _, _, x_test, y_test = _scenario_data(scenario)
-        model = train_gp(x1, y1, _model_config(train_config, scenario.seed, "gp"))
-        pred = gp_predict(model, x_test)
-        return key, {
-            "rmse": rmse(pred.mean, y_test),
-            "mean": pred.mean,
-            "stddev": pred.stddev,
-        }
 
-    gp_results = dict(gp_job(key) for key in gp_keys)
-
-    def mtgp_job(job):
-        target, n1, n2, rep = job
-        aux = calibrations[target]
-        scenario = BenchmarkScenario(
-            auxiliary_params=aux,
-            n_primary=n1,
-            n_auxiliary=n2,
-            n_test=study.n_test,
-            observation_noise=study.observation_noise,
-            seed=_scenario_seed(study.seed, n1, rep),
-        )
-        x1, y1, x2, y2, x_test, y_test = _scenario_data(scenario)
-        dataset = MultiTaskDataset((x1, x2), (y1, y2))
-        model = train_mtgp(
-            dataset,
-            _model_config(train_config, scenario.seed, "mtgp"),
-            family=mtgp_family,
-        )
-        pred = mtgp_predict(model, 0, x_test)
-        return job, {
-            "rmse": rmse(pred.mean, y_test),
-            "mean": pred.mean,
-            "stddev": pred.stddev,
-            "x_test": x_test[:, 0],
-            "y_test": y_test,
-        }
-
-    mtgp_results = dict(mtgp_job(job) for job in jobs)
+    gp_preds = {}
+    for n1, rep in sorted({(n1, rep) for _, n1, _, rep in jobs}):
+        seed = _scenario_seed(study.seed, n1, rep)
+        x1, y1, _, _, x_test, _ = scenario_data(n1, 1, seed)
+        model = train_gp(x1, y1, _model_config(train_config, seed, "gp"))
+        gp_preds[(n1, rep)] = gp_predict(model, x_test)
 
     rows = []
     series = {}
-    for job in jobs:
-        target, n1, n2, rep = job
-        gp_res = gp_results[(n1, rep)]
-        mt = mtgp_results[job]
+    for target, n1, n2, rep in jobs:
         aux = calibrations[target]
+        seed = _scenario_seed(study.seed, n1, rep)
+        x1, y1, x2, y2, x_test, y_test = scenario_data(n1, n2, seed, aux)
+        model = train_mtgp(
+            MultiTaskDataset((x1, x2), (y1, y2)),
+            _model_config(train_config, seed, "mtgp"),
+            family=mtgp_family,
+        )
+        mt, gp = mtgp_predict(model, 0, x_test), gp_preds[(n1, rep)]
+        gp_rmse, mtgp_rmse = rmse(gp.mean, y_test), rmse(mt.mean, y_test)
         rows.append(
             {
                 "correlation_target": target,
@@ -372,20 +346,20 @@ def run_study(
                 "n_primary": n1,
                 "n_auxiliary": n2,
                 "replicate": rep,
-                "seed": _scenario_seed(study.seed, n1, rep),
-                "gp_rmse": gp_res["rmse"],
-                "mtgp_rmse": mt["rmse"],
-                "percent_improvement": percent_improvement(gp_res["rmse"], mt["rmse"]),
+                "seed": seed,
+                "gp_rmse": gp_rmse,
+                "mtgp_rmse": mtgp_rmse,
+                "percent_improvement": percent_improvement(gp_rmse, mtgp_rmse),
             }
         )
         if rep == 0:
             series[(target, n1, n2)] = {
-                "x": mt["x_test"],
-                "true": mt["y_test"],
-                "gp_mean": gp_res["mean"],
-                "gp_stddev": gp_res["stddev"],
-                "mtgp_mean": mt["mean"],
-                "mtgp_stddev": mt["stddev"],
+                "x": x_test[:, 0],
+                "true": y_test,
+                "gp_mean": gp.mean,
+                "gp_stddev": gp.stddev,
+                "mtgp_mean": mt.mean,
+                "mtgp_stddev": mt.stddev,
             }
 
     aggregates = []

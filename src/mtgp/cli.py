@@ -7,6 +7,7 @@ write byte-identical CSV output across runs on the same platform.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -309,8 +310,10 @@ def _parse_study_config(args):
     if not isinstance(train_doc, dict):
         raise ValidationError(f"{path}: 'train' must be an object")
     _validate_keys(train_doc, _TRAIN_KEYS, path)
-    train_kwargs = dict(BENCHMARK_TRAIN_DEFAULTS)
-    train_kwargs.update(train_doc)
+    train_kwargs = {
+        key: _get_typed(train_doc, key, type(default), default, path)
+        for key, default in BENCHMARK_TRAIN_DEFAULTS.items()
+    }
     study = benchmark.StudyConfig(
         correlations=tuple(float(v) for v in correlations),
         size_grid=size_grid,
@@ -320,42 +323,12 @@ def _parse_study_config(args):
         seed=_get_typed(doc, "seed", int, 0, path),
     )
     # flag overrides
+    overrides = {"replicates": args.replicates, "seed": args.seed}
     if args.correlations is not None:
-        study = benchmark.StudyConfig(
-            correlations=_parse_correlations(args.correlations),
-            size_grid=study.size_grid,
-            replicates=study.replicates,
-            n_test=study.n_test,
-            observation_noise=study.observation_noise,
-            seed=study.seed,
-        )
+        overrides["correlations"] = _parse_correlations(args.correlations)
     if args.sizes is not None:
-        study = benchmark.StudyConfig(
-            correlations=study.correlations,
-            size_grid=_parse_sizes(args.sizes),
-            replicates=study.replicates,
-            n_test=study.n_test,
-            observation_noise=study.observation_noise,
-            seed=study.seed,
-        )
-    if args.replicates is not None:
-        study = benchmark.StudyConfig(
-            correlations=study.correlations,
-            size_grid=study.size_grid,
-            replicates=args.replicates,
-            n_test=study.n_test,
-            observation_noise=study.observation_noise,
-            seed=study.seed,
-        )
-    if args.seed is not None:
-        study = benchmark.StudyConfig(
-            correlations=study.correlations,
-            size_grid=study.size_grid,
-            replicates=study.replicates,
-            n_test=study.n_test,
-            observation_noise=study.observation_noise,
-            seed=args.seed,
-        )
+        overrides["size_grid"] = _parse_sizes(args.sizes)
+    study = dataclasses.replace(study, **{k: v for k, v in overrides.items() if v is not None})
     return study, TrainConfig(**train_kwargs)
 
 

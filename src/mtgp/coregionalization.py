@@ -11,6 +11,10 @@ with a scalar input-space kernel k_q, giving the matrix-valued kernel
 
 The rank-one restriction (every W_q a single column, gamma_q = 0) is the
 latent-factor special case used as the package default.
+
+:func:`build_B` and :func:`assemble_joint_covariance` are the dense oracle
+of ``mtgp check`` and the acceptance tests; the model itself assembles its
+covariances in :mod:`mtgp.multitask`.
 """
 
 from dataclasses import dataclass
@@ -87,10 +91,6 @@ class MultiTaskKernelSpec:
     def input_dim(self) -> int:
         return self.terms[0].base_kernel.input_dim
 
-    def is_rank_one_factor_model(self) -> bool:
-        """True when every term is rank one with gamma identically zero."""
-        return all(t.rank == 1 and np.all(t.gamma == 0.0) for t in self.terms)
-
 
 def build_B(term: CoregionalizationTerm) -> np.ndarray:
     """Task covariance ``W W^T + diag(gamma)``, symmetric PSD by construction."""
@@ -98,32 +98,17 @@ def build_B(term: CoregionalizationTerm) -> np.ndarray:
     return 0.5 * (B + B.T)
 
 
-def cross_covariance_block(
-    spec: MultiTaskKernelSpec, d: int, d2: int, X_d, X_d2
-) -> np.ndarray:
-    """Covariance block between task d at inputs X_d and task d2 at X_d2."""
-    if not (0 <= d < spec.num_tasks and 0 <= d2 < spec.num_tasks):
-        raise ShapeError(f"task indices ({d}, {d2}) out of range for D={spec.num_tasks}")
-    X_d = np.asarray(X_d, dtype=float)
-    X_d2 = np.asarray(X_d2, dtype=float)
-    n = X_d.shape[0] if X_d.ndim == 2 else len(np.atleast_1d(X_d))
-    m = X_d2.shape[0] if X_d2.ndim == 2 else len(np.atleast_1d(X_d2))
-    block = np.zeros((n, m))
-    for term in spec.terms:
-        B = build_B(term)
-        if B[d, d2] != 0.0:
-            block += B[d, d2] * kernel_matrix(term.base_kernel, X_d, X_d2)
-    return block
-
-
-def joint_covariance_parts(
+def assemble_joint_covariance(
     spec: MultiTaskKernelSpec, dataset: MultiTaskDataset
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Joint prior covariance plus the per-term pieces needed for gradients.
+) -> np.ndarray:
+    """Full joint prior covariance over all tasks, task-major ordering.
 
-    Returns ``(K, K_terms, B_masks)`` where ``K = sum_q B_masks[q] * K_terms[q]``,
-    ``K_terms[q]`` is the base-kernel Gram matrix of term q over the stacked
-    inputs and ``B_masks[q]`` expands ``B_q`` to entry (i, j) = B_q[task_i, task_j].
+    Entry (i, j) is ``sum_q B_q[task_i, task_j] k_q(x_i, x_j)``, built term
+    by term from :func:`build_B` and :func:`~mtgp.kernels.kernel_matrix`;
+    for isotopic data this reproduces the Kronecker sum ``sum_q B_q (x) K_q``
+    exactly. The model computes its covariances with
+    :class:`~mtgp.multitask.ExactGPLayout`; this dense construction shares
+    no code with it and serves as its oracle.
     """
     if dataset.num_tasks != spec.num_tasks:
         raise ShapeError(
@@ -136,25 +121,6 @@ def joint_covariance_parts(
     X_all = dataset.stacked_inputs()
     tasks = dataset.task_indices()
     K = np.zeros((dataset.total_count, dataset.total_count))
-    K_terms, B_masks = [], []
     for term in spec.terms:
-        Kq = kernel_matrix(term.base_kernel, X_all, X_all)
-        Bq = build_B(term)
-        mask = Bq[np.ix_(tasks, tasks)]
-        K += mask * Kq
-        K_terms.append(Kq)
-        B_masks.append(mask)
-    return K, K_terms, B_masks
-
-
-def assemble_joint_covariance(
-    spec: MultiTaskKernelSpec, dataset: MultiTaskDataset
-) -> np.ndarray:
-    """Full joint prior covariance over all tasks, task-major ordering.
-
-    Block (d, d2) equals :func:`cross_covariance_block` for the tasks' input
-    sets; for isotopic data this reproduces the Kronecker sum
-    ``sum_q B_q (x) K_q`` exactly.
-    """
-    K, _, _ = joint_covariance_parts(spec, dataset)
+        K += build_B(term)[np.ix_(tasks, tasks)] * kernel_matrix(term.base_kernel, X_all, X_all)
     return K

@@ -84,10 +84,6 @@ class MultiTaskDataset:
         return self.inputs[d], self.targets[d]
 
 
-def single_task_dataset(X, Y) -> MultiTaskDataset:
-    return MultiTaskDataset((X,), (Y,))
-
-
 def standardize_targets(
     dataset: MultiTaskDataset,
 ) -> tuple[MultiTaskDataset, np.ndarray, np.ndarray]:

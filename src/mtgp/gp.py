@@ -1,7 +1,8 @@
-"""Exact single-task Gaussian process regression.
+"""Exact single-task Gaussian process regression, the one-task multi-task GP.
 
-Fitting factorizes ``K_XX + noise*I`` once; prediction and the log marginal
-likelihood reuse the Cholesky factor:
+A GP with kernel k and noise variance n is the one-task, one-term MTGP with
+W = 1 and gamma = 0, so fitting, prediction and the log marginal likelihood
+all run on the layout's covariance assembly in :mod:`mtgp.multitask`:
 
     mean(x*) = m + k(x*, X) alpha,            alpha = (K_XX + noise*I)^{-1} (Y - m)
     var(x*)  = k(x*, x*) - k(x*, X) (K_XX + noise*I)^{-1} k(X, x*)
@@ -12,18 +13,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset
-from .errors import IllConditionedKernelError, ShapeError
+from .errors import IllConditionedKernelError
 from .kernels import ScalarKernelSpec
-from .linalg import cholesky_with_jitter, chol_solve, tri_solve
-from .multitask import NOISE_FLOOR, ExactGPLayout, ParameterLayout, PosteriorPrediction
+from .multitask import (
+    ExactGPLayout,
+    MTGPModel,
+    ParameterLayout,
+    PosteriorPrediction,
+    mtgp_fit,
+    mtgp_predict,
+)
 
 
 @dataclass(eq=False)
 class GPModel:
-    """Immutable fitted state of a single-task GP."""
+    """Immutable fitted state of a single-task GP.
+
+    ``posterior`` is the one-task MTGP it predicts with; ``L``, ``alpha``
+    and ``jitter`` are that model's factor, weights and jitter.
+    """
 
     kernel: ScalarKernelSpec
     noise_variance: float
@@ -33,6 +43,7 @@ class GPModel:
     L: np.ndarray
     alpha: np.ndarray
     jitter: float
+    posterior: MTGPModel = field(repr=False)
     fit_info: dict | None = field(default=None, repr=False)
 
     @property
@@ -53,47 +64,21 @@ def gp_fit(
     added before factorization and escalated on failure (see
     :mod:`mtgp.linalg`).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    if X.shape[0] != Y.shape[0]:
-        raise ShapeError(f"{X.shape[0]} input rows but {Y.shape[0]} targets")
-    if X.shape[0] < 1:
-        raise ShapeError("need at least one training point")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("targets must be finite")
-    noise = max(float(noise_variance), NOISE_FLOOR)
-    K = kernels.kernel_matrix(kernel, X, X) + noise * np.eye(X.shape[0])
-    L, jitter = cholesky_with_jitter(K)
-    alpha = chol_solve(L, Y - mean_const)
-    return GPModel(kernel, noise, float(mean_const), X, Y, L, alpha, jitter)
+    data = MultiTaskDataset((X,), (Y,))
+    X, Y = data.inputs[0], data.targets[0]
+    dataset = MultiTaskDataset((X,), (Y - mean_const,))
+    post = mtgp_fit(_one_task_spec(kernel), [noise_variance], dataset, standardize=False)
+    noise = float(post.noise_variances[0])
+    return GPModel(
+        kernel, noise, float(mean_const), X, Y, post.L, post.weights, post.jitter, post
+    )
 
 
 def gp_predict(model: GPModel, Xstar, full_cov: bool = False) -> PosteriorPrediction:
     """Posterior mean and variance (optionally full covariance) at Xstar."""
-    Xstar = np.asarray(Xstar, dtype=float)
-    if Xstar.ndim == 1:
-        Xstar = Xstar.reshape(-1, 1)
-    if Xstar.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"query has {Xstar.shape[1]} columns, model expects {model.input_dim}"
-        )
-    if Xstar.shape[0] == 0:
-        empty = np.zeros(0)
-        return PosteriorPrediction(empty, empty.copy(), np.zeros((0, 0)) if full_cov else None)
-    Kstar = kernels.kernel_matrix(model.kernel, Xstar, model.X)
-    mean = model.mean_const + Kstar @ model.alpha
-    V = tri_solve(model.L, Kstar.T)  # L^{-1} K_Xx*
-    if full_cov:
-        Kss = kernels.kernel_matrix(model.kernel, Xstar, Xstar)
-        cov = Kss - V.T @ V
-        cov = 0.5 * (cov + cov.T)
-        variance = np.maximum(np.diag(cov).copy(), 0.0)
-        np.fill_diagonal(cov, variance)
-        return PosteriorPrediction(mean, variance, cov)
-    variance = kernels.kernel_diag(model.kernel, Xstar) - np.sum(V**2, axis=0)
-    return PosteriorPrediction(mean, np.maximum(variance, 0.0))
+    pred = mtgp_predict(model.posterior, 0, Xstar, full_cov)
+    pred.mean = model.mean_const + pred.mean
+    return pred
 
 
 def _one_task_spec(kernel: ScalarKernelSpec) -> MultiTaskKernelSpec:
@@ -136,12 +121,7 @@ def gp_log_marginal_likelihood(
     and uses the identity dL/dt = 1/2 tr((alpha alpha^T - K^{-1}) dK/dt);
     it is the B=1 case of the exact-GP core on :func:`gp_layout`.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
     Y = np.asarray(Y, dtype=float).reshape(-1)
-    if X.shape[0] != Y.shape[0]:
-        raise ShapeError(f"{X.shape[0]} input rows but {Y.shape[0]} targets")
     batch = gp_layout(kernel, float(noise_variance), X, Y - mean_const).evaluate_template()
     if batch.errors:
         raise IllConditionedKernelError(batch.errors[0])

@@ -7,12 +7,12 @@ Two stationary anisotropic kernels are provided:
                           r^2 = sum_p ((x_p - x'_p) / l_p)^2
 
 where ``l_p`` are per-dimension lengthscales and ``s2`` the signal variance.
-All hyperparameters are positive and are optimized in log-space elsewhere;
-:func:`kernel_matrix_grad` therefore returns derivatives with respect to the
-log-transformed parameters.
+All hyperparameters are positive and are optimized in log-space elsewhere.
+:func:`kernel_profile` holds the formulas the model computes with;
+:func:`kernel_matrix` is the dense oracle the checks compare against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class ScalarKernelSpec:
     def input_dim(self) -> int:
         return self.lengthscales.size
 
-    def with_params(self, lengthscales: np.ndarray, signal_variance: float) -> "ScalarKernelSpec":
-        return ScalarKernelSpec(self.kind, lengthscales, signal_variance)
-
 
 def log_param_names(spec: ScalarKernelSpec) -> list[str]:
     """Names of the kernel's log-hyperparameters, in gradient order."""
@@ -79,22 +76,6 @@ def _as_matrix(X, dim: int, name: str) -> np.ndarray:
     return X
 
 
-def _scaled_sq_dists(spec: ScalarKernelSpec, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - X2[None, :, :]
-    return np.sum((diff / spec.lengthscales) ** 2, axis=-1)
-
-
-def kernel_eval(spec: ScalarKernelSpec, x, x2) -> float:
-    """Evaluate k(x, x2) for single input vectors."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x.shape != (spec.input_dim,) or x2.shape != (spec.input_dim,):
-        raise ShapeError(
-            f"inputs must have dimension {spec.input_dim}, got {x.shape} and {x2.shape}"
-        )
-    return float(kernel_matrix(spec, x[None, :], x2[None, :])[0, 0])
-
-
 def kernel_matrix(spec: ScalarKernelSpec, X, X2=None) -> np.ndarray:
     """Covariance matrix with entries k(X_i, X2_j).
 
@@ -105,39 +86,12 @@ def kernel_matrix(spec: ScalarKernelSpec, X, X2=None) -> np.ndarray:
     X2 = X if X2 is None else _as_matrix(X2, spec.input_dim, "X2")
     if X.shape[0] == 0 or X2.shape[0] == 0:
         return np.zeros((X.shape[0], X2.shape[0]))
-    sq = _scaled_sq_dists(spec, X, X2)
+    diff = X[:, None, :] - X2[None, :, :]
+    sq = np.sum((diff / spec.lengthscales) ** 2, axis=-1)
     if spec.kind == SQUARED_EXPONENTIAL:
         return spec.signal_variance * np.exp(-0.5 * sq)
     r = np.sqrt(sq)
     return spec.signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * np.exp(-_SQRT5 * r)
-
-
-def kernel_diag(spec: ScalarKernelSpec, X) -> np.ndarray:
-    """Diagonal k(x_i, x_i), which is the signal variance for every row."""
-    X = _as_matrix(X, spec.input_dim, "X")
-    return np.full(X.shape[0], spec.signal_variance)
-
-
-def kernel_matrix_grad(spec: ScalarKernelSpec, X) -> list[np.ndarray]:
-    """Derivatives of ``kernel_matrix(spec, X, X)`` w.r.t. log-hyperparameters.
-
-    Returns one N x N matrix per parameter, ordered as
-    ``[log l_1, ..., log l_P, log s2]`` (see :func:`log_param_names`).
-
-    For both kernel kinds dK/d(log s2) = K since K is linear in the signal
-    variance; the lengthscale derivatives follow from the chain rule
-    d/d(log l_p) = l_p * d/d(l_p) and vanish on the diagonal.
-    """
-    X = _as_matrix(X, spec.input_dim, "X")
-    if X.shape[0] == 0:
-        raise ShapeError("kernel_matrix_grad requires a nonempty X")
-    diff = X[:, None, :] - X[None, :, :]
-    scaled_sq = (diff / spec.lengthscales) ** 2  # per-dimension (d_p / l_p)^2
-    unit, slope = kernel_profile(spec.kind, np.sum(scaled_sq, axis=-1))
-    front = spec.signal_variance * slope
-    grads = [front * scaled_sq[:, :, p] for p in range(spec.input_dim)]
-    grads.append(spec.signal_variance * unit)
-    return grads
 
 
 def kernel_profile(kind: str, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

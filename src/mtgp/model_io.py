@@ -49,8 +49,8 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(doc: dict) -> np.ndarray:
-    flat = np.asarray([_unhex(s) for s in _require(doc, "hex")], dtype=float)
-    shape = _require(doc, "shape")
+    flat = np.asarray([_unhex(s) for s in _require(doc, "hex", list)], dtype=float)
+    shape = _require(doc, "shape", list)
     if not all(isinstance(n, int) and n >= 0 for n in shape) or math.prod(shape) != flat.size:
         raise ValidationError(f"model file array of shape {shape} has {flat.size} values")
     return flat.reshape(shape)
@@ -146,10 +146,22 @@ def save_model(model, path, family: str) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
+def _require(doc: dict, key: str, kind: type | None = None):
+    """``doc[key]``, which must exist and, when ``kind`` is given, be of that type."""
+    if not isinstance(doc, dict) or key not in doc:
         raise ValidationError(f"model file missing key {key!r}")
-    return doc[key]
+    value = doc[key]
+    # bool is a subclass of int, and no model-file value is a bool
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ValidationError(f"model file key {key!r} must be of type {kind.__name__}")
+    return value
+
+
+def _positive_int(doc: dict, key: str) -> int:
+    value = _require(doc, key, int)
+    if value < 1:
+        raise ValidationError(f"model file key {key!r} must be a positive integer, got {value}")
+    return value
 
 
 def load_model(path):
@@ -165,26 +177,33 @@ def load_model(path):
             f"{path}: unsupported model schema version {version} (supported: {SCHEMA_VERSION})"
         )
     model_type = _require(doc, "model_type")
-    kinds = _require(doc, "kernel_kinds")
+    kinds = _require(doc, "kernel_kinds", list)
+    if not kinds:
+        raise ValidationError(f"{path}: model file key 'kernel_kinds' is empty")
     for kind in kinds:
         if kind not in KERNEL_KINDS:
             raise ValidationError(f"{path}: unknown kernel kind {kind!r}")
     params = _require(doc, "parameters")
-    vector = np.asarray([_unhex(s) for s in _require(params, "values_hex")], dtype=float)
-    dataset = _decode_dataset(_require(_require(doc, "data"), "tasks"))
-    input_dim = int(_require(doc, "input_dim"))
+    vector = np.asarray([_unhex(s) for s in _require(params, "values_hex", list)], dtype=float)
+    dataset = _decode_dataset(_require(_require(doc, "data"), "tasks", list))
+    input_dim = _positive_int(doc, "input_dim")
 
     if model_type == "gp":
         layout = gp_parameters(ScalarKernelSpec(kinds[0], np.ones(input_dim), 1.0), 1.0)
     elif model_type == "mtgp":
-        num_tasks = int(_require(doc, "num_tasks"))
+        num_tasks = _positive_int(doc, "num_tasks")
+        ranks = _require(doc, "ranks", list)
+        if len(ranks) != len(kinds) or not all(type(r) is int and r >= 1 for r in ranks):
+            raise ValidationError(
+                f"{path}: model file key 'ranks' must hold one positive integer per kernel kind"
+            )
         terms = tuple(
             CoregionalizationTerm(
                 np.zeros((num_tasks, rank)),
                 np.zeros(num_tasks),
                 ScalarKernelSpec(kind, np.ones(input_dim), 1.0),
             )
-            for kind, rank in zip(kinds, _require(doc, "ranks"))
+            for kind, rank in zip(kinds, ranks)
         )
         layout = ParameterLayout(MultiTaskKernelSpec(num_tasks, terms), np.ones(num_tasks))
     else:

@@ -10,11 +10,12 @@ Targets are standardized per task inside fitting by default (tasks often
 live in wildly different units); statistics are stored on the model and
 inverted at prediction time. Pass ``standardize=False`` to work in raw units.
 
-The log marginal likelihood and its gradient have one implementation: a
-batched core over the flat parameter vectors of :class:`ExactGPLayout`
-(a :class:`ParameterLayout`, the package's one flat-vector conversion),
-which training drives with all restarts at once and of which both
-likelihood functions (this module's and :mod:`mtgp.gp`'s) are the B=1 case.
+The joint covariance has one assembly, on the flat parameter vectors of
+:class:`ExactGPLayout` (a :class:`ParameterLayout`, the package's one
+flat-vector conversion). Training runs it, with the log marginal likelihood
+and its gradient, on all restarts at once; both likelihood functions (this
+module's and :mod:`mtgp.gp`'s) are its B=1 case, and fitting and prediction
+(here and in :mod:`mtgp.gp`) use it on the fitted parameters.
 """
 
 from dataclasses import dataclass, field
@@ -23,12 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .coregionalization import (
-    CoregionalizationTerm,
-    MultiTaskKernelSpec,
-    build_B,
-    joint_covariance_parts,
-)
+from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
 from .errors import IllConditionedKernelError, ShapeError
 from .linalg import (
@@ -71,6 +67,7 @@ class MTGPModel:
     L: np.ndarray
     weights: np.ndarray
     jitter: float
+    layout: "ExactGPLayout" = field(repr=False)
     standardized: bool = True
     fit_info: dict | None = field(default=None, repr=False)
 
@@ -99,7 +96,9 @@ def mtgp_fit(
     """Factorize the joint covariance and solve for the weight vector.
 
     Noise variances are floored at ``NOISE_FLOOR``. With ``standardize=True``
-    the factorization happens in per-task standardized target units.
+    the factorization happens in per-task standardized target units. The
+    covariance is the B=1 assembly of :class:`ExactGPLayout`, the one the
+    training objective uses.
     """
     noise = np.maximum(_noise_vector(noise_variances, kernel.num_tasks), NOISE_FLOOR)
     if standardize:
@@ -108,28 +107,13 @@ def mtgp_fit(
         work = dataset
         means = np.zeros(dataset.num_tasks)
         stds = np.ones(dataset.num_tasks)
-    K, _, _ = joint_covariance_parts(kernel, work)
-    K += np.diag(noise[work.task_indices()])
-    L, jitter = cholesky_with_jitter(K)
-    weights = chol_solve(L, work.stacked_targets())
+    layout = ExactGPLayout(kernel, noise, work)
+    K, _ = _assemble(layout, *(b.value[None] for b in layout.blocks))
+    L, jitter = cholesky_with_jitter(K[0])
+    weights = chol_solve(L, layout.y)
     return MTGPModel(
-        kernel, noise, dataset, means, stds, L, weights, jitter, standardized=standardize
+        kernel, noise, dataset, means, stds, L, weights, jitter, layout, standardized=standardize
     )
-
-
-def _cross_rows(
-    spec: MultiTaskKernelSpec, task: int, Xstar: np.ndarray, dataset: MultiTaskDataset
-) -> np.ndarray:
-    """K(X*, X) rows for one query task against the stacked training inputs."""
-    X_all = dataset.stacked_inputs()
-    tasks = dataset.task_indices()
-    out = np.zeros((Xstar.shape[0], X_all.shape[0]))
-    for term in spec.terms:
-        B = build_B(term)
-        coeffs = B[task, tasks]
-        if np.any(coeffs != 0.0):
-            out += kernels.kernel_matrix(term.base_kernel, Xstar, X_all) * coeffs[None, :]
-    return out
 
 
 def mtgp_predict(
@@ -149,25 +133,16 @@ def mtgp_predict(
     if Xstar.shape[0] == 0:
         empty = np.zeros(0)
         return PosteriorPrediction(empty, empty.copy(), np.zeros((0, 0)) if full_cov else None)
-    Kstar = _cross_rows(model.kernel, task, Xstar, model.dataset)
+    Kstar, prior = model.layout.cross_covariance(task, Xstar, full_cov)
     mean = mu + s * (Kstar @ model.weights)
     V = tri_solve(model.L, Kstar.T)
     if full_cov:
-        Kss = np.zeros((Xstar.shape[0], Xstar.shape[0]))
-        for term in model.kernel.terms:
-            Btt = build_B(term)[task, task]
-            if Btt != 0.0:
-                Kss += Btt * kernels.kernel_matrix(term.base_kernel, Xstar, Xstar)
-        cov = (Kss - V.T @ V) * s**2
+        cov = (prior - V.T @ V) * s**2
         cov = 0.5 * (cov + cov.T)
         variance = np.maximum(np.diag(cov).copy(), 0.0)
         np.fill_diagonal(cov, variance)
         return PosteriorPrediction(mean, variance, cov)
-    prior_diag = np.zeros(Xstar.shape[0])
-    for term in model.kernel.terms:
-        Btt = build_B(term)[task, task]
-        prior_diag += Btt * kernels.kernel_diag(term.base_kernel, Xstar)
-    variance = (prior_diag - np.sum(V**2, axis=0)) * s**2
+    variance = (prior - np.sum(V**2, axis=0)) * s**2
     return PosteriorPrediction(mean, np.maximum(variance, 0.0))
 
 
@@ -343,9 +318,12 @@ class ExactGPLayout(ParameterLayout):
     """The parameter layout plus the fixed data of the exact-GP objective.
 
     Built once per fit from a template kernel, noise vector and dataset. On
-    top of :class:`ParameterLayout` it holds the per-dimension squared input
-    differences, the task one-hot and the targets, so evaluating a batch
-    builds no Python objects.
+    top of :class:`ParameterLayout` it holds the training inputs, their
+    per-dimension squared differences, the task one-hot and the targets, so
+    evaluating a batch builds no Python objects. :func:`_assemble` is the
+    package's one joint-covariance assembly: the objective runs it on a
+    batch, :func:`mtgp_fit` on the template, and :meth:`cross_covariance`
+    extends it to query rows.
     """
 
     def __init__(
@@ -370,9 +348,9 @@ class ExactGPLayout(ParameterLayout):
             (kind, np.asarray([q for q in range(Q) if self.kinds[q] == kind]))
             for kind in sorted(set(self.kinds))
         ]
-        X = dataset.stacked_inputs()
-        N = X.shape[0]
-        diff = X[:, None, :] - X[None, :, :]
+        self.X = dataset.stacked_inputs()
+        N = self.X.shape[0]
+        diff = self.X[:, None, :] - self.X[None, :, :]
         self.sqdiff = np.ascontiguousarray((diff**2).reshape(N * N, P).T)  # (P, N*N)
         self.tasks = dataset.task_indices()
         self.pair_index = self.tasks[:, None] * D + self.tasks[None, :]  # into flat (D, D)
@@ -400,6 +378,86 @@ class ExactGPLayout(ParameterLayout):
             grads[list(errors)] = np.nan
         return LMLBatch(values, grads, escalated, errors)
 
+    def cross_covariance(
+        self, task: int, Xstar: np.ndarray, full_cov: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Template prior covariances of task ``task`` at the query rows Xstar (M, P).
+
+        Returns ``K(X*, X)`` (M, N) against the training rows, and ``K(X*, X*)``
+        (M, M) when ``full_cov``, else its diagonal, the prior variance (M,).
+        Terms are added one at a time, so a large query never holds a
+        (Q, M, N) stack.
+        """
+        ls, s2, W, gamma, _ = (b.value for b in self.blocks)
+        Bq = _task_covariances(self, W[None], gamma[None])[0]
+        Kstar = np.zeros((Xstar.shape[0], self.X.shape[0]))
+        prior = np.zeros((Xstar.shape[0],) * (2 if full_cov else 1))
+        for q, kind in enumerate(self.kinds):
+            inv_ls2 = ls[q] ** -2.0
+            coeffs = Bq[q, task, self.tasks]
+            if np.any(coeffs != 0.0):
+                sq = _scaled_sq_dists(Xstar, self.X, inv_ls2)
+                Kstar += s2[q] * kernels.kernel_profile(kind, sq)[0] * coeffs
+            if Bq[q, task, task] == 0.0:
+                continue
+            if full_cov:
+                sq = _scaled_sq_dists(Xstar, Xstar, inv_ls2)
+                prior += Bq[q, task, task] * (s2[q] * kernels.kernel_profile(kind, sq)[0])
+            else:
+                prior += Bq[q, task, task] * s2[q]
+        return Kstar, prior
+
+
+def _scaled_sq_dists(A: np.ndarray, B: np.ndarray, inv_ls2: np.ndarray) -> np.ndarray:
+    """``sum_p (A_ip - B_jp)^2 / l_p^2`` for row sets A (M, P) and B (N, P).
+
+    Summed one input dimension at a time, so a large query holds (M, N)
+    arrays only, never an (M, N, P) one.
+    """
+    sq = np.zeros((A.shape[0], B.shape[0]))
+    for p, w in enumerate(inv_ls2):
+        d = A[:, p, None] - B[None, :, p]
+        d *= d
+        d *= w
+        sq += d
+    return sq
+
+
+def _task_covariances(layout: ExactGPLayout, W, gamma) -> np.ndarray:
+    """``B_q = W_q W_q^T + diag(gamma_q)`` for W (B,Q,D,R) and gamma (B,Q,D)."""
+    D = layout.num_tasks
+    Bq = W @ W.swapaxes(-1, -2)
+    if layout.has_gamma:
+        Bq.reshape(Bq.shape[:2] + (D * D,))[..., :: D + 1] += gamma
+    return Bq
+
+
+def _assemble(layout: ExactGPLayout, ls, s2, W, gamma, noise):
+    """Joint covariance ``K`` (B, N, N) of a batch of natural parameters.
+
+    Scaled squared distances go through :func:`~mtgp.kernels.kernel_profile`,
+    each term is weighted by its ``B_q`` task mask, and the per-task noise
+    lands on the diagonal. Shapes as in :func:`_lml_batch`. Also returns the
+    per-term pieces the gradient reuses: ``(inv_ls2, unit, slope, Bq, mask,
+    Kq)``, where ``slope is unit`` for SE.
+    """
+    Q, D, P, N = layout.shape
+    B = ls.shape[0]
+    inv_ls2 = ls**-2.0
+    sq = (inv_ls2 @ layout.sqdiff).reshape(B, Q, N, N)
+    if len(layout.kind_groups) == 1:
+        unit, slope = kernels.kernel_profile(layout.kind_groups[0][0], sq)
+    else:
+        unit, slope = np.empty_like(sq), np.empty_like(sq)
+        for kind, qs in layout.kind_groups:
+            unit[:, qs], slope[:, qs] = kernels.kernel_profile(kind, sq[:, qs])
+    Bq = _task_covariances(layout, W, gamma)
+    mask = np.take(Bq.reshape(B, Q, D * D), layout.pair_index, axis=-1)
+    Kq = s2[..., None, None] * unit
+    K = (mask * Kq).sum(axis=1)
+    K.reshape(B, N * N)[:, :: N + 1] += noise[:, layout.tasks]
+    return K, (inv_ls2, unit, slope, Bq, mask, Kq)
+
 
 def _lml_batch(layout: ExactGPLayout, ls, s2, W, gamma, noise):
     """Value and per-group gradients of the joint log marginal likelihood.
@@ -413,21 +471,7 @@ def _lml_batch(layout: ExactGPLayout, ls, s2, W, gamma, noise):
     """
     Q, D, P, N = layout.shape
     B = ls.shape[0]
-    inv_ls2 = ls**-2.0
-    sq = (inv_ls2 @ layout.sqdiff).reshape(B, Q, N, N)
-    if len(layout.kind_groups) == 1:
-        unit, slope = kernels.kernel_profile(layout.kind_groups[0][0], sq)
-    else:
-        unit, slope = np.empty_like(sq), np.empty_like(sq)
-        for kind, qs in layout.kind_groups:
-            unit[:, qs], slope[:, qs] = kernels.kernel_profile(kind, sq[:, qs])
-    Bq = W @ W.swapaxes(-1, -2)
-    if layout.has_gamma:
-        Bq.reshape(B, Q, D * D)[..., :: D + 1] += gamma
-    mask = np.take(Bq.reshape(B, Q, D * D), layout.pair_index, axis=-1)
-    Kq = s2[..., None, None] * unit
-    K = (mask * Kq).sum(axis=1)
-    K.reshape(B, N * N)[:, :: N + 1] += noise[:, layout.tasks]
+    K, (inv_ls2, unit, slope, Bq, mask, Kq) = _assemble(layout, ls, s2, W, gamma, noise)
 
     L, escalated, errors = cholesky_batch(K)
     if errors:

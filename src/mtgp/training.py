@@ -16,7 +16,7 @@ import numpy as np
 
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
-from .errors import MTGPError, TrainingFailedError
+from .errors import DomainError, MTGPError, TrainingFailedError
 from .gp import GPModel, gp_fit, gp_layout, gp_log_marginal_likelihood
 from .kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
 from .multitask import ExactGPLayout, LMLBatch, MTGPModel, mtgp_fit
@@ -43,14 +43,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
-        if self.convergence_tolerance <= 0.0:
-            raise ValueError("convergence_tolerance must be positive")
-        if self.num_restarts < 1:
-            raise ValueError("num_restarts must be at least 1")
+        # written so that NaN fails every check
+        if not self.learning_rate > 0.0:
+            raise DomainError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if not self.max_iterations >= 0:
+            raise DomainError(f"max_iterations must be non-negative, got {self.max_iterations!r}")
+        if not self.convergence_tolerance > 0.0:
+            raise DomainError(
+                f"convergence_tolerance must be positive, got {self.convergence_tolerance!r}"
+            )
+        if not self.num_restarts >= 1:
+            raise DomainError(f"num_restarts must be at least 1, got {self.num_restarts!r}")
 
 
 @dataclass(frozen=True)
@@ -340,9 +343,6 @@ def train_gp(
     predicts in raw units.
     """
     started = time.perf_counter()
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
     Y = np.asarray(Y, dtype=float).reshape(-1)
     if standardize:
         mu = float(np.mean(Y)) if Y.size else 0.0
@@ -369,7 +369,7 @@ def train_gp(
     run, restart, diagnostics = _run_restarts(layout.evaluate, x0, config, trace)
     spec, noise = layout.materialize(run.vector[restart])
     kern_s, noise_s = spec.terms[0].base_kernel, float(noise[0])
-    kern = kern_s.with_params(kern_s.lengthscales, kern_s.signal_variance * s**2)
+    kern = ScalarKernelSpec(kern_s.kind, kern_s.lengthscales, kern_s.signal_variance * s**2)
     model = gp_fit(kern, noise_s * s**2, X, Y, mean_const=mu)
     value_raw, _ = gp_log_marginal_likelihood(kern, noise_s * s**2, X, Y, mean_const=mu)
     model.fit_info = {
@@ -395,6 +395,9 @@ def build_mtgp_template(
     task term.
     """
     D = dataset.num_tasks
+    if family.mode == "lmc" and family.rank > D:
+        # W W^T has rank at most D, so extra columns only add redundant parameters
+        raise DomainError(f"rank {family.rank} exceeds the number of tasks ({D})")
     Q = D if family.num_terms is None else family.num_terms
     if family.mode == "independent":
         Q = D

@@ -71,6 +71,23 @@ MODEL_FILE_DAMAGE = {
     "shape": ("mtgp-slfm", lambda doc: doc["data"]["tasks"][0]["y"].update(shape=[7]), "shape [7]"),
 }
 
+# model files with a value of the wrong type: (family, damage, expected message)
+MODEL_FILE_BAD_VALUES = {
+    "kernel_kinds-empty": ("gp", lambda doc: doc.update(kernel_kinds=[]), "'kernel_kinds'"),
+    "tasks-number": ("mtgp-slfm", lambda doc: doc["data"].update(tasks=5), "'tasks'"),
+    "input_dim-string": ("mtgp-slfm", lambda doc: doc.update(input_dim="abc"), "'input_dim'"),
+    "num_tasks-negative": ("mtgp-slfm", lambda doc: doc.update(num_tasks=-1), "'num_tasks'"),
+    "ranks-string": ("mtgp-slfm", lambda doc: doc.update(ranks=["a", "b"]), "'ranks'"),
+}
+
+# training settings out of range, in a run config and in a study's train block
+BAD_TRAIN_SETTINGS = [
+    ("num_restarts", 0),
+    ("learning_rate", -1),
+    ("max_iterations", -5),
+    ("convergence_tolerance", 0),
+]
+
 # the parameters.schema lists model files have always carried
 MODEL_FILE_SCHEMAS = {
     "gp": [["log_lengthscale0", "log"], ["log_signal_variance", "log"], ["log_noise", "log"]],
@@ -263,6 +280,80 @@ class TestBadInputExitCodes:
         query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
         argv = ["predict", "--model", str(bad), "--data", str(query), "--out", str(tmp_path / "p.csv")]
         self._assert_exit_2(argv, capsys, needle)
+
+    @pytest.mark.parametrize("damage", list(MODEL_FILE_BAD_VALUES))
+    def test_model_file_bad_value_exits_2(self, tmp_path, capsys, damage):
+        family, mutate, needle = MODEL_FILE_BAD_VALUES[damage]
+        doc = json.loads(train_model(tmp_path, family).read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        query = tmp_path / "query.csv"
+        query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
+        argv = ["predict", "--model", str(bad), "--data", str(query), "--out", str(tmp_path / "p.csv")]
+        self._assert_exit_2(argv, capsys, needle)
+
+    @pytest.mark.parametrize("key,value", BAD_TRAIN_SETTINGS)
+    def test_out_of_range_train_setting_exits_2(self, tmp_path, capsys, key, value):
+        data = write_two_task_csv(tmp_path / "data.csv", n1=0)
+        config = write_config(tmp_path / "config.json", family="gp", **{key: value})
+        argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        self._assert_exit_2(argv, capsys, key)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value", BAD_TRAIN_SETTINGS + [("learning_rate", "fast")])
+    def test_bad_study_train_setting_exits_2(self, tmp_path, capsys, key, value):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"train": {key: value}}), encoding="utf-8")
+        argv = ["benchmark", "--config", str(config), "--out", str(tmp_path / "s")]
+        self._assert_exit_2(argv, capsys, key)
+
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [(["--replicates", "0"], "replicates"), (["--sizes", "0,5"], "sample counts")],
+    )
+    def test_out_of_range_study_flag_exits_2(self, tmp_path, capsys, flags, needle):
+        argv = ["benchmark", "--out", str(tmp_path / "s"), "--correlations", "0.89", *flags]
+        self._assert_exit_2(argv, capsys, needle)
+
+    def test_lmc_rank_above_task_count_exits_2(self, tmp_path, capsys):
+        data = write_two_task_csv(tmp_path / "data.csv")
+        config = write_config(tmp_path / "config.json", family="mtgp-lmc", rank=50)
+        argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        self._assert_exit_2(argv, capsys, "rank 50 exceeds the number of tasks (2)")
+
+
+class TestOracleIndependence:
+    """Training and prediction share no code with the dense covariance oracle."""
+
+    @pytest.mark.parametrize("family,kernel", [("gp", "squared_exponential"), ("mtgp-lmc", "matern52")])
+    def test_train_predict_without_the_oracle(self, tmp_path, monkeypatch, family, kernel):
+        from mtgp import coregionalization, kernels
+
+        oracle = (
+            kernels.kernel_matrix,
+            coregionalization.build_B,
+            coregionalization.assemble_joint_covariance,
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dense covariance oracle was called")
+
+        # rebind every name the package holds for them, `from ... import` copies too
+        for name, module in list(sys.modules.items()):
+            if name == "mtgp" or name.startswith("mtgp."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is fn for fn in oracle):
+                        monkeypatch.setattr(module, attr, forbidden)
+        rank = {"rank": 2} if family == "mtgp-lmc" else {}
+        model = train_model(tmp_path, family, kernel=kernel, max_iterations=20, **rank)
+        query = tmp_path / "query.csv"
+        query.write_text("x1,task\n0.25,0\n0.5,0\n" + ("0.75,1\n" if rank else ""), encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert cli.main(["predict", "--model", str(model), "--data", str(query), "--out", str(out)]) == 0
+        assert len(read_csv_rows(out)) == (3 if rank else 2)
+        with pytest.raises(AssertionError, match="oracle"):
+            kernels.kernel_matrix(None, None)
 
 
 class TestModuleEntryPoint:

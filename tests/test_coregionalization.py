@@ -9,11 +9,11 @@ from mtgp.coregionalization import (
     MultiTaskKernelSpec,
     assemble_joint_covariance,
     build_B,
-    cross_covariance_block,
 )
 from mtgp.data import MultiTaskDataset
 from mtgp.errors import ShapeError
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
+from mtgp.multitask import mtgp_fit, mtgp_predict
 from mtgp.seeding import make_rng
 
 
@@ -53,11 +53,27 @@ class TestBuildB:
         assert np.min(np.linalg.eigvalsh(B)) >= -1e-10
 
 
+def joint_block(spec, d, d2, X_d, X_d2):
+    """Block (d, d2) of the joint covariance, sliced from the dense assembly."""
+    n, m = len(X_d), len(X_d2)
+    sets = [np.zeros((0, 1))] * spec.num_tasks
+    sets[d] = np.vstack([X_d, sets[d]])
+    sets[d2] = np.vstack([sets[d2], X_d2])
+    dataset = MultiTaskDataset(tuple(sets), tuple(np.zeros(len(X)) for X in sets))
+    K = assemble_joint_covariance(spec, dataset)
+    start = np.cumsum([0] + list(dataset.counts))
+    if d == d2:
+        return K[start[d] : start[d] + n, start[d] + n : start[d] + n + m]
+    return K[start[d] : start[d] + n, start[d2] : start[d2] + m]
+
+
 class TestCrossCovarianceBlock:
+    """Off-diagonal and diagonal blocks, read off :func:`assemble_joint_covariance`."""
+
     def test_independent_tasks_share_nothing(self):
         spec = MultiTaskKernelSpec(2, (term(np.zeros((2, 1)), [1.0, 1.0]),))
         X = np.array([[0.0], [0.5]])
-        block = cross_covariance_block(spec, 0, 1, X, X)
+        block = joint_block(spec, 0, 1, X, X)
         np.testing.assert_array_equal(block, np.zeros((2, 2)))
 
     def test_diagonal_block_scales_kernel_matrix(self):
@@ -65,7 +81,7 @@ class TestCrossCovarianceBlock:
         X = np.array([[0.0], [1.0]])
         e = np.exp(-0.5)
         np.testing.assert_allclose(
-            cross_covariance_block(spec, 0, 0, X, X), [[1.0, e], [e, 1.0]], atol=1e-15
+            joint_block(spec, 0, 0, X, X), [[1.0, e], [e, 1.0]], atol=1e-15
         )
 
     def test_blockwise_assembly_matches_kronecker(self):
@@ -80,7 +96,7 @@ class TestCrossCovarianceBlock:
         )
         blocks = np.block(
             [
-                [cross_covariance_block(spec, d, e, X, X) for e in range(2)]
+                [joint_block(spec, d, e, X, X) for e in range(2)]
                 for d in range(2)
             ]
         )
@@ -93,14 +109,17 @@ class TestCrossCovarianceBlock:
         )
         Xa = rng.uniform(0, 1, size=(4, 1))
         Xb = rng.uniform(0, 1, size=(2, 1))
-        ab = cross_covariance_block(spec, 0, 2, Xa, Xb)
-        ba = cross_covariance_block(spec, 2, 0, Xb, Xa)
+        ab = joint_block(spec, 0, 2, Xa, Xb)
+        ba = joint_block(spec, 2, 0, Xb, Xa)
         np.testing.assert_array_equal(ab, ba.T)
 
     def test_task_index_out_of_range(self):
+        # the model's cross-covariances go through mtgp_predict, which names the task
         spec = MultiTaskKernelSpec(2, (term(np.ones((2, 1)), [0.0, 0.0]),))
-        with pytest.raises(ShapeError):
-            cross_covariance_block(spec, 0, 2, np.zeros((1, 1)), np.zeros((1, 1)))
+        dataset = MultiTaskDataset((np.zeros((1, 1)), np.ones((1, 1))), (np.zeros(1), np.ones(1)))
+        model = mtgp_fit(spec, [0.1, 0.1], dataset)
+        with pytest.raises(ShapeError, match="task 2 out of range"):
+            mtgp_predict(model, 2, np.zeros((1, 1)))
 
 
 class TestAssembleJointCovariance:
@@ -167,10 +186,15 @@ class TestAssembleJointCovariance:
 
 class TestSpecValidation:
     def test_rank_one_factor_model_detection(self):
+        def rank_one_factor_model(spec):
+            return all(t.rank == 1 and np.all(t.gamma == 0.0) for t in spec.terms)
+
         slfm = MultiTaskKernelSpec(2, (term([[0.5], [1.0]], [0.0, 0.0]),))
-        assert slfm.is_rank_one_factor_model()
+        assert rank_one_factor_model(slfm)
         lmc = MultiTaskKernelSpec(2, (term([[0.5], [1.0]], [0.1, 0.0]),))
-        assert not lmc.is_rank_one_factor_model()
+        assert not rank_one_factor_model(lmc)
+        wide = MultiTaskKernelSpec(2, (term([[0.5, 0.1], [1.0, 0.0]], [0.0, 0.0]),))
+        assert not rank_one_factor_model(wide)
 
     def test_term_task_count_checked(self):
         with pytest.raises(ShapeError):

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtgp.errors import ShapeError
+from mtgp.gp import gp_layout, gp_parameters
 from mtgp.kernels import (
     MATERN52,
     SQUARED_EXPONENTIAL,
     ScalarKernelSpec,
-    kernel_diag,
-    kernel_eval,
     kernel_matrix,
-    kernel_matrix_grad,
+    kernel_profile,
     log_param_names,
 )
 from mtgp.linalg import cholesky_with_jitter
@@ -22,32 +21,46 @@ def se(ls, sv=1.0):
     return ScalarKernelSpec(SQUARED_EXPONENTIAL, np.atleast_1d(ls), sv)
 
 
+def k_pair(spec, x, x2):
+    """k(x, x2) for single input vectors: kernel_matrix on one row each."""
+    return float(kernel_matrix(spec, np.atleast_1d(x)[None, :], np.atleast_1d(x2)[None, :])[0, 0])
+
+
+def profile_gradients(spec, X):
+    """Derivatives of kernel_matrix(spec, X, X) w.r.t. [log l_1, ..., log l_P, log s2],
+    built from kernel_profile as the model's objective builds them."""
+    scaled_sq = (X[:, None, :] - X[None, :, :]) ** 2 / spec.lengthscales**2
+    unit, slope = kernel_profile(spec.kind, scaled_sq.sum(axis=-1))
+    grads = [spec.signal_variance * slope * scaled_sq[:, :, p] for p in range(spec.input_dim)]
+    return grads + [spec.signal_variance * unit]
+
+
 class TestKernelEval:
     def test_identity_case_returns_signal_variance(self):
-        assert kernel_eval(se(1.0), [0.3], [0.3]) == 1.0
+        assert k_pair(se(1.0), [0.3], [0.3]) == 1.0
 
     def test_unit_distance(self):
-        assert kernel_eval(se(1.0), [0.0], [1.0]) == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert k_pair(se(1.0), [0.0], [1.0]) == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_scaled(self):
-        assert kernel_eval(se(2.0, 3.0), [0.0], [2.0]) == pytest.approx(
+        assert k_pair(se(2.0, 3.0), [0.0], [2.0]) == pytest.approx(
             3.0 * np.exp(-0.5), abs=1e-12
         )
 
     def test_matern_identity(self):
         spec = ScalarKernelSpec(MATERN52, [0.7], 2.5)
-        assert kernel_eval(spec, [0.4], [0.4]) == pytest.approx(2.5, abs=1e-12)
+        assert k_pair(spec, [0.4], [0.4]) == pytest.approx(2.5, abs=1e-12)
 
     def test_matern_value(self):
         # direct evaluation of the nu=5/2 closed form at r = 1/0.5 = 2
         r = 2.0
         expected = 1.3 * (1 + np.sqrt(5) * r + 5 * r**2 / 3) * np.exp(-np.sqrt(5) * r)
         spec = ScalarKernelSpec(MATERN52, [0.5], 1.3)
-        assert kernel_eval(spec, [0.0], [1.0]) == pytest.approx(expected, rel=1e-12)
+        assert k_pair(spec, [0.0], [1.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            kernel_eval(se([1.0, 1.0]), [0.0], [0.0, 1.0])
+            k_pair(se([1.0, 1.0]), [0.0], [0.0, 1.0])
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
@@ -74,7 +87,6 @@ class TestKernelMatrix:
         K = kernel_matrix(spec, X, X)
         np.testing.assert_allclose(K, K.T, atol=0)
         np.testing.assert_allclose(np.diag(K), 2.0, atol=1e-15)
-        np.testing.assert_allclose(kernel_diag(spec, X), 2.0)
 
     def test_column_mismatch(self):
         with pytest.raises(ShapeError):
@@ -101,7 +113,7 @@ class TestKernelMatrix:
         x = rng.uniform(-2, 2, size=2)
         y = rng.uniform(-2, 2, size=2)
         spec = se(rng.uniform(0.2, 2.0, size=2), float(rng.uniform(0.2, 3.0)))
-        assert kernel_eval(spec, x, y) == kernel_eval(spec, y, x)
+        assert k_pair(spec, x, y) == k_pair(spec, y, x)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-5, 5))
@@ -112,38 +124,43 @@ class TestKernelMatrix:
         x = rng.uniform(-1, 1, size=1)
         y = rng.uniform(-1, 1, size=1)
         spec = se(0.7, 1.3)
-        assert kernel_eval(spec, x, y) == pytest.approx(
-            kernel_eval(spec, x + shift, y + shift), rel=1e-12
+        assert k_pair(spec, x, y) == pytest.approx(
+            k_pair(spec, x + shift, y + shift), rel=1e-12
         )
 
 
 class TestKernelMatrixGrad:
+    """Kernel-matrix derivatives through kernel_profile, against kernel_matrix."""
+
     def test_signal_variance_gradient_is_kernel_matrix(self, rng):
         X = rng.uniform(0, 1, size=(4, 2))
         for kind in (SQUARED_EXPONENTIAL, MATERN52):
             spec = ScalarKernelSpec(kind, [0.6, 1.2], 1.7)
-            grads = kernel_matrix_grad(spec, X)
-            np.testing.assert_allclose(grads[-1], kernel_matrix(spec, X, X), atol=0)
+            grads = profile_gradients(spec, X)
+            np.testing.assert_allclose(grads[-1], kernel_matrix(spec, X, X), rtol=1e-14)
 
     def test_single_pair_lengthscale_gradient(self):
-        grads = kernel_matrix_grad(se(1.0), np.array([[0.0], [1.0]]))
+        grads = profile_gradients(se(1.0), np.array([[0.0], [1.0]]))
         assert grads[0][0, 1] == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_lengthscale_gradient_zero_on_diagonal(self, rng):
         X = rng.uniform(0, 1, size=(5, 1))
         for kind in (SQUARED_EXPONENTIAL, MATERN52):
-            grads = kernel_matrix_grad(ScalarKernelSpec(kind, [0.8], 1.0), X)
+            grads = profile_gradients(ScalarKernelSpec(kind, [0.8], 1.0), X)
             np.testing.assert_allclose(np.diag(grads[0]), 0.0, atol=0)
 
     def test_grad_order_matches_names(self):
         spec = se([1.0, 2.0], 1.0)
         names = log_param_names(spec)
         assert names == ["log_lengthscale0", "log_lengthscale1", "log_signal_variance"]
-        assert len(kernel_matrix_grad(spec, np.zeros((2, 2)))) == 3
+        assert len(profile_gradients(spec, np.zeros((2, 2)))) == 3
+        # the GP's flat vector is these names plus log-noise
+        assert gp_parameters(spec, 0.1).size == len(names) + 1
 
     def test_empty_input_rejected(self):
+        # the objective that consumes these derivatives needs a training point
         with pytest.raises(ShapeError):
-            kernel_matrix_grad(se(1.0), np.zeros((0, 1)))
+            gp_layout(se(1.0), 0.1, np.zeros((0, 1)), np.zeros(0))
 
     @pytest.mark.parametrize("kind", [SQUARED_EXPONENTIAL, MATERN52])
     def test_matches_central_finite_differences(self, kind):
@@ -156,7 +173,7 @@ class TestKernelMatrixGrad:
             ls = rng.uniform(0.3, 1.5, size=dim)
             sv = float(rng.uniform(0.5, 2.0))
             spec = ScalarKernelSpec(kind, ls, sv)
-            grads = kernel_matrix_grad(spec, X)
+            grads = profile_gradients(spec, X)
             for j in range(dim + 1):
                 def matrix_at(delta):
                     log_ls = np.log(ls).copy()
