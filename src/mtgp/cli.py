@@ -1,8 +1,9 @@
 """Command-line interface: train, predict, benchmark, check.
 
-Exit codes: 0 success, 1 self-check failure, 2 input validation failure,
-3 computation failure. All commands are deterministic under fixed seeds and
-write byte-identical CSV output across runs on the same platform.
+Exit codes: 0 success, 1 self-check failure, 2 input validation failure (an
+unreadable or unwritable file included), 3 computation failure. All commands
+are deterministic under fixed seeds and write byte-identical CSV output
+across runs on the same platform.
 """
 
 import argparse
@@ -80,19 +81,16 @@ def _get_typed(doc: dict, key: str, kind, default, path: str):
 # train
 # ---------------------------------------------------------------------------
 
-_RUN_CONFIG_KEYS = {
-    "family",
-    "kernel",
-    "q",
-    "rank",
-    "standardize",
-    "learning_rate",
-    "max_iterations",
-    "convergence_tolerance",
-    "num_restarts",
-    "seed",
-    "output_dir",
-}
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+_RUN_CONFIG_KEYS = {"family", "kernel", "q", "rank", "standardize", *_TRAIN_KEYS, "output_dir"}
+
+
+def _train_settings(doc: dict, defaults: dict, path: str) -> dict:
+    """The :class:`TrainConfig` keys of ``doc``, typed and defaulted like ``defaults``."""
+    return {
+        key: _get_typed(doc, key, type(defaults[key]), defaults[key], path)
+        for key in _TRAIN_KEYS
+    }
 
 
 def _parse_run_config(path) -> dict:
@@ -110,11 +108,7 @@ def _parse_run_config(path) -> dict:
         "q": _get_typed(doc, "q", int, None, path),
         "rank": _get_typed(doc, "rank", int, 1, path),
         "standardize": _get_typed(doc, "standardize", bool, True, path),
-        "learning_rate": _get_typed(doc, "learning_rate", float, 0.05, path),
-        "max_iterations": _get_typed(doc, "max_iterations", int, 2000, path),
-        "convergence_tolerance": _get_typed(doc, "convergence_tolerance", float, 1e-7, path),
-        "num_restarts": _get_typed(doc, "num_restarts", int, 4, path),
-        "seed": _get_typed(doc, "seed", int, 0, path),
+        "train": _train_settings(doc, dataclasses.asdict(TrainConfig()), path),
         "output_dir": _get_typed(doc, "output_dir", str, None, path),
     }
     if config["q"] is not None and config["q"] < 1:
@@ -149,18 +143,12 @@ def _open_trace(path):
 def cmd_train(args) -> int:
     config = _parse_run_config(args.config)
     if args.seed is not None:
-        config["seed"] = args.seed
+        config["train"]["seed"] = args.seed
     out_dir = args.out or config["output_dir"]
     if out_dir is None:
         raise ValidationError("no output directory: pass --out or set 'output_dir' in the config")
     dataset, _ = read_task_csv(args.data)
-    train_config = TrainConfig(
-        learning_rate=config["learning_rate"],
-        max_iterations=config["max_iterations"],
-        convergence_tolerance=config["convergence_tolerance"],
-        num_restarts=config["num_restarts"],
-        seed=config["seed"],
-    )
+    train_config = TrainConfig(**config["train"])
     trace, trace_fh = _open_trace(args.trace)
     try:
         if config["family"] == "gp":
@@ -204,6 +192,7 @@ def cmd_train(args) -> int:
         "winning_restart": model.fit_info["restart"],
         "num_restarts": train_config.num_restarts,
         "wall_time_s": model.fit_info["wall_time_s"],
+        "restarts": model.fit_info["restarts"],
     }
     with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
@@ -264,7 +253,6 @@ _STUDY_KEYS = {
     "seed",
     "train",
 }
-_TRAIN_KEYS = {"learning_rate", "max_iterations", "convergence_tolerance", "num_restarts", "seed"}
 
 
 def _parse_sizes(text: str) -> tuple:
@@ -310,10 +298,7 @@ def _parse_study_config(args):
     if not isinstance(train_doc, dict):
         raise ValidationError(f"{path}: 'train' must be an object")
     _validate_keys(train_doc, _TRAIN_KEYS, path)
-    train_kwargs = {
-        key: _get_typed(train_doc, key, type(default), default, path)
-        for key, default in BENCHMARK_TRAIN_DEFAULTS.items()
-    }
+    train_kwargs = _train_settings(train_doc, BENCHMARK_TRAIN_DEFAULTS, path)
     study = benchmark.StudyConfig(
         correlations=tuple(float(v) for v in correlations),
         size_grid=size_grid,
@@ -492,7 +477,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ShapeError, DomainError) as exc:
+    except (ValidationError, ShapeError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MTGPError as exc:

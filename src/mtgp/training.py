@@ -7,6 +7,12 @@ restarted from several seeded initializations; all restarts of a fit run as
 one batch through the vectorized objective of
 :class:`~mtgp.multitask.ExactGPLayout`, and the restart with the best
 objective wins (ties to the lowest restart index).
+
+One driver trains every model: target standardization, the family's
+template and layout, the restart vectors, the batched ascent and
+``fit_info``. :func:`train_mtgp` runs it on the multi-task data;
+:func:`train_gp` runs it as the one-task case (the independent family on a
+one-task dataset) and folds the target scale and offset into its model.
 """
 
 import time
@@ -17,7 +23,7 @@ import numpy as np
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
 from .errors import DomainError, MTGPError, TrainingFailedError
-from .gp import GPModel, gp_fit, gp_layout, gp_log_marginal_likelihood
+from .gp import GPModel, gp_fit
 from .kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
 from .multitask import ExactGPLayout, LMLBatch, MTGPModel, mtgp_fit
 from .seeding import make_rng
@@ -139,7 +145,6 @@ class AdamRun:
     failed: np.ndarray
     stop_reasons: list
     jitter_escalations: np.ndarray
-    trajectory: list | None = None
 
 
 def _failures(batch: LMLBatch) -> dict:
@@ -157,7 +162,6 @@ def adam_maximize(
     x0: np.ndarray,
     config: TrainConfig,
     trace=None,
-    record_trajectory: bool = False,
 ) -> AdamRun:
     """Maximize B independent problems at once with bias-corrected Adam.
 
@@ -186,7 +190,6 @@ def adam_maximize(
         failed[r] = True
         best_value[r] = np.nan
         stop_reasons[r] = f"objective_failed: {message}"
-    trajectory = [x.copy()] if record_trajectory else None
     rows = np.flatnonzero(~failed)
     if trace is not None:
         _trace_rows(trace, rows, 0, initial_value[rows], batch.grads[rows])
@@ -209,10 +212,6 @@ def adam_maximize(
         mhat = m / (1.0 - ADAM_BETA1**t)
         vhat = v / (1.0 - ADAM_BETA2**t)
         x += config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        if record_trajectory:
-            snapshot = trajectory[-1].copy()
-            snapshot[rows] = x
-            trajectory.append(snapshot)
         batch = objective(x)
         values, grad = batch.values, batch.grads
         if batch.escalated.any():
@@ -255,7 +254,6 @@ def adam_maximize(
         failed,
         stop_reasons,
         escalations,
-        trajectory,
     )
 
 
@@ -327,62 +325,6 @@ def _run_restarts(objective, x0: np.ndarray, config: TrainConfig, trace=None):
     return run, best, diagnostics
 
 
-def train_gp(
-    X,
-    Y,
-    config: TrainConfig = TrainConfig(),
-    kernel_kind: str = SQUARED_EXPONENTIAL,
-    standardize: bool = True,
-    trace=None,
-) -> GPModel:
-    """Fit a single-task GP by marginal-likelihood ascent.
-
-    Optimization runs on standardized targets when ``standardize`` is set;
-    the learned scale and offset are folded back exactly into the returned
-    model's signal variance, noise variance, and constant mean, so the model
-    predicts in raw units.
-    """
-    started = time.perf_counter()
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    if standardize:
-        mu = float(np.mean(Y)) if Y.size else 0.0
-        s = float(np.std(Y)) if Y.size else 1.0
-        if s <= 0.0:
-            s = 1.0
-    else:
-        mu, s = 0.0, 1.0
-    Ys = (Y - mu) / s
-
-    var = _target_variance(Ys)
-    template = ScalarKernelSpec(kernel_kind, median_lengthscales(X), var)
-    layout = gp_layout(template, 0.01 * var, X, Ys)
-    base = layout.initial_vector()
-
-    def initial_vector(restart: int) -> np.ndarray:
-        vec = base.copy()
-        if restart > 0:
-            rng = make_rng(config.seed, "gp-restart", restart)
-            vec = vec + rng.normal(0.0, RESTART_LOG_JITTER, size=vec.shape)
-        return vec
-
-    x0 = np.stack([initial_vector(r) for r in range(config.num_restarts)])
-    run, restart, diagnostics = _run_restarts(layout.evaluate, x0, config, trace)
-    spec, noise = layout.materialize(run.vector[restart])
-    kern_s, noise_s = spec.terms[0].base_kernel, float(noise[0])
-    kern = ScalarKernelSpec(kern_s.kind, kern_s.lengthscales, kern_s.signal_variance * s**2)
-    model = gp_fit(kern, noise_s * s**2, X, Y, mean_const=mu)
-    value_raw, _ = gp_log_marginal_likelihood(kern, noise_s * s**2, X, Y, mean_const=mu)
-    model.fit_info = {
-        "log_marginal_likelihood": value_raw,
-        "objective": float(run.value[restart]),
-        "iterations": int(run.row_iterations[restart]),
-        "restart": restart,
-        "wall_time_s": time.perf_counter() - started,
-        "restarts": diagnostics,
-    }
-    return model
-
-
 def build_mtgp_template(
     family: MTGPFamily, dataset: MultiTaskDataset
 ) -> tuple[MultiTaskKernelSpec, np.ndarray]:
@@ -427,29 +369,23 @@ def build_mtgp_template(
     return MultiTaskKernelSpec(D, tuple(terms)), noise
 
 
-def train_mtgp(
-    dataset: MultiTaskDataset,
-    config: TrainConfig = TrainConfig(),
-    family: MTGPFamily = MTGPFamily(),
-    standardize: bool = True,
-    trace=None,
-) -> MTGPModel:
-    """Fit a multi-task GP by joint marginal-likelihood ascent.
+def _train(dataset, config, family, standardize, stream, trace, fit):
+    """The training driver shared by :func:`train_mtgp` and :func:`train_gp`.
 
-    Each restart redraws the task loadings W (scale depends on the family:
-    diagonal-dominant families start with timid coupling); restarts after
-    the first also jitter the log-parameters. The winning restart's
-    parameters are refitted on the raw dataset (standardization statistics
-    are recomputed identically inside :func:`mtgp_fit`).
+    Standardizes the targets, builds the family's template and layout, runs
+    all restarts as one batch and hands the winner's (spec, noise) with the
+    standardization means and stds to ``fit``, whose model gets ``fit_info``.
+    Each restart r draws from ``make_rng(seed, stream, r)``: it redraws the
+    learned task loadings W (diagonal-dominant families start with timid
+    coupling), and restarts after the first also jitter the log-parameters.
     """
     started = time.perf_counter()
     if standardize:
-        work, _, stds = standardize_targets(dataset)
-        # change of variables: observed-units likelihood differs by -sum N_d log s_d
-        log_scale = float(np.sum([n * np.log(s) for n, s in zip(dataset.counts, stds)]))
+        work, means, stds = standardize_targets(dataset)
     else:
-        work = dataset
-        log_scale = 0.0
+        work, means, stds = dataset, np.zeros(dataset.num_tasks), np.ones(dataset.num_tasks)
+    # change of variables: observed-units likelihood differs by -sum N_d log s_d
+    log_scale = float(np.sum([n * np.log(s) for n, s in zip(dataset.counts, stds)]))
     template, template_noise = build_mtgp_template(family, work)
     layout = ExactGPLayout(
         template,
@@ -458,25 +394,18 @@ def train_mtgp(
         learn_W=family.learns_W,
         learn_gamma=family.learns_gamma,
     )
-    base = layout.initial_vector()
     is_w = layout.is_W
     w_std = LMC_W_INIT_STD if family.mode == "lmc" else W_INIT_STD
-
-    def initial_vector(restart: int) -> np.ndarray:
-        vec = base.copy()
-        rng = make_rng(config.seed, "mtgp-restart", restart)
+    x0 = np.tile(layout.initial_vector(), (config.num_restarts, 1))
+    for r, vec in enumerate(x0):
+        rng = make_rng(config.seed, stream, r)
         if np.any(is_w):
             vec[is_w] = rng.normal(0.0, w_std, size=int(np.sum(is_w)))
-        if restart > 0:
-            vec[~is_w] = vec[~is_w] + rng.normal(
-                0.0, RESTART_LOG_JITTER, size=int(np.sum(~is_w))
-            )
-        return vec
-
-    x0 = np.stack([initial_vector(r) for r in range(config.num_restarts)])
+        if r > 0:
+            vec[~is_w] += rng.normal(0.0, RESTART_LOG_JITTER, size=int(np.sum(~is_w)))
     run, restart, diagnostics = _run_restarts(layout.evaluate, x0, config, trace)
     spec, noise = layout.materialize(run.vector[restart])
-    model = mtgp_fit(spec, noise, dataset, standardize=standardize)
+    model = fit(spec, noise, means, stds)
     model.fit_info = {
         "log_marginal_likelihood": float(run.value[restart]) - log_scale,
         "objective": float(run.value[restart]),
@@ -486,3 +415,49 @@ def train_mtgp(
         "restarts": diagnostics,
     }
     return model
+
+
+def train_mtgp(
+    dataset: MultiTaskDataset,
+    config: TrainConfig = TrainConfig(),
+    family: MTGPFamily = MTGPFamily(),
+    standardize: bool = True,
+    trace=None,
+) -> MTGPModel:
+    """Fit a multi-task GP by joint marginal-likelihood ascent.
+
+    The winning restart's parameters are refitted on the raw dataset
+    (standardization statistics are recomputed identically inside
+    :func:`mtgp_fit`).
+    """
+
+    def fit(spec, noise, means, stds):
+        return mtgp_fit(spec, noise, dataset, standardize=standardize)
+
+    return _train(dataset, config, family, standardize, "mtgp-restart", trace, fit)
+
+
+def train_gp(
+    X,
+    Y,
+    config: TrainConfig = TrainConfig(),
+    kernel_kind: str = SQUARED_EXPONENTIAL,
+    standardize: bool = True,
+    trace=None,
+) -> GPModel:
+    """Fit a single-task GP: the one-task case of :func:`train_mtgp`'s driver.
+
+    Optimization runs on standardized targets when ``standardize`` is set;
+    the learned scale and offset are folded back exactly into the returned
+    model's signal variance, noise variance, and constant mean, so the model
+    predicts in raw units.
+    """
+    dataset = MultiTaskDataset((X,), (Y,))
+
+    def fold(spec, noise, means, stds):
+        kern, s = spec.terms[0].base_kernel, float(stds[0])
+        raw = ScalarKernelSpec(kern.kind, kern.lengthscales, kern.signal_variance * s**2)
+        return gp_fit(raw, float(noise[0]) * s**2, X, Y, mean_const=float(means[0]))
+
+    family = MTGPFamily(mode="independent", kernel_kind=kernel_kind)
+    return _train(dataset, config, family, standardize, "gp-restart", trace, fold)

@@ -244,6 +244,20 @@ class TestTrainPredict:
         assert all({"iteration", "objective", "grad_norm"} <= set(rec) for rec in lines)
 
 
+    @pytest.mark.parametrize("family", ["gp", "mtgp-lmc"])
+    def test_metrics_report_each_restart(self, tmp_path, family):
+        model = train_model(tmp_path, family, num_restarts=3)
+        metrics = json.loads((model.parent / "metrics.json").read_text())
+        restarts = metrics["restarts"]
+        assert [r["restart"] for r in restarts] == [0, 1, 2]
+        for r in restarts:
+            assert r["status"] == "ok"
+            assert r["stop_reason"] == "max_iterations" and r["iterations"] == 5
+            assert r["jitter_escalations"] >= 0
+            assert r["final_objective"] >= r["initial_objective"]
+        assert restarts[metrics["winning_restart"]]["final_objective"] == metrics["objective"]
+
+
 class TestBadInputExitCodes:
     """Bad input exits 2 with a one-line error, never a traceback."""
 
@@ -260,6 +274,40 @@ class TestBadInputExitCodes:
         config = write_config(tmp_path / "config.json")
         argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
         self._assert_exit_2(argv, capsys, "line 3: non-finite value")
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("train", "--data"),
+            ("train", "--out"),
+            ("train", "--trace"),
+            ("predict", "--model"),
+            ("predict", "--data"),
+            ("predict", "--out"),
+        ],
+    )
+    def test_unusable_file_exits_2(self, tmp_path, capsys, command, flag):
+        if command == "train":
+            files = {
+                "--data": write_two_task_csv(tmp_path / "data.csv"),
+                "--config": write_config(tmp_path / "config.json", max_iterations=5),
+                "--out": tmp_path / "o",
+            }
+        else:
+            query = tmp_path / "query.csv"
+            query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
+            files = {
+                "--model": train_model(tmp_path, "mtgp-slfm"),
+                "--data": query,
+                "--out": tmp_path / "p.csv",
+            }
+        bad = tmp_path / "missing" / "x"
+        if (command, flag) == ("train", "--out"):
+            # the output directory cannot be made under a regular file
+            (tmp_path / "missing").write_text("", encoding="utf-8")
+        files[flag] = bad
+        argv = [command] + [str(v) for item in files.items() for v in item]
+        self._assert_exit_2(argv, capsys, str(bad))
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_query_value_exits_2(self, tmp_path, capsys, bad):

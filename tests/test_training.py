@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtgp.coregionalization import assemble_joint_covariance
 from mtgp.data import MultiTaskDataset
 from mtgp.errors import TrainingFailedError
 from mtgp.gp import gp_parameters
@@ -186,18 +187,21 @@ class TestAdam:
 
         from mtgp.gp import gp_log_marginal_likelihood
 
+        iterates = []
+
         def objective(vec):
+            iterates.append(vec.copy())
             spec, noise = layout.materialize(vec)
             return gp_log_marginal_likelihood(spec.terms[0].base_kernel, noise[0], X, Y)
 
-        run = adam_maximize(
+        adam_maximize(
             batched(objective),
             np.zeros((1, 3)),
             TrainConfig(max_iterations=60, learning_rate=0.3),
-            record_trajectory=True,
         )
-        for vec in run.trajectory:
-            spec, noise = layout.materialize(vec[0])
+        assert len(iterates) > 1
+        for vec in iterates:
+            spec, noise = layout.materialize(vec)
             kern = spec.terms[0].base_kernel
             assert np.all(kern.lengthscales > 0)
             assert kern.signal_variance > 0
@@ -444,7 +448,7 @@ class TestTrainMTGP:
 
         original = training_module.adam_maximize
         try:
-            def failing_adam(objective, x0, config, trace=None, record_trajectory=False):
+            def failing_adam(objective, x0, config, trace=None):
                 raise training_module.MTGPError("synthetic factorization failure")
 
             training_module.adam_maximize = failing_adam
@@ -453,6 +457,70 @@ class TestTrainMTGP:
             assert len(excinfo.value.diagnostics) == FAST.num_restarts
         finally:
             training_module.adam_maximize = original
+
+
+def with_base_jitter(K):
+    """K plus the base relative jitter the objective factorizes with."""
+    return K + 1e-8 * np.mean(np.diag(K)) * np.eye(K.shape[0])
+
+
+def dense_lml(K, r):
+    """Gaussian log density of residuals r under covariance K, by slogdet and solve."""
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign > 0
+    return -0.5 * r @ np.linalg.solve(K, r) - 0.5 * logdet - 0.5 * r.size * np.log(2 * np.pi)
+
+
+class TestOneTaskCase:
+    """train_gp is the one-task, independent-family case of train_mtgp's driver."""
+
+    def _data(self):
+        rng = make_rng("one-task", 0)
+        X = rng.uniform(0, 1, size=(12, 2))
+        Y = 40.0 + 6.0 * np.sin(4 * X[:, 0]) + X[:, 1] + 0.3 * rng.normal(size=12)
+        return X, Y
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_gp_lml_is_raw_target_likelihood(self, standardize):
+        X, Y = self._data()
+        model = train_gp(X, Y, FAST, kernel_kind=MATERN52, standardize=standardize)
+        K = kernel_matrix(model.kernel, X, X) + model.noise_variance * np.eye(Y.size)
+        dense = dense_lml(with_base_jitter(K), Y - model.mean_const)
+        assert model.fit_info["log_marginal_likelihood"] == pytest.approx(dense, rel=1e-9)
+
+    def test_lmc_lml_is_raw_target_likelihood(self):
+        rng = make_rng("one-task-lmc", 0)
+        X0, X1 = rng.uniform(0, 1, size=(8, 1)), rng.uniform(0, 1, size=(6, 1))
+        dataset = MultiTaskDataset(
+            (X0, X1),
+            (
+                5.0 + 2.0 * np.sin(5 * X0[:, 0]) + 0.1 * rng.normal(size=8),
+                -3.0 + 0.5 * np.sin(5 * X1[:, 0]) + 0.05 * rng.normal(size=6),
+            ),
+        )
+        model = train_mtgp(dataset, FAST, family=MTGPFamily(mode="lmc", rank=2))
+        tasks = dataset.task_indices()
+        s = model.task_stds[tasks]
+        K = assemble_joint_covariance(model.kernel, dataset) + np.diag(model.noise_variances[tasks])
+        # K is in standardized units; the raw targets' covariance is S K S,
+        # S the per-row task std
+        K = with_base_jitter(K)
+        r = dataset.stacked_targets() - model.task_means[tasks]
+        dense = dense_lml(s[:, None] * K * s[None, :], r)
+        assert model.fit_info["log_marginal_likelihood"] == pytest.approx(dense, rel=1e-9)
+
+    def test_gp_equals_independent_mtgp_scaled_back(self):
+        X, Y = self._data()
+        config = TrainConfig(max_iterations=150, num_restarts=1, seed=2)
+        gp = train_gp(X, Y, config)
+        mt = train_mtgp(MultiTaskDataset((X,), (Y,)), config, family=MTGPFamily(mode="independent"))
+        s2 = float(np.std(Y)) ** 2
+        base = mt.kernel.terms[0].base_kernel
+        np.testing.assert_array_equal(gp.kernel.lengthscales, base.lengthscales)
+        assert gp.kernel.signal_variance == base.signal_variance * s2
+        assert gp.noise_variance == float(mt.noise_variances[0]) * s2
+        assert gp.mean_const == float(np.mean(Y))
+        assert gp.fit_info["objective"] == mt.fit_info["objective"]
 
 
 class TestConfigValidation:
