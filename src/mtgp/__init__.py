@@ -65,5 +65,7 @@ from .training import (
     TrainConfig,
     check_gradients,
     train_gp,
+    train_gp_batch,
     train_mtgp,
+    train_mtgp_batch,
 )

@@ -9,6 +9,15 @@ two curves hit a target Pearson correlation. A scenario trains a single-task
 GP on task-1 data alone and a multi-task GP on both tasks, then compares
 root-mean-square errors on held-out task-1 points. A study sweeps
 correlation levels and per-task sample sizes over seeded replicates.
+
+A study's fits are many small ones of few shapes, so it trains each shape
+as one batch (:func:`~mtgp.training.train_gp_batch`,
+:func:`~mtgp.training.train_mtgp_batch`): the single-task baselines of all
+replicates of one primary size, and the multi-task fits of all correlation
+levels and replicates of one size pair. Every fit gets the result it would
+get alone, so a row does not depend on the rest of the study. Each cell's
+aggregate reports the restart outcomes of its fits
+(:func:`training_diagnostics`).
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +29,14 @@ from .errors import CalibrationError, DomainError, ShapeError, UndefinedCorrelat
 from .gp import gp_predict
 from .multitask import mtgp_predict
 from .seeding import make_rng, seed_entropy
-from .training import MTGPFamily, TrainConfig, train_gp, train_mtgp
+from .training import (
+    MTGPFamily,
+    TrainConfig,
+    train_gp,
+    train_gp_batch,
+    train_mtgp,
+    train_mtgp_batch,
+)
 
 CALIBRATION_GRID_SIZE = 1000
 CORRELATION_TOLERANCE = 0.03
@@ -216,10 +232,9 @@ def _scenario_data(scenario: BenchmarkScenario):
     return x1, y1, x2, y2, x_test, y_test
 
 
-def _model_config(config: TrainConfig, scenario_seed: int, tag: str) -> TrainConfig:
+def _model_seed(config: TrainConfig, scenario_seed: int, tag: str) -> int:
     mixed = seed_entropy(config.seed, scenario_seed, tag)
-    derived = int(np.random.SeedSequence(mixed).generate_state(1, np.uint64)[0])
-    return replace(config, seed=derived)
+    return int(np.random.SeedSequence(mixed).generate_state(1, np.uint64)[0])
 
 
 def run_scenario(
@@ -229,12 +244,12 @@ def run_scenario(
 ) -> ComparisonResult:
     """Train both models on one seeded draw and compare task-1 test RMSE."""
     x1, y1, x2, y2, x_test, y_test = _scenario_data(scenario)
-    gp_model = train_gp(x1, y1, _model_config(train_config, scenario.seed, "gp"))
+    gp_config = replace(train_config, seed=_model_seed(train_config, scenario.seed, "gp"))
+    gp_model = train_gp(x1, y1, gp_config)
     gp_rmse = rmse(gp_predict(gp_model, x_test).mean, y_test)
     dataset = MultiTaskDataset((x1, x2), (y1, y2))
-    mtgp_model = train_mtgp(
-        dataset, _model_config(train_config, scenario.seed, "mtgp"), family=mtgp_family
-    )
+    mtgp_config = replace(train_config, seed=_model_seed(train_config, scenario.seed, "mtgp"))
+    mtgp_model = train_mtgp(dataset, mtgp_config, family=mtgp_family)
     mtgp_rmse = rmse(mtgp_predict(mtgp_model, 0, x_test).mean, y_test)
     return ComparisonResult(
         mtgp_rmse=mtgp_rmse,
@@ -295,15 +310,13 @@ def run_study(
     The task-1 training design depends only on (study seed, n_primary,
     replicate), so the single-task baseline is trained once per such key and
     shared across correlation levels, mirroring the paired comparisons of
-    the study tables.
+    the study tables. Fits of one shape train as one batch: the baselines of
+    all replicates of an n_primary together, and the multi-task fits of all
+    correlation levels and replicates of an (n_primary, n_auxiliary) cell
+    together; each fit's result is the one it would get alone.
     """
     calibrations = {r: calibrate_auxiliary(r) for r in study.correlations}
-    jobs = [
-        (target, n1, n2, rep)
-        for target in study.correlations
-        for (n1, n2) in study.size_grid
-        for rep in range(study.replicates)
-    ]
+    replicates = range(study.replicates)
 
     def scenario_data(n1, n2, seed, aux=PRIMARY_PARAMS):
         return _scenario_data(
@@ -317,50 +330,63 @@ def run_study(
             )
         )
 
-    gp_preds = {}
-    for n1, rep in sorted({(n1, rep) for _, n1, _, rep in jobs}):
-        seed = _scenario_seed(study.seed, n1, rep)
-        x1, y1, _, _, x_test, _ = scenario_data(n1, 1, seed)
-        model = train_gp(x1, y1, _model_config(train_config, seed, "gp"))
-        gp_preds[(n1, rep)] = gp_predict(model, x_test)
+    gp_preds, gp_fits = {}, {}
+    for n1 in sorted({n1 for n1, _ in study.size_grid}):
+        seeds = [_scenario_seed(study.seed, n1, rep) for rep in replicates]
+        designs = [scenario_data(n1, 1, seed) for seed in seeds]
+        models = train_gp_batch(
+            [x1 for x1, *_ in designs],
+            [y1 for _, y1, *_ in designs],
+            train_config,
+            [_model_seed(train_config, seed, "gp") for seed in seeds],
+        )
+        for rep, model, (*_, x_test, _) in zip(replicates, models, designs):
+            gp_preds[(n1, rep)] = gp_predict(model, x_test)
+            gp_fits[(n1, rep)] = model.fit_info
 
-    rows = []
-    series = {}
-    for target, n1, n2, rep in jobs:
-        aux = calibrations[target]
-        seed = _scenario_seed(study.seed, n1, rep)
-        x1, y1, x2, y2, x_test, y_test = scenario_data(n1, n2, seed, aux)
-        model = train_mtgp(
-            MultiTaskDataset((x1, x2), (y1, y2)),
-            _model_config(train_config, seed, "mtgp"),
+    rows, series, mtgp_fits = [], {}, {}
+    for n1, n2 in study.size_grid:
+        jobs = [(target, rep) for target in study.correlations for rep in replicates]
+        seeds = [_scenario_seed(study.seed, n1, rep) for _, rep in jobs]
+        draws = [
+            scenario_data(n1, n2, seed, calibrations[target])
+            for (target, _), seed in zip(jobs, seeds)
+        ]
+        models = train_mtgp_batch(
+            [MultiTaskDataset((x1, x2), (y1, y2)) for x1, y1, x2, y2, _, _ in draws],
+            train_config,
+            [_model_seed(train_config, seed, "mtgp") for seed in seeds],
             family=mtgp_family,
         )
-        mt, gp = mtgp_predict(model, 0, x_test), gp_preds[(n1, rep)]
-        gp_rmse, mtgp_rmse = rmse(gp.mean, y_test), rmse(mt.mean, y_test)
-        rows.append(
-            {
-                "correlation_target": target,
-                "correlation_achieved": achieved_correlation(aux),
-                "aux_a": aux.a,
-                "aux_b": aux.b,
-                "n_primary": n1,
-                "n_auxiliary": n2,
-                "replicate": rep,
-                "seed": seed,
-                "gp_rmse": gp_rmse,
-                "mtgp_rmse": mtgp_rmse,
-                "percent_improvement": percent_improvement(gp_rmse, mtgp_rmse),
-            }
-        )
-        if rep == 0:
-            series[(target, n1, n2)] = {
-                "x": x_test[:, 0],
-                "true": y_test,
-                "gp_mean": gp.mean,
-                "gp_stddev": gp.stddev,
-                "mtgp_mean": mt.mean,
-                "mtgp_stddev": mt.stddev,
-            }
+        for (target, rep), seed, model, (*_, x_test, y_test) in zip(jobs, seeds, models, draws):
+            aux = calibrations[target]
+            mtgp_fits[(target, n1, n2, rep)] = model.fit_info
+            mt, gp = mtgp_predict(model, 0, x_test), gp_preds[(n1, rep)]
+            gp_rmse, mtgp_rmse = rmse(gp.mean, y_test), rmse(mt.mean, y_test)
+            rows.append(
+                {
+                    "correlation_target": target,
+                    "correlation_achieved": achieved_correlation(aux),
+                    "aux_a": aux.a,
+                    "aux_b": aux.b,
+                    "n_primary": n1,
+                    "n_auxiliary": n2,
+                    "replicate": rep,
+                    "seed": seed,
+                    "gp_rmse": gp_rmse,
+                    "mtgp_rmse": mtgp_rmse,
+                    "percent_improvement": percent_improvement(gp_rmse, mtgp_rmse),
+                }
+            )
+            if rep == 0:
+                series[(target, n1, n2)] = {
+                    "x": x_test[:, 0],
+                    "true": y_test,
+                    "gp_mean": gp.mean,
+                    "gp_stddev": gp.stddev,
+                    "mtgp_mean": mt.mean,
+                    "mtgp_stddev": mt.stddev,
+                }
 
     aggregates = []
     for target in study.correlations:
@@ -391,6 +417,10 @@ def run_study(
                     "improvement": percent_improvement(gp_mean, mtgp_mean),
                     "improvement_per_replicate_mean": float(np.mean(col("percent_improvement"))),
                     "improvement_per_replicate_std": float(np.std(col("percent_improvement"))),
+                    "mtgp_training": training_diagnostics(
+                        [mtgp_fits[(target, n1, n2, rep)] for rep in replicates]
+                    ),
+                    "gp_training": training_diagnostics([gp_fits[(n1, rep)] for rep in replicates]),
                 }
             )
     rows.sort(
@@ -405,6 +435,33 @@ def run_study(
         key=lambda r: (-r["correlation_target"], r["n_primary"], r["n_auxiliary"])
     )
     return StudyResult(study, calibrations, rows, aggregates, series)
+
+
+def training_diagnostics(fit_infos) -> dict:
+    """Restart outcomes of a set of fits, from each model's ``fit_info``.
+
+    ``fits`` and ``restarts`` count fits and restarts, ``failed_restarts``
+    the restarts whose initial point failed, ``stop_reasons`` the restarts
+    per reason (``converged``, ``max_iterations``, ``objective_failed``) and
+    ``jitter_escalations`` the escalated factorizations of all restarts;
+    ``iterations_median`` and ``iterations_max`` are over the restarts that
+    did not fail (0 when none did).
+    """
+    restarts = [info for fit_info in fit_infos for info in fit_info["restarts"]]
+    iterations = [info["iterations"] for info in restarts if info["status"] == "ok"]
+    reasons = {}
+    for info in restarts:
+        reason = info["stop_reason"].split(":")[0]
+        reasons[reason] = reasons.get(reason, 0) + 1
+    return {
+        "fits": len(fit_infos),
+        "restarts": len(restarts),
+        "failed_restarts": sum(info["status"] == "failed" for info in restarts),
+        "stop_reasons": reasons,
+        "jitter_escalations": sum(info["jitter_escalations"] for info in restarts),
+        "iterations_median": float(np.median(iterations)) if iterations else 0.0,
+        "iterations_max": max(iterations, default=0),
+    }
 
 
 def format_study_table(result: StudyResult) -> str:

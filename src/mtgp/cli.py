@@ -148,14 +148,14 @@ def cmd_train(args) -> int:
     if out_dir is None:
         raise ValidationError("no output directory: pass --out or set 'output_dir' in the config")
     dataset, _ = read_task_csv(args.data)
+    if config["family"] == "gp" and dataset.num_tasks != 1:
+        raise ValidationError(f"family 'gp' requires a single task, data has {dataset.num_tasks}")
     train_config = TrainConfig(**config["train"])
+    # an unusable output directory fails before the training, not after it
+    os.makedirs(out_dir, exist_ok=True)
     trace, trace_fh = _open_trace(args.trace)
     try:
         if config["family"] == "gp":
-            if dataset.num_tasks != 1:
-                raise ValidationError(
-                    f"family 'gp' requires a single task, data has {dataset.num_tasks}"
-                )
             model = train_gp(
                 dataset.inputs[0],
                 dataset.targets[0],
@@ -182,7 +182,6 @@ def cmd_train(args) -> int:
     finally:
         if trace_fh is not None:
             trace_fh.close()
-    os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.json")
     model_io.save_model(model, model_path, config["family"])
     metrics = {
@@ -333,7 +332,6 @@ _ROW_FIELDS = [
 
 
 def _write_study_files(result, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, "study_rows.csv")
     with open(rows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -404,6 +402,8 @@ def _write_study_files(result, out_dir: str):
 
 def cmd_benchmark(args) -> int:
     study, train_config = _parse_study_config(args)
+    # an unusable output directory fails before the study, not after it
+    os.makedirs(args.out, exist_ok=True)
     result = benchmark.run_study(study, train_config)
     _write_study_files(result, args.out)
     print(benchmark.format_study_table(result))

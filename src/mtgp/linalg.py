@@ -51,8 +51,10 @@ def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """Lower Cholesky factors of a stack ``K`` of shape (B, N, N).
 
     One batched factorization adds the base relative jitter to every matrix.
-    If it fails, each matrix goes through :func:`cholesky_with_jitter`'s
-    escalation ladder on its own.
+    If it fails, each matrix is factorized on its own: at the base jitter
+    first, with the same routine (so a matrix that factorizes gets the bits
+    the batched call would give it, whatever the other matrices are), then
+    through :func:`cholesky_with_jitter`'s escalation ladder.
 
     Returns:
         (L, escalated, errors): the factors, a (B,) flag for matrices that
@@ -75,6 +77,11 @@ def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         if not np.all(np.isfinite(K[b])):
             errors[b] = "covariance matrix has non-finite entries"
             continue
+        try:
+            L[b] = np.linalg.cholesky(jittered[b])
+            continue
+        except np.linalg.LinAlgError:
+            pass
         try:
             L[b], jitter = cholesky_with_jitter(K[b])
         except IllConditionedKernelError as exc:

@@ -13,9 +13,10 @@ inverted at prediction time. Pass ``standardize=False`` to work in raw units.
 The joint covariance has one assembly, on the flat parameter vectors of
 :class:`ExactGPLayout` (a :class:`ParameterLayout`, the package's one
 flat-vector conversion). Training runs it, with the log marginal likelihood
-and its gradient, on all restarts at once; both likelihood functions (this
-module's and :mod:`mtgp.gp`'s) are its B=1 case, and fitting and prediction
-(here and in :mod:`mtgp.gp`) use it on the fitted parameters.
+and its gradient, on all restarts at once, and a :class:`LayoutStack` runs it
+on the restarts of many same-shape fits at once; both likelihood functions
+(this module's and :mod:`mtgp.gp`'s) are its B=1 case, and fitting and
+prediction (here and in :mod:`mtgp.gp`) use it on the fitted parameters.
 """
 
 from dataclasses import dataclass, field
@@ -108,7 +109,7 @@ def mtgp_fit(
         means = np.zeros(dataset.num_tasks)
         stds = np.ones(dataset.num_tasks)
     layout = ExactGPLayout(kernel, noise, work)
-    K, _ = _assemble(layout, *(b.value[None] for b in layout.blocks))
+    K, _ = _assemble(layout, layout.sqdiff, *(b.value[None] for b in layout.blocks))
     L, jitter = cholesky_with_jitter(K[0])
     weights = chol_solve(L, layout.y)
     return MTGPModel(
@@ -184,6 +185,20 @@ class LMLBatch(NamedTuple):
     grads: np.ndarray
     escalated: np.ndarray
     errors: dict
+
+
+class _BatchData(NamedTuple):
+    """The data of a batch's rows, as :func:`_lml_batch` reads them.
+
+    ``sqdiff`` is the per-dimension squared differences, (P, N*N) when every
+    row shares one dataset, else (B, P, N*N) per row; ``y`` likewise (N,) or
+    (B, N). ``fits`` lists ``(rows, y)`` per fit: the slice of consecutive
+    batch rows that belong to one dataset, and its targets (N,).
+    """
+
+    sqdiff: np.ndarray
+    y: np.ndarray
+    fits: list
 
 
 class _Block(NamedTuple):
@@ -358,19 +373,24 @@ class ExactGPLayout(ParameterLayout):
         self.onehot[np.arange(N), self.tasks] = 1.0
         self.y = dataset.stacked_targets()
         self.shape = (Q, D, P, N)
+        self.data = _BatchData(self.sqdiff, self.y, [(slice(None), self.y)])
 
-    def evaluate(self, X: np.ndarray) -> LMLBatch:
-        """Log marginal likelihood and flat gradient for each row of X (B, size)."""
+    def evaluate(self, X: np.ndarray, rows=None) -> LMLBatch:
+        """Log marginal likelihood and flat gradient for each row of X (B, size).
+
+        ``rows`` (the restart indices :func:`~mtgp.training.adam_maximize`
+        passes) is not needed: every row belongs to this layout's dataset.
+        """
         X = np.asarray(X, dtype=float)
-        return self._evaluate_natural([b.natural(X) for b in self.blocks])
+        return self._evaluate_natural([b.natural(X) for b in self.blocks], self.data)
 
     def evaluate_template(self) -> LMLBatch:
         """The B=1 batch of the template's own parameters, with no transform round trip."""
-        return self._evaluate_natural([b.value[None] for b in self.blocks])
+        return self._evaluate_natural([b.value[None] for b in self.blocks], self.data)
 
-    def _evaluate_natural(self, params) -> LMLBatch:
+    def _evaluate_natural(self, params, data: _BatchData) -> LMLBatch:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values, group_grads, escalated, errors = _lml_batch(self, *params)
+            values, group_grads, escalated, errors = _lml_batch(self, data, *params)
         grads = np.empty((values.shape[0], self.size))
         for block, g in zip(self.blocks, group_grads):
             block.scatter(grads, g)
@@ -408,6 +428,82 @@ class ExactGPLayout(ParameterLayout):
         return Kstar, prior
 
 
+class LayoutStack:
+    """Same-shape exact-GP layouts evaluated as one batch.
+
+    Each layout holds one dataset and its fit's template; all share the
+    model shape, the task pattern (rows per task) and the template values of
+    every parameter group they do not learn, so one flat vector means the
+    same parameters under each. Row i of the batch's initial vectors belongs
+    to layout ``owner[i]``: ``rows_per_layout`` consecutive rows each. The
+    data is stacked, ``sqdiff`` (F, P, N*N) and ``y`` (F, N), and
+    :meth:`evaluate` picks each running row's dataset by its row index.
+
+    Every row's value and gradient are bitwise those of its layout's own
+    :meth:`ExactGPLayout.evaluate` on that fit's running rows. numpy takes
+    BLAS or its own loop for the small parameter products by the memory
+    layout of the natural parameters, which differs between a batch of one
+    row and of several; so the rows of fits down to their last running row
+    are evaluated apart, in the one-row layout.
+    """
+
+    def __init__(self, layouts, rows_per_layout: int):
+        first = layouts[0]
+        for layout in layouts[1:]:
+            _require_same_shape(first, layout)
+        self.layout = first
+        self.sqdiff = np.stack([layout.sqdiff for layout in layouts])
+        self.y = np.stack([layout.y for layout in layouts])
+        self.owner = np.repeat(np.arange(len(layouts)), rows_per_layout)
+
+    def evaluate(self, X: np.ndarray, rows: np.ndarray) -> LMLBatch:
+        """Log marginal likelihood and flat gradient of X (B, size), row b of
+        which is initial row ``rows[b]`` (ascending)."""
+        X = np.asarray(X, dtype=float)
+        owner = self.owner[rows]
+        alone = np.bincount(owner)[owner] == 1
+        if alone.all() or not alone.any():
+            return self._evaluate(X, owner, alone.all())
+        parts = [np.flatnonzero(~alone), np.flatnonzero(alone)]
+        batches = [self._evaluate(X[p], owner[p], one) for p, one in zip(parts, (False, True))]
+        values, grads = np.empty(owner.size), np.empty((owner.size, X.shape[1]))
+        escalated, errors = np.empty(owner.size, dtype=bool), {}
+        for p, batch in zip(parts, batches):
+            values[p], grads[p], escalated[p] = batch.values, batch.grads, batch.escalated
+            errors.update({int(p[i]): message for i, message in batch.errors.items()})
+        return LMLBatch(values, grads, escalated, errors)
+
+    def _evaluate(self, X, owner, one_row: bool) -> LMLBatch:
+        params = [b.natural(X) for b in self.layout.blocks]
+        if one_row:
+            params = [np.ascontiguousarray(p) for p in params]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        ends = np.append(starts[1:], owner.size)
+        fits = [(slice(a, b), self.y[owner[a]]) for a, b in zip(starts, ends)]
+        data = _BatchData(self.sqdiff[owner], self.y[owner], fits)
+        return self.layout._evaluate_natural(params, data)
+
+
+def _require_same_shape(a: ExactGPLayout, b: ExactGPLayout):
+    """Raise ShapeError unless one flat vector means the same model under a and b."""
+    if a.shape != b.shape or a.size != b.size or a.kinds != b.kinds or a.ranks != b.ranks:
+        raise ShapeError(
+            f"layouts of one batch must share a model shape: (Q, D, P, N) {a.shape} "
+            f"with {a.size} parameters vs {b.shape} with {b.size}"
+        )
+    if not np.array_equal(a.tasks, b.tasks):
+        raise ShapeError("layouts of one batch must share the rows per task")
+    for x, y in zip(a.blocks, b.blocks):
+        if x.index is None or y.index is None:
+            same = x.index is y.index and np.array_equal(x.value, y.value)
+        else:
+            same = np.array_equal(x.index, y.index) and (
+                x.mask is None or np.array_equal(x.value, y.value)  # entries kept at the template
+            )
+        if not same:
+            raise ShapeError("layouts of one batch must learn and fix the same parameters")
+
+
 def _scaled_sq_dists(A: np.ndarray, B: np.ndarray, inv_ls2: np.ndarray) -> np.ndarray:
     """``sum_p (A_ip - B_jp)^2 / l_p^2`` for row sets A (M, P) and B (N, P).
 
@@ -432,19 +528,20 @@ def _task_covariances(layout: ExactGPLayout, W, gamma) -> np.ndarray:
     return Bq
 
 
-def _assemble(layout: ExactGPLayout, ls, s2, W, gamma, noise):
+def _assemble(layout: ExactGPLayout, sqdiff, ls, s2, W, gamma, noise):
     """Joint covariance ``K`` (B, N, N) of a batch of natural parameters.
 
     Scaled squared distances go through :func:`~mtgp.kernels.kernel_profile`,
     each term is weighted by its ``B_q`` task mask, and the per-task noise
-    lands on the diagonal. Shapes as in :func:`_lml_batch`. Also returns the
+    lands on the diagonal. ``sqdiff`` is the layout's (P, N*N) or one per
+    row, (B, P, N*N); other shapes as in :func:`_lml_batch`. Also returns the
     per-term pieces the gradient reuses: ``(inv_ls2, unit, slope, Bq, mask,
     Kq)``, where ``slope is unit`` for SE.
     """
     Q, D, P, N = layout.shape
     B = ls.shape[0]
     inv_ls2 = ls**-2.0
-    sq = (inv_ls2 @ layout.sqdiff).reshape(B, Q, N, N)
+    sq = (inv_ls2 @ sqdiff).reshape(B, Q, N, N)
     if len(layout.kind_groups) == 1:
         unit, slope = kernels.kernel_profile(layout.kind_groups[0][0], sq)
     else:
@@ -459,11 +556,15 @@ def _assemble(layout: ExactGPLayout, ls, s2, W, gamma, noise):
     return K, (inv_ls2, unit, slope, Bq, mask, Kq)
 
 
-def _lml_batch(layout: ExactGPLayout, ls, s2, W, gamma, noise):
+def _lml_batch(layout: ExactGPLayout, data: _BatchData, ls, s2, W, gamma, noise):
     """Value and per-group gradients of the joint log marginal likelihood.
 
     Natural parameters carry a leading batch axis B: ls (B,Q,P), s2 (B,Q),
-    W (B,Q,D,R), gamma (B,Q,D), noise (B,D). With ``M = alpha alpha^T - K^{-1}``
+    W (B,Q,D,R), gamma (B,Q,D), noise (B,D); ``data`` holds the rows' data.
+    Every operation acts row by row, except the two products that BLAS
+    computes across rows (the quadratic term and the noise gradient); those
+    run per fit, so a row's result does not depend on the other fits sharing
+    its batch. With ``M = alpha alpha^T - K^{-1}``
     every derivative is ``1/2 tr(M dK/dt)``; per term, ``T = E^T (M * K_q) E``
     sums M * K_q over task blocks, so dL/dW = T W, dL/d(log gamma) =
     gamma diag(T) / 2 and dL/d(log s2) = sum(B_q * T) / 2. Gradients of
@@ -471,15 +572,17 @@ def _lml_batch(layout: ExactGPLayout, ls, s2, W, gamma, noise):
     """
     Q, D, P, N = layout.shape
     B = ls.shape[0]
-    K, (inv_ls2, unit, slope, Bq, mask, Kq) = _assemble(layout, ls, s2, W, gamma, noise)
+    K, parts = _assemble(layout, data.sqdiff, ls, s2, W, gamma, noise)
+    inv_ls2, unit, slope, Bq, mask, Kq = parts
 
     L, escalated, errors = cholesky_batch(K)
     if errors:
         L[list(errors)] = np.eye(N)
     Kinv = cholesky_inverse_batch(L)
-    alpha = Kinv @ layout.y
+    alpha = (Kinv @ data.y[..., None])[..., 0]
     logdet = 2.0 * np.log(L.reshape(B, N * N)[:, :: N + 1]).sum(axis=1)
-    values = -0.5 * (alpha @ layout.y) - 0.5 * logdet - 0.5 * N * np.log(2.0 * np.pi)
+    quadratic = np.concatenate([alpha[fit] @ y for fit, y in data.fits])
+    values = -0.5 * quadratic - 0.5 * logdet - 0.5 * N * np.log(2.0 * np.pi)
     if errors:
         values[list(errors)] = np.nan
 
@@ -488,11 +591,12 @@ def _lml_batch(layout: ExactGPLayout, ls, s2, W, gamma, noise):
     T = layout.onehot.T @ MK @ layout.onehot
     # G = M * dK/d(log l_p) without the (d_p / l_p)^2 factor; slope is unit for SE
     G = MK * mask if slope is unit else (M[:, None] * mask) * (s2[..., None, None] * slope)
-    g_ls = 0.5 * inv_ls2 * (G.reshape(B, Q, N * N) @ layout.sqdiff.T)
+    g_ls = 0.5 * inv_ls2 * (G.reshape(B, Q, N * N) @ data.sqdiff.swapaxes(-1, -2))
     g_s2 = 0.5 * (Bq * T).sum(axis=(-2, -1))
     g_W = T @ W
     g_gamma = 0.5 * gamma * T.reshape(B, Q, D * D)[..., :: D + 1]
-    g_noise = 0.5 * noise * (M.reshape(B, N * N)[:, :: N + 1] @ layout.onehot)
+    M_diag = M.reshape(B, N * N)[:, :: N + 1]
+    g_noise = 0.5 * noise * np.concatenate([M_diag[fit] @ layout.onehot for fit, _ in data.fits])
     return values, (g_ls, g_s2, g_W, g_gamma, g_noise), escalated, errors
 
 

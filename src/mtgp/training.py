@@ -3,16 +3,21 @@
 Positive parameters are optimized through log-transforms; task loadings W
 are unconstrained, which keeps every task matrix positive semidefinite by
 construction. The optimizer is Adam with bias correction run full-batch,
-restarted from several seeded initializations; all restarts of a fit run as
-one batch through the vectorized objective of
-:class:`~mtgp.multitask.ExactGPLayout`, and the restart with the best
+restarted from several seeded initializations; the restart with the best
 objective wins (ties to the lowest restart index).
 
-One driver trains every model: target standardization, the family's
-template and layout, the restart vectors, the batched ascent and
-``fit_info``. :func:`train_mtgp` runs it on the multi-task data;
-:func:`train_gp` runs it as the one-task case (the independent family on a
-one-task dataset) and folds the target scale and offset into its model.
+One driver trains every model, and it trains a list of same-shape datasets
+at once: per dataset the target standardization, the family's template and
+layout and the seeded restart vectors; then one :func:`adam_maximize` run
+over all restarts of all fits, through the vectorized objective of
+:class:`~mtgp.multitask.ExactGPLayout` (one dataset) or
+:class:`~mtgp.multitask.LayoutStack` (several); then per fit the winner, the
+fitted model and ``fit_info``, whose ``wall_time_s`` is the whole batch's
+time. A fit's result is bitwise the one it gets when trained alone.
+:func:`train_mtgp_batch` runs the driver on multi-task data and
+:func:`train_gp_batch` as the one-task case (the independent family on
+one-task datasets), folding the target scale and offset into each model;
+:func:`train_mtgp` and :func:`train_gp` are their one-dataset case.
 """
 
 import time
@@ -22,10 +27,10 @@ import numpy as np
 
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
-from .errors import DomainError, MTGPError, TrainingFailedError
+from .errors import DomainError, MTGPError, ShapeError, TrainingFailedError
 from .gp import GPModel, gp_fit
 from .kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
-from .multitask import ExactGPLayout, LMLBatch, MTGPModel, mtgp_fit
+from .multitask import ExactGPLayout, LayoutStack, LMLBatch, MTGPModel, mtgp_fit
 from .seeding import make_rng
 
 ADAM_BETA1 = 0.9
@@ -165,9 +170,10 @@ def adam_maximize(
 ) -> AdamRun:
     """Maximize B independent problems at once with bias-corrected Adam.
 
-    ``x0`` has shape (B, n). ``objective(X)`` receives the (b, n) rows that
-    are still running and returns an :class:`~mtgp.multitask.LMLBatch` for
-    them. Each row keeps the best iterate it has seen (its initialization
+    ``x0`` has shape (B, n). ``objective(X, rows)`` receives the (b, n)
+    iterates of the rows still running and their ascending indices into
+    ``x0``, and returns an :class:`~mtgp.multitask.LMLBatch` for them. Each
+    row keeps the best iterate it has seen (its initialization
     included), so its reported value never falls below the initial one. A
     row stops when its objective changed by less than the relative
     tolerance over the last :data:`CONVERGENCE_WINDOW` iterations, or when
@@ -178,7 +184,7 @@ def adam_maximize(
     """
     x = np.array(x0, dtype=float)
     B = x.shape[0]
-    batch = objective(x)
+    batch = objective(x, np.arange(B))
     initial_value = np.array(batch.values, dtype=float)
     best_x, best_value = x.copy(), initial_value.copy()
     escalations = np.array(batch.escalated, dtype=int)
@@ -212,7 +218,7 @@ def adam_maximize(
         mhat = m / (1.0 - ADAM_BETA1**t)
         vhat = v / (1.0 - ADAM_BETA2**t)
         x += config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        batch = objective(x)
+        batch = objective(x, rows)
         values, grad = batch.values, batch.grads
         if batch.escalated.any():
             escalations[rows] += batch.escalated
@@ -295,34 +301,24 @@ def _target_variance(Y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _run_restarts(objective, x0: np.ndarray, config: TrainConfig, trace=None):
-    """Run all restarts as one batch; return (best run, restart index, diagnostics)."""
-    try:
-        run = adam_maximize(objective, x0, config, trace=trace)
-    except MTGPError as exc:
-        diagnostics = [
-            {"restart": r, "status": "failed", "error": str(exc)} for r in range(x0.shape[0])
-        ]
-        raise TrainingFailedError("all restarts failed", diagnostics) from exc
+def _restart_diagnostics(run: AdamRun, rows: range) -> list:
+    """One dict per restart of a fit whose restarts are ``rows`` of the batch run."""
     diagnostics = []
-    for r in range(x0.shape[0]):
-        info = {"restart": r, "status": "failed" if run.failed[r] else "ok"}
-        if run.failed[r]:
-            info["error"] = run.stop_reasons[r]
+    for r, row in enumerate(rows):
+        info = {"restart": r, "status": "failed" if run.failed[row] else "ok"}
+        if run.failed[row]:
+            info["error"] = run.stop_reasons[row]
         else:
             info.update(
-                initial_objective=float(run.initial_value[r]),
-                final_objective=float(run.value[r]),
-                iterations=int(run.row_iterations[r]),
-                converged=bool(run.converged[r]),
+                initial_objective=float(run.initial_value[row]),
+                final_objective=float(run.value[row]),
+                iterations=int(run.row_iterations[row]),
+                converged=bool(run.converged[row]),
             )
-        info["stop_reason"] = run.stop_reasons[r]
-        info["jitter_escalations"] = int(run.jitter_escalations[r])
+        info["stop_reason"] = run.stop_reasons[row]
+        info["jitter_escalations"] = int(run.jitter_escalations[row])
         diagnostics.append(info)
-    if np.all(run.failed):
-        raise TrainingFailedError("all restarts failed", diagnostics)
-    best = int(np.argmax(np.where(run.failed, -np.inf, run.value)))
-    return run, best, diagnostics
+    return diagnostics
 
 
 def build_mtgp_template(
@@ -369,17 +365,9 @@ def build_mtgp_template(
     return MultiTaskKernelSpec(D, tuple(terms)), noise
 
 
-def _train(dataset, config, family, standardize, stream, trace, fit):
-    """The training driver shared by :func:`train_mtgp` and :func:`train_gp`.
-
-    Standardizes the targets, builds the family's template and layout, runs
-    all restarts as one batch and hands the winner's (spec, noise) with the
-    standardization means and stds to ``fit``, whose model gets ``fit_info``.
-    Each restart r draws from ``make_rng(seed, stream, r)``: it redraws the
-    learned task loadings W (diagonal-dominant families start with timid
-    coupling), and restarts after the first also jitter the log-parameters.
-    """
-    started = time.perf_counter()
+def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool):
+    """One fit's layout on its working targets, with the standardization means,
+    stds and ``sum_d N_d log s_d``."""
     if standardize:
         work, means, stds = standardize_targets(dataset)
     else:
@@ -394,27 +382,106 @@ def _train(dataset, config, family, standardize, stream, trace, fit):
         learn_W=family.learns_W,
         learn_gamma=family.learns_gamma,
     )
+    return layout, means, stds, log_scale
+
+
+def _restart_vectors(layout, family: MTGPFamily, config: TrainConfig, seed, stream) -> np.ndarray:
+    """The (num_restarts, size) initial vectors of one fit.
+
+    Restart r draws from ``make_rng(seed, stream, r)``: it redraws the learned
+    task loadings W (diagonal-dominant families start with timid coupling),
+    and restarts after the first also jitter the log-parameters.
+    """
     is_w = layout.is_W
     w_std = LMC_W_INIT_STD if family.mode == "lmc" else W_INIT_STD
     x0 = np.tile(layout.initial_vector(), (config.num_restarts, 1))
     for r, vec in enumerate(x0):
-        rng = make_rng(config.seed, stream, r)
+        rng = make_rng(seed, stream, r)
         if np.any(is_w):
             vec[is_w] = rng.normal(0.0, w_std, size=int(np.sum(is_w)))
         if r > 0:
             vec[~is_w] += rng.normal(0.0, RESTART_LOG_JITTER, size=int(np.sum(~is_w)))
-    run, restart, diagnostics = _run_restarts(layout.evaluate, x0, config, trace)
-    spec, noise = layout.materialize(run.vector[restart])
-    model = fit(spec, noise, means, stds)
-    model.fit_info = {
-        "log_marginal_likelihood": float(run.value[restart]) - log_scale,
-        "objective": float(run.value[restart]),
-        "iterations": int(run.row_iterations[restart]),
-        "restart": restart,
-        "wall_time_s": time.perf_counter() - started,
-        "restarts": diagnostics,
-    }
-    return model
+    return x0
+
+
+def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> list:
+    """The training driver behind :func:`train_mtgp_batch` and :func:`train_gp_batch`.
+
+    Per dataset it standardizes the targets, builds the family's template
+    and layout, and draws the restart vectors from the dataset's own seed.
+    One :func:`adam_maximize` run then ascends every restart of every fit:
+    a single layout's objective for one dataset, a :class:`LayoutStack`'s
+    for several, so a fit's result does not depend on which other fits
+    share its batch. Each fit's winning (spec, noise) goes with its
+    standardization means and stds to ``fit(i, spec, noise, means, stds)``,
+    whose model gets ``fit_info``; ``wall_time_s`` is the whole batch's.
+    """
+    started = time.perf_counter()
+    if len(seeds) != len(datasets):
+        raise ShapeError(f"{len(datasets)} datasets need as many seeds, got {len(seeds)}")
+    if not datasets:
+        return []
+    R = config.num_restarts
+    fits = [_fit_layout(dataset, family, standardize) for dataset in datasets]
+    layouts = [layout for layout, *_ in fits]
+    objective = layouts[0].evaluate if len(layouts) == 1 else LayoutStack(layouts, R).evaluate
+    x0 = np.concatenate(
+        [_restart_vectors(lay, family, config, seed, stream) for lay, seed in zip(layouts, seeds)]
+    )
+    try:
+        run = adam_maximize(objective, x0, config, trace=trace)
+    except MTGPError as exc:
+        diagnostics = [{"restart": r, "status": "failed", "error": str(exc)} for r in range(R)]
+        raise TrainingFailedError("all restarts failed", diagnostics) from exc
+    models = []
+    for i, (layout, means, stds, log_scale) in enumerate(fits):
+        rows = range(i * R, (i + 1) * R)
+        diagnostics = _restart_diagnostics(run, rows)
+        failed = run.failed[rows]
+        if failed.all():
+            where = f" in fit {i} of {len(fits)}" if len(fits) > 1 else ""
+            raise TrainingFailedError(f"all restarts failed{where}", diagnostics)
+        restart = int(np.argmax(np.where(failed, -np.inf, run.value[rows])))
+        row = rows[restart]
+        spec, noise = layout.materialize(run.vector[row])
+        model = fit(i, spec, noise, means, stds)
+        model.fit_info = {
+            "log_marginal_likelihood": float(run.value[row]) - log_scale,
+            "objective": float(run.value[row]),
+            "iterations": int(run.row_iterations[row]),
+            "restart": restart,
+            "wall_time_s": None,  # the whole batch's, set below
+            "restarts": diagnostics,
+        }
+        models.append(model)
+    wall_time = time.perf_counter() - started
+    for model in models:
+        model.fit_info["wall_time_s"] = wall_time
+    return models
+
+
+def train_mtgp_batch(
+    datasets,
+    config: TrainConfig,
+    seeds,
+    family: MTGPFamily = MTGPFamily(),
+    standardize: bool = True,
+    trace=None,
+) -> list[MTGPModel]:
+    """Fit one multi-task GP per dataset, all restarts of all fits in one batch.
+
+    The datasets must share their shape: task count, rows per task and input
+    dimension (else :class:`~mtgp.errors.ShapeError`). Fit i uses
+    ``seeds[i]`` in place of ``config.seed`` and returns the model
+    :func:`train_mtgp` would return for it alone. ``trace`` numbers rows
+    across the batch: restart r of fit i is row ``i * num_restarts + r``.
+    """
+    datasets = list(datasets)
+
+    def fit(i, spec, noise, means, stds):
+        return mtgp_fit(spec, noise, datasets[i], standardize=standardize)
+
+    return _train(datasets, config, list(seeds), family, standardize, "mtgp-restart", trace, fit)
 
 
 def train_mtgp(
@@ -426,15 +493,43 @@ def train_mtgp(
 ) -> MTGPModel:
     """Fit a multi-task GP by joint marginal-likelihood ascent.
 
-    The winning restart's parameters are refitted on the raw dataset
-    (standardization statistics are recomputed identically inside
-    :func:`mtgp_fit`).
+    The one-dataset case of :func:`train_mtgp_batch`. The winning restart's
+    parameters are refitted on the raw dataset (standardization statistics
+    are recomputed identically inside :func:`mtgp_fit`).
     """
+    return train_mtgp_batch([dataset], config, [config.seed], family, standardize, trace)[0]
 
-    def fit(spec, noise, means, stds):
-        return mtgp_fit(spec, noise, dataset, standardize=standardize)
 
-    return _train(dataset, config, family, standardize, "mtgp-restart", trace, fit)
+def train_gp_batch(
+    inputs,
+    targets,
+    config: TrainConfig,
+    seeds,
+    kernel_kind: str = SQUARED_EXPONENTIAL,
+    standardize: bool = True,
+    trace=None,
+) -> list[GPModel]:
+    """Fit one single-task GP per (X, Y) pair, all restarts in one batch.
+
+    The one-task case of :func:`train_mtgp_batch` (the independent family on
+    one-task datasets); every X must have the same shape. Optimization runs
+    on standardized targets when ``standardize`` is set; the learned scale
+    and offset are folded back exactly into each model's signal variance,
+    noise variance, and constant mean, so the models predict in raw units.
+    """
+    inputs, targets = list(inputs), list(targets)
+    if len(inputs) != len(targets):
+        raise ShapeError(f"{len(inputs)} input arrays but {len(targets)} target arrays")
+    datasets = [MultiTaskDataset((X,), (Y,)) for X, Y in zip(inputs, targets)]
+
+    def fold(i, spec, noise, means, stds):
+        kern, s = spec.terms[0].base_kernel, float(stds[0])
+        raw = ScalarKernelSpec(kern.kind, kern.lengthscales, kern.signal_variance * s**2)
+        noise_variance, mean = float(noise[0]) * s**2, float(means[0])
+        return gp_fit(raw, noise_variance, inputs[i], targets[i], mean_const=mean)
+
+    family = MTGPFamily(mode="independent", kernel_kind=kernel_kind)
+    return _train(datasets, config, list(seeds), family, standardize, "gp-restart", trace, fold)
 
 
 def train_gp(
@@ -445,19 +540,5 @@ def train_gp(
     standardize: bool = True,
     trace=None,
 ) -> GPModel:
-    """Fit a single-task GP: the one-task case of :func:`train_mtgp`'s driver.
-
-    Optimization runs on standardized targets when ``standardize`` is set;
-    the learned scale and offset are folded back exactly into the returned
-    model's signal variance, noise variance, and constant mean, so the model
-    predicts in raw units.
-    """
-    dataset = MultiTaskDataset((X,), (Y,))
-
-    def fold(spec, noise, means, stds):
-        kern, s = spec.terms[0].base_kernel, float(stds[0])
-        raw = ScalarKernelSpec(kern.kind, kern.lengthscales, kern.signal_variance * s**2)
-        return gp_fit(raw, float(noise[0]) * s**2, X, Y, mean_const=float(means[0]))
-
-    family = MTGPFamily(mode="independent", kernel_kind=kernel_kind)
-    return _train(dataset, config, family, standardize, "gp-restart", trace, fold)
+    """Fit a single-task GP: the one-dataset case of :func:`train_gp_batch`."""
+    return train_gp_batch([X], [Y], config, [config.seed], kernel_kind, standardize, trace)[0]

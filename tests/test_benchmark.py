@@ -19,8 +19,10 @@ from mtgp.benchmark import (
     rmse,
     run_scenario,
     run_study,
+    training_diagnostics,
 )
 from mtgp.errors import DomainError, ShapeError, UndefinedCorrelationError
+from mtgp import training
 from mtgp.training import MTGPFamily, TrainConfig
 
 TINY = TrainConfig(max_iterations=40, num_restarts=2, seed=0)
@@ -258,6 +260,59 @@ class TestRunStudy:
         assert standalone.gp_rmse == row["gp_rmse"]
         assert standalone.mtgp_rmse == row["mtgp_rmse"]
 
+    def test_batched_study_rows_match_standalone_scenarios(self):
+        from mtgp.benchmark import _scenario_seed
+
+        study = StudyConfig(
+            correlations=(0.89, 0.53), size_grid=((4, 5),), replicates=2, n_test=20, seed=3
+        )
+        res = run_study(study, TINY)
+        assert len(res.rows) == 4
+        for row in res.rows:
+            scenario = BenchmarkScenario(
+                auxiliary_params=res.calibrations[row["correlation_target"]],
+                n_primary=4,
+                n_auxiliary=5,
+                n_test=20,
+                seed=_scenario_seed(3, 4, row["replicate"]),
+            )
+            standalone = run_scenario(scenario, TINY)
+            assert standalone.gp_rmse == row["gp_rmse"]
+            assert standalone.mtgp_rmse == row["mtgp_rmse"]
+
+    def test_one_adam_run_per_cell_and_per_primary_size(self, monkeypatch):
+        runs = []
+        original = training.adam_maximize
+
+        def counting(objective, x0, config, trace=None):
+            runs.append(x0.shape[0])
+            return original(objective, x0, config, trace=trace)
+
+        monkeypatch.setattr(training, "adam_maximize", counting)
+        study = StudyConfig(
+            correlations=(0.89, 0.53), size_grid=((4, 4), (6, 4)), replicates=2, n_test=20
+        )
+        res = run_study(study, TINY)
+        assert len(res.rows) == 2 * 2 * 2
+        R = TINY.num_restarts
+        # one baseline batch per distinct n_primary (2 replicates each), then
+        # one multi-task batch per cell (2 correlations x 2 replicates each)
+        assert runs == [2 * R, 2 * R, 4 * R, 4 * R]
+
+    def test_aggregates_carry_training_diagnostics(self):
+        res = run_study(self.small_study(replicates=2), TINY)
+        for agg in res.aggregates:
+            for key in ("mtgp_training", "gp_training"):
+                diag = agg[key]
+                assert diag["fits"] == 2
+                assert diag["restarts"] == 2 * TINY.num_restarts
+                assert diag["failed_restarts"] == 0
+                assert sum(diag["stop_reasons"].values()) == diag["restarts"]
+                assert set(diag["stop_reasons"]) <= {"converged", "max_iterations"}
+                assert 0 < diag["iterations_median"] <= diag["iterations_max"]
+                assert diag["iterations_max"] <= TINY.max_iterations
+                assert diag["jitter_escalations"] >= 0
+
     def test_series_captured_for_first_replicate(self):
         res = run_study(self.small_study(replicates=2), TINY)
         assert set(res.series) == {(0.89, 4, 4), (0.89, 4, 6), (0.53, 4, 4), (0.53, 4, 6)}
@@ -272,3 +327,34 @@ class TestRunStudy:
         assert "MTGP \\ GP RMSE" in table
         assert "% Improvement" in table
         assert "r=0.89" in table
+
+
+class TestTrainingDiagnostics:
+    def test_counts_restart_outcomes(self):
+        ok = {"status": "ok", "jitter_escalations": 0}
+        fits = [
+            {"restarts": [
+                {**ok, "iterations": 10, "stop_reason": "converged"},
+                {**ok, "iterations": 40, "stop_reason": "max_iterations", "jitter_escalations": 2},
+            ]},
+            {"restarts": [
+                {**ok, "iterations": 25, "stop_reason": "objective_failed: not finite"},
+                {"status": "failed", "error": "objective_failed: Cholesky failed",
+                 "stop_reason": "objective_failed: Cholesky failed", "jitter_escalations": 1},
+            ]},
+        ]
+        assert training_diagnostics(fits) == {
+            "fits": 2,
+            "restarts": 4,
+            "failed_restarts": 1,
+            "stop_reasons": {"converged": 1, "max_iterations": 1, "objective_failed": 2},
+            "jitter_escalations": 3,
+            "iterations_median": 25.0,
+            "iterations_max": 40,
+        }
+
+    def test_all_failed_reports_zero_iterations(self):
+        failed = {"status": "failed", "error": "e", "stop_reason": "objective_failed: e",
+                  "jitter_escalations": 0}
+        diag = training_diagnostics([{"restarts": [failed]}])
+        assert diag["iterations_median"] == 0.0 and diag["iterations_max"] == 0

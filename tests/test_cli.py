@@ -309,6 +309,37 @@ class TestBadInputExitCodes:
         argv = [command] + [str(v) for item in files.items() for v in item]
         self._assert_exit_2(argv, capsys, str(bad))
 
+    @pytest.mark.parametrize("family", ["gp", "mtgp-slfm"])
+    def test_unusable_train_out_fails_before_training(self, tmp_path, capsys, monkeypatch, family):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(cli, "train_gp", recording)
+        monkeypatch.setattr(cli, "train_mtgp", recording)
+        data = write_two_task_csv(tmp_path / "data.csv", n1=0 if family == "gp" else 5)
+        config = write_config(tmp_path / "config.json", family=family)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        bad = tmp_path / "file" / "out"
+        argv = ["train", "--data", str(data), "--config", str(config), "--out", str(bad)]
+        self._assert_exit_2(argv, capsys, str(bad))
+        assert calls == []
+
+    def test_unusable_benchmark_out_fails_before_the_study(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(cli.benchmark, "run_study", recording)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        bad = tmp_path / "file" / "study"
+        argv = ["benchmark", "--correlations", "0.89", "--sizes", "4,4", "--replicates", "1",
+                "--out", str(bad)]
+        self._assert_exit_2(argv, capsys, str(bad))
+        assert calls == []
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_query_value_exits_2(self, tmp_path, capsys, bad):
         model = train_model(tmp_path, "mtgp-slfm")
@@ -497,6 +528,12 @@ class TestBenchmarkCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["aggregates"]) == 1
         assert abs(summary["calibrations"]["0.89"]["achieved"] - 0.89) <= 0.03
+        for key in ("mtgp_training", "gp_training"):
+            diag = summary["aggregates"][0][key]
+            assert (diag["fits"], diag["restarts"], diag["failed_restarts"]) == (2, 4, 0)
+            assert sum(diag["stop_reasons"].values()) == 4
+            assert diag["iterations_max"] <= 40
+        assert list(rows[0]) == cli._ROW_FIELDS
         assert (out / "series_functions_r0.89.csv").exists()
         assert (out / "series_predictions_r0.89_t1-4_t2-4.csv").exists()
 

@@ -561,6 +561,18 @@ class TestBatchedObjective:
         assert set(errors) == {2, 3}
         assert np.all(np.isnan(L[2])) and np.all(np.isnan(L[3]))
 
+    def test_factor_does_not_depend_on_failing_neighbours(self):
+        from mtgp.linalg import cholesky_batch
+
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(3, 20, 20))
+        K = A @ A.swapaxes(-1, -2) + 0.1 * np.eye(20)
+        alone, _, _ = cholesky_batch(K)
+        failing = np.diag(np.r_[np.ones(19), -1e-7])  # needs escalated jitter
+        L, escalated, errors = cholesky_batch(np.concatenate([K[:1], failing[None], K[1:]]))
+        assert not errors and list(escalated) == [False, True, False, False]
+        np.testing.assert_array_equal(L[[0, 2, 3]], alone)
+
 
 GRADIENT_FAMILIES = [
     (mode, kind)

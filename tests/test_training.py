@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from mtgp.coregionalization import assemble_joint_covariance
 from mtgp.data import MultiTaskDataset
-from mtgp.errors import TrainingFailedError
-from mtgp.gp import gp_parameters
+from mtgp.errors import ShapeError, TrainingFailedError
+from mtgp.gp import GPModel, gp_parameters
 from mtgp.kernels import MATERN52, SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import (
     LMLBatch,
@@ -24,7 +26,9 @@ from mtgp.training import (
     check_gradients,
     median_lengthscales,
     train_gp,
+    train_gp_batch,
     train_mtgp,
+    train_mtgp_batch,
 )
 
 FAST = TrainConfig(max_iterations=150, num_restarts=2, seed=0)
@@ -33,7 +37,8 @@ FAST = TrainConfig(max_iterations=150, num_restarts=2, seed=0)
 def batched(objective):
     """Batch objective for adam_maximize from a (value, gradient) one."""
 
-    def evaluate(X):
+    def evaluate(X, rows):
+        assert len(rows) == len(X)
         values, grads = zip(*(objective(x) for x in X))
         return LMLBatch(
             np.array(values, dtype=float),
@@ -212,11 +217,12 @@ class TestAdam:
         def quadratic(v):
             return -float((v - 1.0) @ (v - 1.0)), -2.0 * (v - 1.0)
 
-        calls = []
+        calls, seen_rows = [], []
 
-        def objective(X):
+        def objective(X, rows):
             calls.append(len(X))
-            batch = batched(quadratic)(X)
+            seen_rows.append(list(rows))
+            batch = batched(quadratic)(X, rows)
             if len(calls) == 4:
                 for i in np.flatnonzero(X[:, 0] > 50.0):
                     batch.errors[int(i)] = "synthetic Cholesky failure"
@@ -232,6 +238,7 @@ class TestAdam:
         assert run.value[1] == pytest.approx(quadratic(run.vector[1])[0], rel=1e-15)
         assert run.value[1] > run.initial_value[1]
         assert calls[4:] == [2] * (len(calls) - 4)
+        assert seen_rows[:4] == [[0, 1, 2]] * 4 and seen_rows[4:] == [[0, 2]] * (len(calls) - 4)
         alone = adam_maximize(batched(quadratic), x0[[0, 2]], config)
         np.testing.assert_array_equal(run.vector[[0, 2]], alone.vector)
         np.testing.assert_array_equal(run.value[[0, 2]], alone.value)
@@ -457,6 +464,109 @@ class TestTrainMTGP:
             assert len(excinfo.value.diagnostics) == FAST.num_restarts
         finally:
             training_module.adam_maximize = original
+
+
+def _same_fit(a, b):
+    """Bitwise-equal learned parameters, objective and restart outcomes of two models."""
+    if isinstance(a, GPModel):
+        np.testing.assert_array_equal(a.kernel.lengthscales, b.kernel.lengthscales)
+        assert a.kernel.signal_variance == b.kernel.signal_variance
+        assert a.noise_variance == b.noise_variance
+    else:
+        for ta, tb in zip(a.kernel.terms, b.kernel.terms):
+            np.testing.assert_array_equal(ta.W, tb.W)
+            np.testing.assert_array_equal(ta.gamma, tb.gamma)
+            np.testing.assert_array_equal(ta.base_kernel.lengthscales, tb.base_kernel.lengthscales)
+            assert ta.base_kernel.signal_variance == tb.base_kernel.signal_variance
+        np.testing.assert_array_equal(a.noise_variances, b.noise_variances)
+    assert a.fit_info["objective"] == b.fit_info["objective"]
+    assert a.fit_info["restart"] == b.fit_info["restart"]
+    for ra, rb in zip(a.fit_info["restarts"], b.fit_info["restarts"]):
+        assert (ra["iterations"], ra["stop_reason"]) == (rb["iterations"], rb["stop_reason"])
+        assert ra["final_objective"] == rb["final_objective"]
+
+
+class TestTrainBatch:
+    """Same-shape fits trained as one batch equal the same fits trained alone."""
+
+    # converging restarts leave the batch at different steps, so every fit
+    # sees its running rows shrink while the others keep going
+    CONFIG = TrainConfig(max_iterations=300, num_restarts=3, convergence_tolerance=1e-3)
+
+    @staticmethod
+    def _datasets(count, n0=6, n1=4, dim=1):
+        out = []
+        for i in range(count):
+            rng = make_rng("batch-data", i)
+            X0, X1 = rng.uniform(0, 1, (n0, dim)), rng.uniform(0, 1, (n1, dim))
+            f = lambda X: np.sin(5 * X[:, 0] + i) + 0.3 * X.sum(axis=1)
+            out.append(MultiTaskDataset((X0, X1), (f(X0), (0.8 + 0.1 * i) * f(X1) - 0.2)))
+        return out
+
+    @pytest.mark.parametrize(
+        "family,sizes",
+        [
+            (MTGPFamily(mode="lmc", kernel_kind=MATERN52), (5, 20)),
+            (MTGPFamily(mode="slfm"), (6, 4)),
+        ],
+        ids=["lmc-matern52", "slfm-se"],
+    )
+    def test_mtgp_batch_equals_each_fit_alone(self, family, sizes):
+        datasets = self._datasets(4, *sizes)
+        seeds = [11, 12, 13, 14]
+        models = train_mtgp_batch(datasets, self.CONFIG, seeds, family=family)
+        stops = {r["stop_reason"] for m in models for r in m.fit_info["restarts"]}
+        assert stops == {"converged", "max_iterations"}
+        for dataset, seed, model in zip(datasets, seeds, models):
+            alone = train_mtgp(dataset, replace(self.CONFIG, seed=seed), family=family)
+            _same_fit(model, alone)
+
+    def test_gp_batch_equals_each_fit_alone(self):
+        datasets = self._datasets(5, n0=7, n1=0, dim=2)
+        inputs = [d.inputs[0] for d in datasets]
+        targets = [d.targets[0] for d in datasets]
+        seeds = [3, 1, 4, 1, 5]
+        models = train_gp_batch(inputs, targets, self.CONFIG, seeds, kernel_kind=MATERN52)
+        stops = {r["stop_reason"] for m in models for r in m.fit_info["restarts"]}
+        assert stops == {"converged", "max_iterations"}
+        for X, Y, seed, model in zip(inputs, targets, seeds, models):
+            alone = train_gp(X, Y, replace(self.CONFIG, seed=seed), kernel_kind=MATERN52)
+            _same_fit(model, alone)
+
+    def test_one_dataset_batch_is_train_mtgp(self):
+        dataset = self._datasets(1)[0]
+        (model,) = train_mtgp_batch([dataset], FAST, [FAST.seed])
+        _same_fit(model, train_mtgp(dataset, FAST))
+
+    def test_mismatched_shapes_raise(self):
+        a = self._datasets(1)[0]
+        b = self._datasets(1, n0=5, n1=5)[0]
+        with pytest.raises(ShapeError):
+            train_mtgp_batch([a, b], FAST, [0, 1])
+        with pytest.raises(ShapeError):
+            train_gp_batch([a.inputs[0], b.inputs[0]], [a.targets[0], b.targets[0]], FAST, [0, 1])
+        with pytest.raises(ShapeError):
+            train_mtgp_batch([a, a], FAST, [0])
+
+    def test_failed_fit_raises_with_its_diagnostics(self, monkeypatch):
+        from mtgp.multitask import LayoutStack
+
+        original = LayoutStack.evaluate
+
+        def fail_fit_one(self, X, rows):
+            batch = original(self, X, rows)
+            for i in np.flatnonzero(self.owner[rows] == 1):
+                batch.errors[int(i)] = "synthetic Cholesky failure"
+            return batch
+
+        monkeypatch.setattr(LayoutStack, "evaluate", fail_fit_one)
+        with pytest.raises(TrainingFailedError, match="fit 1 of 3") as excinfo:
+            train_mtgp_batch(self._datasets(3), FAST, [0, 1, 2])
+        diagnostics = excinfo.value.diagnostics
+        assert [d["restart"] for d in diagnostics] == list(range(FAST.num_restarts))
+        for diag in diagnostics:
+            assert diag["status"] == "failed"
+            assert diag["error"] == "objective_failed: synthetic Cholesky failure"
 
 
 def with_base_jitter(K):
