@@ -192,6 +192,7 @@ def cmd_train(args) -> int:
         "num_restarts": train_config.num_restarts,
         "wall_time_s": model.fit_info["wall_time_s"],
         "restarts": model.fit_info["restarts"],
+        "timing": model.fit_info["timing"],
     }
     with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)

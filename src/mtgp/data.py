@@ -136,7 +136,7 @@ def read_task_csv(path) -> tuple[MultiTaskDataset, list[str]]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValidationError(f"{path}: empty file, header row required")
-        fields = [f.strip() for f in reader.fieldnames]
+        fields = reader.fieldnames = [f.strip() for f in reader.fieldnames]  # rows keyed stripped
         xcols = _input_columns(fields)
         extras = set(fields) - set(xcols) - {"task", "y"}
         if extras:
@@ -194,7 +194,7 @@ def read_query_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValidationError(f"{path}: empty file, header row required")
-        fields = [f.strip() for f in reader.fieldnames]
+        fields = reader.fieldnames = [f.strip() for f in reader.fieldnames]  # rows keyed stripped
         xcols = _input_columns(fields)
         extras = set(fields) - set(xcols) - {"task"}
         if extras:

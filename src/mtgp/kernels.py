@@ -23,6 +23,8 @@ MATERN52 = "matern52"
 KERNEL_KINDS = (SQUARED_EXPONENTIAL, MATERN52)
 
 _SQRT5 = np.sqrt(5.0)
+# the factor on r^2 that kernel_profile's argument carries, per kind
+PROFILE_SCALE = {SQUARED_EXPONENTIAL: -0.5, MATERN52: 5.0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,16 +96,26 @@ def kernel_matrix(spec: ScalarKernelSpec, X, X2=None) -> np.ndarray:
     return spec.signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * np.exp(-_SQRT5 * r)
 
 
-def kernel_profile(kind: str, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-variance kernel and its lengthscale slope at scaled squared distances.
+def kernel_profile(kind: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-variance kernel and its lengthscale slope at ``z = PROFILE_SCALE[kind] * r^2``.
 
-    For ``K = s2 * unit`` the derivative with respect to ``log l_p`` is
-    ``s2 * slope * (d_p / l_p)^2``. Works elementwise on arrays of any shape.
+    ``r^2 = sum_p ((x_p - x'_p) / l_p)^2`` is the scaled squared distance;
+    the factor rides on it so that callers fold it into the inverse squared
+    lengthscales. For ``K = s2 * unit`` the derivative with respect to
+    ``log l_p`` is ``s2 * slope * (d_p / l_p)^2``; for SE ``slope is unit``.
+    Works elementwise on arrays of any shape and overwrites z.
     """
     if kind == SQUARED_EXPONENTIAL:
-        unit = np.exp(-0.5 * sq)
+        unit = np.exp(z, out=z)
         return unit, unit
-    r = np.sqrt(sq)
-    e = np.exp(-_SQRT5 * r)
+    slope = np.sqrt(z)  # sqrt(5) r
+    e = np.negative(slope)
+    np.exp(e, out=e)
     # the 1/r singularity of d/dr cancels exactly, so r=0 entries are simply 0
-    return (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * e, (5.0 / 3.0) * (1.0 + _SQRT5 * r) * e
+    slope += 1.0
+    slope *= e  # (1 + sqrt(5) r) e
+    z *= e
+    z *= 1.0 / 3.0
+    z += slope  # (1 + sqrt(5) r + 5 r^2 / 3) e
+    slope *= 5.0 / 3.0
+    return z, slope

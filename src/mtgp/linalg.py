@@ -48,27 +48,28 @@ def cholesky_with_jitter(
 
 
 def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Lower Cholesky factors of a stack ``K`` of shape (B, N, N).
+    """Lower Cholesky factors of a stack ``K`` of shape (B, N, N), overwriting K.
 
-    One batched factorization adds the base relative jitter to every matrix.
-    If it fails, each matrix is factorized on its own: at the base jitter
-    first, with the same routine (so a matrix that factorizes gets the bits
-    the batched call would give it, whatever the other matrices are), then
+    The base relative jitter is added to each matrix's diagonal in place,
+    then one batched factorization runs (a matrix whose mean diagonal is not
+    positive cannot factorize, so its scale needs no floor here). If it
+    fails, each matrix is factorized on its own: at the base jitter first,
+    with the same routine (so a matrix that factorizes gets the bits the
+    batched call would give it, whatever the other matrices are), then
     through :func:`cholesky_with_jitter`'s escalation ladder.
 
     Returns:
-        (L, escalated, errors): the factors, a (B,) flag for matrices that
-        needed more than the base jitter, and ``{row: message}`` for
-        matrices that failed even at the maximum jitter (their L is NaN).
+        (L, rel, errors): the factors, the (B,) relative jitter each matrix
+        was factorized with, and ``{row: message}`` for matrices that failed
+        even at the maximum jitter (their L and rel are NaN).
     """
     B, N = K.shape[0], K.shape[-1]
-    jittered = np.array(K, dtype=float)
-    diag = jittered.reshape(B, N * N)[:, :: N + 1]
-    scale = diag.sum(axis=1) / N
-    diag += BASE_JITTER_REL * np.where(scale > 0.0, scale, 1.0)[:, None]
-    escalated = np.zeros(B, dtype=bool)
+    diag = K.reshape(B, N * N)[:, :: N + 1]
+    rel = np.full(B, BASE_JITTER_REL)
+    given = diag.copy()
+    diag += (diag.sum(axis=1) * (BASE_JITTER_REL / N))[:, None]
     try:
-        return np.linalg.cholesky(jittered), escalated, {}
+        return np.linalg.cholesky(K), rel, {}
     except np.linalg.LinAlgError:
         pass
     L = np.full(K.shape, np.nan)
@@ -76,28 +77,31 @@ def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     for b in range(B):
         if not np.all(np.isfinite(K[b])):
             errors[b] = "covariance matrix has non-finite entries"
+            rel[b] = np.nan
             continue
         try:
-            L[b] = np.linalg.cholesky(jittered[b])
+            L[b] = np.linalg.cholesky(K[b])
             continue
         except np.linalg.LinAlgError:
             pass
+        diag[b] = given[b]
         try:
             L[b], jitter = cholesky_with_jitter(K[b])
         except IllConditionedKernelError as exc:
             errors[b] = str(exc)
+            rel[b] = np.nan
             continue
-        escalated[b] = jitter > BASE_JITTER_REL * jitter_scale(K[b])
-    return L, escalated, errors
+        rel[b] = jitter / jitter_scale(K[b])
+    return L, rel, errors
 
 
 def cholesky_inverse_batch(L: np.ndarray) -> np.ndarray:
-    """``K^{-1} = L^{-T} L^{-1}`` for each lower factor of a stack L (B, N, N)."""
-    U = np.empty_like(L)
+    """``K^{-1} = L^{-T} L^{-1}`` for each lower factor of a C-ordered stack L
+    (B, N, N), which is overwritten with ``L^{-1}``."""
     for b in range(L.shape[0]):
-        # L[b].T is L^T in Fortran order, so LAPACK inverts it without a copy
-        U[b], _ = dtrtri(L[b].T, lower=0)
-    return U @ U.swapaxes(-1, -2)
+        # L[b].T is L^T in Fortran order, so LAPACK inverts it in place
+        dtrtri(L[b].T, lower=0, overwrite_c=1)
+    return L.swapaxes(-1, -2) @ L
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,11 +14,15 @@ The joint covariance has one assembly, on the flat parameter vectors of
 :class:`ExactGPLayout` (a :class:`ParameterLayout`, the package's one
 flat-vector conversion). Training runs it, with the log marginal likelihood
 and its gradient, on all restarts at once, and a :class:`LayoutStack` runs it
-on the restarts of many same-shape fits at once; both likelihood functions
-(this module's and :mod:`mtgp.gp`'s) are its B=1 case, and fitting and
-prediction (here and in :mod:`mtgp.gp`) use it on the fitted parameters.
+on the restarts of many same-shape fits at once. Each row of a batch is
+computed on its own (no product runs across rows), so a restart's value and
+gradient are bitwise the same whichever rows run beside it. Both likelihood
+functions (this module's and :mod:`mtgp.gp`'s) are its B=1 case, and
+fitting and prediction (here and in :mod:`mtgp.gp`) use it on the fitted
+parameters.
 """
 
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,6 +33,7 @@ from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
 from .errors import IllConditionedKernelError, ShapeError
 from .linalg import (
+    BASE_JITTER_REL,
     cholesky_batch,
     cholesky_inverse_batch,
     cholesky_with_jitter,
@@ -109,7 +114,7 @@ def mtgp_fit(
         means = np.zeros(dataset.num_tasks)
         stds = np.ones(dataset.num_tasks)
     layout = ExactGPLayout(kernel, noise, work)
-    K, _ = _assemble(layout, layout.sqdiff, *(b.value[None] for b in layout.blocks))
+    K, _ = _assemble(layout, layout.sqdiff, *layout.groups(layout.template[None]))
     L, jitter = cholesky_with_jitter(K[0])
     weights = chol_solve(L, layout.y)
     return MTGPModel(
@@ -179,65 +184,19 @@ class LMLBatch(NamedTuple):
     ``escalated`` flags rows whose Cholesky factorization needed more than
     the base jitter; ``errors`` maps each row whose factorization failed even
     at the maximum jitter to its message (its value and gradient are NaN).
+    ``phases`` holds the seconds the evaluation spent in each of
+    :data:`PHASES`.
     """
 
     values: np.ndarray
     grads: np.ndarray
     escalated: np.ndarray
     errors: dict
+    phases: tuple = (0.0,) * 5
 
 
-class _BatchData(NamedTuple):
-    """The data of a batch's rows, as :func:`_lml_batch` reads them.
-
-    ``sqdiff`` is the per-dimension squared differences, (P, N*N) when every
-    row shares one dataset, else (B, P, N*N) per row; ``y`` likewise (N,) or
-    (B, N). ``fits`` lists ``(rows, y)`` per fit: the slice of consecutive
-    batch rows that belong to one dataset, and its targets (N,).
-    """
-
-    sqdiff: np.ndarray
-    y: np.ndarray
-    fits: list
-
-
-class _Block(NamedTuple):
-    """One parameter group: template values and where the learned entries sit.
-
-    ``index`` holds the flat positions of the learned entries (shaped like
-    ``value`` when every entry is learned, else listed in C order of
-    ``mask``); ``None`` means the group is fixed at ``value``.
-    """
-
-    value: np.ndarray
-    index: np.ndarray | None
-    mask: np.ndarray | None
-    log: bool
-
-    def natural(self, X: np.ndarray) -> np.ndarray:
-        """Natural values for each row of the flat batch X, shape (B, *value.shape)."""
-        if self.index is None:
-            return np.broadcast_to(self.value, (X.shape[0],) + self.value.shape)
-        raw = X[:, self.index]
-        if self.log:
-            raw = np.exp(raw)
-        if self.mask is None:
-            return raw
-        out = np.repeat(self.value[None], X.shape[0], axis=0)
-        out[:, self.mask] = raw
-        return out
-
-    def scatter(self, grads: np.ndarray, g: np.ndarray):
-        """Write the learned entries of the group gradient g into flat grads."""
-        if self.index is not None:
-            grads[:, self.index] = g if self.mask is None else g[:, self.mask]
-
-    def flat(self, vector: np.ndarray):
-        """Write the template's transformed learned values into a flat vector."""
-        if self.index is not None:
-            with np.errstate(divide="ignore"):
-                v = np.log(self.value) if self.log else self.value  # gamma 0 -> -inf
-            vector[self.index] = v if self.mask is None else v[self.mask]
+# the objective's phases, in the order of ``LMLBatch.phases``
+PHASES = ("materialize", "assemble", "cholesky", "inverse", "gradient")
 
 
 class ParameterLayout:
@@ -248,7 +207,17 @@ class ParameterLayout:
     log-lengthscales (Q, P), log-signal-variances (Q,) and log-noise (D,)
     always, W (Q, D, R) when ``learn_W`` and log-gamma (Q, D) when
     ``learn_gamma``. W is untransformed; a zero gamma is ``-inf``. Groups
-    not learned keep the template's values.
+    not learned keep the template's values, and so do the padding columns
+    of W when terms differ in rank.
+
+    Inside, a batch's natural parameters are one (B, F) array in the order
+    ``[ls (Q*P) | s2 (Q) | noise (D) | gamma (Q*D) | W (Q*D*R)]``, whose
+    leading ``num_logs`` entries (all but W) are exponentiated. One
+    ``np.take`` of the flat vectors by ``gather`` fills it and one
+    ``np.exp`` transforms it, both row by row, so each row's natural
+    parameters are computed the same way in any batch. The gradient, one
+    concatenation of the learned groups' gradients, returns to the flat
+    order through one ``np.take`` by ``scatter``.
 
     The single-task GP is the one-task, one-term case with W fixed at 1 and
     gamma at 0, whose flat vector is ``[log l..., log s2, log noise]``.
@@ -266,58 +235,76 @@ class ParameterLayout:
         self.ranks = [t.rank for t in spec.terms]
         R = max(self.ranks)
         W = np.zeros((Q, D, R))
-        W_mask = np.zeros((Q, D, R), dtype=bool)
-        ls_index = np.empty((Q, P), dtype=int)
-        s2_index = np.empty(Q, dtype=int)
-        gamma_index = np.empty((Q, D), dtype=int)
-        W_index = []
-        pos = 0
         for q, term in enumerate(spec.terms):
             W[q, :, : term.rank] = term.W
-            ls_index[q] = np.arange(pos, pos + P)
-            s2_index[q] = pos + P
-            pos += P + 1
-            if learn_W:
-                W_mask[q, :, : term.rank] = True
-                W_index.extend(range(pos, pos + D * term.rank))
-                pos += D * term.rank
-            if learn_gamma:
-                gamma_index[q] = np.arange(pos, pos + D)
-                pos += D
-        noise_index = np.arange(pos, pos + D)
-        self.size = pos + D
-        if not learn_W:
-            W_block = _Block(W, None, None, False)
-        elif W_mask.all():
-            W_block = _Block(W, np.asarray(W_index).reshape(Q, D, R), None, False)
-        else:
-            W_block = _Block(W, np.asarray(W_index), W_mask, False)
-        ls = np.array([t.base_kernel.lengthscales for t in spec.terms])
-        s2 = np.array([t.base_kernel.signal_variance for t in spec.terms])
-        gamma = np.array([t.gamma for t in spec.terms])
-        self.blocks = (
-            _Block(ls, ls_index, None, True),
-            _Block(s2, s2_index, None, True),
-            W_block,
-            _Block(gamma, gamma_index if learn_gamma else None, None, True),
-            _Block(noise, noise_index, None, True),
+        self.template = np.concatenate(
+            [
+                np.array([t.base_kernel.lengthscales for t in spec.terms]).reshape(-1),
+                [t.base_kernel.signal_variance for t in spec.terms],
+                noise,
+                np.array([t.gamma for t in spec.terms]).reshape(-1),
+                W.reshape(-1),
+            ]
         )
-        self.has_gamma = learn_gamma or bool(np.any(gamma))
-        self.is_W = np.zeros(self.size, dtype=bool)
-        self.is_W[W_index] = True
+        s2_at, noise_at = Q * P, Q * P + Q
+        gamma_at = noise_at + D
+        self.num_logs = W_at = gamma_at + Q * D
+        # natural position of each flat entry, in mtgp_parameter_names order
+        natural = []
+        for q, rank in enumerate(self.ranks):
+            natural += range(q * P, (q + 1) * P)
+            natural.append(s2_at + q)
+            if learn_W:
+                natural += [W_at + (q * D + d) * R + r for d in range(D) for r in range(rank)]
+            if learn_gamma:
+                natural += range(gamma_at + q * D, gamma_at + (q + 1) * D)
+        natural += range(noise_at, noise_at + D)
+        natural = np.asarray(natural)
+        self.size = natural.size
+        self.gather = np.zeros(self.template.size, dtype=int)
+        self.gather[natural] = np.arange(self.size)
+        fixed = np.ones(self.template.size, dtype=bool)
+        fixed[natural] = False
+        self.fixed = np.flatnonzero(fixed)
+        self.natural_index = natural
+        # the gradient concatenates [ls, s2, noise, gamma if learned, W if learned]
+        no_gamma = np.where(natural < W_at, natural, natural - Q * D)
+        self.scatter = natural if learn_gamma else no_gamma
+        self.is_W = natural >= W_at
+        self.learn_W, self.learn_gamma = learn_W, learn_gamma
+        self.has_gamma = learn_gamma or bool(np.any(self.template[gamma_at:W_at]))
+        bounds = [0, s2_at, noise_at, gamma_at, W_at, None]
+        self.group_slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.group_shapes = ((Q, P), (Q,), (D,), (Q, D), (Q, D, R))
         self.kinds = [t.base_kernel.kind for t in spec.terms]
         self.num_tasks = D
 
+    def natural_batch(self, X: np.ndarray) -> np.ndarray:
+        """The (B, F) natural parameters of the flat batch X (B, size)."""
+        nat = np.take(X, self.gather, axis=1)
+        logs = nat[:, : self.num_logs]
+        np.exp(logs, out=logs)
+        if self.fixed.size:
+            nat[:, self.fixed] = self.template[self.fixed]
+        return nat
+
+    def groups(self, nat: np.ndarray):
+        """Views ``(ls, s2, noise, gamma, W)`` of natural parameters (B, F),
+        shaped (B,Q,P), (B,Q), (B,D), (B,Q,D) and (B,Q,D,R)."""
+        B = nat.shape[0]
+        slices, shapes = self.group_slices, self.group_shapes
+        return tuple(nat[:, at].reshape((B,) + shape) for at, shape in zip(slices, shapes))
+
     def initial_vector(self) -> np.ndarray:
         """The template's learned parameters as a flat vector."""
-        vector = np.empty(self.size)
-        for block in self.blocks:
-            block.flat(vector)
-        return vector
+        with np.errstate(divide="ignore"):  # a zero gamma is -inf
+            logs = np.log(self.template[: self.num_logs])
+        return np.concatenate([logs, self.template[self.num_logs :]])[self.natural_index]
 
     def materialize(self, vector: np.ndarray) -> tuple[MultiTaskKernelSpec, np.ndarray]:
         """Kernel spec and noise vector of one flat parameter vector."""
-        ls, s2, W, gamma, noise = (b.natural(np.asarray(vector)[None])[0] for b in self.blocks)
+        nat = self.natural_batch(np.asarray(vector)[None])
+        ls, s2, noise, gamma, W = (group[0] for group in self.groups(nat))
         terms = tuple(
             CoregionalizationTerm(
                 W[q, :, :rank],
@@ -363,6 +350,8 @@ class ExactGPLayout(ParameterLayout):
             (kind, np.asarray([q for q in range(Q) if self.kinds[q] == kind]))
             for kind in sorted(set(self.kinds))
         ]
+        # per term, the factor kernels.kernel_profile expects on r^2
+        self.profile_scale = np.array([kernels.PROFILE_SCALE[k] for k in self.kinds])[:, None]
         self.X = dataset.stacked_inputs()
         N = self.X.shape[0]
         diff = self.X[:, None, :] - self.X[None, :, :]
@@ -373,7 +362,7 @@ class ExactGPLayout(ParameterLayout):
         self.onehot[np.arange(N), self.tasks] = 1.0
         self.y = dataset.stacked_targets()
         self.shape = (Q, D, P, N)
-        self.data = _BatchData(self.sqdiff, self.y, [(slice(None), self.y)])
+        self.log_norm = 0.5 * N * np.log(2.0 * np.pi)
 
     def evaluate(self, X: np.ndarray, rows=None) -> LMLBatch:
         """Log marginal likelihood and flat gradient for each row of X (B, size).
@@ -381,22 +370,12 @@ class ExactGPLayout(ParameterLayout):
         ``rows`` (the restart indices :func:`~mtgp.training.adam_maximize`
         passes) is not needed: every row belongs to this layout's dataset.
         """
-        X = np.asarray(X, dtype=float)
-        return self._evaluate_natural([b.natural(X) for b in self.blocks], self.data)
+        started = time.perf_counter()
+        return _lml_batch(self, self.natural_batch(X), self.sqdiff, self.y, started)
 
     def evaluate_template(self) -> LMLBatch:
         """The B=1 batch of the template's own parameters, with no transform round trip."""
-        return self._evaluate_natural([b.value[None] for b in self.blocks], self.data)
-
-    def _evaluate_natural(self, params, data: _BatchData) -> LMLBatch:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values, group_grads, escalated, errors = _lml_batch(self, data, *params)
-        grads = np.empty((values.shape[0], self.size))
-        for block, g in zip(self.blocks, group_grads):
-            block.scatter(grads, g)
-        if errors:
-            grads[list(errors)] = np.nan
-        return LMLBatch(values, grads, escalated, errors)
+        return _lml_batch(self, self.template[None], self.sqdiff, self.y, time.perf_counter())
 
     def cross_covariance(
         self, task: int, Xstar: np.ndarray, full_cov: bool = False
@@ -408,21 +387,22 @@ class ExactGPLayout(ParameterLayout):
         Terms are added one at a time, so a large query never holds a
         (Q, M, N) stack.
         """
-        ls, s2, W, gamma, _ = (b.value for b in self.blocks)
-        Bq = _task_covariances(self, W[None], gamma[None])[0]
+        ls, s2, _, gamma, W = self.groups(self.template[None])
+        Bq = _task_covariances(self, W, gamma)[0]
+        ls, s2 = ls[0], s2[0]
         Kstar = np.zeros((Xstar.shape[0], self.X.shape[0]))
         prior = np.zeros((Xstar.shape[0],) * (2 if full_cov else 1))
         for q, kind in enumerate(self.kinds):
-            inv_ls2 = ls[q] ** -2.0
+            scale = ls[q] ** -2.0 * self.profile_scale[q]
             coeffs = Bq[q, task, self.tasks]
             if np.any(coeffs != 0.0):
-                sq = _scaled_sq_dists(Xstar, self.X, inv_ls2)
-                Kstar += s2[q] * kernels.kernel_profile(kind, sq)[0] * coeffs
+                z = _scaled_sq_dists(Xstar, self.X, scale)
+                Kstar += s2[q] * kernels.kernel_profile(kind, z)[0] * coeffs
             if Bq[q, task, task] == 0.0:
                 continue
             if full_cov:
-                sq = _scaled_sq_dists(Xstar, Xstar, inv_ls2)
-                prior += Bq[q, task, task] * (s2[q] * kernels.kernel_profile(kind, sq)[0])
+                z = _scaled_sq_dists(Xstar, Xstar, scale)
+                prior += Bq[q, task, task] * (s2[q] * kernels.kernel_profile(kind, z)[0])
             else:
                 prior += Bq[q, task, task] * s2[q]
         return Kstar, prior
@@ -433,18 +413,14 @@ class LayoutStack:
 
     Each layout holds one dataset and its fit's template; all share the
     model shape, the task pattern (rows per task) and the template values of
-    every parameter group they do not learn, so one flat vector means the
-    same parameters under each. Row i of the batch's initial vectors belongs
-    to layout ``owner[i]``: ``rows_per_layout`` consecutive rows each. The
-    data is stacked, ``sqdiff`` (F, P, N*N) and ``y`` (F, N), and
+    every parameter they do not learn, so one flat vector means the same
+    parameters under each. Row i of the batch's initial vectors belongs to
+    layout ``owner[i]``: ``rows_per_layout`` consecutive rows each. The data
+    is stacked, ``sqdiff`` (F, P, N*N) and ``y`` (F, N), and
     :meth:`evaluate` picks each running row's dataset by its row index.
-
-    Every row's value and gradient are bitwise those of its layout's own
-    :meth:`ExactGPLayout.evaluate` on that fit's running rows. numpy takes
-    BLAS or its own loop for the small parameter products by the memory
-    layout of the natural parameters, which differs between a batch of one
-    row and of several; so the rows of fits down to their last running row
-    are evaluated apart, in the one-row layout.
+    The objective computes every row on its own, so a row's value and
+    gradient are bitwise those of its layout's own
+    :meth:`ExactGPLayout.evaluate`, whichever rows run beside it.
     """
 
     def __init__(self, layouts, rows_per_layout: int):
@@ -458,30 +434,11 @@ class LayoutStack:
 
     def evaluate(self, X: np.ndarray, rows: np.ndarray) -> LMLBatch:
         """Log marginal likelihood and flat gradient of X (B, size), row b of
-        which is initial row ``rows[b]`` (ascending)."""
-        X = np.asarray(X, dtype=float)
+        which is initial row ``rows[b]``."""
+        started = time.perf_counter()
         owner = self.owner[rows]
-        alone = np.bincount(owner)[owner] == 1
-        if alone.all() or not alone.any():
-            return self._evaluate(X, owner, alone.all())
-        parts = [np.flatnonzero(~alone), np.flatnonzero(alone)]
-        batches = [self._evaluate(X[p], owner[p], one) for p, one in zip(parts, (False, True))]
-        values, grads = np.empty(owner.size), np.empty((owner.size, X.shape[1]))
-        escalated, errors = np.empty(owner.size, dtype=bool), {}
-        for p, batch in zip(parts, batches):
-            values[p], grads[p], escalated[p] = batch.values, batch.grads, batch.escalated
-            errors.update({int(p[i]): message for i, message in batch.errors.items()})
-        return LMLBatch(values, grads, escalated, errors)
-
-    def _evaluate(self, X, owner, one_row: bool) -> LMLBatch:
-        params = [b.natural(X) for b in self.layout.blocks]
-        if one_row:
-            params = [np.ascontiguousarray(p) for p in params]
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        ends = np.append(starts[1:], owner.size)
-        fits = [(slice(a, b), self.y[owner[a]]) for a, b in zip(starts, ends)]
-        data = _BatchData(self.sqdiff[owner], self.y[owner], fits)
-        return self.layout._evaluate_natural(params, data)
+        nat = self.layout.natural_batch(X)
+        return _lml_batch(self.layout, nat, self.sqdiff[owner], self.y[owner], started)
 
 
 def _require_same_shape(a: ExactGPLayout, b: ExactGPLayout):
@@ -493,25 +450,21 @@ def _require_same_shape(a: ExactGPLayout, b: ExactGPLayout):
         )
     if not np.array_equal(a.tasks, b.tasks):
         raise ShapeError("layouts of one batch must share the rows per task")
-    for x, y in zip(a.blocks, b.blocks):
-        if x.index is None or y.index is None:
-            same = x.index is y.index and np.array_equal(x.value, y.value)
-        else:
-            same = np.array_equal(x.index, y.index) and (
-                x.mask is None or np.array_equal(x.value, y.value)  # entries kept at the template
-            )
-        if not same:
-            raise ShapeError("layouts of one batch must learn and fix the same parameters")
+    if not (
+        np.array_equal(a.natural_index, b.natural_index)
+        and np.array_equal(a.template[a.fixed], b.template[b.fixed])
+    ):
+        raise ShapeError("layouts of one batch must learn and fix the same parameters")
 
 
-def _scaled_sq_dists(A: np.ndarray, B: np.ndarray, inv_ls2: np.ndarray) -> np.ndarray:
-    """``sum_p (A_ip - B_jp)^2 / l_p^2`` for row sets A (M, P) and B (N, P).
+def _scaled_sq_dists(A: np.ndarray, B: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``sum_p (A_ip - B_jp)^2 * scale_p`` for row sets A (M, P) and B (N, P).
 
     Summed one input dimension at a time, so a large query holds (M, N)
     arrays only, never an (M, N, P) one.
     """
     sq = np.zeros((A.shape[0], B.shape[0]))
-    for p, w in enumerate(inv_ls2):
+    for p, w in enumerate(scale):
         d = A[:, p, None] - B[None, :, p]
         d *= d
         d *= w
@@ -528,76 +481,103 @@ def _task_covariances(layout: ExactGPLayout, W, gamma) -> np.ndarray:
     return Bq
 
 
-def _assemble(layout: ExactGPLayout, sqdiff, ls, s2, W, gamma, noise):
+def _assemble(layout: ExactGPLayout, sqdiff, ls, s2, noise, gamma, W):
     """Joint covariance ``K`` (B, N, N) of a batch of natural parameters.
 
-    Scaled squared distances go through :func:`~mtgp.kernels.kernel_profile`,
-    each term is weighted by its ``B_q`` task mask, and the per-task noise
-    lands on the diagonal. ``sqdiff`` is the layout's (P, N*N) or one per
-    row, (B, P, N*N); other shapes as in :func:`_lml_batch`. Also returns the
-    per-term pieces the gradient reuses: ``(inv_ls2, unit, slope, Bq, mask,
-    Kq)``, where ``slope is unit`` for SE.
+    The kernel profile's factor rides on the inverse squared lengthscales,
+    so one product gives each term's profile argument; each term is
+    weighted by its ``s2_q B_q`` task mask, and the per-task noise lands on
+    the diagonal. ``sqdiff`` is the layout's (P, N*N) or one per row,
+    (B, P, N*N); parameters as :meth:`ParameterLayout.groups` gives them.
+    Also returns the per-term pieces the gradient reuses: ``(inv_ls2, unit,
+    slope, Bq, mask, Km)`` with ``Km = mask * unit``, where ``slope is
+    unit`` for SE.
     """
     Q, D, P, N = layout.shape
     B = ls.shape[0]
     inv_ls2 = ls**-2.0
-    sq = (inv_ls2 @ sqdiff).reshape(B, Q, N, N)
+    z = ((inv_ls2 * layout.profile_scale) @ sqdiff).reshape(B, Q, N, N)
     if len(layout.kind_groups) == 1:
-        unit, slope = kernels.kernel_profile(layout.kind_groups[0][0], sq)
+        unit, slope = kernels.kernel_profile(layout.kind_groups[0][0], z)
     else:
-        unit, slope = np.empty_like(sq), np.empty_like(sq)
+        unit, slope = np.empty_like(z), np.empty_like(z)
         for kind, qs in layout.kind_groups:
-            unit[:, qs], slope[:, qs] = kernels.kernel_profile(kind, sq[:, qs])
+            unit[:, qs], slope[:, qs] = kernels.kernel_profile(kind, z[:, qs])
     Bq = _task_covariances(layout, W, gamma)
-    mask = np.take(Bq.reshape(B, Q, D * D), layout.pair_index, axis=-1)
-    Kq = s2[..., None, None] * unit
-    K = (mask * Kq).sum(axis=1)
+    mask = np.take((Bq * s2[..., None, None]).reshape(B, Q, D * D), layout.pair_index, axis=-1)
+    Km = mask * unit
+    K = Km.sum(axis=1)
     K.reshape(B, N * N)[:, :: N + 1] += noise[:, layout.tasks]
-    return K, (inv_ls2, unit, slope, Bq, mask, Kq)
+    return K, (inv_ls2, unit, slope, Bq, mask, Km)
 
 
-def _lml_batch(layout: ExactGPLayout, data: _BatchData, ls, s2, W, gamma, noise):
-    """Value and per-group gradients of the joint log marginal likelihood.
+def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, started: float) -> LMLBatch:
+    """Value and flat gradient of the joint log marginal likelihood.
 
-    Natural parameters carry a leading batch axis B: ls (B,Q,P), s2 (B,Q),
-    W (B,Q,D,R), gamma (B,Q,D), noise (B,D); ``data`` holds the rows' data.
-    Every operation acts row by row, except the two products that BLAS
-    computes across rows (the quadratic term and the noise gradient); those
-    run per fit, so a row's result does not depend on the other fits sharing
-    its batch. With ``M = alpha alpha^T - K^{-1}``
-    every derivative is ``1/2 tr(M dK/dt)``; per term, ``T = E^T (M * K_q) E``
-    sums M * K_q over task blocks, so dL/dW = T W, dL/d(log gamma) =
-    gamma diag(T) / 2 and dL/d(log s2) = sum(B_q * T) / 2. Gradients of
-    positive parameters are in log space.
+    ``nat`` holds the natural parameters (B, F) of the batch's rows,
+    ``sqdiff`` and ``y`` their data, shared (P, N*N) and (N,) or one per
+    row, (B, P, N*N) and (B, N). Every operation acts on each row alone, so
+    a row's result does not depend on the rows beside it. With ``M = alpha
+    alpha^T - K^{-1}`` every derivative is ``1/2 tr(M dK/dt)``. The jitter
+    ``rel mean(diag K)`` the factorization adds moves with the parameters;
+    adding ``rel tr(M) / N`` to M's diagonal carries its derivative. Per
+    term, ``T = E^T (M * K_q) E`` sums M * K_q over task blocks, so dL/dW =
+    T W, dL/d(log gamma) = gamma diag(T) / 2 and dL/d(log s2) = sum(B_q *
+    T) / 2. Gradients of positive parameters are in log space. ``started``
+    is the evaluation's start, from which the phases are timed.
     """
     Q, D, P, N = layout.shape
-    B = ls.shape[0]
-    K, parts = _assemble(layout, data.sqdiff, ls, s2, W, gamma, noise)
-    inv_ls2, unit, slope, Bq, mask, Kq = parts
+    B = nat.shape[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ls, s2, noise, gamma, W = layout.groups(nat)
+        t_natural = time.perf_counter()
+        K, (inv_ls2, unit, slope, Bq, mask, Km) = _assemble(
+            layout, sqdiff, ls, s2, noise, gamma, W
+        )
+        t_assembled = time.perf_counter()
+        L, rel, errors = cholesky_batch(K)
+        if errors:
+            L[list(errors)] = np.eye(N)
+        half_logdet = np.log(L.reshape(B, N * N)[:, :: N + 1]).sum(axis=1)
+        t_factored = time.perf_counter()
+        Kinv = cholesky_inverse_batch(L)
+        t_inverted = time.perf_counter()
 
-    L, escalated, errors = cholesky_batch(K)
+        alpha = (Kinv @ y[..., None])[..., 0]
+        values = -0.5 * (alpha * y).sum(axis=-1) - half_logdet - layout.log_norm
+        M = alpha[:, :, None] * alpha[:, None, :]
+        M -= Kinv
+        M_diag = M.reshape(B, N * N)[:, :: N + 1]
+        M_diag += (rel / N * M_diag.sum(axis=1))[:, None]
+        # G = M * dK/d(log l_p) without the (d_p / l_p)^2 factor; slope is unit for SE
+        G = M[:, None] * Km if slope is unit else (M[:, None] * mask) * slope
+        g_ls = 0.5 * inv_ls2 * (G.reshape(B, Q, N * N) @ sqdiff.swapaxes(-1, -2))
+        g_noise = 0.5 * noise * (M_diag[:, None, :] @ layout.onehot)[:, 0]
+        if layout.learn_W or layout.learn_gamma:
+            T = layout.onehot.T @ (M[:, None] * unit) @ layout.onehot
+            T *= s2[..., None, None]
+            g_s2 = 0.5 * (Bq * T).sum(axis=(-2, -1))
+        else:  # dK/d(log s2_q) = Km_q, which is G for SE
+            g_s2 = 0.5 * (G if slope is unit else M[:, None] * Km).sum(axis=(-2, -1))
+        parts = [g_ls.reshape(B, Q * P), g_s2, g_noise]
+        if layout.learn_gamma:
+            g_gamma = 0.5 * gamma * T.reshape(B, Q, D * D)[..., :: D + 1]
+            parts.append(g_gamma.reshape(B, Q * D))
+        if layout.learn_W:
+            parts.append((T @ W).reshape(B, -1))
+        grads = np.take(np.concatenate(parts, axis=1), layout.scatter, axis=1)
     if errors:
-        L[list(errors)] = np.eye(N)
-    Kinv = cholesky_inverse_batch(L)
-    alpha = (Kinv @ data.y[..., None])[..., 0]
-    logdet = 2.0 * np.log(L.reshape(B, N * N)[:, :: N + 1]).sum(axis=1)
-    quadratic = np.concatenate([alpha[fit] @ y for fit, y in data.fits])
-    values = -0.5 * quadratic - 0.5 * logdet - 0.5 * N * np.log(2.0 * np.pi)
-    if errors:
-        values[list(errors)] = np.nan
-
-    M = alpha[:, :, None] * alpha[:, None, :] - Kinv
-    MK = M[:, None] * Kq
-    T = layout.onehot.T @ MK @ layout.onehot
-    # G = M * dK/d(log l_p) without the (d_p / l_p)^2 factor; slope is unit for SE
-    G = MK * mask if slope is unit else (M[:, None] * mask) * (s2[..., None, None] * slope)
-    g_ls = 0.5 * inv_ls2 * (G.reshape(B, Q, N * N) @ data.sqdiff.swapaxes(-1, -2))
-    g_s2 = 0.5 * (Bq * T).sum(axis=(-2, -1))
-    g_W = T @ W
-    g_gamma = 0.5 * gamma * T.reshape(B, Q, D * D)[..., :: D + 1]
-    M_diag = M.reshape(B, N * N)[:, :: N + 1]
-    g_noise = 0.5 * noise * np.concatenate([M_diag[fit] @ layout.onehot for fit, _ in data.fits])
-    return values, (g_ls, g_s2, g_W, g_gamma, g_noise), escalated, errors
+        rows = list(errors)
+        values[rows] = np.nan
+        grads[rows] = np.nan
+    phases = (
+        t_natural - started,
+        t_assembled - t_natural,
+        t_factored - t_assembled,
+        t_inverted - t_factored,
+        time.perf_counter() - t_inverted,
+    )
+    return LMLBatch(values, grads, rel > BASE_JITTER_REL, errors, phases)
 
 
 def mtgp_log_marginal_likelihood(

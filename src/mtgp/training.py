@@ -12,8 +12,9 @@ layout and the seeded restart vectors; then one :func:`adam_maximize` run
 over all restarts of all fits, through the vectorized objective of
 :class:`~mtgp.multitask.ExactGPLayout` (one dataset) or
 :class:`~mtgp.multitask.LayoutStack` (several); then per fit the winner, the
-fitted model and ``fit_info``, whose ``wall_time_s`` is the whole batch's
-time. A fit's result is bitwise the one it gets when trained alone.
+fitted model and ``fit_info``, whose ``wall_time_s`` and ``timing`` are the
+whole batch's. The objective computes each row on its own, so a fit's result
+is bitwise the one it gets when trained alone.
 :func:`train_mtgp_batch` runs the driver on multi-task data and
 :func:`train_gp_batch` as the one-task case (the independent family on
 one-task datasets), folding the target scale and offset into each model;
@@ -30,7 +31,7 @@ from .data import MultiTaskDataset, standardize_targets
 from .errors import DomainError, MTGPError, ShapeError, TrainingFailedError
 from .gp import GPModel, gp_fit
 from .kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
-from .multitask import ExactGPLayout, LayoutStack, LMLBatch, MTGPModel, mtgp_fit
+from .multitask import PHASES, ExactGPLayout, LayoutStack, LMLBatch, MTGPModel, mtgp_fit
 from .seeding import make_rng
 
 ADAM_BETA1 = 0.9
@@ -138,7 +139,11 @@ class AdamRun:
     point failed (``failed``). ``stop_reasons`` holds ``converged``,
     ``max_iterations`` or ``objective_failed: <message>`` per row, and
     ``jitter_escalations`` counts the row's evaluations whose Cholesky
-    factorization needed more than the base jitter.
+    factorization needed more than the base jitter. ``timing`` holds the
+    run's seconds per objective phase (``<phase>_s`` for each of
+    :data:`~mtgp.multitask.PHASES`), ``adam_step_s`` for everything else
+    (the Adam update, the per-row bookkeeping and call overhead) and
+    ``objective_calls``.
     """
 
     vector: np.ndarray
@@ -150,6 +155,7 @@ class AdamRun:
     failed: np.ndarray
     stop_reasons: list
     jitter_escalations: np.ndarray
+    timing: dict
 
 
 def _failures(batch: LMLBatch) -> dict:
@@ -182,9 +188,11 @@ def adam_maximize(
     influence each other. ``trace(row, iteration, value, grad_norm)`` is
     called per row and evaluation, iteration by iteration.
     """
+    started = time.perf_counter()
     x = np.array(x0, dtype=float)
     B = x.shape[0]
     batch = objective(x, np.arange(B))
+    phases, calls = list(batch.phases), 1
     initial_value = np.array(batch.values, dtype=float)
     best_x, best_value = x.copy(), initial_value.copy()
     escalations = np.array(batch.escalated, dtype=int)
@@ -220,27 +228,37 @@ def adam_maximize(
         x += config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
         batch = objective(x, rows)
         values, grad = batch.values, batch.grads
+        phases = [a + b for a, b in zip(phases, batch.phases)]
+        calls += 1
         if batch.escalated.any():
             escalations[rows] += batch.escalated
+        failures = _failures(batch)
         stop = np.zeros(rows.size, dtype=bool)
-        for i, message in _failures(batch).items():
+        for i, message in failures.items():
             stop[i] = True
             stop_reasons[rows[i]] = f"objective_failed: {message}"
         if trace is not None:
             _trace_rows(trace, rows[~stop], t, values[~stop], grad[~stop])
-        better = (values > bv) & ~stop
-        bv[better] = values[better]
-        bx[better] = x[better]
+        better = values > bv
+        if failures:
+            better &= ~stop
+        np.copyto(bv, values, where=better)
+        np.copyto(bx, x, where=better[:, None])
         history[t % window] = values
+        finished = bool(failures)
         if t >= CONVERGENCE_WINDOW:
             prev = history[(t - CONVERGENCE_WINDOW) % window]
             tolerance = config.convergence_tolerance * np.maximum(1.0, np.abs(prev))
-            done = (np.abs(values - prev) <= tolerance) & ~stop
-            for r in rows[done]:
-                converged[r] = True
-                stop_reasons[r] = "converged"
-            stop |= done
-        if stop.any():
+            done = np.abs(values - prev) <= tolerance
+            if failures:
+                done &= ~stop
+            if done.any():
+                for r in rows[done]:
+                    converged[r] = True
+                    stop_reasons[r] = "converged"
+                stop |= done
+                finished = True
+        if finished:
             row_iterations[rows[stop]] = t
             best_x[rows[stop]] = bx[stop]
             best_value[rows[stop]] = bv[stop]
@@ -250,6 +268,9 @@ def adam_maximize(
     row_iterations[rows] = config.max_iterations
     best_x[rows] = bx
     best_value[rows] = bv
+    timing = {f"{name}_s": seconds for name, seconds in zip(PHASES, phases)}
+    timing["adam_step_s"] = time.perf_counter() - started - sum(phases)
+    timing["objective_calls"] = calls
     return AdamRun(
         best_x,
         best_value,
@@ -260,6 +281,7 @@ def adam_maximize(
         failed,
         stop_reasons,
         escalations,
+        timing,
     )
 
 
@@ -414,7 +436,8 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
     for several, so a fit's result does not depend on which other fits
     share its batch. Each fit's winning (spec, noise) goes with its
     standardization means and stds to ``fit(i, spec, noise, means, stds)``,
-    whose model gets ``fit_info``; ``wall_time_s`` is the whole batch's.
+    whose model gets ``fit_info``; ``wall_time_s`` and ``timing`` are the
+    whole batch's.
     """
     started = time.perf_counter()
     if len(seeds) != len(datasets):
@@ -451,6 +474,7 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
             "iterations": int(run.row_iterations[row]),
             "restart": restart,
             "wall_time_s": None,  # the whole batch's, set below
+            "timing": dict(run.timing),  # the whole batch's
             "restarts": diagnostics,
         }
         models.append(model)

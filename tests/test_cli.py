@@ -258,6 +258,40 @@ class TestTrainPredict:
         assert restarts[metrics["winning_restart"]]["final_objective"] == metrics["objective"]
 
 
+    def test_metrics_report_phase_timing(self, tmp_path):
+        model = train_model(tmp_path, "mtgp-lmc", kernel="matern52")
+        metrics = json.loads((model.parent / "metrics.json").read_text())
+        timing = metrics["timing"]
+        phases = ["materialize_s", "assemble_s", "cholesky_s", "inverse_s", "gradient_s", "adam_step_s"]
+        assert sorted(timing) == sorted(phases + ["objective_calls"])
+        # the initial point plus one batch step per iteration; no restart converged
+        assert timing["objective_calls"] == metrics["iterations"] + 1
+        assert all(timing[p] >= 0.0 for p in phases)
+        assert sum(timing[p] for p in phases) <= metrics["wall_time_s"]
+        assert "timing" not in model.read_text()
+
+    def test_padded_csv_headers_read_like_plain_ones(self, tmp_path):
+        plain = write_two_task_csv(tmp_path / "data.csv")
+        lines = plain.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "x1,task,y"
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n".join([" x1 , task,y "] + lines[1:]) + "\n", encoding="utf-8")
+        config = write_config(tmp_path / "config.json", max_iterations=5)
+        query = tmp_path / "query.csv"
+        query.write_text("x1,task\n0.3,0\n0.6,1\n", encoding="utf-8")
+        padded_query = tmp_path / "padded_query.csv"
+        padded_query.write_text(" task , x1\n0,0.3\n1,0.6\n", encoding="utf-8")
+        outputs = []
+        for data, queries in ((plain, query), (padded, padded_query)):
+            out = tmp_path / data.stem
+            assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
+            preds = tmp_path / f"{data.stem}_preds.csv"
+            argv = ["predict", "--model", str(out / "model.json"), "--data", str(queries), "--out", str(preds)]
+            assert cli.main(argv) == 0
+            outputs.append(((out / "model.json").read_bytes(), preds.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
 class TestBadInputExitCodes:
     """Bad input exits 2 with a one-line error, never a traceback."""
 
@@ -266,6 +300,27 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command,header,needle",
+        [
+            ("train", " x1 , task , y , color ", "unknown columns ['color']"),
+            ("train", " x1 , y ", "missing required column 'task'"),
+            ("predict", " x1 , task , y ", "unknown columns ['y']"),
+            ("predict", " x1 ", "missing required column 'task'"),
+        ],
+    )
+    def test_padded_header_column_errors_exit_2(self, tmp_path, capsys, command, header, needle):
+        width = len(header.split(","))
+        data = tmp_path / "padded.csv"
+        data.write_text(header + "\n" + ",".join(["0"] * width) + "\n", encoding="utf-8")
+        if command == "train":
+            config = write_config(tmp_path / "config.json")
+            argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        else:
+            model = train_model(tmp_path, "mtgp-slfm")
+            argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.csv")]
+        self._assert_exit_2(argv, capsys, needle)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_training_value_exits_2(self, tmp_path, capsys, bad):
@@ -433,6 +488,44 @@ class TestOracleIndependence:
         assert len(read_csv_rows(out)) == (3 if rank else 2)
         with pytest.raises(AssertionError, match="oracle"):
             kernels.kernel_matrix(None, None)
+
+
+def _load_perfbench(name):
+    """A perfbench module loaded read-only from its file, under a private name."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfbenchOracles:
+    """``mtgp train``/``mtgp predict`` outputs against perfbench's dense recomputations."""
+
+    @pytest.mark.parametrize(
+        "family,kernel,rank",
+        [("mtgp-lmc", "matern52", 2), ("mtgp-slfm", "squared_exponential", 1), ("gp", "squared_exponential", 1)],
+    )
+    def test_train_and_predict_match_the_dense_model(self, tmp_path, family, kernel, rank):
+        checks, inputs = _load_perfbench("checks"), _load_perfbench("inputs")
+        ds = inputs.make_dataset(3, 0, str(tmp_path / "data"))
+        data = ds["task0_csv"] if family == "gp" else ds["train_csv"]
+        config = write_config(
+            tmp_path / "config.json", family=family, kernel=kernel, rank=rank, max_iterations=150
+        )
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", data, "--config", str(config), "--out", str(out)]) == 0
+        doc = checks.load_json(str(out / "model.json"))
+        assert checks.check_train(doc, checks.load_json(str(out / "metrics.json"))) == []
+        preds = tmp_path / "preds.csv"
+        argv = ["predict", "--model", str(out / "model.json"), "--data", ds["held_out_csv"], "--out", str(preds)]
+        assert cli.main(argv) == 0
+        pred = checks.parse_rows(checks.read_csv(str(preds)))
+        query = checks.parse_rows(checks.read_csv(ds["held_out_csv"]))
+        sample = np.arange(0, query["task"].size, 8)
+        assert checks.check_predictions(pred, query, checks.DenseModel(doc), sample) == []
 
 
 class TestModuleEntryPoint:

@@ -7,6 +7,7 @@ from mtgp.errors import ShapeError
 from mtgp.gp import gp_layout, gp_parameters
 from mtgp.kernels import (
     MATERN52,
+    PROFILE_SCALE,
     SQUARED_EXPONENTIAL,
     ScalarKernelSpec,
     kernel_matrix,
@@ -30,7 +31,7 @@ def profile_gradients(spec, X):
     """Derivatives of kernel_matrix(spec, X, X) w.r.t. [log l_1, ..., log l_P, log s2],
     built from kernel_profile as the model's objective builds them."""
     scaled_sq = (X[:, None, :] - X[None, :, :]) ** 2 / spec.lengthscales**2
-    unit, slope = kernel_profile(spec.kind, scaled_sq.sum(axis=-1))
+    unit, slope = kernel_profile(spec.kind, PROFILE_SCALE[spec.kind] * scaled_sq.sum(axis=-1))
     grads = [spec.signal_variance * slope * scaled_sq[:, :, p] for p in range(spec.input_dim)]
     return grads + [spec.signal_variance * unit]
 
