@@ -290,10 +290,11 @@ def _parse_study_config(args):
     ):
         raise ValidationError(f"{path}: 'correlations' must be a list of numbers")
     sizes = doc.get("sizes", [list(p) for p in benchmark.DEFAULT_SIZE_GRID])
-    try:
-        size_grid = tuple((int(p[0]), int(p[1])) for p in sizes)
-    except (TypeError, ValueError, IndexError):
-        raise ValidationError(f"{path}: 'sizes' must be a list of [n1, n2] pairs") from None
+    if not isinstance(sizes, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(n) is int for n in p) for p in sizes
+    ):
+        raise ValidationError(f"{path}: 'sizes' must be a list of [n1, n2] integer pairs")
+    size_grid = tuple(tuple(p) for p in sizes)
     train_doc = doc.get("train", {})
     if not isinstance(train_doc, dict):
         raise ValidationError(f"{path}: 'train' must be an object")
@@ -357,7 +358,7 @@ def _write_study_files(result, out_dir: str):
             f"{target:g}": {
                 "a": params.a,
                 "b": params.b,
-                "achieved": benchmark.achieved_correlation(params),
+                "achieved": result.achieved[target],
             }
             for target, params in result.calibrations.items()
         },

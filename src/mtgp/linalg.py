@@ -1,98 +1,62 @@
-"""Cholesky helpers with relative jitter and bounded escalation."""
+"""Cholesky helpers: :func:`cholesky_batch`, the package's one jitter-and-factorize
+routine (training batches and fits alike), and triangular solves."""
 
 import numpy as np
-from scipy.linalg import cholesky, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dtrtri
-
-from .errors import IllConditionedKernelError
 
 BASE_JITTER_REL = 1e-8
 MAX_JITTER_REL = 1e-4
 
 
-def jitter_scale(K: np.ndarray) -> float:
-    """Reference scale for relative jitter: mean of the diagonal, floored at 1."""
-    if K.shape[0] == 0:
-        return 1.0
-    scale = float(np.mean(np.diag(K)))
-    return scale if scale > 0.0 else 1.0
-
-
-def cholesky_with_jitter(
-    K: np.ndarray,
-    base_rel: float = BASE_JITTER_REL,
-    max_rel: float = MAX_JITTER_REL,
-) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``K + jitter*I``.
-
-    A jitter of ``base_rel`` times the mean diagonal is always added; on
-    factorization failure it is multiplied by 10 until ``max_rel`` is
-    exceeded, at which point :class:`IllConditionedKernelError` is raised.
-
-    Returns:
-        (L, jitter) with ``L @ L.T == K + jitter*I`` and the jitter actually used.
-    """
-    scale = jitter_scale(K)
-    rel = base_rel
-    while rel <= max_rel:
-        jitter = rel * scale
-        try:
-            L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
-            return L, jitter
-        except np.linalg.LinAlgError:
-            rel *= 10.0
-    raise IllConditionedKernelError(
-        f"Cholesky failed for {K.shape[0]}x{K.shape[0]} matrix even with "
-        f"relative jitter {max_rel:g}"
-    )
-
-
-def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Lower Cholesky factors of a stack ``K`` of shape (B, N, N), overwriting K.
 
-    The base relative jitter is added to each matrix's diagonal in place,
-    then one batched factorization runs (a matrix whose mean diagonal is not
-    positive cannot factorize, so its scale needs no floor here). If it
-    fails, each matrix is factorized on its own: at the base jitter first,
-    with the same routine (so a matrix that factorizes gets the bits the
-    batched call would give it, whatever the other matrices are), then
-    through :func:`cholesky_with_jitter`'s escalation ladder.
+    Each matrix gets ``rel * sum(diag K) / N`` added to its diagonal in place,
+    at ``rel = BASE_JITTER_REL`` first, and one batched factorization runs.
+    If it fails, each matrix is factorized on its own with the same routine
+    (so a matrix that factorizes gets the bits the batched call would give
+    it, whatever the other matrices are), multiplying its ``rel`` by 10 on
+    failure until it exceeds ``MAX_JITTER_REL``. A factor with a non-finite
+    diagonal (a covariance with non-finite or overflowing entries) is a
+    failure too.
 
     Returns:
-        (L, rel, errors): the factors, the (B,) relative jitter each matrix
-        was factorized with, and ``{row: message}`` for matrices that failed
-        even at the maximum jitter (their L and rel are NaN).
+        (L, rel, jitter, errors): the factors, the (B,) relative and absolute
+        jitter each matrix was factorized with, and ``{row: message}`` for
+        matrices that failed (their L, rel and jitter are NaN).
     """
     B, N = K.shape[0], K.shape[-1]
     diag = K.reshape(B, N * N)[:, :: N + 1]
-    rel = np.full(B, BASE_JITTER_REL)
+    total = diag.sum(axis=1)
     given = diag.copy()
-    diag += (diag.sum(axis=1) * (BASE_JITTER_REL / N))[:, None]
+    rel = np.full(B, BASE_JITTER_REL)
+    jitter = total * (BASE_JITTER_REL / N)
+    diag += jitter[:, None]
     try:
-        return np.linalg.cholesky(K), rel, {}
+        L = np.linalg.cholesky(K)
+        # a factor's diagonal is positive, so its sum is finite unless an entry is not
+        if np.isfinite(L.reshape(B, N * N)[:, :: N + 1].sum()):
+            return L, rel, jitter, {}
     except np.linalg.LinAlgError:
-        pass
-    L = np.full(K.shape, np.nan)
+        L = np.full(K.shape, np.nan)
+        for b in range(B):
+            while rel[b] <= MAX_JITTER_REL:
+                try:
+                    L[b] = np.linalg.cholesky(K[b])
+                    break
+                except np.linalg.LinAlgError:
+                    rel[b] *= 10.0
+                    jitter[b] = total[b] * (rel[b] / N)
+                    diag[b] = given[b] + jitter[b]
     errors = {}
-    for b in range(B):
-        if not np.all(np.isfinite(K[b])):
-            errors[b] = "covariance matrix has non-finite entries"
-            rel[b] = np.nan
-            continue
-        try:
-            L[b] = np.linalg.cholesky(K[b])
-            continue
-        except np.linalg.LinAlgError:
-            pass
-        diag[b] = given[b]
-        try:
-            L[b], jitter = cholesky_with_jitter(K[b])
-        except IllConditionedKernelError as exc:
-            errors[b] = str(exc)
-            rel[b] = np.nan
-            continue
-        rel[b] = jitter / jitter_scale(K[b])
-    return L, rel, errors
+    for b in np.flatnonzero(~np.isfinite(L.reshape(B, N * N)[:, :: N + 1]).all(axis=1)):
+        errors[int(b)] = f"Cholesky failed for {N}x{N} matrix " + (
+            f"even with relative jitter {MAX_JITTER_REL:g}" if rel[b] > MAX_JITTER_REL
+            else "with a factor that is not finite"
+        )
+        L[b] = rel[b] = jitter[b] = np.nan
+    return L, rel, jitter, errors
 
 
 def cholesky_inverse_batch(L: np.ndarray) -> np.ndarray:

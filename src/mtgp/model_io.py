@@ -151,8 +151,8 @@ def _require(doc: dict, key: str, kind: type | None = None):
     if not isinstance(doc, dict) or key not in doc:
         raise ValidationError(f"model file missing key {key!r}")
     value = doc[key]
-    # bool is a subclass of int, and no model-file value is a bool
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    # bool is a subclass of int, so a bool passes only where a bool is asked for
+    if kind and not (isinstance(value, kind) and (kind is bool) == isinstance(value, bool)):
         raise ValidationError(f"model file key {key!r} must be of type {kind.__name__}")
     return value
 
@@ -210,9 +210,17 @@ def load_model(path):
         raise ValidationError(f"{path}: unknown model_type {model_type!r}")
     if vector.shape[0] != layout.size:
         raise ValidationError(f"{path}: parameter vector has wrong length")
+    with np.errstate(over="ignore"):
+        natural = layout.natural_batch(vector[None])[0]
+    # lengthscales and signal variances lead the natural order
+    if not np.isfinite(natural).all() or np.any(natural[: layout.group_slices[1].stop] <= 0.0):
+        raise ValidationError(
+            f"{path}: parameter values must transform to finite numbers, "
+            "with positive lengthscales and signal variances"
+        )
     spec, noise = layout.materialize(vector)
     if model_type == "gp":
         mean_const = _unhex(_require(_require(doc, "mean_const"), "hex"))
         X, Y = dataset.inputs[0], dataset.targets[0]
         return gp_fit(spec.terms[0].base_kernel, noise[0], X, Y, mean_const)
-    return mtgp_fit(spec, noise, dataset, standardize=bool(_require(doc, "standardize")))
+    return mtgp_fit(spec, noise, dataset, standardize=_require(doc, "standardize", bool))

@@ -13,13 +13,13 @@ inverted at prediction time. Pass ``standardize=False`` to work in raw units.
 The joint covariance has one assembly, on the flat parameter vectors of
 :class:`ExactGPLayout` (a :class:`ParameterLayout`, the package's one
 flat-vector conversion). Training runs it, with the log marginal likelihood
-and its gradient, on all restarts at once, and a :class:`LayoutStack` runs it
-on the restarts of many same-shape fits at once. Each row of a batch is
-computed on its own (no product runs across rows), so a restart's value and
-gradient are bitwise the same whichever rows run beside it. Both likelihood
-functions (this module's and :mod:`mtgp.gp`'s) are its B=1 case, and
-fitting and prediction (here and in :mod:`mtgp.gp`) use it on the fitted
-parameters.
+and its gradient, through a :class:`LayoutStack`: all restarts of one or many
+same-shape fits at once. Each row of a batch is computed on its own (no
+product runs across rows), so a restart's value and gradient are bitwise the
+same whichever rows run beside it. Both likelihood functions (this module's
+and :mod:`mtgp.gp`'s) are its B=1 case, and fitting and prediction (here and
+in :mod:`mtgp.gp`) use it on the fitted parameters. Training and fitting
+factorize with the one jitter policy of :func:`~mtgp.linalg.cholesky_batch`.
 """
 
 import time
@@ -32,14 +32,7 @@ from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
 from .errors import IllConditionedKernelError, ShapeError
-from .linalg import (
-    BASE_JITTER_REL,
-    cholesky_batch,
-    cholesky_inverse_batch,
-    cholesky_with_jitter,
-    chol_solve,
-    tri_solve,
-)
+from .linalg import BASE_JITTER_REL, cholesky_batch, cholesky_inverse_batch, chol_solve, tri_solve
 
 NOISE_FLOOR = 1e-10
 
@@ -103,22 +96,25 @@ def mtgp_fit(
 
     Noise variances are floored at ``NOISE_FLOOR``. With ``standardize=True``
     the factorization happens in per-task standardized target units. The
-    covariance is the B=1 assembly of :class:`ExactGPLayout`, the one the
-    training objective uses.
+    covariance and its factor are the training objective's B=1 case (the
+    assembly of :class:`ExactGPLayout`, :func:`~mtgp.linalg.cholesky_batch`);
+    a failed factorization raises :class:`IllConditionedKernelError`.
+    ``jitter`` is the absolute jitter added to the diagonal.
     """
     noise = np.maximum(_noise_vector(noise_variances, kernel.num_tasks), NOISE_FLOOR)
     if standardize:
         work, means, stds = standardize_targets(dataset)
     else:
-        work = dataset
-        means = np.zeros(dataset.num_tasks)
-        stds = np.ones(dataset.num_tasks)
+        work, means, stds = dataset, np.zeros(dataset.num_tasks), np.ones(dataset.num_tasks)
     layout = ExactGPLayout(kernel, noise, work)
-    K, _ = _assemble(layout, layout.sqdiff, *layout.groups(layout.template[None]))
-    L, jitter = cholesky_with_jitter(K[0])
-    weights = chol_solve(L, layout.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K, _ = _assemble(layout, layout.sqdiff, *layout.groups(layout.template[None]))
+        L, _, jitter, errors = cholesky_batch(K)
+    if errors:
+        raise IllConditionedKernelError(errors[0])
+    weights = chol_solve(L[0], layout.y)
     return MTGPModel(
-        kernel, noise, dataset, means, stds, L, weights, jitter, layout, standardized=standardize
+        kernel, noise, dataset, means, stds, L[0], weights, float(jitter[0]), layout, standardize
     )
 
 
@@ -364,11 +360,11 @@ class ExactGPLayout(ParameterLayout):
         self.shape = (Q, D, P, N)
         self.log_norm = 0.5 * N * np.log(2.0 * np.pi)
 
-    def evaluate(self, X: np.ndarray, rows=None) -> LMLBatch:
+    def evaluate(self, X: np.ndarray) -> LMLBatch:
         """Log marginal likelihood and flat gradient for each row of X (B, size).
 
-        ``rows`` (the restart indices :func:`~mtgp.training.adam_maximize`
-        passes) is not needed: every row belongs to this layout's dataset.
+        Training evaluates through :class:`LayoutStack`; this per-layout
+        evaluation is the reference each stacked row equals bitwise.
         """
         started = time.perf_counter()
         return _lml_batch(self, self.natural_batch(X), self.sqdiff, self.y, started)
@@ -535,7 +531,7 @@ def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, started: float) -> LMLBatc
             layout, sqdiff, ls, s2, noise, gamma, W
         )
         t_assembled = time.perf_counter()
-        L, rel, errors = cholesky_batch(K)
+        L, rel, _, errors = cholesky_batch(K)
         if errors:
             L[list(errors)] = np.eye(N)
         half_logdet = np.log(L.reshape(B, N * N)[:, :: N + 1]).sum(axis=1)

@@ -9,15 +9,14 @@ objective wins (ties to the lowest restart index).
 One driver trains every model, and it trains a list of same-shape datasets
 at once: per dataset the target standardization, the family's template and
 layout and the seeded restart vectors; then one :func:`adam_maximize` run
-over all restarts of all fits, through the vectorized objective of
-:class:`~mtgp.multitask.ExactGPLayout` (one dataset) or
-:class:`~mtgp.multitask.LayoutStack` (several); then per fit the winner, the
-fitted model and ``fit_info``, whose ``wall_time_s`` and ``timing`` are the
-whole batch's. The objective computes each row on its own, so a fit's result
-is bitwise the one it gets when trained alone.
-:func:`train_mtgp_batch` runs the driver on multi-task data and
-:func:`train_gp_batch` as the one-task case (the independent family on
-one-task datasets), folding the target scale and offset into each model;
+over all restarts of all fits, through the vectorized objective of a
+:class:`~mtgp.multitask.LayoutStack` of their layouts (one dataset is a
+stack of one); then per fit the winner, the fitted model and ``fit_info``,
+whose ``wall_time_s`` and ``timing`` are the whole batch's. The objective
+computes each row on its own, so a fit's result is bitwise the one it gets
+when trained alone. :func:`train_mtgp_batch` runs the driver on multi-task
+data and :func:`train_gp_batch` as the one-task case (the independent family
+on one-task datasets), folding the target scale and offset into each model;
 :func:`train_mtgp` and :func:`train_gp` are their one-dataset case.
 """
 
@@ -431,10 +430,9 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
 
     Per dataset it standardizes the targets, builds the family's template
     and layout, and draws the restart vectors from the dataset's own seed.
-    One :func:`adam_maximize` run then ascends every restart of every fit:
-    a single layout's objective for one dataset, a :class:`LayoutStack`'s
-    for several, so a fit's result does not depend on which other fits
-    share its batch. Each fit's winning (spec, noise) goes with its
+    One :func:`adam_maximize` run then ascends every restart of every fit
+    through the layouts' :class:`LayoutStack`, so a fit's result does not
+    depend on which other fits share its batch. Each fit's winning (spec, noise) goes with its
     standardization means and stds to ``fit(i, spec, noise, means, stds)``,
     whose model gets ``fit_info``; ``wall_time_s`` and ``timing`` are the
     whole batch's.
@@ -447,7 +445,7 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
     R = config.num_restarts
     fits = [_fit_layout(dataset, family, standardize) for dataset in datasets]
     layouts = [layout for layout, *_ in fits]
-    objective = layouts[0].evaluate if len(layouts) == 1 else LayoutStack(layouts, R).evaluate
+    objective = LayoutStack(layouts, R).evaluate
     x0 = np.concatenate(
         [_restart_vectors(lay, family, config, seed, stream) for lay, seed in zip(layouts, seeds)]
     )

@@ -71,13 +71,33 @@ MODEL_FILE_DAMAGE = {
     "shape": ("mtgp-slfm", lambda doc: doc["data"]["tasks"][0]["y"].update(shape=[7]), "shape [7]"),
 }
 
+def set_parameter(doc, name, value):
+    """Overwrite the model file's stored (transformed) parameter ``name``."""
+    names = [n for n, _ in doc["parameters"]["schema"]]
+    doc["parameters"]["values_hex"][names.index(name)] = float(value).hex()
+
+
 # model files with a value of the wrong type: (family, damage, expected message)
+BAD_TRANSFORM = "parameter values must transform to finite numbers"
 MODEL_FILE_BAD_VALUES = {
     "kernel_kinds-empty": ("gp", lambda doc: doc.update(kernel_kinds=[]), "'kernel_kinds'"),
     "tasks-number": ("mtgp-slfm", lambda doc: doc["data"].update(tasks=5), "'tasks'"),
     "input_dim-string": ("mtgp-slfm", lambda doc: doc.update(input_dim="abc"), "'input_dim'"),
     "num_tasks-negative": ("mtgp-slfm", lambda doc: doc.update(num_tasks=-1), "'num_tasks'"),
     "ranks-string": ("mtgp-slfm", lambda doc: doc.update(ranks=["a", "b"]), "'ranks'"),
+    "standardize-string": ("mtgp-slfm", lambda doc: doc.update(standardize="false"), "'standardize'"),
+    "standardize-list": ("mtgp-slfm", lambda doc: doc.update(standardize=[1]), "'standardize'"),
+    "signal_variance-overflow": (
+        "mtgp-slfm", lambda doc: set_parameter(doc, "term0.log_signal_variance", 1000), BAD_TRANSFORM
+    ),
+    "lengthscale-overflow": (
+        "mtgp-slfm", lambda doc: set_parameter(doc, "term0.log_lengthscale0", 1000), BAD_TRANSFORM
+    ),
+    "lengthscale-underflow": (
+        "mtgp-slfm", lambda doc: set_parameter(doc, "term0.log_lengthscale0", -1000), BAD_TRANSFORM
+    ),
+    "noise-overflow": ("mtgp-slfm", lambda doc: set_parameter(doc, "log_noise0", 800), BAD_TRANSFORM),
+    "gp-noise-overflow": ("gp", lambda doc: set_parameter(doc, "log_noise", 800), BAD_TRANSFORM),
 }
 
 # training settings out of range, in a run config and in a study's train block
@@ -427,6 +447,19 @@ class TestBadInputExitCodes:
         argv = ["predict", "--model", str(bad), "--data", str(query), "--out", str(tmp_path / "p.csv")]
         self._assert_exit_2(argv, capsys, needle)
 
+    def test_model_file_overflowing_covariance_exits_3(self, tmp_path, capsys):
+        # finite, well-typed parameters whose joint covariance is not finite
+        doc = json.loads(train_model(tmp_path, "mtgp-slfm").read_text())
+        set_parameter(doc, "term0.W[0,0]", 1e300)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        query = tmp_path / "query.csv"
+        query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
+        argv = ["predict", "--model", str(bad), "--data", str(query), "--out", str(tmp_path / "p.csv")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("key,value", BAD_TRAIN_SETTINGS)
     def test_out_of_range_train_setting_exits_2(self, tmp_path, capsys, key, value):
         data = write_two_task_csv(tmp_path / "data.csv", n1=0)
@@ -653,6 +686,15 @@ class TestBenchmarkCommand:
 
     def test_bad_sizes_flag_exits_2(self, tmp_path):
         assert cli.main(["benchmark", "--out", str(tmp_path / "s"), "--sizes", "4"]) == 2
+
+    @pytest.mark.parametrize("sizes", [[[5.7, 5]], [[True, 5]], [[5, 5, 9]]])
+    def test_sizes_must_be_integer_pairs(self, tmp_path, capsys, sizes):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"sizes": sizes}), encoding="utf-8")
+        out = tmp_path / "s"
+        assert cli.main(["benchmark", "--config", str(config), "--out", str(out)]) == 2
+        assert "'sizes' must be a list of [n1, n2] integer pairs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_study_key_exits_2(self, tmp_path):
         config = tmp_path / "study.json"

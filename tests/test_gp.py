@@ -5,7 +5,7 @@ from conftest import dense_gaussian_conditioning
 from mtgp.errors import IllConditionedKernelError, ShapeError
 from mtgp.gp import gp_fit, gp_log_marginal_likelihood, gp_predict
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
-from mtgp.linalg import cholesky_with_jitter
+from mtgp.linalg import cholesky_batch
 from mtgp.seeding import make_rng
 
 
@@ -27,8 +27,13 @@ class TestGPFit:
         assert np.all(np.diag(model.L) > 0)
 
     def test_unfixable_matrix_raises(self):
-        with pytest.raises(IllConditionedKernelError):
-            cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        L, rel, jitter, errors = cholesky_batch(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+        assert "even with relative jitter" in errors[0]
+        assert np.isnan(L).all() and np.isnan(rel[0]) and np.isnan(jitter[0])
+
+    def test_non_finite_covariance_raises(self):
+        with pytest.raises(IllConditionedKernelError, match="not finite"):
+            gp_fit(se(), np.inf, np.array([[0.0], [1.0]]), np.zeros(2))
 
     def test_cholesky_factor_lower_triangular_positive_diagonal(self, rng):
         X = rng.uniform(0, 1, size=(6, 2))
@@ -147,7 +152,7 @@ class TestGPLogMarginalLikelihood:
         noise = 0.2
         value, _ = gp_log_marginal_likelihood(kern, noise, X, np.zeros(4))
         K = kernel_matrix(kern, X, X) + noise * np.eye(4)
-        L, jitter = cholesky_with_jitter(K)
+        jitter = cholesky_batch(K[None].copy())[2][0]
         expected = -0.5 * np.linalg.slogdet(K + jitter * np.eye(4))[1] - 2 * np.log(2 * np.pi)
         assert value == pytest.approx(expected, abs=1e-10)
 
@@ -161,7 +166,7 @@ class TestGPLogMarginalLikelihood:
             noise = float(rng.uniform(0.05, 0.3))
             value, _ = gp_log_marginal_likelihood(kern, noise, X, Y)
             K = kernel_matrix(kern, X, X) + noise * np.eye(n)
-            _, jitter = cholesky_with_jitter(K)
+            jitter = cholesky_batch(K[None].copy())[2][0]
             Kj = K + jitter * np.eye(n)
             dense = (
                 -0.5 * Y @ np.linalg.solve(Kj, Y)

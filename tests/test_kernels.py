@@ -14,7 +14,7 @@ from mtgp.kernels import (
     kernel_profile,
     log_param_names,
 )
-from mtgp.linalg import cholesky_with_jitter
+from mtgp.linalg import BASE_JITTER_REL, cholesky_batch
 from mtgp.seeding import make_rng
 
 
@@ -104,8 +104,9 @@ class TestKernelMatrix:
         X = rng.uniform(0, 1, size=(n, dim))
         K = kernel_matrix(spec, X, X)
         np.linalg.cholesky(K + 1e-8 * np.eye(n))  # raises if not PD
-        L, _ = cholesky_with_jitter(K, base_rel=1e-8, max_rel=1e-8)
-        assert np.all(np.diag(L) > 0)
+        L, rel, _, errors = cholesky_batch(K[None].copy())
+        assert not errors and rel[0] == BASE_JITTER_REL  # no escalation needed
+        assert np.all(np.diag(L[0]) > 0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -83,6 +83,36 @@ class TestMTGPFit:
         K += np.diag(noise[dataset.task_indices()]) + model.jitter * np.eye(K.shape[0])
         np.testing.assert_allclose(model.L @ model.L.T, K, rtol=1e-8, atol=1e-12)
 
+    def test_factor_is_cholesky_batch_of_the_assembled_covariance(self):
+        from mtgp.linalg import cholesky_batch
+        from mtgp.multitask import _assemble
+
+        rng = make_rng("mt-fit-factor", 0)
+        spec = random_mtgp_spec(rng, 2, with_gamma=True)
+        dataset = random_dataset(rng, 2, max_per_task=5)
+        model = mtgp_fit(spec, [0.05, 0.2], dataset)
+        layout = model.layout
+        K, _ = _assemble(layout, layout.sqdiff, *layout.groups(layout.template[None]))
+        given = K[0].diagonal().copy()
+        L, _, _, errors = cholesky_batch(K)  # adds the jitter to K's diagonal in place
+        assert not errors
+        np.testing.assert_array_equal(model.L, L[0])
+        np.testing.assert_array_equal(K[0].diagonal(), given + model.jitter)
+
+    def test_non_finite_covariance_raises(self):
+        from mtgp.errors import IllConditionedKernelError
+
+        rng = make_rng("mt-overflow", 0)
+        spec = random_mtgp_spec(rng, 2)
+        term = spec.terms[0]
+        W = term.W.copy()
+        W[0, 0] = 1e300  # finite, but W W^T overflows
+        spec = MultiTaskKernelSpec(
+            2, (CoregionalizationTerm(W, term.gamma, term.base_kernel),) + spec.terms[1:]
+        )
+        with pytest.raises(IllConditionedKernelError, match="not finite"):
+            mtgp_fit(spec, [0.1, 0.1], random_dataset(rng, 2, max_per_task=4))
+
     def test_noise_length_checked(self):
         spec = random_mtgp_spec(make_rng("mt-shape", 0), 2)
         dataset = random_dataset(make_rng("mt-shape", 1), 2)
@@ -403,9 +433,9 @@ class TestMTGPLogMarginalLikelihood:
         )
         value, _ = mtgp_log_marginal_likelihood(spec, [0.3, 0.3], dataset)
         K = assemble_joint_covariance(spec, dataset) + 0.3 * np.eye(5)
-        from mtgp.linalg import cholesky_with_jitter
+        from mtgp.linalg import cholesky_batch
 
-        _, jitter = cholesky_with_jitter(K)
+        jitter = cholesky_batch(K[None].copy())[2][0]
         expected = (
             -0.5 * np.linalg.slogdet(K + jitter * np.eye(5))[1]
             - 0.5 * 5 * np.log(2 * np.pi)
@@ -582,7 +612,7 @@ class TestBatchedObjective:
                 np.full((2, 2), np.nan),
             ]
         )
-        L, rel, errors = cholesky_batch(K)
+        L, rel, _, errors = cholesky_batch(K)
         np.testing.assert_allclose(L[0], np.eye(2), atol=1e-7)
         assert list(rel > BASE_JITTER_REL) == [False, True, False, False]
         assert rel[0] == BASE_JITTER_REL and rel[1] == pytest.approx(1e-6)
@@ -595,11 +625,29 @@ class TestBatchedObjective:
         rng = np.random.default_rng(4)
         A = rng.normal(size=(3, 20, 20))
         K = A @ A.swapaxes(-1, -2) + 0.1 * np.eye(20)
-        alone, _, _ = cholesky_batch(K.copy())  # cholesky_batch adds the jitter in place
+        alone = cholesky_batch(K.copy())[0]  # cholesky_batch adds the jitter in place
         failing = np.diag(np.r_[np.ones(19), -1e-7])  # needs escalated jitter
-        L, rel, errors = cholesky_batch(np.concatenate([K[:1], failing[None], K[1:]]))
+        L, rel, _, errors = cholesky_batch(np.concatenate([K[:1], failing[None], K[1:]]))
         assert not errors and list(rel > BASE_JITTER_REL) == [False, True, False, False]
         np.testing.assert_array_equal(L[[0, 2, 3]], alone)
+
+    def test_non_finite_rows_of_a_factorized_batch_are_errors(self):
+        from mtgp.linalg import BASE_JITTER_REL, cholesky_batch
+
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(3, 6, 6))
+        K = A @ A.swapaxes(-1, -2) + 0.1 * np.eye(6)
+        alone = cholesky_batch(K.copy())[0]
+        nan, inf = np.full((6, 6), np.nan), np.diag(np.r_[np.ones(5), np.inf])
+        stack = np.stack([K[0], nan, K[1], inf, K[2]])
+        # numpy factorizes these without raising, so the batched call succeeds
+        assert not np.isfinite(np.linalg.cholesky(stack.copy())).all()
+        L, rel, jitter, errors = cholesky_batch(stack)
+        assert set(errors) == {1, 3} and all("not finite" in m for m in errors.values())
+        assert np.isnan(L[[1, 3]]).all() and np.isnan(rel[[1, 3]]).all()
+        assert np.isnan(jitter[[1, 3]]).all()
+        assert list(rel[[0, 2, 4]]) == [BASE_JITTER_REL] * 3
+        np.testing.assert_array_equal(L[[0, 2, 4]], alone)
 
 
 GRADIENT_FAMILIES = [
@@ -612,14 +660,18 @@ GRADIENT_FAMILIES = [
 class TestBatchedGradientProperty:
     """The batched gradient against central differences at random parameters.
 
-    The differences are taken of the dense log marginal likelihood without
-    jitter, an oracle independent of the objective's code; the jitter's own
-    derivative is about 1e-8 of the gradient, far inside the tolerance.
+    The differences are taken of the dense log marginal likelihood of the
+    objective's own matrix, K plus the base jitter ``BASE_JITTER_REL *
+    mean(diag K)``, an oracle independent of the objective's code. The jitter
+    cannot be left out: its derivative, ``rel tr(M) / N`` per unit of
+    ``d tr(K)``, reaches 1e-3 where the weights ``alpha`` are large (seed 48 of
+    the slfm SE case), above the tolerance on small gradient entries.
     """
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(GRADIENT_FAMILIES), st.integers(0, 2**32 - 1))
     def test_gradient_matches_central_differences(self, family_case, seed):
+        from mtgp.linalg import BASE_JITTER_REL
         from mtgp.multitask import ExactGPLayout
         from mtgp.training import MTGPFamily, build_mtgp_template
 
@@ -642,6 +694,7 @@ class TestBatchedGradientProperty:
         def dense_lml(vec):
             spec_v, noise_v = layout.materialize(vec)
             K = assemble_joint_covariance(spec_v, dataset) + np.diag(noise_v[tasks])
+            K += BASE_JITTER_REL * np.mean(np.diag(K)) * np.eye(K.shape[0])
             return -0.5 * y @ np.linalg.solve(K, y) - 0.5 * np.linalg.slogdet(K)[1]
 
         step = 1e-6
