@@ -7,7 +7,6 @@ across runs on the same platform.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -16,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, benchmark, model_io
-from .data import read_query_csv, read_task_csv
+from .data import CSV_BLOCK_ROWS, read_query_csv, read_task_csv
 from .errors import (
     DomainError,
     MTGPError,
@@ -42,8 +41,19 @@ BENCHMARK_TRAIN_DEFAULTS = {
 }
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _write_csv(path, header: list[str], columns: list[np.ndarray]):
+    """Write equal-length numeric array columns as CSV, CSV_BLOCK_ROWS rows at a time.
+
+    Each cell is the ``repr`` of the column's Python value: the shortest
+    round-trip form of a float and the digits of an integer, the bytes
+    ``csv.writer`` gives for ``repr(float(v))`` and int cells.
+    """
+    num_rows = len(columns[0])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, num_rows, CSV_BLOCK_ROWS):
+            block = [map(repr, c[start : start + CSV_BLOCK_ROWS].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _load_json(path) -> dict:
@@ -229,13 +239,7 @@ def cmd_predict(args) -> int:
             pred = mtgp_predict(model, d, X[rows])
         mean[rows] = pred.mean
         stddev[rows] = pred.stddev
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(xcols + ["task", "mean", "stddev"])
-        for i in range(X.shape[0]):
-            writer.writerow(
-                [_fmt(v) for v in X[i]] + [int(tasks[i]), _fmt(mean[i]), _fmt(stddev[i])]
-            )
+    _write_csv(args.out, xcols + ["task", "mean", "stddev"], [*X.T, tasks, mean, stddev])
     print(f"wrote {args.out} ({X.shape[0]} rows)")
     return 0
 
@@ -335,16 +339,13 @@ _ROW_FIELDS = [
 
 def _write_study_files(result, out_dir: str):
     rows_path = os.path.join(out_dir, "study_rows.csv")
-    with open(rows_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_ROW_FIELDS)
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row[f] if isinstance(row[f], int) else _fmt(row[f])
-                    for f in _ROW_FIELDS
-                ]
-            )
+    columns = [[row[f] for row in result.rows] for f in _ROW_FIELDS]
+    # integer fields (sizes, replicate, the 64-bit seed) stay Python ints
+    _write_csv(
+        rows_path,
+        _ROW_FIELDS,
+        [np.array(c, dtype=object if all(isinstance(v, int) for v in c) else float) for c in columns],
+    )
     summary = {
         "config": {
             "correlations": list(result.config.correlations),
@@ -372,33 +373,27 @@ def _write_study_files(result, out_dir: str):
     for target, params in result.calibrations.items():
         path = os.path.join(out_dir, f"series_functions_r{target:g}.csv")
         aux = benchmark.forrester(grid, params)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "primary", "auxiliary"])
-            for i in range(grid.size):
-                writer.writerow([_fmt(grid[i]), _fmt(primary[i]), _fmt(aux[i])])
+        _write_csv(path, ["x", "primary", "auxiliary"], [grid, primary, aux])
     for (target, n1, n2), series in sorted(result.series.items()):
         path = os.path.join(
             out_dir, f"series_predictions_r{target:g}_t1-{n1}_t2-{n2}.csv"
         )
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["x", "true", "gp_mean", "gp_lo", "gp_hi", "mtgp_mean", "mtgp_lo", "mtgp_hi"]
-            )
-            for i in range(series["x"].size):
-                writer.writerow(
-                    [
-                        _fmt(series["x"][i]),
-                        _fmt(series["true"][i]),
-                        _fmt(series["gp_mean"][i]),
-                        _fmt(series["gp_mean"][i] - 2.0 * series["gp_stddev"][i]),
-                        _fmt(series["gp_mean"][i] + 2.0 * series["gp_stddev"][i]),
-                        _fmt(series["mtgp_mean"][i]),
-                        _fmt(series["mtgp_mean"][i] - 2.0 * series["mtgp_stddev"][i]),
-                        _fmt(series["mtgp_mean"][i] + 2.0 * series["mtgp_stddev"][i]),
-                    ]
-                )
+        gp_band = 2.0 * series["gp_stddev"]
+        mtgp_band = 2.0 * series["mtgp_stddev"]
+        _write_csv(
+            path,
+            ["x", "true", "gp_mean", "gp_lo", "gp_hi", "mtgp_mean", "mtgp_lo", "mtgp_hi"],
+            [
+                series["x"],
+                series["true"],
+                series["gp_mean"],
+                series["gp_mean"] - gp_band,
+                series["gp_mean"] + gp_band,
+                series["mtgp_mean"],
+                series["mtgp_mean"] - mtgp_band,
+                series["mtgp_mean"] + mtgp_band,
+            ],
+        )
     return rows_path
 
 

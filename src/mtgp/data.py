@@ -109,6 +109,10 @@ def standardize_targets(
 # CSV task-data files: header x1..xP, task, y (columns in any order)
 # ---------------------------------------------------------------------------
 
+# rows parsed (and, in the CLI, formatted) per block: whole columns convert
+# with one call each while the strings held at once stay bounded
+CSV_BLOCK_ROWS = 4096
+
 
 def _input_columns(fieldnames: list[str]) -> list[str]:
     xcols = sorted(
@@ -125,47 +129,120 @@ def _input_columns(fieldnames: list[str]) -> list[str]:
     return xcols
 
 
+def _row_blocks(reader):
+    """``(file line numbers, rows)`` per block of up to CSV_BLOCK_ROWS non-blank rows."""
+    lines, rows = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == CSV_BLOCK_ROWS:
+                yield lines, rows
+                lines, rows = [], []
+    if rows:
+        yield lines, rows
+
+
+def _read_table(path, value_names: tuple, check_row, block_ok):
+    """Parse a CSV of float columns x1..xP plus ``value_names`` and an integer
+    ``task`` column, CSV_BLOCK_ROWS rows at a time.
+
+    Header names are stripped; any other column, or a repeated name, is
+    rejected. Each block's columns convert with one ``float`` / ``int`` map
+    each; a block that fails to convert or fails ``block_ok(values, tasks,
+    task_fields)`` is checked row by row with ``check_row(path, line,
+    value_fields, task_field)`` to raise its first bad row's error. A row
+    with surplus fields is rejected; a short one reads its missing fields as
+    None. Blank lines are skipped. Returns (xcols, the file line of each
+    row, the float columns, the tasks).
+    """
+    required = ("task", *value_names)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file, header row required")
+        fields = [f.strip() for f in header]
+        xcols = _input_columns(fields)
+        extras = set(fields) - set(xcols) - set(required)
+        if extras:
+            raise ValidationError(f"{path}: unknown columns {sorted(extras)}")
+        repeated = sorted({f for f in fields if fields.count(f) > 1})
+        if repeated:
+            raise ValidationError(f"{path}: repeated columns {repeated}")
+        for name in required:
+            if name not in fields:
+                raise ValidationError(f"{path}: missing required column '{name}'")
+        width = len(fields)
+        value_index = [fields.index(c) for c in xcols + list(value_names)]
+        task_index = fields.index("task")
+        all_lines, values, tasks = [], [[] for _ in value_index], []
+        for lines, rows in _row_blocks(reader):
+            try:
+                if set(map(len, rows)) != {width}:
+                    raise ValueError("rows of unequal length")
+                columns = list(zip(*rows))
+                block = [list(map(float, columns[i])) for i in value_index]
+                block_tasks = list(map(int, columns[task_index]))
+                if not block_ok(block, block_tasks, columns[task_index]):
+                    raise ValueError("a row breaks the row rules")
+            except (TypeError, ValueError):
+                for line, row in zip(lines, rows):
+                    if len(row) > width:
+                        raise ValidationError(
+                            f"{path}: line {line}: {len(row)} fields, the header has {width}"
+                        ) from None
+                    row = row + [None] * (width - len(row))
+                    check_row(path, line, [row[i] for i in value_index], row[task_index])
+                raise  # every failed block holds a bad row
+            all_lines += lines
+            for column, v in zip(values, block):
+                column += v
+            tasks += block_tasks
+    return xcols, all_lines, values, tasks
+
+
+def _parse_floats(path, line, fields) -> list[float]:
+    try:
+        return [float(f) for f in fields]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: line {line}: non-numeric value") from None
+
+
+def _parse_task(path, line, field) -> tuple[int, str]:
+    raw = (field or "").strip()
+    try:
+        return int(raw), raw
+    except ValueError:
+        raise ValidationError(f"{path}: line {line}: task {raw!r} is not an integer") from None
+
+
+def _check_data_row(path, line, value_fields, task_field):
+    values = _parse_floats(path, line, value_fields)
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{path}: line {line}: non-finite value")
+    task, raw = _parse_task(path, line, task_field)
+    if task < 0 or float(raw) != task:
+        raise ValidationError(f"{path}: line {line}: task index must be a non-negative integer")
+
+
+def _data_block_ok(values, tasks, task_fields) -> bool:
+    """Whether every row of a converted block passes :func:`_check_data_row`."""
+    return (
+        all(all(map(math.isfinite, v)) for v in values)
+        and min(tasks) >= 0
+        and list(map(float, task_fields)) == tasks
+    )
+
+
 def read_task_csv(path) -> tuple[MultiTaskDataset, list[str]]:
     """Parse a task-data CSV into a dataset.
 
     Returns the dataset and the input column names. Raises
-    :class:`ValidationError` naming the offending row or column on any
+    :class:`ValidationError` naming the offending file line or column on any
     malformed content, including non-contiguous task indices.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty file, header row required")
-        fields = reader.fieldnames = [f.strip() for f in reader.fieldnames]  # rows keyed stripped
-        xcols = _input_columns(fields)
-        extras = set(fields) - set(xcols) - {"task", "y"}
-        if extras:
-            raise ValidationError(f"{path}: unknown columns {sorted(extras)}")
-        for required in ("task", "y"):
-            if required not in fields:
-                raise ValidationError(f"{path}: missing required column '{required}'")
-        rows_x, rows_task, rows_y = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                values = [float(row[c]) for c in xcols] + [float(row["y"])]
-            except (TypeError, ValueError):
-                raise ValidationError(f"{path}: line {lineno}: non-numeric value") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValidationError(f"{path}: line {lineno}: non-finite value")
-            rows_x.append(values[:-1])
-            rows_y.append(values[-1])
-            raw_task = (row["task"] or "").strip()
-            try:
-                task = int(raw_task)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: task {raw_task!r} is not an integer"
-                ) from None
-            if task < 0 or float(raw_task) != task:
-                raise ValidationError(
-                    f"{path}: line {lineno}: task index must be a non-negative integer"
-                )
-            rows_task.append(task)
+    xcols, _, values, rows_task = _read_table(path, ("y",), _check_data_row, _data_block_ok)
     if not rows_task:
         raise ValidationError(f"{path}: no data rows")
     tasks = np.asarray(rows_task)
@@ -176,11 +253,17 @@ def read_task_csv(path) -> tuple[MultiTaskDataset, list[str]]:
         raise ValidationError(
             f"{path}: task indices {present} are not contiguous from 0; missing {missing}"
         )
-    X = np.asarray(rows_x, dtype=float)
-    Y = np.asarray(rows_y, dtype=float)
+    X = np.column_stack(values[:-1])
+    Y = np.asarray(values[-1], dtype=float)
     inputs = tuple(X[tasks == d] for d in range(num_tasks))
     targets = tuple(Y[tasks == d] for d in range(num_tasks))
     return MultiTaskDataset(inputs, targets), xcols
+
+
+def _check_query_row(path, line, value_fields, task_field):
+    _parse_floats(path, line, value_fields)
+    if _parse_task(path, line, task_field)[0] < 0:
+        raise ValidationError(f"{path}: line {line}: task index must be non-negative")
 
 
 def read_query_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -188,39 +271,14 @@ def read_query_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
     Rows keep their file order; task indices are validated as non-negative
     integers but need not cover a contiguous range. Returns (X, tasks, xcols);
-    an empty file (header only) yields zero-row arrays.
+    an empty file (header only) yields zero-row arrays. Errors name the file
+    line; a non-numeric value anywhere is reported before a non-finite one.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty file, header row required")
-        fields = reader.fieldnames = [f.strip() for f in reader.fieldnames]  # rows keyed stripped
-        xcols = _input_columns(fields)
-        extras = set(fields) - set(xcols) - {"task"}
-        if extras:
-            raise ValidationError(f"{path}: unknown columns {sorted(extras)}")
-        if "task" not in fields:
-            raise ValidationError(f"{path}: missing required column 'task'")
-        rows_x, rows_task = [], []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows_x.append([float(row[c]) for c in xcols])
-            except (TypeError, ValueError):
-                raise ValidationError(f"{path}: line {lineno}: non-numeric value") from None
-            raw_task = (row["task"] or "").strip()
-            try:
-                task = int(raw_task)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: task {raw_task!r} is not an integer"
-                ) from None
-            if task < 0:
-                raise ValidationError(
-                    f"{path}: line {lineno}: task index must be non-negative"
-                )
-            rows_task.append(task)
-    X = np.asarray(rows_x, dtype=float).reshape(len(rows_x), len(xcols))
+    xcols, lines, values, tasks = _read_table(
+        path, (), _check_query_row, lambda values, tasks, task_fields: min(tasks) >= 0
+    )
+    X = np.column_stack(values)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
-        raise ValidationError(f"{path}: line {int(bad[0]) + 2}: non-finite value")
-    return X, np.asarray(rows_task, dtype=int), xcols
+        raise ValidationError(f"{path}: line {lines[bad[0]]}: non-finite value")
+    return X, np.asarray(tasks, dtype=int), xcols

@@ -427,14 +427,22 @@ class LayoutStack:
         self.sqdiff = np.stack([layout.sqdiff for layout in layouts])
         self.y = np.stack([layout.y for layout in layouts])
         self.owner = np.repeat(np.arange(len(layouts)), rows_per_layout)
+        self._rows = self._data = None  # the running rows and their (sqdiff, y)
 
     def evaluate(self, X: np.ndarray, rows: np.ndarray) -> LMLBatch:
         """Log marginal likelihood and flat gradient of X (B, size), row b of
-        which is initial row ``rows[b]``."""
+        which is initial row ``rows[b]``.
+
+        The running rows' data is gathered again only when ``rows`` changes,
+        which happens when a row stops.
+        """
         started = time.perf_counter()
-        owner = self.owner[rows]
+        if self._rows is None or not np.array_equal(rows, self._rows):
+            owner = self.owner[rows]
+            self._rows = np.array(rows)
+            self._data = (self.sqdiff[owner], self.y[owner])
         nat = self.layout.natural_batch(X)
-        return _lml_batch(self.layout, nat, self.sqdiff[owner], self.y[owner], started)
+        return _lml_batch(self.layout, nat, *self._data, started)
 
 
 def _require_same_shape(a: ExactGPLayout, b: ExactGPLayout):

@@ -6,12 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtgp
 import mtgp.cli as cli
 from mtgp import model_io
 from mtgp.benchmark import forrester
-from mtgp.data import read_task_csv
+from mtgp.data import CSV_BLOCK_ROWS, read_task_csv
 from mtgp.errors import TrainingFailedError
 from mtgp.gp import gp_predict
 from mtgp.multitask import mtgp_predict
@@ -342,6 +344,27 @@ class TestBadInputExitCodes:
             argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.csv")]
         self._assert_exit_2(argv, capsys, needle)
 
+    @pytest.mark.parametrize(
+        "command,text,needle",
+        [
+            ("predict", "x1,task\n0.1,0\n0.2,0,7\n", "line 3: 3 fields, the header has 2"),
+            ("predict", "x1,task,task\n0.1,0,1\n", "repeated columns ['task']"),
+            ("predict", "x1,task\n0.1,0\n\n\nabc,0\n", "line 5: non-numeric value"),
+            ("train", "x1,task,y\n0.1,0,1.0\n0.2,0,2,9\n", "line 3: 4 fields, the header has 3"),
+            ("train", "x1,task,y,y\n0.1,0,1.0,2.0\n", "repeated columns ['y']"),
+        ],
+    )
+    def test_malformed_rows_and_headers_exit_2(self, tmp_path, capsys, command, text, needle):
+        data = tmp_path / "bad.csv"
+        data.write_text(text, encoding="utf-8")
+        if command == "train":
+            config = write_config(tmp_path / "config.json")
+            argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        else:
+            model = train_model(tmp_path, "mtgp-slfm")
+            argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.csv")]
+        self._assert_exit_2(argv, capsys, needle)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_training_value_exits_2(self, tmp_path, capsys, bad):
         data = tmp_path / "bad.csv"
@@ -630,6 +653,50 @@ class TestModelIO:
         model_io.save_model(model_io.load_model(earlier), again, family)
         with open(earlier, encoding="utf-8") as fh:
             assert again.read_text() == fh.read()
+
+
+# values whose shortest round-trip form is easy to get wrong
+FORMAT_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 1.0, 0.1 + 0.2, 3.0, -42.0, 2.0**53, 1.7976931348623157e308]
+
+
+class TestWriteCsv:
+    """``cli._write_csv`` writes the bytes of ``csv.writer`` with ``repr(float(v))`` cells."""
+
+    @staticmethod
+    def reference(path, header, columns):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for i in range(len(columns[0])):
+                writer.writerow(
+                    [int(c[i]) if c.dtype.kind == "i" else repr(float(c[i])) for c in columns]
+                )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]),
+        floats=st.lists(
+            st.one_of(st.sampled_from(FORMAT_EDGE_FLOATS), st.floats(), st.integers(-(2**60), 2**60).map(float)),
+            min_size=1,
+            max_size=16,
+        ),
+        ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+    )
+    def test_bytes_match_csv_writer(self, tmp_path_factory, n, floats, ints):
+        tmp = tmp_path_factory.mktemp("write")
+        values = np.resize(np.array(floats), n)
+        columns = [values, np.resize(np.array(ints, dtype=np.int64), n), values[::-1].copy(), -values]
+        header = ["x1", "task", "mean", "stddev"]
+        cli._write_csv(tmp / "got.csv", header, columns)
+        self.reference(tmp / "want.csv", header, columns)
+        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+    def test_strided_columns(self, tmp_path):
+        X = np.arange(3 * (CSV_BLOCK_ROWS + 3), dtype=float).reshape(-1, 3) / 7.0
+        columns = [X[:, 0], X[:, 2]]
+        cli._write_csv(tmp_path / "got.csv", ["a", "b"], columns)
+        self.reference(tmp_path / "want.csv", ["a", "b"], columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestBenchmarkCommand:
