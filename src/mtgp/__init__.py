@@ -9,8 +9,6 @@ model against a single-task baseline on correlated Forrester curves.
 __version__ = "0.1.0"
 
 from .benchmark import (
-    BenchmarkScenario,
-    ComparisonResult,
     ForresterParams,
     StudyConfig,
     calibrate_auxiliary,
@@ -18,7 +16,6 @@ from .benchmark import (
     pearson_correlation,
     percent_improvement,
     rmse,
-    run_scenario,
     run_study,
 )
 from .coregionalization import (

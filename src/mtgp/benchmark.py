@@ -5,10 +5,11 @@ The primary task is the canonical Forrester curve
     f(x) = a * (6x - 2)^2 * sin(12x - 4) + b * (x - 0.5),   x in [0, 1]
 
 with (a, b) = (1, 0); auxiliary tasks are (a, b) variants calibrated so the
-two curves hit a target Pearson correlation. A scenario trains a single-task
-GP on task-1 data alone and a multi-task GP on both tasks, then compares
-root-mean-square errors on held-out task-1 points. A study sweeps
-correlation levels and per-task sample sizes over seeded replicates.
+two curves hit a target Pearson correlation. A study (:func:`run_study`)
+sweeps correlation levels and per-task sample sizes over seeded replicates.
+For each seeded draw of data it trains a single-task GP on the task-1 data
+alone and a multi-task GP on both tasks, then compares root-mean-square
+errors on held-out task-1 points.
 
 A study's fits are many small ones of few shapes, so it trains each shape
 as one batch (:func:`~mtgp.training.train_gp_batch`,
@@ -20,7 +21,8 @@ aggregate reports the restart outcomes of its fits
 (:func:`training_diagnostics`).
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +31,7 @@ from .errors import CalibrationError, DomainError, ShapeError, UndefinedCorrelat
 from .gp import gp_predict
 from .multitask import mtgp_predict
 from .seeding import make_rng, seed_entropy
-from .training import (
-    MTGPFamily,
-    TrainConfig,
-    train_gp,
-    train_gp_batch,
-    train_mtgp,
-    train_mtgp_batch,
-)
+from .training import MTGPFamily, TrainConfig, train_gp_batch, train_mtgp_batch
 
 CALIBRATION_GRID_SIZE = 1000
 CORRELATION_TOLERANCE = 0.03
@@ -177,92 +172,6 @@ def achieved_correlation(aux: ForresterParams, grid=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchmarkScenario:
-    primary_params: ForresterParams = PRIMARY_PARAMS
-    auxiliary_params: ForresterParams = PRIMARY_PARAMS
-    n_primary: int = 5
-    n_auxiliary: int = 5
-    n_test: int = 100
-    observation_noise: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.n_primary, self.n_auxiliary, self.n_test) < 1:
-            raise DomainError("sample counts must be at least 1")
-        if self.observation_noise < 0.0:
-            raise DomainError("observation_noise must be non-negative")
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    mtgp_rmse: float
-    gp_rmse: float
-    percent_improvement: float
-    correlation_achieved: float
-    n_primary: int
-    n_auxiliary: int
-    seed: int
-
-
-def _sample_inputs(rng, n: int, forbidden: np.ndarray) -> np.ndarray:
-    """Uniform samples on [0, 1], redrawn if they collide with held-out points."""
-    x = rng.uniform(0.0, 1.0, size=n)
-    while np.any(np.isin(x, forbidden)):
-        clash = np.isin(x, forbidden)
-        x[clash] = rng.uniform(0.0, 1.0, size=int(np.sum(clash)))
-    return x.reshape(-1, 1)
-
-
-def _scenario_data(scenario: BenchmarkScenario):
-    x_test = np.linspace(0.0, 1.0, scenario.n_test).reshape(-1, 1)
-    y_test = forrester(x_test[:, 0], scenario.primary_params)
-    x1 = _sample_inputs(make_rng(scenario.seed, "task1"), scenario.n_primary, x_test[:, 0])
-    x2 = _sample_inputs(make_rng(scenario.seed, "task2"), scenario.n_auxiliary, x_test[:, 0])
-    y1 = forrester(x1[:, 0], scenario.primary_params)
-    y2 = forrester(x2[:, 0], scenario.auxiliary_params)
-    if scenario.observation_noise > 0.0:
-        noise_rng = make_rng(scenario.seed, "noise")
-        y1 = y1 + noise_rng.normal(0.0, scenario.observation_noise, size=y1.shape)
-        y2 = y2 + noise_rng.normal(0.0, scenario.observation_noise, size=y2.shape)
-    return x1, y1, x2, y2, x_test, y_test
-
-
-def _model_seed(config: TrainConfig, scenario_seed: int, tag: str) -> int:
-    mixed = seed_entropy(config.seed, scenario_seed, tag)
-    return int(np.random.SeedSequence(mixed).generate_state(1, np.uint64)[0])
-
-
-def run_scenario(
-    scenario: BenchmarkScenario,
-    train_config: TrainConfig = TrainConfig(),
-    mtgp_family: MTGPFamily = BENCHMARK_MTGP_FAMILY,
-) -> ComparisonResult:
-    """Train both models on one seeded draw and compare task-1 test RMSE."""
-    x1, y1, x2, y2, x_test, y_test = _scenario_data(scenario)
-    gp_config = replace(train_config, seed=_model_seed(train_config, scenario.seed, "gp"))
-    gp_model = train_gp(x1, y1, gp_config)
-    gp_rmse = rmse(gp_predict(gp_model, x_test).mean, y_test)
-    dataset = MultiTaskDataset((x1, x2), (y1, y2))
-    mtgp_config = replace(train_config, seed=_model_seed(train_config, scenario.seed, "mtgp"))
-    mtgp_model = train_mtgp(dataset, mtgp_config, family=mtgp_family)
-    mtgp_rmse = rmse(mtgp_predict(mtgp_model, 0, x_test).mean, y_test)
-    return ComparisonResult(
-        mtgp_rmse=mtgp_rmse,
-        gp_rmse=gp_rmse,
-        percent_improvement=percent_improvement(gp_rmse, mtgp_rmse),
-        correlation_achieved=achieved_correlation(scenario.auxiliary_params),
-        n_primary=scenario.n_primary,
-        n_auxiliary=scenario.n_auxiliary,
-        seed=scenario.seed,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Studies
 # ---------------------------------------------------------------------------
 
@@ -280,8 +189,18 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise DomainError("replicates must be at least 1")
+        # written so that NaN fails every check
+        if not self.replicates >= 1:
+            raise DomainError(f"replicates must be at least 1, got {self.replicates!r}")
+        if not (self.n_test >= 1 and all(n >= 1 for pair in self.size_grid for n in pair)):
+            raise DomainError(
+                f"sample counts must be at least 1, got size_grid={self.size_grid!r} "
+                f"and n_test={self.n_test!r}"
+            )
+        if not 0.0 <= self.observation_noise < math.inf:
+            raise DomainError(
+                f"observation_noise must be finite and non-negative, got {self.observation_noise!r}"
+            )
 
 
 @dataclass
@@ -299,6 +218,42 @@ def _scenario_seed(study_seed: int, n_primary: int, replicate: int) -> int:
     # design (and hence the GP baseline) is paired within a replicate
     entropy = seed_entropy(study_seed, "scenario", n_primary, replicate)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def _sample_inputs(rng, n: int, forbidden: np.ndarray) -> np.ndarray:
+    """Uniform samples on [0, 1], redrawn if they collide with held-out points."""
+    x = rng.uniform(0.0, 1.0, size=n)
+    while np.any(np.isin(x, forbidden)):
+        clash = np.isin(x, forbidden)
+        x[clash] = rng.uniform(0.0, 1.0, size=int(np.sum(clash)))
+    return x.reshape(-1, 1)
+
+
+def _scenario_data(
+    study: StudyConfig, n_primary: int, n_auxiliary: int, seed: int, aux: ForresterParams
+):
+    """One seeded draw: task-1 and auxiliary training data, and the task-1 test grid.
+
+    Each task's inputs come from their own stream, so the task-1 design
+    depends only on ``seed`` and ``n_primary``; y1's noise is drawn before
+    y2's from a third stream.
+    """
+    x_test = np.linspace(0.0, 1.0, study.n_test).reshape(-1, 1)
+    y_test = forrester(x_test[:, 0], PRIMARY_PARAMS)
+    x1 = _sample_inputs(make_rng(seed, "task1"), n_primary, x_test[:, 0])
+    x2 = _sample_inputs(make_rng(seed, "task2"), n_auxiliary, x_test[:, 0])
+    y1 = forrester(x1[:, 0], PRIMARY_PARAMS)
+    y2 = forrester(x2[:, 0], aux)
+    if study.observation_noise > 0.0:
+        noise_rng = make_rng(seed, "noise")
+        y1 = y1 + noise_rng.normal(0.0, study.observation_noise, size=y1.shape)
+        y2 = y2 + noise_rng.normal(0.0, study.observation_noise, size=y2.shape)
+    return x1, y1, x2, y2, x_test, y_test
+
+
+def _model_seed(config: TrainConfig, scenario_seed: int, tag: str) -> int:
+    mixed = seed_entropy(config.seed, scenario_seed, tag)
+    return int(np.random.SeedSequence(mixed).generate_state(1, np.uint64)[0])
 
 
 def run_study(
@@ -320,22 +275,10 @@ def run_study(
     achieved = {r: achieved_correlation(aux) for r, aux in calibrations.items()}
     replicates = range(study.replicates)
 
-    def scenario_data(n1, n2, seed, aux=PRIMARY_PARAMS):
-        return _scenario_data(
-            BenchmarkScenario(
-                auxiliary_params=aux,
-                n_primary=n1,
-                n_auxiliary=n2,
-                n_test=study.n_test,
-                observation_noise=study.observation_noise,
-                seed=seed,
-            )
-        )
-
     gp_preds, gp_fits = {}, {}
     for n1 in sorted({n1 for n1, _ in study.size_grid}):
         seeds = [_scenario_seed(study.seed, n1, rep) for rep in replicates]
-        designs = [scenario_data(n1, 1, seed) for seed in seeds]
+        designs = [_scenario_data(study, n1, 1, seed, PRIMARY_PARAMS) for seed in seeds]
         models = train_gp_batch(
             [x1 for x1, *_ in designs],
             [y1 for _, y1, *_ in designs],
@@ -346,12 +289,12 @@ def run_study(
             gp_preds[(n1, rep)] = gp_predict(model, x_test)
             gp_fits[(n1, rep)] = model.fit_info
 
-    rows, series, mtgp_fits = [], {}, {}
+    rows, cells, series, mtgp_fits = [], {}, {}, {}
     for n1, n2 in study.size_grid:
         jobs = [(target, rep) for target in study.correlations for rep in replicates]
         seeds = [_scenario_seed(study.seed, n1, rep) for _, rep in jobs]
         draws = [
-            scenario_data(n1, n2, seed, calibrations[target])
+            _scenario_data(study, n1, n2, seed, calibrations[target])
             for (target, _), seed in zip(jobs, seeds)
         ]
         models = train_mtgp_batch(
@@ -380,6 +323,7 @@ def run_study(
                     "percent_improvement": percent_improvement(gp_rmse, mtgp_rmse),
                 }
             )
+            cells.setdefault((target, n1, n2), []).append(rows[-1])
             if rep == 0:
                 series[(target, n1, n2)] = {
                     "x": x_test[:, 0],
@@ -393,13 +337,7 @@ def run_study(
     aggregates = []
     for target in study.correlations:
         for n1, n2 in study.size_grid:
-            cell = [
-                row
-                for row in rows
-                if row["correlation_target"] == target
-                and row["n_primary"] == n1
-                and row["n_auxiliary"] == n2
-            ]
+            cell = cells[(target, n1, n2)]
             def col(name):
                 return np.asarray([row[name] for row in cell])
             gp_mean = float(np.mean(col("gp_rmse")))

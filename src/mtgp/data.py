@@ -245,14 +245,19 @@ def read_task_csv(path) -> tuple[MultiTaskDataset, list[str]]:
     xcols, _, values, rows_task = _read_table(path, ("y",), _check_data_row, _data_block_ok)
     if not rows_task:
         raise ValidationError(f"{path}: no data rows")
-    tasks = np.asarray(rows_task)
     present = sorted(set(rows_task))
-    num_tasks = max(present) + 1
-    missing = sorted(set(range(num_tasks)) - set(present))
-    if missing:
+    num_tasks = present[-1] + 1
+    if num_tasks > len(present):
+        # contiguous indices from 0 all lie below the row count, so only
+        # those are listed, however large the largest index is
+        seen = set(present)
+        missing = [d for d in range(min(num_tasks, len(rows_task))) if d not in seen]
+        more = num_tasks - len(present) - len(missing)
         raise ValidationError(
             f"{path}: task indices {present} are not contiguous from 0; missing {missing}"
+            + (f" and {more} more" if more else "")
         )
+    tasks = np.asarray(rows_task)
     X = np.column_stack(values[:-1])
     Y = np.asarray(values[-1], dtype=float)
     inputs = tuple(X[tasks == d] for d in range(num_tasks))
@@ -281,4 +286,10 @@ def read_query_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ValidationError(f"{path}: line {lines[bad[0]]}: non-finite value")
-    return X, np.asarray(tasks, dtype=int), xcols
+    try:
+        return X, np.asarray(tasks, dtype=int), xcols
+    except OverflowError:
+        i = next(i for i, task in enumerate(tasks) if task > np.iinfo(int).max)
+        raise ValidationError(
+            f"{path}: line {lines[i]}: task index {tasks[i]} exceeds the 64-bit integer range"
+        ) from None

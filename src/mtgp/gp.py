@@ -97,17 +97,6 @@ def gp_parameters(kernel: ScalarKernelSpec, noise_variance: float) -> ParameterL
     )
 
 
-def gp_layout(kernel: ScalarKernelSpec, noise_variance: float, X, Y) -> ExactGPLayout:
-    """The exact-GP objective of :func:`gp_parameters` on the data (X, Y)."""
-    return ExactGPLayout(
-        _one_task_spec(kernel),
-        [noise_variance],
-        MultiTaskDataset((X,), (Y,)),
-        learn_W=False,
-        learn_gamma=False,
-    )
-
-
 def gp_log_marginal_likelihood(
     kernel: ScalarKernelSpec,
     noise_variance: float,
@@ -119,10 +108,18 @@ def gp_log_marginal_likelihood(
 
     The gradient is ordered ``[log l_1, ..., log l_P, log s2, log noise]``
     and uses the identity dL/dt = 1/2 tr((alpha alpha^T - K^{-1}) dK/dt);
-    it is the B=1 case of the exact-GP core on :func:`gp_layout`.
+    it is the B=1 case of the exact-GP core on the :func:`gp_parameters`
+    layout.
     """
     Y = np.asarray(Y, dtype=float).reshape(-1)
-    batch = gp_layout(kernel, float(noise_variance), X, Y - mean_const).evaluate_template()
+    layout = ExactGPLayout(
+        _one_task_spec(kernel),
+        [float(noise_variance)],
+        MultiTaskDataset((X,), (Y - mean_const,)),
+        learn_W=False,
+        learn_gamma=False,
+    )
+    batch = layout.evaluate_template()
     if batch.errors:
         raise IllConditionedKernelError(batch.errors[0])
     return float(batch.values[0]), batch.grads[0]

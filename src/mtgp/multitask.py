@@ -319,9 +319,10 @@ class ExactGPLayout(ParameterLayout):
     top of :class:`ParameterLayout` it holds the training inputs, their
     per-dimension squared differences, the task one-hot and the targets, so
     evaluating a batch builds no Python objects. :func:`_assemble` is the
-    package's one joint-covariance assembly: the objective runs it on a
-    batch, :func:`mtgp_fit` on the template, and :meth:`cross_covariance`
-    extends it to query rows.
+    package's one joint-covariance assembly: the training objective
+    (:meth:`LayoutStack.evaluate`) runs it on a batch, :func:`mtgp_fit` and
+    the likelihood wrappers (:meth:`evaluate_template`) on the template, and
+    :meth:`cross_covariance` extends it to query rows.
     """
 
     def __init__(
@@ -359,15 +360,6 @@ class ExactGPLayout(ParameterLayout):
         self.y = dataset.stacked_targets()
         self.shape = (Q, D, P, N)
         self.log_norm = 0.5 * N * np.log(2.0 * np.pi)
-
-    def evaluate(self, X: np.ndarray) -> LMLBatch:
-        """Log marginal likelihood and flat gradient for each row of X (B, size).
-
-        Training evaluates through :class:`LayoutStack`; this per-layout
-        evaluation is the reference each stacked row equals bitwise.
-        """
-        started = time.perf_counter()
-        return _lml_batch(self, self.natural_batch(X), self.sqdiff, self.y, started)
 
     def evaluate_template(self) -> LMLBatch:
         """The B=1 batch of the template's own parameters, with no transform round trip."""
@@ -415,8 +407,8 @@ class LayoutStack:
     is stacked, ``sqdiff`` (F, P, N*N) and ``y`` (F, N), and
     :meth:`evaluate` picks each running row's dataset by its row index.
     The objective computes every row on its own, so a row's value and
-    gradient are bitwise those of its layout's own
-    :meth:`ExactGPLayout.evaluate`, whichever rows run beside it.
+    gradient are bitwise the same whichever rows run beside it, in this
+    stack or in a one-row stack of its layout alone.
     """
 
     def __init__(self, layouts, rows_per_layout: int):

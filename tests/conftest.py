@@ -15,6 +15,7 @@ from mtgp.coregionalization import (
 )
 from mtgp.data import MultiTaskDataset
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
+from mtgp.multitask import ExactGPLayout
 from mtgp.seeding import make_rng
 
 
@@ -58,6 +59,15 @@ def random_dataset(rng, num_tasks, dim=1, max_per_task=3, min_per_task=1):
     return MultiTaskDataset(
         tuple(rng.uniform(0.0, 1.0, size=(int(c), dim)) for c in counts),
         tuple(rng.normal(size=int(c)) for c in counts),
+    )
+
+
+def gp_exact_layout(kernel: ScalarKernelSpec, noise_variance: float, X, Y) -> ExactGPLayout:
+    """The single-task GP's exact-GP objective on (X, Y): the one-task,
+    one-term layout with W fixed at 1 and gamma at 0."""
+    spec = MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
+    return ExactGPLayout(
+        spec, [noise_variance], MultiTaskDataset((X,), (Y,)), learn_W=False, learn_gamma=False
     )
 
 

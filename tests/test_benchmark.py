@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtgp.benchmark import (
-    BenchmarkScenario,
+    BENCHMARK_MTGP_FAMILY,
     ForresterParams,
     PRIMARY_PARAMS,
     StudyConfig,
+    _model_seed,
+    _scenario_data,
+    _scenario_seed,
     achieved_correlation,
     calibrate_auxiliary,
     forrester,
@@ -17,13 +21,22 @@ from mtgp.benchmark import (
     pearson_correlation,
     percent_improvement,
     rmse,
-    run_scenario,
     run_study,
     training_diagnostics,
 )
+from mtgp.data import MultiTaskDataset
 from mtgp.errors import DomainError, ShapeError, UndefinedCorrelationError
 from mtgp import training
-from mtgp.training import MTGPFamily, TrainConfig
+from mtgp.gp import gp_predict
+from mtgp.multitask import mtgp_predict
+from mtgp.training import (
+    MTGPFamily,
+    TrainConfig,
+    train_gp,
+    train_gp_batch,
+    train_mtgp,
+    train_mtgp_batch,
+)
 
 TINY = TrainConfig(max_iterations=40, num_restarts=2, seed=0)
 
@@ -144,63 +157,98 @@ class TestCalibration:
             calibrate_auxiliary(1.2)
 
 
+def standalone_rmses(study, n_primary, n_auxiliary, seed, aux, train_config=TINY,
+                     family=BENCHMARK_MTGP_FAMILY):
+    """(GP, MTGP) task-1 test RMSEs of one draw, each model trained alone with
+    the seed :func:`run_study` gives it: the reference a batched study row equals."""
+    x1, y1, x2, y2, x_test, y_test = _scenario_data(study, n_primary, n_auxiliary, seed, aux)
+    gp = train_gp(x1, y1, replace(train_config, seed=_model_seed(train_config, seed, "gp")))
+    mtgp = train_mtgp(
+        MultiTaskDataset((x1, x2), (y1, y2)),
+        replace(train_config, seed=_model_seed(train_config, seed, "mtgp")),
+        family=family,
+    )
+    return rmse(gp_predict(gp, x_test).mean, y_test), rmse(mtgp_predict(mtgp, 0, x_test).mean, y_test)
+
+
 class TestRunScenario:
+    """One seeded draw of a study cell and its standalone fits."""
+
     def scenario(self, **kw):
-        defaults = dict(
-            auxiliary_params=ForresterParams(1.0, 0.0),
-            n_primary=4,
-            n_auxiliary=4,
-            n_test=25,
-            seed=5,
-        )
+        defaults = dict(correlations=(1.0,), size_grid=((4, 4),), replicates=1, n_test=25)
         defaults.update(kw)
-        return BenchmarkScenario(**defaults)
+        return StudyConfig(**defaults)
 
     def test_deterministic(self):
-        a = run_scenario(self.scenario(), TINY)
-        b = run_scenario(self.scenario(), TINY)
+        a = standalone_rmses(self.scenario(), 4, 4, 5, PRIMARY_PARAMS)
+        b = standalone_rmses(self.scenario(), 4, 4, 5, PRIMARY_PARAMS)
         assert a == b
 
     def test_result_fields(self):
-        res = run_scenario(self.scenario(), TINY)
-        assert res.gp_rmse >= 0 and res.mtgp_rmse >= 0
-        assert res.percent_improvement == pytest.approx(
-            percent_improvement(res.gp_rmse, res.mtgp_rmse), abs=1e-12
+        # a study row of one draw whose auxiliary is the primary (target 1.0)
+        (row,) = run_study(self.scenario(), TINY).rows
+        assert row["gp_rmse"] >= 0 and row["mtgp_rmse"] >= 0
+        assert row["percent_improvement"] == pytest.approx(
+            percent_improvement(row["gp_rmse"], row["mtgp_rmse"]), abs=1e-12
         )
-        assert res.n_primary == 4 and res.n_auxiliary == 4
-        assert res.correlation_achieved == pytest.approx(1.0, abs=1e-12)
+        assert row["n_primary"] == 4 and row["n_auxiliary"] == 4
+        assert row["correlation_achieved"] == pytest.approx(1.0, abs=1e-12)
 
     def test_training_inputs_disjoint_from_test_grid(self):
-        from mtgp.benchmark import _scenario_data
-
-        x1, y1, x2, y2, xt, yt = _scenario_data(self.scenario(n_test=50))
+        x1, y1, x2, y2, xt, yt = _scenario_data(self.scenario(n_test=50), 4, 4, 5, PRIMARY_PARAMS)
         assert not np.any(np.isin(x1[:, 0], xt[:, 0]))
         assert not np.any(np.isin(x2[:, 0], xt[:, 0]))
 
     def test_observation_noise_applied(self):
-        from mtgp.benchmark import _scenario_data
-
-        clean = _scenario_data(self.scenario())
-        noisy = _scenario_data(self.scenario(observation_noise=0.5))
+        clean = _scenario_data(self.scenario(), 4, 4, 5, PRIMARY_PARAMS)
+        noisy = _scenario_data(self.scenario(observation_noise=0.5), 4, 4, 5, PRIMARY_PARAMS)
         np.testing.assert_array_equal(clean[0], noisy[0])  # same inputs
         assert np.any(clean[1] != noisy[1])  # different targets
 
     def test_zero_coupling_auxiliary_is_inert_on_average(self):
         # near convergence the two trainers agree; short budgets leave
-        # optimizer noise well above the 5% bound
+        # optimizer noise well above the 5% bound. The ten draws train as one
+        # batch per model, each fit as it would alone (batch invariance).
         cfg = TrainConfig(max_iterations=600, num_restarts=3, seed=0)
-        rel = []
         aux = calibrate_auxiliary(0.89)
-        for seed in range(10):
-            res = run_scenario(
-                BenchmarkScenario(
-                    auxiliary_params=aux, n_primary=6, n_auxiliary=6, n_test=40, seed=seed
-                ),
-                cfg,
-                mtgp_family=MTGPFamily(mode="independent"),
-            )
-            rel.append(abs(res.mtgp_rmse - res.gp_rmse) / res.gp_rmse)
+        study = StudyConfig(n_test=40)
+        seeds = range(10)
+        draws = [_scenario_data(study, 6, 6, seed, aux) for seed in seeds]
+        gps = train_gp_batch(
+            [x1 for x1, *_ in draws],
+            [y1 for _, y1, *_ in draws],
+            cfg,
+            [_model_seed(cfg, seed, "gp") for seed in seeds],
+        )
+        mtgps = train_mtgp_batch(
+            [MultiTaskDataset((x1, x2), (y1, y2)) for x1, y1, x2, y2, _, _ in draws],
+            cfg,
+            [_model_seed(cfg, seed, "mtgp") for seed in seeds],
+            family=MTGPFamily(mode="independent"),
+        )
+        rel = []
+        for gp, mtgp, (*_, x_test, y_test) in zip(gps, mtgps, draws):
+            gp_rmse = rmse(gp_predict(gp, x_test).mean, y_test)
+            mtgp_rmse = rmse(mtgp_predict(mtgp, 0, x_test).mean, y_test)
+            rel.append(abs(mtgp_rmse - gp_rmse) / gp_rmse)
         assert float(np.mean(rel)) < 0.05
+
+
+class TestStudyConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_test": 0},
+            {"size_grid": ((5, 5), (5, 0))},
+            {"size_grid": ((0, 5),)},
+            {"observation_noise": -0.1},
+            {"observation_noise": math.nan},
+            {"observation_noise": math.inf},
+        ],
+    )
+    def test_bad_values_rejected(self, bad):
+        with pytest.raises(DomainError):
+            StudyConfig(**bad)
 
 
 class TestRunStudy:
@@ -242,43 +290,33 @@ class TestRunStudy:
             assert len(set(values)) == 1
 
     def test_study_matches_standalone_scenario(self):
-        from mtgp.benchmark import _scenario_seed
-
         study = StudyConfig(
             correlations=(0.89,), size_grid=((4, 5),), replicates=1, n_test=20, seed=3
         )
         res = run_study(study, TINY)
         row = res.rows[0]
-        scenario = BenchmarkScenario(
-            auxiliary_params=res.calibrations[0.89],
-            n_primary=4,
-            n_auxiliary=5,
-            n_test=20,
-            seed=_scenario_seed(3, 4, 0),
+        gp_rmse, mtgp_rmse = standalone_rmses(
+            study, 4, 5, _scenario_seed(3, 4, 0), res.calibrations[0.89]
         )
-        standalone = run_scenario(scenario, TINY)
-        assert standalone.gp_rmse == row["gp_rmse"]
-        assert standalone.mtgp_rmse == row["mtgp_rmse"]
+        assert gp_rmse == row["gp_rmse"]
+        assert mtgp_rmse == row["mtgp_rmse"]
 
     def test_batched_study_rows_match_standalone_scenarios(self):
-        from mtgp.benchmark import _scenario_seed
-
         study = StudyConfig(
             correlations=(0.89, 0.53), size_grid=((4, 5),), replicates=2, n_test=20, seed=3
         )
         res = run_study(study, TINY)
         assert len(res.rows) == 4
         for row in res.rows:
-            scenario = BenchmarkScenario(
-                auxiliary_params=res.calibrations[row["correlation_target"]],
-                n_primary=4,
-                n_auxiliary=5,
-                n_test=20,
-                seed=_scenario_seed(3, 4, row["replicate"]),
+            gp_rmse, mtgp_rmse = standalone_rmses(
+                study,
+                4,
+                5,
+                _scenario_seed(3, 4, row["replicate"]),
+                res.calibrations[row["correlation_target"]],
             )
-            standalone = run_scenario(scenario, TINY)
-            assert standalone.gp_rmse == row["gp_rmse"]
-            assert standalone.mtgp_rmse == row["mtgp_rmse"]
+            assert gp_rmse == row["gp_rmse"]
+            assert mtgp_rmse == row["mtgp_rmse"]
 
     def test_one_adam_run_per_cell_and_per_primary_size(self, monkeypatch):
         runs = []

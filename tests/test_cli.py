@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mtgp
 import mtgp.cli as cli
-from mtgp import model_io
+from mtgp import benchmark, model_io, training
 from mtgp.benchmark import forrester
 from mtgp.data import CSV_BLOCK_ROWS, read_task_csv
 from mtgp.errors import TrainingFailedError
@@ -191,6 +191,17 @@ class TestTrainPredict:
         assert code == 2
         assert "missing [1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", [10**12, 10**30, 2**100])
+    def test_huge_task_id_exits_2_with_a_short_message(self, tmp_path, capsys, task):
+        # the listed gaps are bounded by the row count, not by the largest id
+        data = tmp_path / "huge.csv"
+        data.write_text(f"x1,task,y\n0.1,0,1.0\n0.2,{task},2.0\n", encoding="utf-8")
+        config = write_config(tmp_path / "config.json")
+        code = cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "huge.csv" in err and len(err) < 300
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         data = write_two_task_csv(tmp_path / "data.csv")
         config = tmp_path / "config.json"
@@ -229,6 +240,17 @@ class TestTrainPredict:
         query = tmp_path / "query.csv"
         query.write_text("x1,task\n0.5,7\n", encoding="utf-8")
         assert cli.main(["predict", "--model", str(out / "model.json"), "--data", str(query), "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_query_task_beyond_int64_exits_2(self, tmp_path, capsys):
+        data = write_two_task_csv(tmp_path / "data.csv")
+        config = write_config(tmp_path / "config.json")
+        out = tmp_path / "run"
+        cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(out)])
+        query = tmp_path / "query.csv"
+        query.write_text("x1,task\n0.1,0\n0.1,99999999999999999999\n", encoding="utf-8")
+        code = cli.main(["predict", "--model", str(out / "model.json"), "--data", str(query), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "line 3: task index 99999999999999999999" in capsys.readouterr().err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         data = write_two_task_csv(tmp_path / "data.csv")
@@ -762,6 +784,24 @@ class TestBenchmarkCommand:
         assert cli.main(["benchmark", "--config", str(config), "--out", str(out)]) == 2
         assert "'sizes' must be a list of [n1, n2] integer pairs" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, doc",
+        [
+            (["--sizes", "5,5;5,0"], {}),
+            ([], {"n_test": 0}),
+            ([], {"observation_noise": float("nan")}),
+        ],
+    )
+    def test_bad_study_values_exit_2_before_any_training(self, tmp_path, monkeypatch, args, doc):
+        calls = []
+        monkeypatch.setattr(benchmark, "calibrate_auxiliary", lambda *a: calls.append("calibrate"))
+        monkeypatch.setattr(training, "adam_maximize", lambda *a, **k: calls.append("adam"))
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"replicates": 2, **doc}), encoding="utf-8")
+        out = tmp_path / "s"
+        assert cli.main(["benchmark", "--config", str(config), "--out", str(out), *args]) == 2
+        assert calls == [] and not out.exists()
 
     def test_unknown_study_key_exits_2(self, tmp_path):
         config = tmp_path / "study.json"

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gp_exact_layout
 from mtgp.errors import ShapeError
-from mtgp.gp import gp_layout, gp_parameters
+from mtgp.gp import gp_parameters
 from mtgp.kernels import (
     MATERN52,
     PROFILE_SCALE,
@@ -162,7 +163,7 @@ class TestKernelMatrixGrad:
     def test_empty_input_rejected(self):
         # the objective that consumes these derivatives needs a training point
         with pytest.raises(ShapeError):
-            gp_layout(se(1.0), 0.1, np.zeros((0, 1)), np.zeros(0))
+            gp_exact_layout(se(1.0), 0.1, np.zeros((0, 1)), np.zeros(0))
 
     @pytest.mark.parametrize("kind", [SQUARED_EXPONENTIAL, MATERN52])
     def test_matches_central_finite_differences(self, kind):

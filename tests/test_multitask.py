@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_gaussian_conditioning, random_dataset, random_mtgp_spec
+from conftest import (
+    dense_gaussian_conditioning,
+    gp_exact_layout,
+    random_dataset,
+    random_mtgp_spec,
+)
 from mtgp.coregionalization import (
     CoregionalizationTerm,
     MultiTaskKernelSpec,
@@ -23,6 +28,12 @@ from mtgp.multitask import (
 )
 from mtgp.seeding import make_rng
 from mtgp.training import MTGPFamily, build_mtgp_template
+
+
+def evaluate(layout, X):
+    """The objective at the rows of X (B, size), through a one-layout stack:
+    the path training runs."""
+    return LayoutStack([layout], X.shape[0]).evaluate(X, np.arange(X.shape[0]))
 
 
 def se(ls=1.0, sv=1.0):
@@ -445,7 +456,6 @@ class TestMTGPLogMarginalLikelihood:
 
 def _batch_case(name):
     """(layout, dataset) for one configuration of the batched objective."""
-    from mtgp.gp import gp_layout
     from mtgp.kernels import MATERN52
     from mtgp.multitask import ExactGPLayout
     from mtgp.training import MTGPFamily, build_mtgp_template
@@ -453,7 +463,7 @@ def _batch_case(name):
     rng = make_rng("batch-core", name)
     if name == "gp":
         X = rng.uniform(0, 1, (6, 2))
-        layout = gp_layout(ScalarKernelSpec(MATERN52, [0.4, 0.7], 1.3), 0.1, X, rng.normal(size=6))
+        layout = gp_exact_layout(ScalarKernelSpec(MATERN52, [0.4, 0.7], 1.3), 0.1, X, rng.normal(size=6))
         return layout, MultiTaskDataset((X,), (layout.y,))
     counts = {"empty-task": (4, 0, 3)}.get(name, (4, 5))
     dataset = MultiTaskDataset(
@@ -504,7 +514,7 @@ class TestBatchedObjective:
     def test_rows_match_dense_reference(self, name):
         layout, dataset = _batch_case(name)
         X = self._batch(layout, name)
-        batch = layout.evaluate(X)
+        batch = evaluate(layout, X)
         assert not batch.errors and not np.any(batch.escalated)
         y = dataset.stacked_targets()
         n = y.size
@@ -527,7 +537,7 @@ class TestBatchedObjective:
         X = self._batch(layout, name)
 
         def objective(vec):
-            batch = layout.evaluate(vec[None])
+            batch = evaluate(layout, vec[None])
             return batch.values[0], batch.grads[0]
 
         for b in range(X.shape[0]):
@@ -537,9 +547,9 @@ class TestBatchedObjective:
     def test_rows_do_not_depend_on_the_batch(self, name):
         layout, _ = _batch_case(name)
         X = self._batch(layout, name, B=4)
-        batch = layout.evaluate(X)
+        batch = evaluate(layout, X)
         for b in range(X.shape[0]):
-            alone = layout.evaluate(X[b : b + 1])
+            alone = evaluate(layout, X[b : b + 1])
             np.testing.assert_array_equal(alone.values[0], batch.values[b])
             np.testing.assert_array_equal(alone.grads[0], batch.grads[b])
 
@@ -556,10 +566,10 @@ class TestBatchedObjective:
         layout = ExactGPLayout(spec, noise, dataset)
         point = layout.initial_vector() + rng.normal(0.0, 0.5, size=layout.size)
         point[layout.is_W] = rng.normal(0.0, 0.8, size=int(np.sum(layout.is_W)))
-        analytic = layout.evaluate(point[None]).grads[0]
+        analytic = evaluate(layout, point[None]).grads[0]
         step = 1e-4
         shifted = point + step * np.vstack([np.eye(layout.size), -np.eye(layout.size)])
-        values = layout.evaluate(shifted).values
+        values = evaluate(layout, shifted).values
         numeric = (values[: layout.size] - values[layout.size :]) / (2 * step)
         names = mtgp_parameter_names(spec)
         checked = [i for i, n in enumerate(names) if "signal" in n or ".W[" in n or "gamma" in n]
@@ -595,7 +605,7 @@ class TestBatchedObjective:
         X = self._batch(layout, "matern-lmc", B=1)
         spec, noise = layout.materialize(X[0])
         value, grad = mtgp_log_marginal_likelihood(spec, noise, dataset)
-        batch = layout.evaluate(X)
+        batch = evaluate(layout, X)
         assert value == pytest.approx(batch.values[0], rel=1e-12)
         # lmc learns every parameter, so both gradients use the canonical order
         assert grad.shape == (len(mtgp_parameter_names(spec)),)
@@ -704,7 +714,7 @@ class TestBatchedGradientProperty:
                 for e in np.eye(layout.size)
             ]
         )
-        analytic = layout.evaluate(point[None]).grads[0]
+        analytic = evaluate(layout, point[None]).grads[0]
         scale = max(1.0, float(np.max(np.abs(analytic))))
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6 * scale)
 
@@ -759,9 +769,9 @@ class TestBatchInvariance:
         rng = np.random.default_rng(seed)
         (layout,) = _invariance_layouts(*case, rng)
         X = _random_points(layout, rng, B)
-        batch = layout.evaluate(X)
+        batch = evaluate(layout, X)
         for b in range(B):
-            alone = layout.evaluate(X[b : b + 1])
+            alone = evaluate(layout, X[b : b + 1])
             np.testing.assert_array_equal(alone.values[0], batch.values[b])
             np.testing.assert_array_equal(alone.grads[0], batch.grads[b])
 
@@ -785,6 +795,6 @@ class TestBatchInvariance:
             mine = np.flatnonzero(rows // R == f)
             if mine.size == 0:
                 continue
-            alone = layout.evaluate(X0[rows[mine]])
+            alone = evaluate(layout, X0[rows[mine]])
             np.testing.assert_array_equal(alone.values, batch.values[mine])
             np.testing.assert_array_equal(alone.grads, batch.grads[mine])

@@ -1,0 +1,47 @@
+"""The package exports only code the package itself runs.
+
+Every name ``mtgp/__init__.py`` imports must be used somewhere in the
+package beyond its own definition and that import, so a second code path
+that only tests call cannot be exported.
+"""
+
+import ast
+from pathlib import Path
+
+import mtgp
+
+PACKAGE = Path(mtgp.__file__).parent
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported_names() -> list[str]:
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(_parse(PACKAGE / "__init__.py"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def _used_names() -> set[str]:
+    """Names read (``name``) or looked up (``module.name``) outside ``__init__``."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_inside_the_package():
+    exported = _exported_names()
+    assert "run_study" in exported
+    unused = sorted(set(exported) - _used_names())
+    assert unused == [], f"exported but never used inside the package: {unused}"
