@@ -157,16 +157,16 @@ class TestCalibration:
             calibrate_auxiliary(1.2)
 
 
-def standalone_rmses(study, n_primary, n_auxiliary, seed, aux, train_config=TINY,
-                     family=BENCHMARK_MTGP_FAMILY):
-    """(GP, MTGP) task-1 test RMSEs of one draw, each model trained alone with
-    the seed :func:`run_study` gives it: the reference a batched study row equals."""
+def standalone_rmses(study, n_primary, n_auxiliary, seed, aux):
+    """(GP, MTGP) task-1 test RMSEs of one draw, each model trained alone under
+    TINY with the seed :func:`run_study` gives it: the reference a batched
+    study row equals."""
     x1, y1, x2, y2, x_test, y_test = _scenario_data(study, n_primary, n_auxiliary, seed, aux)
-    gp = train_gp(x1, y1, replace(train_config, seed=_model_seed(train_config, seed, "gp")))
+    gp = train_gp(x1, y1, replace(TINY, seed=_model_seed(TINY, seed, "gp")))
     mtgp = train_mtgp(
         MultiTaskDataset((x1, x2), (y1, y2)),
-        replace(train_config, seed=_model_seed(train_config, seed, "mtgp")),
-        family=family,
+        replace(TINY, seed=_model_seed(TINY, seed, "mtgp")),
+        family=BENCHMARK_MTGP_FAMILY,
     )
     return rmse(gp_predict(gp, x_test).mean, y_test), rmse(mtgp_predict(mtgp, 0, x_test).mean, y_test)
 
