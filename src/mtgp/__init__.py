@@ -35,13 +35,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .gp import (
-    GPModel,
-    PosteriorPrediction,
-    gp_fit,
-    gp_log_marginal_likelihood,
-    gp_predict,
-)
+from .gp import gp_fit, gp_log_marginal_likelihood
 from .kernels import (
     KERNEL_KINDS,
     MATERN52,
@@ -51,6 +45,7 @@ from .kernels import (
 )
 from .multitask import (
     MTGPModel,
+    PosteriorPrediction,
     mtgp_fit,
     mtgp_log_marginal_likelihood,
     mtgp_parameter_names,

@@ -28,7 +28,6 @@ import numpy as np
 
 from .data import MultiTaskDataset
 from .errors import CalibrationError, DomainError, ShapeError, UndefinedCorrelationError
-from .gp import gp_predict
 from .multitask import mtgp_predict
 from .seeding import make_rng, seed_entropy
 from .training import MTGPFamily, TrainConfig, train_gp_batch, train_mtgp_batch
@@ -121,7 +120,7 @@ def _correlation_surface(a_grid: np.ndarray, b_grid: np.ndarray, grid: np.ndarra
     return A, B, corr
 
 
-def calibrate_auxiliary(target_r: float, grid=None) -> ForresterParams:
+def calibrate_auxiliary(target_r: float) -> ForresterParams:
     """Find (a, b) whose curve correlates with the primary at ``target_r``.
 
     Deterministic coarse-to-fine mesh search over a in [0, 1.5], b in
@@ -131,7 +130,7 @@ def calibrate_auxiliary(target_r: float, grid=None) -> ForresterParams:
     """
     if not 0.0 < target_r <= 1.0:
         raise DomainError("target correlation must lie in (0, 1]")
-    grid = np.linspace(0.0, 1.0, CALIBRATION_GRID_SIZE) if grid is None else np.asarray(grid, dtype=float)
+    grid = np.linspace(0.0, 1.0, CALIBRATION_GRID_SIZE)
     a_lo, a_hi = _A_BOX
     b_lo, b_hi = _B_BOX
     na, nb = 61, 121
@@ -166,8 +165,8 @@ def calibrate_auxiliary(target_r: float, grid=None) -> ForresterParams:
     return ForresterParams(a, b)
 
 
-def achieved_correlation(aux: ForresterParams, grid=None) -> float:
-    grid = np.linspace(0.0, 1.0, CALIBRATION_GRID_SIZE) if grid is None else np.asarray(grid, dtype=float)
+def achieved_correlation(aux: ForresterParams) -> float:
+    grid = np.linspace(0.0, 1.0, CALIBRATION_GRID_SIZE)
     return pearson_correlation(forrester(grid, PRIMARY_PARAMS), forrester(grid, aux))
 
 
@@ -190,6 +189,14 @@ class StudyConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
+        axes = (self.correlations, [tuple(pair) for pair in self.size_grid])
+        if not all(values and len(set(values)) == len(values) for values in axes):
+            raise DomainError(
+                "correlations and size pairs must be non-empty and distinct, got "
+                f"correlations={self.correlations!r} and size_grid={self.size_grid!r}"
+            )
+        if not all(0.0 < r <= 1.0 for r in self.correlations):
+            raise DomainError(f"correlation targets must lie in (0, 1], got {self.correlations!r}")
         if not self.replicates >= 1:
             raise DomainError(f"replicates must be at least 1, got {self.replicates!r}")
         if not (self.n_test >= 1 and all(n >= 1 for pair in self.size_grid for n in pair)):
@@ -256,11 +263,7 @@ def _model_seed(config: TrainConfig, scenario_seed: int, tag: str) -> int:
     return int(np.random.SeedSequence(mixed).generate_state(1, np.uint64)[0])
 
 
-def run_study(
-    study: StudyConfig,
-    train_config: TrainConfig = TrainConfig(),
-    mtgp_family: MTGPFamily = BENCHMARK_MTGP_FAMILY,
-) -> StudyResult:
+def run_study(study: StudyConfig, train_config: TrainConfig = TrainConfig()) -> StudyResult:
     """Sweep correlation targets and size pairs over seeded replicates.
 
     The task-1 training design depends only on (study seed, n_primary,
@@ -286,7 +289,7 @@ def run_study(
             [_model_seed(train_config, seed, "gp") for seed in seeds],
         )
         for rep, model, (*_, x_test, _) in zip(replicates, models, designs):
-            gp_preds[(n1, rep)] = gp_predict(model, x_test)
+            gp_preds[(n1, rep)] = mtgp_predict(model, 0, x_test)
             gp_fits[(n1, rep)] = model.fit_info
 
     rows, cells, series, mtgp_fits = [], {}, {}, {}
@@ -301,7 +304,7 @@ def run_study(
             [MultiTaskDataset((x1, x2), (y1, y2)) for x1, y1, x2, y2, _, _ in draws],
             train_config,
             [_model_seed(train_config, seed, "mtgp") for seed in seeds],
-            family=mtgp_family,
+            family=BENCHMARK_MTGP_FAMILY,
         )
         for (target, rep), seed, model, (*_, x_test, y_test) in zip(jobs, seeds, models, draws):
             aux = calibrations[target]

@@ -94,15 +94,19 @@ def standardize_targets(
     """
     means = np.zeros(dataset.num_tasks)
     stds = np.ones(dataset.num_tasks)
-    new_targets = []
     for d, Y in enumerate(dataset.targets):
         if Y.size > 0:
             means[d] = float(np.mean(Y))
             s = float(np.std(Y))
             if s > 0.0:
                 stds[d] = s
-        new_targets.append((Y - means[d]) / stds[d])
-    return MultiTaskDataset(dataset.inputs, tuple(new_targets)), means, stds
+    return scale_targets(dataset, means, stds), means, stds
+
+
+def scale_targets(dataset: MultiTaskDataset, means, stds) -> MultiTaskDataset:
+    """The dataset with task d's targets mapped to ``(Y_d - means_d) / stds_d``."""
+    targets = tuple((Y - m) / s for Y, m, s in zip(dataset.targets, means, stds))
+    return MultiTaskDataset(dataset.inputs, targets)
 
 
 # ---------------------------------------------------------------------------

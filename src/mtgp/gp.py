@@ -2,14 +2,13 @@
 
 A GP with kernel k and noise variance n is the one-task, one-term MTGP with
 W = 1 and gamma = 0, so fitting, prediction and the log marginal likelihood
-all run on the layout's covariance assembly in :mod:`mtgp.multitask`:
+all run on the layout's covariance assembly in :mod:`mtgp.multitask`, and a
+fitted GP is a one-task :class:`~mtgp.multitask.MTGPModel`:
 
     mean(x*) = m + k(x*, X) alpha,            alpha = (K_XX + noise*I)^{-1} (Y - m)
     var(x*)  = k(x*, x*) - k(x*, X) (K_XX + noise*I)^{-1} k(X, x*)
     log p(Y) = -1/2 (Y-m)^T alpha - sum_i log L_ii - N/2 log(2 pi)
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,38 +16,7 @@ from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset
 from .errors import IllConditionedKernelError
 from .kernels import ScalarKernelSpec
-from .multitask import (
-    ExactGPLayout,
-    MTGPModel,
-    ParameterLayout,
-    PosteriorPrediction,
-    mtgp_fit,
-    mtgp_predict,
-)
-
-
-@dataclass(eq=False)
-class GPModel:
-    """Immutable fitted state of a single-task GP.
-
-    ``posterior`` is the one-task MTGP it predicts with; ``L``, ``alpha``
-    and ``jitter`` are that model's factor, weights and jitter.
-    """
-
-    kernel: ScalarKernelSpec
-    noise_variance: float
-    mean_const: float
-    X: np.ndarray
-    Y: np.ndarray
-    L: np.ndarray
-    alpha: np.ndarray
-    jitter: float
-    posterior: MTGPModel = field(repr=False)
-    fit_info: dict | None = field(default=None, repr=False)
-
-    @property
-    def input_dim(self) -> int:
-        return self.kernel.input_dim
+from .multitask import ExactGPLayout, MTGPModel, ParameterLayout, _condition
 
 
 def gp_fit(
@@ -57,28 +25,17 @@ def gp_fit(
     X,
     Y,
     mean_const: float = 0.0,
-) -> GPModel:
-    """Fit the exact GP posterior to (X, Y).
+) -> MTGPModel:
+    """Fit the exact GP posterior to (X, Y) as the one-task, one-term MTGP.
 
-    The noise variance is floored at ``NOISE_FLOOR``; a relative jitter is
-    added before factorization and escalated on failure (see
-    :mod:`mtgp.linalg`).
+    The model conditions on ``Y - mean_const`` (its task mean, with task
+    std 1) and predicts with ``mtgp_predict(model, 0, Xstar)``. The noise
+    variance is floored at ``NOISE_FLOOR``; a relative jitter is added
+    before factorization and escalated on failure (see :mod:`mtgp.linalg`).
     """
-    data = MultiTaskDataset((X,), (Y,))
-    X, Y = data.inputs[0], data.targets[0]
-    dataset = MultiTaskDataset((X,), (Y - mean_const,))
-    post = mtgp_fit(_one_task_spec(kernel), [noise_variance], dataset, standardize=False)
-    noise = float(post.noise_variances[0])
-    return GPModel(
-        kernel, noise, float(mean_const), X, Y, post.L, post.weights, post.jitter, post
-    )
-
-
-def gp_predict(model: GPModel, Xstar, full_cov: bool = False) -> PosteriorPrediction:
-    """Posterior mean and variance (optionally full covariance) at Xstar."""
-    pred = mtgp_predict(model.posterior, 0, Xstar, full_cov)
-    pred.mean = model.mean_const + pred.mean
-    return pred
+    dataset = MultiTaskDataset((X,), (Y,))
+    means = np.array([float(mean_const)])
+    return _condition(_one_task_spec(kernel), [noise_variance], dataset, means, np.ones(1), False)
 
 
 def _one_task_spec(kernel: ScalarKernelSpec) -> MultiTaskKernelSpec:

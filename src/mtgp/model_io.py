@@ -15,9 +15,9 @@ import numpy as np
 
 from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
-from .data import MultiTaskDataset
+from .data import MultiTaskDataset, standardize_targets
 from .errors import ValidationError
-from .gp import GPModel, gp_fit, gp_parameters
+from .gp import gp_fit, gp_parameters
 from .kernels import KERNEL_KINDS, ScalarKernelSpec
 from .multitask import MTGPModel, ParameterLayout, mtgp_fit, mtgp_parameter_names
 
@@ -88,54 +88,59 @@ def _parameters_doc(layout: ParameterLayout, names: list[str]) -> dict:
     }
 
 
-def model_document(model, family: str) -> dict:
-    """Serializable dict for a fitted GP or MTGP model.
+def model_document(model: MTGPModel, family: str) -> dict:
+    """Serializable dict for a fitted model, in the format ``family`` names.
 
-    An MTGP's parameter vector is its fully learned :class:`ParameterLayout`'s,
-    in :func:`mtgp_parameter_names` order; a GP's is that of
-    :func:`~mtgp.gp.gp_parameters`. Every value is log-transformed except W,
-    so a zero gamma is ``-inf`` and reloads to exactly 0.
+    Family ``gp`` stores the parameters of :func:`~mtgp.gp.gp_parameters`
+    and the task mean; any other family stores the fully learned
+    :class:`ParameterLayout`, in :func:`mtgp_parameter_names` order, and the
+    standardization. Every value is log-transformed except W, so a zero
+    gamma is ``-inf`` and reloads to exactly 0. A family whose file would
+    reload to a different model raises ``ValueError``.
     """
-    if isinstance(model, GPModel):
-        layout = gp_parameters(model.kernel, model.noise_variance)
-        names = kernels.log_param_names(model.kernel) + ["log_noise"]
-        dataset = MultiTaskDataset((model.X,), (model.Y,))
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "family": family,
+    term = model.kernel.terms[0]
+    if family == "gp":  # the GP of gp_fit: one task, one term with W = 1, gamma = 0, std 1
+        one_term = len(model.kernel.terms) == 1 and term.W.shape == (1, 1)
+        fits = one_term and (term.W[0, 0], term.gamma[0], model.task_stds[0]) == (1.0, 0.0, 1.0)
+    else:  # loading refits with the data's standardization or with none
+        means, stds = standardize_targets(model.dataset)[1:] if model.standardized else (0.0, 1.0)
+        fits = np.all(model.task_means == means) and np.all(model.task_stds == stds)
+    if not fits:
+        raise ValueError(f"a {family!r} model file would not reload to this model")
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "family": family,
+        "input_dim": model.input_dim,
+        "num_tasks": model.num_tasks,
+        "data": {"tasks": _encode_dataset(model.dataset)},
+        "dataset_fingerprint": dataset_fingerprint(model.dataset),
+    }
+    if family == "gp":
+        mean_const = float(model.task_means[0])
+        layout = gp_parameters(term.base_kernel, model.noise_variances[0])
+        names = kernels.log_param_names(term.base_kernel) + ["log_noise"]
+        return doc | {
             "model_type": "gp",
-            "input_dim": model.kernel.input_dim,
-            "num_tasks": 1,
-            "kernel_kinds": [model.kernel.kind],
+            "kernel_kinds": [term.base_kernel.kind],
             "parameters": _parameters_doc(layout, names),
-            "mean_const": {"hex": _hex(model.mean_const), "value": model.mean_const},
-            "data": {"tasks": _encode_dataset(dataset)},
-            "dataset_fingerprint": dataset_fingerprint(dataset),
+            "mean_const": {"hex": _hex(mean_const), "value": mean_const},
         }
-        return doc
-    if isinstance(model, MTGPModel):
-        layout = ParameterLayout(model.kernel, model.noise_variances)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "family": family,
-            "model_type": "mtgp",
-            "input_dim": model.input_dim,
-            "num_tasks": model.num_tasks,
-            "kernel_kinds": [t.base_kernel.kind for t in model.kernel.terms],
-            "ranks": [t.rank for t in model.kernel.terms],
-            "standardize": bool(model.standardized),
-            "standardization": {
-                "task_means": [float(v) for v in model.task_means],
-                "task_stds": [float(v) for v in model.task_stds],
-                "task_means_hex": [_hex(v) for v in model.task_means],
-                "task_stds_hex": [_hex(v) for v in model.task_stds],
-            },
-            "parameters": _parameters_doc(layout, mtgp_parameter_names(model.kernel)),
-            "data": {"tasks": _encode_dataset(model.dataset)},
-            "dataset_fingerprint": dataset_fingerprint(model.dataset),
-        }
-        return doc
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    return doc | {
+        "model_type": "mtgp",
+        "kernel_kinds": [t.base_kernel.kind for t in model.kernel.terms],
+        "ranks": [t.rank for t in model.kernel.terms],
+        "standardize": bool(model.standardized),
+        "standardization": {
+            "task_means": [float(v) for v in model.task_means],
+            "task_stds": [float(v) for v in model.task_stds],
+            "task_means_hex": [_hex(v) for v in model.task_means],
+            "task_stds_hex": [_hex(v) for v in model.task_stds],
+        },
+        "parameters": _parameters_doc(
+            ParameterLayout(model.kernel, model.noise_variances),
+            mtgp_parameter_names(model.kernel),
+        ),
+    }
 
 
 def save_model(model, path, family: str) -> dict:
@@ -165,7 +170,8 @@ def _positive_int(doc: dict, key: str) -> int:
 
 
 def load_model(path):
-    """Load and refit a model file; returns a GPModel or MTGPModel."""
+    """Load and refit a model file; returns an :class:`MTGPModel` (a GP is its
+    one-task case, :func:`~mtgp.gp.gp_fit`)."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

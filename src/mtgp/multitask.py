@@ -17,9 +17,11 @@ and its gradient, through a :class:`LayoutStack`: all restarts of one or many
 same-shape fits at once. Each row of a batch is computed on its own (no
 product runs across rows), so a restart's value and gradient are bitwise the
 same whichever rows run beside it. Both likelihood functions (this module's
-and :mod:`mtgp.gp`'s) are its B=1 case, and fitting and prediction (here and
-in :mod:`mtgp.gp`) use it on the fitted parameters. Training and fitting
-factorize with the one jitter policy of :func:`~mtgp.linalg.cholesky_batch`.
+and :mod:`mtgp.gp`'s) are its B=1 case, and fitting and prediction use it on
+the fitted parameters. Training and fitting factorize with the one jitter
+policy of :func:`~mtgp.linalg.cholesky_batch`. A single-task GP is the
+one-task, one-term :class:`MTGPModel` (:func:`~mtgp.gp.gp_fit`), predicted
+with ``mtgp_predict(model, 0, X)``.
 """
 
 import time
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
-from .data import MultiTaskDataset, standardize_targets
+from .data import MultiTaskDataset, scale_targets, standardize_targets
 from .errors import IllConditionedKernelError, ShapeError
 from .linalg import BASE_JITTER_REL, cholesky_batch, cholesky_inverse_batch, chol_solve, tri_solve
 
@@ -56,7 +58,9 @@ class PosteriorPrediction:
 
 @dataclass(eq=False)
 class MTGPModel:
-    """Immutable fitted state of a multi-task GP."""
+    """Immutable fitted state of a multi-task GP, or of a single-task GP as
+    its one-task, one-term case (:func:`~mtgp.gp.gp_fit`). It is conditioned
+    on the targets ``(Y_d - task_means_d) / task_stds_d`` of ``dataset``."""
 
     kernel: MultiTaskKernelSpec
     noise_variances: np.ndarray
@@ -101,12 +105,17 @@ def mtgp_fit(
     a failed factorization raises :class:`IllConditionedKernelError`.
     ``jitter`` is the absolute jitter added to the diagonal.
     """
-    noise = np.maximum(_noise_vector(noise_variances, kernel.num_tasks), NOISE_FLOOR)
     if standardize:
-        work, means, stds = standardize_targets(dataset)
+        _, means, stds = standardize_targets(dataset)
     else:
-        work, means, stds = dataset, np.zeros(dataset.num_tasks), np.ones(dataset.num_tasks)
-    layout = ExactGPLayout(kernel, noise, work)
+        means, stds = np.zeros(dataset.num_tasks), np.ones(dataset.num_tasks)
+    return _condition(kernel, noise_variances, dataset, means, stds, standardize)
+
+
+def _condition(kernel, noise_variances, dataset, means, stds, standardized) -> MTGPModel:
+    """The fitted model on the targets ``(Y_d - means_d) / stds_d``; it keeps ``dataset``."""
+    noise = np.maximum(_noise_vector(noise_variances, kernel.num_tasks), NOISE_FLOOR)
+    layout = ExactGPLayout(kernel, noise, scale_targets(dataset, means, stds))
     with np.errstate(over="ignore", invalid="ignore"):
         K, _ = _assemble(layout, layout.sqdiff, *layout.groups(layout.template[None]))
         L, _, jitter, errors = cholesky_batch(K)
@@ -114,7 +123,7 @@ def mtgp_fit(
         raise IllConditionedKernelError(errors[0])
     weights = chol_solve(L[0], layout.y)
     return MTGPModel(
-        kernel, noise, dataset, means, stds, L[0], weights, float(jitter[0]), layout, standardize
+        kernel, noise, dataset, means, stds, L[0], weights, float(jitter[0]), layout, standardized
     )
 
 

@@ -58,7 +58,7 @@ def _check_gp_conditioning(seed: int) -> CheckResult:
         Xs = rng.uniform(0.0, 1.0, size=(m, dim))
         noise = float(rng.uniform(0.05, 0.3))
         model = gp.gp_fit(kern, noise, X, Y)
-        pred = gp.gp_predict(model, Xs, full_cov=True)
+        pred = multitask.mtgp_predict(model, 0, Xs, full_cov=True)
         joint = kernels.kernel_matrix(kern, np.vstack([X, Xs]), np.vstack([X, Xs]))
         joint[:n, :n] += (noise + model.jitter) * np.eye(n)
         mean, cov = _dense_condition(joint, n, Y)
@@ -191,7 +191,7 @@ def _check_block_diagonal(seed: int) -> CheckResult:
         for d in range(D):
             joint_pred = multitask.mtgp_predict(model, d, Xs)
             solo = gp.gp_fit(kerns[d], float(noise[d]), *dataset.single_task(d))
-            solo_pred = gp.gp_predict(solo, Xs)
+            solo_pred = multitask.mtgp_predict(solo, 0, Xs)
             worst = max(
                 worst,
                 float(np.max(np.abs(joint_pred.mean - solo_pred.mean))),

@@ -28,9 +28,9 @@ import numpy as np
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
 from .errors import DomainError, MTGPError, ShapeError, TrainingFailedError
-from .gp import GPModel, gp_fit
+from .gp import gp_fit
 from .kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
-from .multitask import PHASES, ExactGPLayout, LayoutStack, LMLBatch, MTGPModel, mtgp_fit
+from .multitask import PHASES, ExactGPLayout, LayoutStack, LMLBatch, MTGPModel, _condition
 from .seeding import make_rng
 
 ADAM_BETA1 = 0.9
@@ -55,13 +55,13 @@ class TrainConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.learning_rate > 0.0:
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise DomainError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not self.max_iterations >= 0:
             raise DomainError(f"max_iterations must be non-negative, got {self.max_iterations!r}")
-        if not self.convergence_tolerance > 0.0:
+        if not 0.0 < self.convergence_tolerance < np.inf:
             raise DomainError(
-                f"convergence_tolerance must be positive, got {self.convergence_tolerance!r}"
+                f"convergence_tolerance must be finite and > 0, got {self.convergence_tolerance!r}"
             )
         if not self.num_restarts >= 1:
             raise DomainError(f"num_restarts must be at least 1, got {self.num_restarts!r}")
@@ -501,7 +501,7 @@ def train_mtgp_batch(
     datasets = list(datasets)
 
     def fit(i, spec, noise, means, stds):
-        return mtgp_fit(spec, noise, datasets[i], standardize=standardize)
+        return _condition(spec, noise, datasets[i], means, stds, standardize)
 
     return _train(datasets, config, list(seeds), family, standardize, "mtgp-restart", trace, fit)
 
@@ -516,8 +516,8 @@ def train_mtgp(
     """Fit a multi-task GP by joint marginal-likelihood ascent.
 
     The one-dataset case of :func:`train_mtgp_batch`. The winning restart's
-    parameters are refitted on the raw dataset (standardization statistics
-    are recomputed identically inside :func:`mtgp_fit`).
+    parameters are conditioned on the targets it trained on; the model keeps
+    the raw dataset.
     """
     return train_mtgp_batch([dataset], config, [config.seed], family, standardize, trace)[0]
 
@@ -530,14 +530,15 @@ def train_gp_batch(
     kernel_kind: str = SQUARED_EXPONENTIAL,
     standardize: bool = True,
     trace=None,
-) -> list[GPModel]:
+) -> list[MTGPModel]:
     """Fit one single-task GP per (X, Y) pair, all restarts in one batch.
 
     The one-task case of :func:`train_mtgp_batch` (the independent family on
     one-task datasets); every X must have the same shape. Optimization runs
     on standardized targets when ``standardize`` is set; the learned scale
     and offset are folded back exactly into each model's signal variance,
-    noise variance, and constant mean, so the models predict in raw units.
+    noise variance, and task mean, so the models, one-task MTGPs of
+    :func:`~mtgp.gp.gp_fit`, predict in raw units with ``mtgp_predict(model, 0, X)``.
     """
     inputs, targets = list(inputs), list(targets)
     if len(inputs) != len(targets):
@@ -561,6 +562,6 @@ def train_gp(
     kernel_kind: str = SQUARED_EXPONENTIAL,
     standardize: bool = True,
     trace=None,
-) -> GPModel:
+) -> MTGPModel:
     """Fit a single-task GP: the one-dataset case of :func:`train_gp_batch`."""
     return train_gp_batch([X], [Y], config, [config.seed], kernel_kind, standardize, trace)[0]

@@ -27,7 +27,7 @@ from mtgp.coregionalization import (
     assemble_joint_covariance,
 )
 from mtgp.data import MultiTaskDataset
-from mtgp.gp import gp_fit, gp_log_marginal_likelihood, gp_parameters, gp_predict
+from mtgp.gp import gp_fit, gp_log_marginal_likelihood, gp_parameters
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import (
     ParameterLayout,
@@ -60,7 +60,7 @@ def test_criterion_01_single_task_oracle_equivalence():
         Xs = rng.uniform(0, 1, size=(m, dim))
         noise = float(rng.uniform(0.05, 0.3))
         model = gp_fit(kern, noise, X, Y)
-        pred = gp_predict(model, Xs, full_cov=True)
+        pred = mtgp_predict(model, 0, Xs, full_cov=True)
         joint = kernel_matrix(kern, np.vstack([X, Xs]), np.vstack([X, Xs]))
         joint[:n, :n] += (noise + model.jitter) * np.eye(n)
         mean, cov = dense_gaussian_conditioning(joint, n, Y)
@@ -183,7 +183,7 @@ def test_criterion_04_block_diagonal_equivalence():
         Xs = rng.uniform(0, 1, size=(3, 1))
         for d in range(2):
             joint_pred = mtgp_predict(model, d, Xs)
-            solo = gp_predict(gp_fit(kerns[d], noise_val, *dataset.single_task(d)), Xs)
+            solo = mtgp_predict(gp_fit(kerns[d], noise_val, *dataset.single_task(d)), 0, Xs)
             worst = max(
                 worst,
                 float(np.max(np.abs(joint_pred.mean - solo.mean))),

@@ -27,7 +27,6 @@ from mtgp.benchmark import (
 from mtgp.data import MultiTaskDataset
 from mtgp.errors import DomainError, ShapeError, UndefinedCorrelationError
 from mtgp import training
-from mtgp.gp import gp_predict
 from mtgp.multitask import mtgp_predict
 from mtgp.training import (
     MTGPFamily,
@@ -168,7 +167,7 @@ def standalone_rmses(study, n_primary, n_auxiliary, seed, aux):
         replace(TINY, seed=_model_seed(TINY, seed, "mtgp")),
         family=BENCHMARK_MTGP_FAMILY,
     )
-    return rmse(gp_predict(gp, x_test).mean, y_test), rmse(mtgp_predict(mtgp, 0, x_test).mean, y_test)
+    return tuple(rmse(mtgp_predict(model, 0, x_test).mean, y_test) for model in (gp, mtgp))
 
 
 class TestRunScenario:
@@ -228,7 +227,7 @@ class TestRunScenario:
         )
         rel = []
         for gp, mtgp, (*_, x_test, y_test) in zip(gps, mtgps, draws):
-            gp_rmse = rmse(gp_predict(gp, x_test).mean, y_test)
+            gp_rmse = rmse(mtgp_predict(gp, 0, x_test).mean, y_test)
             mtgp_rmse = rmse(mtgp_predict(mtgp, 0, x_test).mean, y_test)
             rel.append(abs(mtgp_rmse - gp_rmse) / gp_rmse)
         assert float(np.mean(rel)) < 0.05
@@ -244,6 +243,13 @@ class TestStudyConfig:
             {"observation_noise": -0.1},
             {"observation_noise": math.nan},
             {"observation_noise": math.inf},
+            {"correlations": ()},
+            {"size_grid": ()},
+            {"correlations": (0.89, 0.89)},
+            {"size_grid": ((5, 5), (5, 5))},
+            {"correlations": (1.5,)},
+            {"correlations": (0.0,)},
+            {"correlations": (math.nan,)},
         ],
     )
     def test_bad_values_rejected(self, bad):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from mtgp import benchmark, model_io, training
 from mtgp.benchmark import forrester
 from mtgp.data import CSV_BLOCK_ROWS, read_task_csv
 from mtgp.errors import TrainingFailedError
-from mtgp.gp import gp_predict
 from mtgp.multitask import mtgp_predict
 from mtgp.seeding import make_rng
 
@@ -108,6 +108,8 @@ BAD_TRAIN_SETTINGS = [
     ("learning_rate", -1),
     ("max_iterations", -5),
     ("convergence_tolerance", 0),
+    ("learning_rate", math.inf),
+    ("convergence_tolerance", math.inf),
 ]
 
 # the parameters.schema lists model files have always carried
@@ -174,7 +176,7 @@ class TestTrainPredict:
         preds = tmp_path / "p.csv"
         assert cli.main(["predict", "--model", str(out / "model.json"), "--data", str(query), "--out", str(preds)]) == 0
         model = model_io.load_model(out / "model.json")
-        expected = gp_predict(model, np.array([[0.4]])).mean[0]
+        expected = mtgp_predict(model, 0, np.array([[0.4]])).mean[0]
         assert float(read_csv_rows(preds)[0]["mean"]) == pytest.approx(expected, abs=1e-10)
 
     def test_gp_family_rejects_multi_task_data(self, tmp_path):
@@ -676,6 +678,15 @@ class TestModelIO:
         with open(earlier, encoding="utf-8") as fh:
             assert again.read_text() == fh.read()
 
+    @pytest.mark.parametrize("trained,family", [("mtgp-slfm", "gp"), ("gp", "mtgp-slfm")])
+    def test_family_that_would_reload_differently_is_rejected(self, tmp_path, trained, family):
+        # a two-task model has no gp file; a GP's task mean is no standardization
+        model = model_io.load_model(train_model(tmp_path, trained))
+        path = tmp_path / "other.json"
+        with pytest.raises(ValueError, match="would not reload"):
+            model_io.save_model(model, path, family)
+        assert not path.exists()
+
 
 # values whose shortest round-trip form is easy to get wrong
 FORMAT_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 1.0, 0.1 + 0.2, 3.0, -42.0, 2.0**53, 1.7976931348623157e308]
@@ -791,6 +802,13 @@ class TestBenchmarkCommand:
             (["--sizes", "5,5;5,0"], {}),
             ([], {"n_test": 0}),
             ([], {"observation_noise": float("nan")}),
+            ([], {"sizes": []}),
+            ([], {"correlations": []}),
+            (["--sizes", "5,5;5,5", "--correlations", "0.89,0.89"], {}),
+            (["--sizes", "5,5;5,5"], {}),
+            (["--correlations", "0.89,0.89"], {}),
+            ([], {"correlations": [1.5]}),
+            (["--correlations", "0"], {}),
         ],
     )
     def test_bad_study_values_exit_2_before_any_training(self, tmp_path, monkeypatch, args, doc):

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import dense_gaussian_conditioning
 from mtgp.errors import IllConditionedKernelError, ShapeError
-from mtgp.gp import gp_fit, gp_log_marginal_likelihood, gp_predict
+from mtgp.gp import gp_fit, gp_log_marginal_likelihood
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.linalg import cholesky_batch
+from mtgp.multitask import mtgp_predict
 from mtgp.seeding import make_rng
 
 
@@ -16,14 +17,14 @@ def se(ls=1.0, sv=1.0):
 class TestGPFit:
     def test_single_point_weight(self):
         model = gp_fit(se(), 1e-10, np.array([[0.0]]), np.array([2.0]))
-        assert model.alpha[0] == pytest.approx(2.0, rel=1e-6)
+        assert model.weights[0] == pytest.approx(2.0, rel=1e-6)
 
     def test_duplicated_rows_with_zero_noise_survive_via_jitter(self):
         # the relative jitter added before factorization lifts the exactly
         # singular duplicate-row matrix, so fitting succeeds by design
         X = np.array([[0.3], [0.3]])
         model = gp_fit(se(), 0.0, X, np.array([1.0, 1.0]))
-        assert model.noise_variance == 1e-10
+        assert model.noise_variances[0] == 1e-10
         assert np.all(np.diag(model.L) > 0)
 
     def test_unfixable_matrix_raises(self):
@@ -45,7 +46,8 @@ class TestGPFit:
     def test_factor_reconstructs_matrix(self, rng):
         X = rng.uniform(0, 1, size=(5, 1))
         model = gp_fit(se(0.7, 1.5), 0.1, X, rng.normal(size=5))
-        K = kernel_matrix(model.kernel, X, X) + (0.1 + model.jitter) * np.eye(5)
+        kernel = model.kernel.terms[0].base_kernel
+        K = kernel_matrix(kernel, X, X) + (0.1 + model.jitter) * np.eye(5)
         np.testing.assert_allclose(model.L @ model.L.T, K, rtol=1e-8)
 
     def test_shape_errors(self):
@@ -60,21 +62,21 @@ class TestGPPredict:
         X = rng.uniform(0, 1, size=(5, 1))
         Y = np.sin(4 * X[:, 0])
         model = gp_fit(se(0.5), 1e-10, X, Y)
-        pred = gp_predict(model, X)
+        pred = mtgp_predict(model, 0, X)
         np.testing.assert_allclose(pred.mean, Y, atol=1e-4)
         assert np.all(pred.variance < 1e-4)
 
     def test_reverts_to_prior_far_from_data(self):
         X = np.array([[0.0]])
         model = gp_fit(se(0.1, 2.0), 1e-6, X, np.array([5.0]), mean_const=1.0)
-        pred = gp_predict(model, np.array([[50.0]]))
+        pred = mtgp_predict(model, 0, np.array([[50.0]]))
         assert pred.mean[0] == pytest.approx(1.0, abs=1e-8)
         assert pred.variance[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_variance_never_exceeds_signal_variance(self, rng):
         X = rng.uniform(0, 1, size=(4, 1))
         model = gp_fit(se(0.4, 1.7), 0.01, X, rng.normal(size=4))
-        pred = gp_predict(model, rng.uniform(0, 1, size=(20, 1)))
+        pred = mtgp_predict(model, 0, rng.uniform(0, 1, size=(20, 1)))
         assert np.all(pred.variance <= 1.7 + 1e-12)
         assert np.all(pred.variance >= 0.0)
 
@@ -86,7 +88,7 @@ class TestGPPredict:
         noise = 0.1
         kern = se(0.6, 1.4)
         model = gp_fit(kern, noise, X, Y)
-        pred = gp_predict(model, Xs, full_cov=True)
+        pred = mtgp_predict(model, 0, Xs, full_cov=True)
         joint = kernel_matrix(kern, np.vstack([X, Xs]), np.vstack([X, Xs]))
         joint[:2, :2] += (noise + model.jitter) * np.eye(2)
         mean, cov = dense_gaussian_conditioning(joint, 2, Y)
@@ -105,7 +107,7 @@ class TestGPPredict:
             Xs = rng.uniform(0, 1, size=(m, dim))
             noise = float(rng.uniform(0.05, 0.3))
             model = gp_fit(kern, noise, X, Y)
-            pred = gp_predict(model, Xs, full_cov=True)
+            pred = mtgp_predict(model, 0, Xs, full_cov=True)
             joint = kernel_matrix(kern, np.vstack([X, Xs]), np.vstack([X, Xs]))
             joint[:n, :n] += (noise + model.jitter) * np.eye(n)
             mean, cov = dense_gaussian_conditioning(joint, n, Y)
@@ -118,24 +120,24 @@ class TestGPPredict:
         X = rng.uniform(0, 1, size=(5, 1))
         Y = rng.normal(size=5)
         Xs = rng.uniform(0, 1, size=(10, 1))
-        var_small = gp_predict(gp_fit(kern, 0.1, X[:4], Y[:4]), Xs).variance
-        var_full = gp_predict(gp_fit(kern, 0.1, X, Y), Xs).variance
+        var_small = mtgp_predict(gp_fit(kern, 0.1, X[:4], Y[:4]), 0, Xs).variance
+        var_full = mtgp_predict(gp_fit(kern, 0.1, X, Y), 0, Xs).variance
         assert np.all(var_full <= var_small + 1e-8)
 
     def test_empty_query(self):
         model = gp_fit(se(), 0.1, np.array([[0.0]]), np.array([1.0]))
-        pred = gp_predict(model, np.zeros((0, 1)))
+        pred = mtgp_predict(model, 0, np.zeros((0, 1)))
         assert pred.mean.shape == (0,)
 
     def test_query_dimension_mismatch(self):
         model = gp_fit(se(), 0.1, np.array([[0.0]]), np.array([1.0]))
         with pytest.raises(ShapeError):
-            gp_predict(model, np.zeros((2, 3)))
+            mtgp_predict(model, 0, np.zeros((2, 3)))
 
     def test_full_covariance_diagonal_equals_variance(self, rng):
         X = rng.uniform(0, 1, size=(4, 1))
         model = gp_fit(se(0.5), 0.05, X, rng.normal(size=4))
-        pred = gp_predict(model, rng.uniform(0, 1, size=(3, 1)), full_cov=True)
+        pred = mtgp_predict(model, 0, rng.uniform(0, 1, size=(3, 1)), full_cov=True)
         np.testing.assert_array_equal(np.diag(pred.covariance), pred.variance)
 
 

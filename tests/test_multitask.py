@@ -16,7 +16,7 @@ from mtgp.coregionalization import (
 )
 from mtgp.data import MultiTaskDataset
 from mtgp.errors import ShapeError
-from mtgp.gp import gp_fit, gp_log_marginal_likelihood, gp_predict
+from mtgp.gp import gp_fit, gp_log_marginal_likelihood
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
 from mtgp.multitask import (
     ExactGPLayout,
@@ -62,7 +62,7 @@ class TestMTGPFit:
         )
         model = mtgp_fit(spec, [0.1], MultiTaskDataset((X,), (Y,)), standardize=False)
         solo = gp_fit(kern, 0.1, X, Y)
-        np.testing.assert_array_equal(model.weights, solo.alpha)
+        np.testing.assert_array_equal(model.weights, solo.weights)
         np.testing.assert_array_equal(model.L, solo.L)
 
     def test_block_diagonal_weights_concatenate_independent_fits(self):
@@ -78,7 +78,7 @@ class TestMTGPFit:
         model = mtgp_fit(spec, noise, dataset, standardize=False)
         expected = np.concatenate(
             [
-                gp_fit(kernels_[d], 0.12, *dataset.single_task(d)).alpha
+                gp_fit(kernels_[d], 0.12, *dataset.single_task(d)).weights
                 for d in range(2)
             ]
         )
@@ -158,7 +158,7 @@ class TestMTGPPredict:
             Xs = rng.uniform(0, 1, size=(3, 1))
             for d in range(2):
                 joint = mtgp_predict(model, d, Xs)
-                solo = gp_predict(gp_fit(kernels_[d], noise_val, *dataset.single_task(d)), Xs)
+                solo = mtgp_predict(gp_fit(kernels_[d], noise_val, *dataset.single_task(d)), 0, Xs)
                 np.testing.assert_allclose(joint.mean, solo.mean, atol=1e-8)
                 np.testing.assert_allclose(joint.variance, solo.variance, atol=1e-8)
 
@@ -178,7 +178,7 @@ class TestMTGPPredict:
         model = mtgp_fit(spec, [noise, noise], dataset, standardize=False)
         Xs = rng.uniform(0, 1, size=(5, 1))
         pred1 = mtgp_predict(model, 1, Xs)
-        solo = gp_predict(gp_fit(kern, noise, X0, Y0), Xs)
+        solo = mtgp_predict(gp_fit(kern, noise, X0, Y0), 0, Xs)
         np.testing.assert_allclose(pred1.mean, c * solo.mean, atol=1e-8)
 
     def test_matches_dense_conditioning_small_instance(self):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from mtgp.coregionalization import assemble_joint_covariance
 from mtgp.data import MultiTaskDataset
 from mtgp.errors import ShapeError, TrainingFailedError
-from mtgp.gp import GPModel, gp_parameters
+from mtgp.gp import gp_parameters
 from mtgp.kernels import MATERN52, SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import (
     LMLBatch,
     ParameterLayout,
     mtgp_log_marginal_likelihood,
     mtgp_parameter_names,
+    mtgp_predict,
 )
 from mtgp.seeding import make_rng
 from mtgp.training import (
@@ -270,7 +271,8 @@ class TestTrainGP:
             model = train_gp(
                 X, Y, TrainConfig(max_iterations=800, num_restarts=2, seed=seed)
             )
-            assert abs(np.log(model.kernel.lengthscales[0]) - np.log(0.2)) < 0.5
+            ls = model.kernel.terms[0].base_kernel.lengthscales
+            assert abs(np.log(ls[0]) - np.log(0.2)) < 0.5
 
     def test_recovers_known_generator_matern(self):
         true = ScalarKernelSpec(MATERN52, [0.2], 1.0)
@@ -284,7 +286,8 @@ class TestTrainGP:
             TrainConfig(max_iterations=800, num_restarts=2, seed=0),
             kernel_kind=MATERN52,
         )
-        assert abs(np.log(model.kernel.lengthscales[0]) - np.log(0.2)) < 0.5
+        ls = model.kernel.terms[0].base_kernel.lengthscales
+        assert abs(np.log(ls[0]) - np.log(0.2)) < 0.5
 
     def test_pure_noise_learns_noise_dominated_model(self):
         rng = make_rng("purenoise", 1)
@@ -292,25 +295,23 @@ class TestTrainGP:
         Y = rng.normal(size=30) * 2.0
         model = train_gp(X, Y, TrainConfig(max_iterations=1500, num_restarts=3, seed=0))
         sample_var = float(np.var(Y))
-        assert sample_var / 2 <= model.noise_variance <= sample_var * 2
-        assert model.kernel.signal_variance < model.noise_variance
+        assert sample_var / 2 <= model.noise_variances[0] <= sample_var * 2
+        assert model.kernel.terms[0].base_kernel.signal_variance < model.noise_variances[0]
 
     def test_pure_noise_total_variance_even_when_lengthscale_collapses(self):
         # on some draws the maximum-likelihood solution explains white noise
         # with a collapsed lengthscale instead of the noise term; the two are
         # operationally equivalent, so assert the total variance and the
         # absence of predictive structure rather than the split
-        from mtgp.gp import gp_predict
-
         rng = make_rng("purenoise", 0)
         X = rng.uniform(0, 1, size=(30, 1))
         Y = rng.normal(size=30) * 2.0
         model = train_gp(X, Y, TrainConfig(max_iterations=1500, num_restarts=3, seed=0))
         sample_var = float(np.var(Y))
-        total = model.noise_variance + model.kernel.signal_variance
+        total = model.noise_variances[0] + model.kernel.terms[0].base_kernel.signal_variance
         assert sample_var / 2 <= total <= sample_var * 2
         held_out = np.linspace(0.013, 0.987, 50).reshape(-1, 1)
-        pred = gp_predict(model, held_out)
+        pred = mtgp_predict(model, 0, held_out)
         assert np.std(pred.mean) < np.std(Y) / 2
 
     def test_deterministic_given_seed(self):
@@ -319,9 +320,10 @@ class TestTrainGP:
         Y = rng.normal(size=12)
         a = train_gp(X, Y, FAST)
         b = train_gp(X, Y, FAST)
-        np.testing.assert_array_equal(a.kernel.lengthscales, b.kernel.lengthscales)
-        assert a.kernel.signal_variance == b.kernel.signal_variance
-        assert a.noise_variance == b.noise_variance
+        ka, kb = a.kernel.terms[0].base_kernel, b.kernel.terms[0].base_kernel
+        np.testing.assert_array_equal(ka.lengthscales, kb.lengthscales)
+        assert ka.signal_variance == kb.signal_variance
+        assert a.noise_variances[0] == b.noise_variances[0]
 
     def test_zero_iterations_returns_heuristic_init(self):
         rng = make_rng("noopt", 0)
@@ -330,8 +332,9 @@ class TestTrainGP:
         model = train_gp(
             X, Y, TrainConfig(max_iterations=0, num_restarts=1, seed=0), standardize=False
         )
-        np.testing.assert_allclose(model.kernel.lengthscales, median_lengthscales(X))
-        assert model.kernel.signal_variance == pytest.approx(np.var(Y), rel=1e-12)
+        kernel = model.kernel.terms[0].base_kernel
+        np.testing.assert_allclose(kernel.lengthscales, median_lengthscales(X))
+        assert kernel.signal_variance == pytest.approx(np.var(Y), rel=1e-12)
         assert model.fit_info["iterations"] == 0
 
     def test_winner_is_best_restart(self):
@@ -349,9 +352,7 @@ class TestTrainGP:
         X = rng.uniform(0, 1, size=(15, 1))
         Y = 100.0 + 25.0 * np.sin(6 * X[:, 0])
         model = train_gp(X, Y, FAST, standardize=True)
-        from mtgp.gp import gp_predict
-
-        pred = gp_predict(model, X)
+        pred = mtgp_predict(model, 0, X)
         assert np.max(np.abs(pred.mean - Y)) < 25.0  # raw units, not standardized
 
 
@@ -468,17 +469,12 @@ class TestTrainMTGP:
 
 def _same_fit(a, b):
     """Bitwise-equal learned parameters, objective and restart outcomes of two models."""
-    if isinstance(a, GPModel):
-        np.testing.assert_array_equal(a.kernel.lengthscales, b.kernel.lengthscales)
-        assert a.kernel.signal_variance == b.kernel.signal_variance
-        assert a.noise_variance == b.noise_variance
-    else:
-        for ta, tb in zip(a.kernel.terms, b.kernel.terms):
-            np.testing.assert_array_equal(ta.W, tb.W)
-            np.testing.assert_array_equal(ta.gamma, tb.gamma)
-            np.testing.assert_array_equal(ta.base_kernel.lengthscales, tb.base_kernel.lengthscales)
-            assert ta.base_kernel.signal_variance == tb.base_kernel.signal_variance
-        np.testing.assert_array_equal(a.noise_variances, b.noise_variances)
+    for ta, tb in zip(a.kernel.terms, b.kernel.terms):
+        np.testing.assert_array_equal(ta.W, tb.W)
+        np.testing.assert_array_equal(ta.gamma, tb.gamma)
+        np.testing.assert_array_equal(ta.base_kernel.lengthscales, tb.base_kernel.lengthscales)
+        assert ta.base_kernel.signal_variance == tb.base_kernel.signal_variance
+    np.testing.assert_array_equal(a.noise_variances, b.noise_variances)
     assert a.fit_info["objective"] == b.fit_info["objective"]
     assert a.fit_info["restart"] == b.fit_info["restart"]
     for ra, rb in zip(a.fit_info["restarts"], b.fit_info["restarts"]):
@@ -594,8 +590,9 @@ class TestOneTaskCase:
     def test_gp_lml_is_raw_target_likelihood(self, standardize):
         X, Y = self._data()
         model = train_gp(X, Y, FAST, kernel_kind=MATERN52, standardize=standardize)
-        K = kernel_matrix(model.kernel, X, X) + model.noise_variance * np.eye(Y.size)
-        dense = dense_lml(with_base_jitter(K), Y - model.mean_const)
+        kernel = model.kernel.terms[0].base_kernel
+        K = kernel_matrix(kernel, X, X) + model.noise_variances[0] * np.eye(Y.size)
+        dense = dense_lml(with_base_jitter(K), Y - model.task_means[0])
         assert model.fit_info["log_marginal_likelihood"] == pytest.approx(dense, rel=1e-9)
 
     def test_lmc_lml_is_raw_target_likelihood(self):
@@ -626,10 +623,11 @@ class TestOneTaskCase:
         mt = train_mtgp(MultiTaskDataset((X,), (Y,)), config, family=MTGPFamily(mode="independent"))
         s2 = float(np.std(Y)) ** 2
         base = mt.kernel.terms[0].base_kernel
-        np.testing.assert_array_equal(gp.kernel.lengthscales, base.lengthscales)
-        assert gp.kernel.signal_variance == base.signal_variance * s2
-        assert gp.noise_variance == float(mt.noise_variances[0]) * s2
-        assert gp.mean_const == float(np.mean(Y))
+        kernel = gp.kernel.terms[0].base_kernel
+        np.testing.assert_array_equal(kernel.lengthscales, base.lengthscales)
+        assert kernel.signal_variance == base.signal_variance * s2
+        assert gp.noise_variances[0] == float(mt.noise_variances[0]) * s2
+        assert gp.task_means[0] == float(np.mean(Y))
         assert gp.fit_info["objective"] == mt.fit_info["objective"]
 
 
