@@ -48,7 +48,6 @@ from .multitask import (
     PosteriorPrediction,
     mtgp_fit,
     mtgp_log_marginal_likelihood,
-    mtgp_parameter_names,
     mtgp_predict,
 )
 from .selfcheck import run_self_checks

@@ -176,6 +176,9 @@ def achieved_correlation(aux: ForresterParams) -> float:
 
 DEFAULT_CORRELATIONS = (0.89, 0.53, 0.33)
 DEFAULT_SIZE_GRID = ((5, 5), (5, 10), (10, 5), (10, 10))
+# the study runs many small trainings; the short budget doubles as
+# regularization on the 5-sample cells and is applied to both models
+STUDY_TRAIN_CONFIG = TrainConfig(max_iterations=200)
 
 
 @dataclass(frozen=True)
@@ -188,12 +191,13 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        axes = (self.correlations, [tuple(pair) for pair in self.size_grid])
+        # written so that NaN fails every check; a correlation's artifacts are
+        # named by its f"{r:g}" form, so correlations must differ in that form
+        axes = ([f"{r:g}" for r in self.correlations], [tuple(p) for p in self.size_grid])
         if not all(values and len(set(values)) == len(values) for values in axes):
             raise DomainError(
-                "correlations and size pairs must be non-empty and distinct, got "
-                f"correlations={self.correlations!r} and size_grid={self.size_grid!r}"
+                "correlations (to 6 significant digits) and size pairs must be non-empty and "
+                f"distinct, got correlations={self.correlations!r} and size_grid={self.size_grid!r}"
             )
         if not all(0.0 < r <= 1.0 for r in self.correlations):
             raise DomainError(f"correlation targets must lie in (0, 1], got {self.correlations!r}")
@@ -263,7 +267,7 @@ def _model_seed(config: TrainConfig, scenario_seed: int, tag: str) -> int:
     return int(np.random.SeedSequence(mixed).generate_state(1, np.uint64)[0])
 
 
-def run_study(study: StudyConfig, train_config: TrainConfig = TrainConfig()) -> StudyResult:
+def run_study(study: StudyConfig, train_config: TrainConfig = STUDY_TRAIN_CONFIG) -> StudyResult:
     """Sweep correlation targets and size pairs over seeded replicates.
 
     The task-1 training design depends only on (study seed, n_primary,

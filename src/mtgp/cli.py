@@ -29,15 +29,8 @@ from .training import MTGPFamily, TrainConfig, train_gp, train_mtgp
 
 FAMILIES = ("gp", "mtgp-slfm", "mtgp-lmc")
 
-# benchmark runs many small trainings; the short budget doubles as
-# regularization on the 5-sample cells and is applied to both models
-BENCHMARK_TRAIN_DEFAULTS = {
-    "learning_rate": 0.05,
-    "max_iterations": 200,
-    "convergence_tolerance": 1e-7,
-    "num_restarts": 4,
-    "seed": 0,
-}
+# the defaults of a study config's train block: the study's own training
+BENCHMARK_TRAIN_DEFAULTS = dataclasses.asdict(benchmark.STUDY_TRAIN_CONFIG)
 
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray]):

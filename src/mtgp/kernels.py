@@ -60,13 +60,6 @@ class ScalarKernelSpec:
         return self.lengthscales.size
 
 
-def log_param_names(spec: ScalarKernelSpec) -> list[str]:
-    """Names of the kernel's log-hyperparameters, in gradient order."""
-    names = [f"log_lengthscale{p}" for p in range(spec.input_dim)]
-    names.append("log_signal_variance")
-    return names
-
-
 def _as_matrix(X, dim: int, name: str) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:

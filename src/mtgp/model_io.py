@@ -13,13 +13,11 @@ import math
 
 import numpy as np
 
-from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, standardize_targets
 from .errors import ValidationError
-from .gp import gp_fit, gp_parameters
 from .kernels import KERNEL_KINDS, ScalarKernelSpec
-from .multitask import MTGPModel, ParameterLayout, mtgp_fit, mtgp_parameter_names
+from .multitask import MTGPModel, ParameterLayout, _condition, mtgp_fit
 
 SCHEMA_VERSION = 1
 
@@ -78,28 +76,21 @@ def _decode_dataset(tasks_doc: list) -> MultiTaskDataset:
     return MultiTaskDataset(inputs, targets)
 
 
-def _parameters_doc(layout: ParameterLayout, names: list[str]) -> dict:
-    """The ``parameters`` section: names with transforms, then the flat vector."""
-    vector = layout.initial_vector()
-    return {
-        "schema": [[n, "identity" if w else "log"] for n, w in zip(names, layout.is_W)],
-        "values_hex": [_hex(v) for v in vector],
-        "values": [_decimal(v) for v in vector],
-    }
-
-
 def model_document(model: MTGPModel, family: str) -> dict:
     """Serializable dict for a fitted model, in the format ``family`` names.
 
-    Family ``gp`` stores the parameters of :func:`~mtgp.gp.gp_parameters`
-    and the task mean; any other family stores the fully learned
-    :class:`ParameterLayout`, in :func:`mtgp_parameter_names` order, and the
-    standardization. Every value is log-transformed except W, so a zero
-    gamma is ``-inf`` and reloads to exactly 0. A family whose file would
-    reload to a different model raises ``ValueError``.
+    Both formats store the flat vector of one :class:`ParameterLayout`,
+    named by its :meth:`~ParameterLayout.names`. Family ``gp`` stores the
+    GP's layout (W fixed at 1, gamma at 0), whose names drop the ``term0.``
+    prefix and the noise's task index, and the task mean; any other family
+    stores the fully learned layout and the standardization. Every value is
+    log-transformed except W, so a zero gamma is ``-inf`` and reloads to
+    exactly 0. A family whose file would reload to a different model
+    raises ``ValueError``.
     """
+    gp = family == "gp"
     term = model.kernel.terms[0]
-    if family == "gp":  # the GP of gp_fit: one task, one term with W = 1, gamma = 0, std 1
+    if gp:  # the GP of gp_fit: one task, one term with W = 1, gamma = 0, std 1
         one_term = len(model.kernel.terms) == 1 and term.W.shape == (1, 1)
         fits = one_term and (term.W[0, 0], term.gamma[0], model.task_stds[0]) == (1.0, 0.0, 1.0)
     else:  # loading refits with the data's standardization or with none
@@ -107,28 +98,32 @@ def model_document(model: MTGPModel, family: str) -> dict:
         fits = np.all(model.task_means == means) and np.all(model.task_stds == stds)
     if not fits:
         raise ValueError(f"a {family!r} model file would not reload to this model")
+    noise = model.noise_variances
+    layout = ParameterLayout(model.kernel, noise, learn_W=not gp, learn_gamma=not gp)
+    names = layout.names()
+    if gp:  # one task, so no term prefix and no task index on the noise
+        names = [name.removeprefix("term0.") for name in names[:-1]] + ["log_noise"]
+    vector = layout.initial_vector()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "family": family,
+        "model_type": "gp" if gp else "mtgp",
         "input_dim": model.input_dim,
         "num_tasks": model.num_tasks,
+        "kernel_kinds": layout.kinds,
+        "parameters": {
+            "schema": [[n, "identity" if w else "log"] for n, w in zip(names, layout.is_W)],
+            "values_hex": [_hex(v) for v in vector],
+            "values": [_decimal(v) for v in vector],
+        },
         "data": {"tasks": _encode_dataset(model.dataset)},
         "dataset_fingerprint": dataset_fingerprint(model.dataset),
     }
-    if family == "gp":
+    if gp:
         mean_const = float(model.task_means[0])
-        layout = gp_parameters(term.base_kernel, model.noise_variances[0])
-        names = kernels.log_param_names(term.base_kernel) + ["log_noise"]
-        return doc | {
-            "model_type": "gp",
-            "kernel_kinds": [term.base_kernel.kind],
-            "parameters": _parameters_doc(layout, names),
-            "mean_const": {"hex": _hex(mean_const), "value": mean_const},
-        }
+        return doc | {"mean_const": {"hex": _hex(mean_const), "value": mean_const}}
     return doc | {
-        "model_type": "mtgp",
-        "kernel_kinds": [t.base_kernel.kind for t in model.kernel.terms],
-        "ranks": [t.rank for t in model.kernel.terms],
+        "ranks": layout.ranks,
         "standardize": bool(model.standardized),
         "standardization": {
             "task_means": [float(v) for v in model.task_means],
@@ -136,10 +131,6 @@ def model_document(model: MTGPModel, family: str) -> dict:
             "task_means_hex": [_hex(v) for v in model.task_means],
             "task_stds_hex": [_hex(v) for v in model.task_stds],
         },
-        "parameters": _parameters_doc(
-            ParameterLayout(model.kernel, model.noise_variances),
-            mtgp_parameter_names(model.kernel),
-        ),
     }
 
 
@@ -171,7 +162,13 @@ def _positive_int(doc: dict, key: str) -> int:
 
 def load_model(path):
     """Load and refit a model file; returns an :class:`MTGPModel` (a GP is its
-    one-task case, :func:`~mtgp.gp.gp_fit`)."""
+    one-task case, :func:`~mtgp.gp.gp_fit`).
+
+    Both formats read into one template :class:`ParameterLayout` of
+    ``num_tasks``, ``kernel_kinds`` and ``ranks``; a ``gp`` file's has one
+    task, one kind and rank 1, with W fixed at 1 and gamma at 0. The stored
+    data must match ``dataset_fingerprint``.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -183,37 +180,44 @@ def load_model(path):
             f"{path}: unsupported model schema version {version} (supported: {SCHEMA_VERSION})"
         )
     model_type = _require(doc, "model_type")
+    if model_type not in ("gp", "mtgp"):
+        raise ValidationError(f"{path}: unknown model_type {model_type!r}")
+    gp = model_type == "gp"
     kinds = _require(doc, "kernel_kinds", list)
     if not kinds:
         raise ValidationError(f"{path}: model file key 'kernel_kinds' is empty")
     for kind in kinds:
         if kind not in KERNEL_KINDS:
             raise ValidationError(f"{path}: unknown kernel kind {kind!r}")
+    num_tasks = _positive_int(doc, "num_tasks")
+    if gp and len(kinds) != 1:
+        raise ValidationError(f"{path}: model file key 'kernel_kinds' of a gp must hold one kind")
+    if gp and num_tasks != 1:
+        raise ValidationError(f"{path}: model file key 'num_tasks' of a gp must be 1")
+    ranks = [1] if gp else _require(doc, "ranks", list)
+    if len(ranks) != len(kinds) or not all(type(r) is int and r >= 1 for r in ranks):
+        raise ValidationError(
+            f"{path}: model file key 'ranks' must hold one positive integer per kernel kind"
+        )
     params = _require(doc, "parameters")
     vector = np.asarray([_unhex(s) for s in _require(params, "values_hex", list)], dtype=float)
-    dataset = _decode_dataset(_require(_require(doc, "data"), "tasks", list))
+    tasks_doc = _require(_require(doc, "data"), "tasks", list)
+    if len(tasks_doc) != num_tasks:
+        raise ValidationError(f"{path}: model file key 'tasks' must hold {num_tasks} tasks")
+    dataset = _decode_dataset(tasks_doc)
+    if dataset_fingerprint(dataset) != _require(doc, "dataset_fingerprint"):
+        raise ValidationError(f"{path}: data does not match model file key 'dataset_fingerprint'")
     input_dim = _positive_int(doc, "input_dim")
-
-    if model_type == "gp":
-        layout = gp_parameters(ScalarKernelSpec(kinds[0], np.ones(input_dim), 1.0), 1.0)
-    elif model_type == "mtgp":
-        num_tasks = _positive_int(doc, "num_tasks")
-        ranks = _require(doc, "ranks", list)
-        if len(ranks) != len(kinds) or not all(type(r) is int and r >= 1 for r in ranks):
-            raise ValidationError(
-                f"{path}: model file key 'ranks' must hold one positive integer per kernel kind"
-            )
-        terms = tuple(
-            CoregionalizationTerm(
-                np.zeros((num_tasks, rank)),
-                np.zeros(num_tasks),
-                ScalarKernelSpec(kind, np.ones(input_dim), 1.0),
-            )
-            for kind, rank in zip(kinds, ranks)
+    terms = tuple(
+        CoregionalizationTerm(
+            np.ones((num_tasks, rank)),
+            np.zeros(num_tasks),
+            ScalarKernelSpec(kind, np.ones(input_dim), 1.0),
         )
-        layout = ParameterLayout(MultiTaskKernelSpec(num_tasks, terms), np.ones(num_tasks))
-    else:
-        raise ValidationError(f"{path}: unknown model_type {model_type!r}")
+        for kind, rank in zip(kinds, ranks)
+    )
+    template = MultiTaskKernelSpec(num_tasks, terms)
+    layout = ParameterLayout(template, np.ones(num_tasks), learn_W=not gp, learn_gamma=not gp)
     if vector.shape[0] != layout.size:
         raise ValidationError(f"{path}: parameter vector has wrong length")
     with np.errstate(over="ignore"):
@@ -225,8 +229,7 @@ def load_model(path):
             "with positive lengthscales and signal variances"
         )
     spec, noise = layout.materialize(vector)
-    if model_type == "gp":
+    if gp:
         mean_const = _unhex(_require(_require(doc, "mean_const"), "hex"))
-        X, Y = dataset.inputs[0], dataset.targets[0]
-        return gp_fit(spec.terms[0].base_kernel, noise[0], X, Y, mean_const)
+        return _condition(spec, noise, dataset, np.array([mean_const]), np.ones(1), False)
     return mtgp_fit(spec, noise, dataset, standardize=_require(doc, "standardize", bool))

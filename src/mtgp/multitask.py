@@ -24,6 +24,7 @@ one-task, one-term :class:`MTGPModel` (:func:`~mtgp.gp.gp_fit`), predicted
 with ``mtgp_predict(model, 0, X)``.
 """
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -157,27 +158,6 @@ def mtgp_predict(
     return PosteriorPrediction(mean, np.maximum(variance, 0.0))
 
 
-def mtgp_parameter_names(spec: MultiTaskKernelSpec) -> list[str]:
-    """Canonical order of all transformed parameters, matching the gradient
-    returned by :func:`mtgp_log_marginal_likelihood`.
-
-    Per term q: the base kernel's log-parameters, then W entries row-major,
-    then log-gamma per task; finally log-noise per task.
-    """
-    names: list[str] = []
-    for q, term in enumerate(spec.terms):
-        for kname in kernels.log_param_names(term.base_kernel):
-            names.append(f"term{q}.{kname}")
-        for d in range(term.num_tasks):
-            for r in range(term.rank):
-                names.append(f"term{q}.W[{d},{r}]")
-        for d in range(term.num_tasks):
-            names.append(f"term{q}.log_gamma{d}")
-    for d in range(spec.num_tasks):
-        names.append(f"log_noise{d}")
-    return names
-
-
 # ---------------------------------------------------------------------------
 # The exact-GP objective: log marginal likelihood and gradient, batched
 # ---------------------------------------------------------------------------
@@ -202,18 +182,26 @@ class LMLBatch(NamedTuple):
 
 # the objective's phases, in the order of ``LMLBatch.phases``
 PHASES = ("materialize", "assemble", "cholesky", "inverse", "gradient")
+# entry names of each natural group, in group_slices order, formatted with the index in the group
+_NAME_FORMATS = (
+    "term{0}.log_lengthscale{1}",
+    "term{0}.log_signal_variance",
+    "log_noise{0}",
+    "term{0}.log_gamma{1}",
+    "term{0}.W[{1},{2}]",
+)
 
 
 class ParameterLayout:
     """Flat parameter vector <-> (kernel spec, noise vector) of one model shape.
 
-    Built from a template kernel spec and noise vector. The flat vector is
-    the learned subset of :func:`mtgp_parameter_names`, in that order:
-    log-lengthscales (Q, P), log-signal-variances (Q,) and log-noise (D,)
-    always, W (Q, D, R) when ``learn_W`` and log-gamma (Q, D) when
-    ``learn_gamma``. W is untransformed; a zero gamma is ``-inf``. Groups
-    not learned keep the template's values, and so do the padding columns
-    of W when terms differ in rank.
+    Built from a template kernel spec and noise vector. This class is the
+    one place that sets the flat order: per term q, its log-lengthscales
+    and log-signal-variance, then W_q row-major when ``learn_W`` and its
+    log-gamma per task when ``learn_gamma``; finally log-noise per task.
+    :meth:`names` names the entries in that order. W is untransformed; a
+    zero gamma is ``-inf``. Groups not learned keep the template's values,
+    and so do the padding columns of W when terms differ in rank.
 
     Inside, a batch's natural parameters are one (B, F) array in the order
     ``[ls (Q*P) | s2 (Q) | noise (D) | gamma (Q*D) | W (Q*D*R)]``, whose
@@ -254,7 +242,7 @@ class ParameterLayout:
         s2_at, noise_at = Q * P, Q * P + Q
         gamma_at = noise_at + D
         self.num_logs = W_at = gamma_at + Q * D
-        # natural position of each flat entry, in mtgp_parameter_names order
+        # natural position of each flat entry, in flat order
         natural = []
         for q, rank in enumerate(self.ranks):
             natural += range(q * P, (q + 1) * P)
@@ -299,6 +287,17 @@ class ParameterLayout:
         B = nat.shape[0]
         slices, shapes = self.group_slices, self.group_shapes
         return tuple(nat[:, at].reshape((B,) + shape) for at, shape in zip(slices, shapes))
+
+    def names(self) -> list[str]:
+        """Each flat entry's name, read off its natural position:
+        ``term{q}.log_lengthscale{p}``, ``term{q}.log_signal_variance``,
+        ``term{q}.W[d,r]``, ``term{q}.log_gamma{d}`` or ``log_noise{d}``."""
+        natural = [
+            name.format(*index)
+            for name, shape in zip(_NAME_FORMATS, self.group_shapes)
+            for index in itertools.product(*map(range, shape))
+        ]
+        return [natural[i] for i in self.natural_index.tolist()]
 
     def initial_vector(self) -> np.ndarray:
         """The template's learned parameters as a flat vector."""
@@ -594,8 +593,8 @@ def mtgp_log_marginal_likelihood(
 
     The value is the log density of the stacked targets under the joint
     prior plus block-diagonal noise, with the Gaussian constant using the
-    total observation count. Gradient order follows
-    :func:`mtgp_parameter_names`; gamma gradients are reported in log-space
+    total observation count. Gradient order is the fully learned
+    :class:`ParameterLayout`'s; gamma gradients are reported in log-space
     (zero whenever gamma is pinned at zero). This is the B=1 case of
     :class:`ExactGPLayout` with every parameter learned.
     """

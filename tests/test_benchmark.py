@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from mtgp.benchmark import (
     BENCHMARK_MTGP_FAMILY,
     ForresterParams,
     PRIMARY_PARAMS,
+    STUDY_TRAIN_CONFIG,
     StudyConfig,
     _model_seed,
     _scenario_data,
@@ -26,7 +28,7 @@ from mtgp.benchmark import (
 )
 from mtgp.data import MultiTaskDataset
 from mtgp.errors import DomainError, ShapeError, UndefinedCorrelationError
-from mtgp import training
+from mtgp import cli, training
 from mtgp.multitask import mtgp_predict
 from mtgp.training import (
     MTGPFamily,
@@ -250,6 +252,7 @@ class TestStudyConfig:
             {"correlations": (1.5,)},
             {"correlations": (0.0,)},
             {"correlations": (math.nan,)},
+            {"correlations": (0.89, 0.8900001)},  # one f"{r:g}" artifact name
         ],
     )
     def test_bad_values_rejected(self, bad):
@@ -266,6 +269,12 @@ class TestRunStudy:
             n_test=20,
             seed=0,
         )
+
+    def test_one_study_training_for_the_api_and_the_cli(self):
+        default = inspect.signature(run_study).parameters["train_config"].default
+        assert default is STUDY_TRAIN_CONFIG
+        assert TrainConfig(**cli.BENCHMARK_TRAIN_DEFAULTS) == STUDY_TRAIN_CONFIG
+        assert STUDY_TRAIN_CONFIG.max_iterations == 200
 
     def test_row_and_aggregate_counts(self):
         res = run_study(self.small_study(replicates=2), TINY)

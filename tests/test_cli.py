@@ -79,6 +79,11 @@ def set_parameter(doc, name, value):
     doc["parameters"]["values_hex"][names.index(name)] = float(value).hex()
 
 
+def edit_hex(array_doc):
+    """Change the first stored value of a model file array."""
+    array_doc["hex"][0] = (float.fromhex(array_doc["hex"][0]) + 1.0).hex()
+
+
 # model files with a value of the wrong type: (family, damage, expected message)
 BAD_TRANSFORM = "parameter values must transform to finite numbers"
 MODEL_FILE_BAD_VALUES = {
@@ -89,6 +94,12 @@ MODEL_FILE_BAD_VALUES = {
     "ranks-string": ("mtgp-slfm", lambda doc: doc.update(ranks=["a", "b"]), "'ranks'"),
     "standardize-string": ("mtgp-slfm", lambda doc: doc.update(standardize="false"), "'standardize'"),
     "standardize-list": ("mtgp-slfm", lambda doc: doc.update(standardize=[1]), "'standardize'"),
+    "y-edited": ("mtgp-slfm", lambda doc: edit_hex(doc["data"]["tasks"][0]["y"]), "'dataset_fingerprint'"),
+    "gp-two-kinds": (
+        "gp", lambda doc: doc.update(kernel_kinds=["squared_exponential"] * 2), "'kernel_kinds'"
+    ),
+    "gp-three-num_tasks": ("gp", lambda doc: doc.update(num_tasks=3), "'num_tasks'"),
+    "gp-two-data-tasks": ("gp", lambda doc: doc["data"]["tasks"].append(doc["data"]["tasks"][0]), "'tasks'"),
     "signal_variance-overflow": (
         "mtgp-slfm", lambda doc: set_parameter(doc, "term0.log_signal_variance", 1000), BAD_TRANSFORM
     ),
@@ -809,6 +820,7 @@ class TestBenchmarkCommand:
             (["--correlations", "0.89,0.89"], {}),
             ([], {"correlations": [1.5]}),
             (["--correlations", "0"], {}),
+            (["--correlations", "0.89,0.8900001"], {}),
         ],
     )
     def test_bad_study_values_exit_2_before_any_training(self, tmp_path, monkeypatch, args, doc):

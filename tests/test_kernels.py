@@ -13,7 +13,6 @@ from mtgp.kernels import (
     ScalarKernelSpec,
     kernel_matrix,
     kernel_profile,
-    log_param_names,
 )
 from mtgp.linalg import BASE_JITTER_REL, cholesky_batch
 from mtgp.seeding import make_rng
@@ -154,11 +153,11 @@ class TestKernelMatrixGrad:
 
     def test_grad_order_matches_names(self):
         spec = se([1.0, 2.0], 1.0)
-        names = log_param_names(spec)
-        assert names == ["log_lengthscale0", "log_lengthscale1", "log_signal_variance"]
+        names = gp_parameters(spec, 0.1).names()
+        # the GP's flat vector is the kernel's log-parameters plus log-noise
+        kernel_names = ["term0.log_lengthscale0", "term0.log_lengthscale1", "term0.log_signal_variance"]
+        assert names == kernel_names + ["log_noise0"]
         assert len(profile_gradients(spec, np.zeros((2, 2)))) == 3
-        # the GP's flat vector is these names plus log-noise
-        assert gp_parameters(spec, 0.1).size == len(names) + 1
 
     def test_empty_input_rejected(self):
         # the objective that consumes these derivatives needs a training point

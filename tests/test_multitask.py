@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,9 @@ from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
 from mtgp.multitask import (
     ExactGPLayout,
     LayoutStack,
+    ParameterLayout,
     mtgp_fit,
     mtgp_log_marginal_likelihood,
-    mtgp_parameter_names,
     mtgp_predict,
 )
 from mtgp.seeding import make_rng
@@ -422,7 +424,7 @@ class TestMTGPLogMarginalLikelihood:
 
     def test_parameter_name_order(self):
         spec = random_mtgp_spec(make_rng("mt-names", 0), 2, num_terms=1)
-        names = mtgp_parameter_names(spec)
+        names = ParameterLayout(spec, np.ones(2)).names()
         assert names == [
             "term0.log_lengthscale0",
             "term0.log_signal_variance",
@@ -571,11 +573,19 @@ class TestBatchedObjective:
         shifted = point + step * np.vstack([np.eye(layout.size), -np.eye(layout.size)])
         values = evaluate(layout, shifted).values
         numeric = (values[: layout.size] - values[layout.size :]) / (2 * step)
-        names = mtgp_parameter_names(spec)
+        names = layout.names()
         checked = [i for i, n in enumerate(names) if "signal" in n or ".W[" in n or "gamma" in n]
         assert len(checked) == 2 * (1 + 2 + 2)
         error = np.abs(numeric - analytic) / np.maximum(np.abs(analytic), np.abs(numeric))
         assert np.max(error[checked]) <= 1e-6
+
+    @pytest.mark.parametrize("name", BATCH_CASES)
+    def test_names_are_distinct_and_mark_W(self, name):
+        layout, _ = _batch_case(name)
+        names = layout.names()
+        assert len(set(names)) == len(names) == layout.size
+        named_W = [re.fullmatch(r"term\d+\.W\[\d+,\d+\]", n) is not None for n in names]
+        np.testing.assert_array_equal(named_W, layout.is_W)
 
     def test_fixed_groups_keep_template_values(self):
         layout, _ = _batch_case("se-slfm")
@@ -597,7 +607,7 @@ class TestBatchedObjective:
             expected += [np.log(term.base_kernel.signal_variance)]
             expected += list(term.W.reshape(-1)) + list(np.log(term.gamma))
         expected += list(np.log(noise))
-        assert len(expected) == len(mtgp_parameter_names(spec))
+        assert len(expected) == len(ParameterLayout(spec, noise).names())
         np.testing.assert_allclose(expected, vec, rtol=1e-12)
 
     def test_wrapper_is_the_template_row(self):
@@ -608,7 +618,7 @@ class TestBatchedObjective:
         batch = evaluate(layout, X)
         assert value == pytest.approx(batch.values[0], rel=1e-12)
         # lmc learns every parameter, so both gradients use the canonical order
-        assert grad.shape == (len(mtgp_parameter_names(spec)),)
+        assert grad.shape == (len(ParameterLayout(spec, noise).names()),)
         np.testing.assert_allclose(grad, batch.grads[0], rtol=1e-9, atol=1e-12)
 
     def test_failed_and_escalated_rows_are_reported(self):

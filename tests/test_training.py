@@ -14,7 +14,6 @@ from mtgp.multitask import (
     LMLBatch,
     ParameterLayout,
     mtgp_log_marginal_likelihood,
-    mtgp_parameter_names,
     mtgp_predict,
 )
 from mtgp.seeding import make_rng
@@ -129,7 +128,7 @@ class TestParameterLayout:
         _, template = _family_layout("slfm")
         full = ParameterLayout(template, np.ones(2))
         vec = full.initial_vector()
-        gamma = ["log_gamma" in n for n in mtgp_parameter_names(template)]
+        gamma = ["log_gamma" in n for n in full.names()]
         assert np.all(vec[gamma] == -np.inf)
         spec, _ = full.materialize(vec)
         assert all(np.all(t.gamma == 0.0) for t in spec.terms)
