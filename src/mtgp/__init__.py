@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
     IllConditionedKernelError,
     MTGPError,
+    NonFiniteError,
     ShapeError,
     TrainingFailedError,
     UndefinedCorrelationError,

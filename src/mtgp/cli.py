@@ -8,6 +8,7 @@ across runs on the same platform.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -415,7 +416,14 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    It holds nothing of a call: each ``parse_args`` starts a fresh namespace,
+    and :func:`main` runs the module's ``cmd_<command>`` function as bound at
+    call time, so a rebound or monkeypatched ``cmd_*`` is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="mtgp",
         description="Single- and multi-task Gaussian process regression toolkit",
@@ -429,13 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", help="output directory for model.json and metrics.json")
     p_train.add_argument("--seed", type=int, help="override the config seed")
     p_train.add_argument("--trace", help="write per-iteration JSONL trace here")
-    p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", help="predict from a saved model")
     p_pred.add_argument("--model", required=True, help="model.json path")
     p_pred.add_argument("--data", required=True, help="query CSV (x1..xP, task)")
     p_pred.add_argument("--out", required=True, help="output predictions CSV")
-    p_pred.set_defaults(func=cmd_predict)
 
     p_bench = sub.add_parser("benchmark", help="run the two-task Forrester study")
     p_bench.add_argument("--config", help="study-config JSON (optional)")
@@ -444,19 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", help="semicolon-separated pairs, e.g. 5,5;5,20")
     p_bench.add_argument("--replicates", type=int, help="replicates per cell")
     p_bench.add_argument("--seed", type=int, help="study seed")
-    p_bench.set_defaults(func=cmd_benchmark)
 
     p_check = sub.add_parser("check", help="run the embedded verification suite")
     p_check.add_argument("--seed", type=int, help="seed for the randomized checks")
-    p_check.set_defaults(func=cmd_check)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValidationError, ShapeError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

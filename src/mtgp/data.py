@@ -43,7 +43,7 @@ class MultiTaskDataset:
                 raise ShapeError(
                     f"task {d}: input dimension {X.shape[1]} differs from task 0's {dim}"
                 )
-            if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
+            if not (np.isfinite(X).all() and np.isfinite(Y).all()):
                 raise DomainError(f"task {d}: inputs and targets must be finite")
             xs.append(X)
             ys.append(Y)
@@ -96,11 +96,21 @@ def standardize_targets(
     stds = np.ones(dataset.num_tasks)
     for d, Y in enumerate(dataset.targets):
         if Y.size > 0:
-            means[d] = float(np.mean(Y))
-            s = float(np.std(Y))
+            means[d] = float(Y.mean())
+            s = float(Y.std())
             if s > 0.0:
                 stds[d] = s
     return scale_targets(dataset, means, stds), means, stds
+
+
+def working_targets(
+    dataset: MultiTaskDataset, standardize: bool
+) -> tuple[MultiTaskDataset, np.ndarray, np.ndarray]:
+    """``(work, means, stds)``: the dataset a fit computes on, its task d's
+    targets ``(Y_d - means_d) / stds_d``, standardized or left as they are."""
+    if standardize:
+        return standardize_targets(dataset)
+    return dataset, np.zeros(dataset.num_tasks), np.ones(dataset.num_tasks)
 
 
 def scale_targets(dataset: MultiTaskDataset, means, stds) -> MultiTaskDataset:

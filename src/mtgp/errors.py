@@ -17,6 +17,10 @@ class IllConditionedKernelError(MTGPError):
     """Cholesky factorization failed even after jitter escalation."""
 
 
+class NonFiniteError(MTGPError):
+    """A linear solve met an operand that is not finite."""
+
+
 class UndefinedCorrelationError(MTGPError, ValueError):
     """Pearson correlation requested for a zero-variance series."""
 

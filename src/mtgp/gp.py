@@ -13,7 +13,7 @@ fitted GP is a one-task :class:`~mtgp.multitask.MTGPModel`:
 import numpy as np
 
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
-from .data import MultiTaskDataset
+from .data import MultiTaskDataset, scale_targets
 from .errors import IllConditionedKernelError
 from .kernels import ScalarKernelSpec
 from .multitask import ExactGPLayout, MTGPModel, ParameterLayout, _condition
@@ -34,8 +34,10 @@ def gp_fit(
     before factorization and escalated on failure (see :mod:`mtgp.linalg`).
     """
     dataset = MultiTaskDataset((X,), (Y,))
-    means = np.array([float(mean_const)])
-    return _condition(_one_task_spec(kernel), [noise_variance], dataset, means, np.ones(1), False)
+    means, stds = np.array([float(mean_const)]), np.ones(1)
+    work = scale_targets(dataset, means, stds)
+    layout = ExactGPLayout(_one_task_spec(kernel), [noise_variance], work)
+    return _condition(layout, dataset, means, stds, False)
 
 
 def _one_task_spec(kernel: ScalarKernelSpec) -> MultiTaskKernelSpec:

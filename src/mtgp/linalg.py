@@ -1,9 +1,16 @@
 """Cholesky helpers: :func:`cholesky_batch`, the package's one jitter-and-factorize
-routine (training batches and fits alike), and triangular solves."""
+routine (training batches and fits alike), and the solves with its factors.
+
+The solves call LAPACK's ``dpotrs`` and ``dtrtrs`` with the arguments
+``scipy.linalg.cho_solve`` and ``solve_triangular`` pass for a C-ordered
+float64 factor, so they return the wrappers' bits without their per-call
+cost, and reject a non-finite operand as the wrappers' ``check_finite`` does.
+"""
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrs, dtrtri, dtrtrs
+
+from .errors import IllConditionedKernelError, NonFiniteError
 
 BASE_JITTER_REL = 1e-8
 MAX_JITTER_REL = 1e-4
@@ -68,11 +75,28 @@ def cholesky_inverse_batch(L: np.ndarray) -> np.ndarray:
     return L.swapaxes(-1, -2) @ L
 
 
+def _require_finite(L: np.ndarray, b: np.ndarray, solve: str):
+    if not (np.isfinite(L).all() and np.isfinite(b).all()):
+        raise NonFiniteError(f"{solve}: the factor or the right-hand side is not finite")
+
+
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``(L L^T) x = b`` given the lower factor L."""
-    return cho_solve((L, True), b)
+    """Solve ``(L L^T) x = b`` given the lower factor L (N, N) and b (N,) or (N, K)."""
+    _require_finite(L, b, "chol_solve")
+    x, info = dpotrs(L, b, lower=1)
+    if info:
+        raise ValueError(f"chol_solve: dpotrs returned info {info}")
+    return x
 
 
 def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L x = b`` for lower-triangular L."""
-    return solve_triangular(L, b, lower=True)
+    """Solve ``L x = b`` for a lower-triangular, C-ordered L (N, N) and b (N,) or (N, K).
+
+    LAPACK reads L's memory as ``L^T`` in Fortran order and solves the
+    transposed system, so L is not copied.
+    """
+    _require_finite(L, b, "tri_solve")
+    x, info = dtrtrs(L.T, b, lower=0, trans=1)
+    if info:  # > 0: a zero on the diagonal
+        raise IllConditionedKernelError(f"tri_solve: dtrtrs returned info {info}")
+    return x

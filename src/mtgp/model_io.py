@@ -4,7 +4,9 @@ A model file is self-describing: schema version, model family, the
 parameter schema with transformed values (hex-encoded floats, so repeated
 save/load cycles are lossless), standardization statistics, the training
 data, and a fingerprint of that data. Loading refits the stored parameters
-on the stored data, which reproduces the in-process model.
+on the stored data, which reproduces the in-process model bit for bit. It
+reads the file in one pass: one layout, one scaling of the targets, each
+check on the file's contents once (:func:`load_model`).
 """
 
 import hashlib
@@ -13,11 +15,10 @@ import math
 
 import numpy as np
 
-from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
-from .data import MultiTaskDataset, standardize_targets
+from .data import MultiTaskDataset, scale_targets, standardize_targets, working_targets
 from .errors import ValidationError
-from .kernels import KERNEL_KINDS, ScalarKernelSpec
-from .multitask import MTGPModel, ParameterLayout, _condition, mtgp_fit
+from .kernels import KERNEL_KINDS
+from .multitask import ExactGPLayout, MTGPModel, ParameterLayout, _condition
 
 SCHEMA_VERSION = 1
 
@@ -31,6 +32,15 @@ def _unhex(s: str) -> float:
         return float.fromhex(s)
     except (TypeError, ValueError):
         raise ValidationError(f"bad hex float {s!r} in model file") from None
+
+
+def _unhex_all(values: list) -> np.ndarray:
+    try:
+        return np.fromiter(map(float.fromhex, values), dtype=float, count=len(values))
+    except (TypeError, ValueError):
+        for s in values:
+            _unhex(s)  # raises on the first bad value
+        raise
 
 
 def _decimal(x: float):
@@ -47,7 +57,7 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(doc: dict) -> np.ndarray:
-    flat = np.asarray([_unhex(s) for s in _require(doc, "hex", list)], dtype=float)
+    flat = _unhex_all(_require(doc, "hex", list))
     shape = _require(doc, "shape", list)
     if not all(isinstance(n, int) and n >= 0 for n in shape) or math.prod(shape) != flat.size:
         raise ValidationError(f"model file array of shape {shape} has {flat.size} values")
@@ -164,10 +174,13 @@ def load_model(path):
     """Load and refit a model file; returns an :class:`MTGPModel` (a GP is its
     one-task case, :func:`~mtgp.gp.gp_fit`).
 
-    Both formats read into one template :class:`ParameterLayout` of
-    ``num_tasks``, ``kernel_kinds`` and ``ranks``; a ``gp`` file's has one
-    task, one kind and rank 1, with W fixed at 1 and gamma at 0. The stored
-    data must match ``dataset_fingerprint``.
+    One pass: the stored data must match ``dataset_fingerprint``; its targets
+    are scaled once, by the stored ``mean_const`` (gp) or the data's own
+    standardization; one :class:`ExactGPLayout` of ``kernel_kinds`` and
+    ``ranks`` on them (:meth:`ExactGPLayout.of_shape`; a ``gp`` file's has
+    one task, one kind and rank 1, with W fixed at 1 and gamma at 0) maps
+    the stored vector to natural parameters, which are checked once and
+    conditioned on. No kernel spec is built until ``model.kernel`` is read.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -200,7 +213,7 @@ def load_model(path):
             f"{path}: model file key 'ranks' must hold one positive integer per kernel kind"
         )
     params = _require(doc, "parameters")
-    vector = np.asarray([_unhex(s) for s in _require(params, "values_hex", list)], dtype=float)
+    vector = _unhex_all(_require(params, "values_hex", list))
     tasks_doc = _require(_require(doc, "data"), "tasks", list)
     if len(tasks_doc) != num_tasks:
         raise ValidationError(f"{path}: model file key 'tasks' must hold {num_tasks} tasks")
@@ -208,16 +221,18 @@ def load_model(path):
     if dataset_fingerprint(dataset) != _require(doc, "dataset_fingerprint"):
         raise ValidationError(f"{path}: data does not match model file key 'dataset_fingerprint'")
     input_dim = _positive_int(doc, "input_dim")
-    terms = tuple(
-        CoregionalizationTerm(
-            np.ones((num_tasks, rank)),
-            np.zeros(num_tasks),
-            ScalarKernelSpec(kind, np.ones(input_dim), 1.0),
+    if dataset.input_dim != input_dim:
+        raise ValidationError(
+            f"{path}: model file key 'input_dim' is {input_dim}, its data has {dataset.input_dim}"
         )
-        for kind, rank in zip(kinds, ranks)
-    )
-    template = MultiTaskKernelSpec(num_tasks, terms)
-    layout = ParameterLayout(template, np.ones(num_tasks), learn_W=not gp, learn_gamma=not gp)
+    if gp:  # the GP conditions on Y - mean_const, with task std 1
+        means = np.array([_unhex(_require(_require(doc, "mean_const"), "hex"))])
+        stds, standardized = np.ones(1), False
+        work = scale_targets(dataset, means, stds)
+    else:
+        standardized = _require(doc, "standardize", bool)
+        work, means, stds = working_targets(dataset, standardized)
+    layout = ExactGPLayout.of_shape(kinds, ranks, work, learn_W=not gp, learn_gamma=not gp)
     if vector.shape[0] != layout.size:
         raise ValidationError(f"{path}: parameter vector has wrong length")
     with np.errstate(over="ignore"):
@@ -228,8 +243,5 @@ def load_model(path):
             f"{path}: parameter values must transform to finite numbers, "
             "with positive lengthscales and signal variances"
         )
-    spec, noise = layout.materialize(vector)
-    if gp:
-        mean_const = _unhex(_require(_require(doc, "mean_const"), "hex"))
-        return _condition(spec, noise, dataset, np.array([mean_const]), np.ones(1), False)
-    return mtgp_fit(spec, noise, dataset, standardize=_require(doc, "standardize", bool))
+    layout.template = natural
+    return _condition(layout, dataset, means, stds, standardized)

@@ -24,6 +24,7 @@ one-task, one-term :class:`MTGPModel` (:func:`~mtgp.gp.gp_fit`), predicted
 with ``mtgp_predict(model, 0, X)``.
 """
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -33,11 +34,12 @@ import numpy as np
 
 from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
-from .data import MultiTaskDataset, scale_targets, standardize_targets
+from .data import MultiTaskDataset, working_targets
 from .errors import IllConditionedKernelError, ShapeError
 from .linalg import BASE_JITTER_REL, cholesky_batch, cholesky_inverse_batch, chol_solve, tri_solve
 
 NOISE_FLOOR = 1e-10
+_DOUBLE_MAX = np.finfo(float).max
 
 
 @dataclass(eq=False)
@@ -61,27 +63,52 @@ class PosteriorPrediction:
 class MTGPModel:
     """Immutable fitted state of a multi-task GP, or of a single-task GP as
     its one-task, one-term case (:func:`~mtgp.gp.gp_fit`). It is conditioned
-    on the targets ``(Y_d - task_means_d) / task_stds_d`` of ``dataset``."""
+    on the targets ``(Y_d - task_means_d) / task_stds_d`` of ``dataset``.
 
-    kernel: MultiTaskKernelSpec
-    noise_variances: np.ndarray
+    Its fitted parameters are ``layout.template``; ``kernel``,
+    ``noise_variances`` and ``prior_terms`` are read off them, the kernel spec
+    only when first asked for, so loading and predicting build none.
+    """
+
+    layout: "ExactGPLayout" = field(repr=False)
     dataset: MultiTaskDataset
     task_means: np.ndarray
     task_stds: np.ndarray
     L: np.ndarray
     weights: np.ndarray
     jitter: float
-    layout: "ExactGPLayout" = field(repr=False)
     standardized: bool = True
     fit_info: dict | None = field(default=None, repr=False)
 
+    @functools.cached_property
+    def kernel(self) -> MultiTaskKernelSpec:
+        return self.layout.spec_of(self.layout.template.copy())
+
+    @functools.cached_property
+    def prior_terms(self) -> tuple:
+        """Per term q, what every query shares: its kernel kind, the factor
+        ``PROFILE_SCALE / l_q^2`` on each input's squared distance, ``s2_q``
+        and ``B_q``."""
+        layout = self.layout
+        ls, s2, _, gamma, W = layout.groups(layout.template[None])
+        Bq = _task_covariances(layout, W, gamma)[0]
+        ls, s2 = ls[0], s2[0]
+        return tuple(
+            (kind, ls[q] ** -2.0 * layout.profile_scale[q], s2[q], Bq[q])
+            for q, kind in enumerate(layout.kinds)
+        )
+
+    @property
+    def noise_variances(self) -> np.ndarray:
+        return self.layout.template[self.layout.group_slices[2]].copy()
+
     @property
     def num_tasks(self) -> int:
-        return self.kernel.num_tasks
+        return self.layout.num_tasks
 
     @property
     def input_dim(self) -> int:
-        return self.kernel.input_dim
+        return self.layout.shape[2]
 
 
 def _noise_vector(noise_variances, num_tasks: int) -> np.ndarray:
@@ -106,32 +133,36 @@ def mtgp_fit(
     a failed factorization raises :class:`IllConditionedKernelError`.
     ``jitter`` is the absolute jitter added to the diagonal.
     """
-    if standardize:
-        _, means, stds = standardize_targets(dataset)
-    else:
-        means, stds = np.zeros(dataset.num_tasks), np.ones(dataset.num_tasks)
-    return _condition(kernel, noise_variances, dataset, means, stds, standardize)
+    work, means, stds = working_targets(dataset, standardize)
+    return _condition(ExactGPLayout(kernel, noise_variances, work), dataset, means, stds, standardize)
 
 
-def _condition(kernel, noise_variances, dataset, means, stds, standardized) -> MTGPModel:
-    """The fitted model on the targets ``(Y_d - means_d) / stds_d``; it keeps ``dataset``."""
-    noise = np.maximum(_noise_vector(noise_variances, kernel.num_tasks), NOISE_FLOOR)
-    layout = ExactGPLayout(kernel, noise, scale_targets(dataset, means, stds))
+def _condition(layout: "ExactGPLayout", dataset, means, stds, standardized) -> MTGPModel:
+    """The fitted model whose parameters are ``layout.template``.
+
+    ``layout`` holds the targets ``(Y_d - means_d) / stds_d`` of ``dataset``
+    and becomes the model's: its noise variances are floored at
+    ``NOISE_FLOOR`` in place. The model keeps ``dataset``.
+    """
+    noise = layout.template[layout.group_slices[2]]
+    np.maximum(noise, NOISE_FLOOR, out=noise)
     with np.errstate(over="ignore", invalid="ignore"):
         K, _ = _assemble(layout, layout.sqdiff, *layout.groups(layout.template[None]))
         L, _, jitter, errors = cholesky_batch(K)
     if errors:
         raise IllConditionedKernelError(errors[0])
     weights = chol_solve(L[0], layout.y)
-    return MTGPModel(
-        kernel, noise, dataset, means, stds, L[0], weights, float(jitter[0]), layout, standardized
-    )
+    return MTGPModel(layout, dataset, means, stds, L[0], weights, float(jitter[0]), standardized)
 
 
 def mtgp_predict(
     model: MTGPModel, task: int, Xstar, full_cov: bool = False
 ) -> PosteriorPrediction:
-    """Posterior mean/variance for one task at query points Xstar."""
+    """Posterior mean/variance for one task at query points Xstar.
+
+    A query so far from the data that a kernel's argument overflows gets
+    that kernel's limit, 0, so far enough away the prediction is the prior.
+    """
     if not 0 <= task < model.num_tasks:
         raise ShapeError(f"task {task} out of range for D={model.num_tasks}")
     Xstar = np.asarray(Xstar, dtype=float)
@@ -145,7 +176,7 @@ def mtgp_predict(
     if Xstar.shape[0] == 0:
         empty = np.zeros(0)
         return PosteriorPrediction(empty, empty.copy(), np.zeros((0, 0)) if full_cov else None)
-    Kstar, prior = model.layout.cross_covariance(task, Xstar, full_cov)
+    Kstar, prior = _cross_covariance(model, task, Xstar, full_cov)
     mean = mu + s * (Kstar @ model.weights)
     V = tri_solve(model.L, Kstar.T)
     if full_cov:
@@ -156,6 +187,35 @@ def mtgp_predict(
         return PosteriorPrediction(mean, variance, cov)
     variance = (prior - np.sum(V**2, axis=0)) * s**2
     return PosteriorPrediction(mean, np.maximum(variance, 0.0))
+
+
+def _cross_covariance(
+    model: MTGPModel, task: int, Xstar: np.ndarray, full_cov: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prior covariances of task ``task`` at the query rows Xstar (M, P).
+
+    Returns ``K(X*, X)`` (M, N) against the training rows, and ``K(X*, X*)``
+    (M, M) when ``full_cov``, else its diagonal, the prior variance (M,).
+    Terms are added one at a time from the model's :attr:`~MTGPModel.prior_terms`,
+    so a large query never holds a (Q, M, N) stack.
+    """
+    X, tasks = model.layout.X, model.layout.tasks
+    Kstar = np.zeros((Xstar.shape[0], X.shape[0]))
+    prior = np.zeros((Xstar.shape[0],) * (2 if full_cov else 1))
+    with np.errstate(over="ignore"):  # a far query's distances overflow
+        for kind, scale, s2, Bq in model.prior_terms:
+            coeffs = Bq[task, tasks]
+            if coeffs.any():
+                z = _scaled_sq_dists(Xstar, X, scale)
+                Kstar += s2 * kernels.kernel_profile(kind, z)[0] * coeffs
+            if Bq[task, task] == 0.0:
+                continue
+            if full_cov:
+                z = _scaled_sq_dists(Xstar, Xstar, scale)
+                prior += Bq[task, task] * (s2 * kernels.kernel_profile(kind, z)[0])
+            else:
+                prior += Bq[task, task] * s2
+    return Kstar, prior
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +284,11 @@ class ParameterLayout:
         learn_gamma: bool = True,
     ):
         noise = _noise_vector(noise_variances, spec.num_tasks)
-        Q, D, P = spec.num_terms, spec.num_tasks, spec.input_dim
-        self.ranks = [t.rank for t in spec.terms]
-        R = max(self.ranks)
-        W = np.zeros((Q, D, R))
+        ranks = [t.rank for t in spec.terms]
+        W = np.zeros((spec.num_terms, spec.num_tasks, max(ranks)))
         for q, term in enumerate(spec.terms):
             W[q, :, : term.rank] = term.W
-        self.template = np.concatenate(
+        template = np.concatenate(
             [
                 np.array([t.base_kernel.lengthscales for t in spec.terms]).reshape(-1),
                 [t.base_kernel.signal_variance for t in spec.terms],
@@ -239,12 +297,20 @@ class ParameterLayout:
                 W.reshape(-1),
             ]
         )
+        kinds = [t.base_kernel.kind for t in spec.terms]
+        self._build(kinds, ranks, spec.num_tasks, spec.input_dim, template, learn_W, learn_gamma)
+
+    def _build(self, kinds, ranks, D: int, P: int, template, learn_W: bool, learn_gamma: bool):
+        """Set the flat order of terms of these kinds and ranks over D tasks and
+        P inputs, around ``template``, their natural parameters (F,)."""
+        Q, R = len(kinds), max(ranks)
+        self.template, self.kinds, self.ranks, self.num_tasks = template, kinds, ranks, D
         s2_at, noise_at = Q * P, Q * P + Q
         gamma_at = noise_at + D
         self.num_logs = W_at = gamma_at + Q * D
         # natural position of each flat entry, in flat order
         natural = []
-        for q, rank in enumerate(self.ranks):
+        for q, rank in enumerate(ranks):
             natural += range(q * P, (q + 1) * P)
             natural.append(s2_at + q)
             if learn_W:
@@ -254,23 +320,20 @@ class ParameterLayout:
         natural += range(noise_at, noise_at + D)
         natural = np.asarray(natural)
         self.size = natural.size
-        self.gather = np.zeros(self.template.size, dtype=int)
+        self.gather = np.zeros(template.size, dtype=int)
         self.gather[natural] = np.arange(self.size)
-        fixed = np.ones(self.template.size, dtype=bool)
+        fixed = np.ones(template.size, dtype=bool)
         fixed[natural] = False
         self.fixed = np.flatnonzero(fixed)
         self.natural_index = natural
         # the gradient concatenates [ls, s2, noise, gamma if learned, W if learned]
-        no_gamma = np.where(natural < W_at, natural, natural - Q * D)
-        self.scatter = natural if learn_gamma else no_gamma
+        self.scatter = natural if learn_gamma else np.where(natural < W_at, natural, natural - Q * D)
         self.is_W = natural >= W_at
         self.learn_W, self.learn_gamma = learn_W, learn_gamma
-        self.has_gamma = learn_gamma or bool(np.any(self.template[gamma_at:W_at]))
+        self.has_gamma = learn_gamma or bool(np.any(template[gamma_at:W_at]))
         bounds = [0, s2_at, noise_at, gamma_at, W_at, None]
         self.group_slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.group_shapes = ((Q, P), (Q,), (D,), (Q, D), (Q, D, R))
-        self.kinds = [t.base_kernel.kind for t in spec.terms]
-        self.num_tasks = D
 
     def natural_batch(self, X: np.ndarray) -> np.ndarray:
         """The (B, F) natural parameters of the flat batch X (B, size)."""
@@ -307,8 +370,12 @@ class ParameterLayout:
 
     def materialize(self, vector: np.ndarray) -> tuple[MultiTaskKernelSpec, np.ndarray]:
         """Kernel spec and noise vector of one flat parameter vector."""
-        nat = self.natural_batch(np.asarray(vector)[None])
-        ls, s2, noise, gamma, W = (group[0] for group in self.groups(nat))
+        nat = self.natural_batch(np.asarray(vector)[None])[0]
+        return self.spec_of(nat), nat[self.group_slices[2]].copy()
+
+    def spec_of(self, nat: np.ndarray) -> MultiTaskKernelSpec:
+        """The kernel spec of one row of natural parameters (F,)."""
+        ls, s2, _, gamma, W = (group[0] for group in self.groups(nat[None]))
         terms = tuple(
             CoregionalizationTerm(
                 W[q, :, :rank],
@@ -317,7 +384,7 @@ class ParameterLayout:
             )
             for q, rank in enumerate(self.ranks)
         )
-        return MultiTaskKernelSpec(self.num_tasks, terms), np.array(noise)
+        return MultiTaskKernelSpec(self.num_tasks, terms)
 
 
 class ExactGPLayout(ParameterLayout):
@@ -328,9 +395,11 @@ class ExactGPLayout(ParameterLayout):
     per-dimension squared differences, the task one-hot and the targets, so
     evaluating a batch builds no Python objects. :func:`_assemble` is the
     package's one joint-covariance assembly: the training objective
-    (:meth:`LayoutStack.evaluate`) runs it on a batch, :func:`mtgp_fit` and
-    the likelihood wrappers (:meth:`evaluate_template`) on the template, and
-    :meth:`cross_covariance` extends it to query rows.
+    (:meth:`LayoutStack.evaluate`) runs it on a batch, conditioning
+    (:func:`_condition`) and the likelihood wrappers (:meth:`evaluate_template`)
+    on the template, and prediction (:func:`_cross_covariance`) extends it to
+    query rows. A fitted model's layout is its own, with the fitted
+    parameters as its template.
     """
 
     def __init__(
@@ -350,7 +419,26 @@ class ExactGPLayout(ParameterLayout):
                 f"dataset input dimension {dataset.input_dim} != kernel's {spec.input_dim}"
             )
         super().__init__(spec, noise_variances, learn_W, learn_gamma)
-        Q, D, P = spec.num_terms, spec.num_tasks, spec.input_dim
+        self._attach(dataset)
+
+    @classmethod
+    def of_shape(cls, kinds, ranks, dataset: MultiTaskDataset, learn_W: bool, learn_gamma: bool):
+        """The layout of terms of these kinds and ranks on ``dataset`` before
+        its parameters are known, as a model file gives them: its template
+        has W = 1 and gamma = 0 where they are not learned, zero padding in W
+        and zeros for the learned parameters."""
+        Q, D, P = len(kinds), dataset.num_tasks, dataset.input_dim
+        W = np.zeros((Q, D, max(ranks)))
+        for q, rank in enumerate(ranks):
+            W[q, :, :rank] = 1.0
+        layout = cls.__new__(cls)
+        template = np.concatenate([np.zeros(Q * P + Q + D + Q * D), W.reshape(-1)])
+        layout._build(list(kinds), list(ranks), D, P, template, learn_W, learn_gamma)
+        layout._attach(dataset)
+        return layout
+
+    def _attach(self, dataset: MultiTaskDataset):
+        Q, D, P = len(self.kinds), self.num_tasks, dataset.input_dim
         self.kind_groups = [
             (kind, np.asarray([q for q in range(Q) if self.kinds[q] == kind]))
             for kind in sorted(set(self.kinds))
@@ -372,36 +460,6 @@ class ExactGPLayout(ParameterLayout):
     def evaluate_template(self) -> LMLBatch:
         """The B=1 batch of the template's own parameters, with no transform round trip."""
         return _lml_batch(self, self.template[None], self.sqdiff, self.y, time.perf_counter())
-
-    def cross_covariance(
-        self, task: int, Xstar: np.ndarray, full_cov: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Template prior covariances of task ``task`` at the query rows Xstar (M, P).
-
-        Returns ``K(X*, X)`` (M, N) against the training rows, and ``K(X*, X*)``
-        (M, M) when ``full_cov``, else its diagonal, the prior variance (M,).
-        Terms are added one at a time, so a large query never holds a
-        (Q, M, N) stack.
-        """
-        ls, s2, _, gamma, W = self.groups(self.template[None])
-        Bq = _task_covariances(self, W, gamma)[0]
-        ls, s2 = ls[0], s2[0]
-        Kstar = np.zeros((Xstar.shape[0], self.X.shape[0]))
-        prior = np.zeros((Xstar.shape[0],) * (2 if full_cov else 1))
-        for q, kind in enumerate(self.kinds):
-            scale = ls[q] ** -2.0 * self.profile_scale[q]
-            coeffs = Bq[q, task, self.tasks]
-            if np.any(coeffs != 0.0):
-                z = _scaled_sq_dists(Xstar, self.X, scale)
-                Kstar += s2[q] * kernels.kernel_profile(kind, z)[0] * coeffs
-            if Bq[q, task, task] == 0.0:
-                continue
-            if full_cov:
-                z = _scaled_sq_dists(Xstar, Xstar, scale)
-                prior += Bq[q, task, task] * (s2[q] * kernels.kernel_profile(kind, z)[0])
-            else:
-                prior += Bq[q, task, task] * s2[q]
-        return Kstar, prior
 
 
 class LayoutStack:
@@ -465,7 +523,11 @@ def _scaled_sq_dists(A: np.ndarray, B: np.ndarray, scale: np.ndarray) -> np.ndar
     """``sum_p (A_ip - B_jp)^2 * scale_p`` for row sets A (M, P) and B (N, P).
 
     Summed one input dimension at a time, so a large query holds (M, N)
-    arrays only, never an (M, N, P) one.
+    arrays only, never an (M, N, P) one. A sum that overflows to +inf is
+    clamped to the largest double, where the Matern profile reaches its
+    limit 0 (at +inf it would be ``(1 + inf) * exp(-inf)``, NaN); finite sums
+    are unchanged, and -inf already gives the squared exponential's 0.
+    Callers ignore the overflow.
     """
     sq = np.zeros((A.shape[0], B.shape[0]))
     for p, w in enumerate(scale):
@@ -473,7 +535,7 @@ def _scaled_sq_dists(A: np.ndarray, B: np.ndarray, scale: np.ndarray) -> np.ndar
         d *= d
         d *= w
         sq += d
-    return sq
+    return np.minimum(sq, _DOUBLE_MAX, out=sq)
 
 
 def _task_covariances(layout: ExactGPLayout, W, gamma) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
-from .data import MultiTaskDataset, standardize_targets
+from .data import MultiTaskDataset, scale_targets, working_targets
 from .errors import DomainError, MTGPError, ShapeError, TrainingFailedError
 from .gp import gp_fit
 from .kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
@@ -389,10 +389,7 @@ def build_mtgp_template(
 def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool):
     """One fit's layout on its working targets, with the standardization means,
     stds and ``sum_d N_d log s_d``."""
-    if standardize:
-        work, means, stds = standardize_targets(dataset)
-    else:
-        work, means, stds = dataset, np.zeros(dataset.num_tasks), np.ones(dataset.num_tasks)
+    work, means, stds = working_targets(dataset, standardize)
     # change of variables: observed-units likelihood differs by -sum N_d log s_d
     log_scale = float(np.sum([n * np.log(s) for n, s in zip(dataset.counts, stds)]))
     template, template_noise = build_mtgp_template(family, work)
@@ -501,7 +498,8 @@ def train_mtgp_batch(
     datasets = list(datasets)
 
     def fit(i, spec, noise, means, stds):
-        return _condition(spec, noise, datasets[i], means, stds, standardize)
+        layout = ExactGPLayout(spec, noise, scale_targets(datasets[i], means, stds))
+        return _condition(layout, datasets[i], means, stds, standardize)
 
     return _train(datasets, config, list(seeds), family, standardize, "mtgp-restart", trace, fit)
 

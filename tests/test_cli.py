@@ -1,9 +1,11 @@
+import collections
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import mtgp
 import mtgp.cli as cli
-from mtgp import benchmark, model_io, training
+from mtgp import benchmark, model_io, multitask, training
 from mtgp.benchmark import forrester
 from mtgp.data import CSV_BLOCK_ROWS, read_task_csv
 from mtgp.errors import TrainingFailedError
@@ -619,6 +621,74 @@ class TestPerfbenchOracles:
         assert checks.check_predictions(pred, query, checks.DenseModel(doc), sample) == []
 
 
+class TestPredictEdgeCases:
+    @pytest.mark.parametrize("family,kernel", [("mtgp-lmc", "matern52"), ("mtgp-slfm", "squared_exponential")])
+    def test_far_query_predicts_the_prior(self, tmp_path, capsys, family, kernel):
+        path = train_model(tmp_path, family, kernel=kernel)
+        query = tmp_path / "far.csv"
+        query.write_text("x1,task\n1e300,0\n-1e300,1\n1e308,0\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the test
+            assert cli.main(["predict", "--model", str(path), "--data", str(query), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        model = model_io.load_model(path)
+        for row in read_csv_rows(out):
+            d = int(row["task"])
+            prior = sum(
+                t.base_kernel.signal_variance * (t.W[d] @ t.W[d] + t.gamma[d]) for t in model.kernel.terms
+            )
+            assert float(row["mean"]) == model.task_means[d]
+            assert float(row["stddev"]) == pytest.approx(np.sqrt(prior) * model.task_stds[d], rel=1e-12)
+
+    def test_non_finite_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        path = train_model(tmp_path, "mtgp-slfm")
+        cross_covariance = multitask._cross_covariance
+
+        def nan_cross_covariance(*args):
+            Kstar, prior = cross_covariance(*args)
+            Kstar[0, 0] = np.nan
+            return Kstar, prior
+
+        monkeypatch.setattr(multitask, "_cross_covariance", nan_cross_covariance)
+        query = tmp_path / "query.csv"
+        query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
+        argv = ["predict", "--model", str(path), "--data", str(query), "--out", str(tmp_path / "p.csv")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
+
+
+class TestRepeatedMain:
+    """``cli.main`` builds its parser once per process and may be called again and again."""
+
+    def test_a_seed_flag_does_not_carry_over_to_the_next_call(self, tmp_path, monkeypatch):
+        data = write_two_task_csv(tmp_path / "data.csv")
+        config = write_config(tmp_path / "config.json", seed=3, max_iterations=5)
+        seeds = []
+        train = cli.train_mtgp
+
+        def recording(dataset, config, **kwargs):
+            seeds.append(config.seed)
+            return train(dataset, config, **kwargs)
+
+        monkeypatch.setattr(cli, "train_mtgp", recording)
+        argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        assert cli.main(argv + ["--seed", "7"]) == 0
+        assert cli.main(argv) == 0
+        assert seeds == [7, 3]
+
+    def test_a_command_rebound_after_a_call_is_the_one_that_runs(self, tmp_path, monkeypatch, capsys):
+        argv = ["predict", "--model", str(tmp_path / "missing.json"), "--data", "q.csv", "--out", "p.csv"]
+        assert cli.main(argv) == 2
+        assert cli.build_parser() is cli.build_parser()
+        ran = []
+        monkeypatch.setattr(cli, "cmd_predict", lambda args: ran.append(args.model) or 0)
+        assert cli.main(argv) == 0
+        assert ran == [str(tmp_path / "missing.json")]
+
+
 class TestModuleEntryPoint:
     """``python -m mtgp`` and ``python -m mtgp.cli`` run the CLI."""
 
@@ -688,6 +758,38 @@ class TestModelIO:
         model_io.save_model(model_io.load_model(earlier), again, family)
         with open(earlier, encoding="utf-8") as fh:
             assert again.read_text() == fh.read()
+
+    @pytest.mark.parametrize("family", ["gp", "mtgp-slfm", "mtgp-lmc"])
+    def test_predictions_from_earlier_model_files_are_unchanged(self, tmp_path, family):
+        # predictions_v1_*.csv hold the output of the version that wrote these model files
+        query = "query_task0.csv" if family == "gp" else "query_mixed.csv"
+        out = tmp_path / "p.csv"
+        model = os.path.join(FIXTURES, f"model_v1_{family}.json")
+        argv = ["predict", "--model", model, "--data", os.path.join(FIXTURES, query), "--out", str(out)]
+        assert cli.main(argv) == 0
+        with open(os.path.join(FIXTURES, f"predictions_v1_{family}.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+    def test_load_builds_one_layout_and_scales_once(self, monkeypatch):
+        counts = collections.Counter()
+
+        def count(owner, name, key):
+            function = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(multitask.ParameterLayout, "_build", "layouts")
+        count(multitask.MultiTaskKernelSpec, "__post_init__", "specs")
+        count(mtgp.data, "scale_targets", "scalings")
+        model = model_io.load_model(os.path.join(FIXTURES, "model_v1_mtgp-lmc.json"))
+        mtgp_predict(model, 1, np.array([[0.3]]))
+        assert counts == {"layouts": 1, "scalings": 1}
+        assert model.kernel is model.kernel  # the one spec, built when first read
+        assert counts == {"layouts": 1, "specs": 1, "scalings": 1}
 
     @pytest.mark.parametrize("trained,family", [("mtgp-slfm", "gp"), ("gp", "mtgp-slfm")])
     def test_family_that_would_reload_differently_is_rejected(self, tmp_path, trained, family):
