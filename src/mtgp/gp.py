@@ -16,7 +16,7 @@ from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset, scale_targets
 from .errors import IllConditionedKernelError
 from .kernels import ScalarKernelSpec
-from .multitask import ExactGPLayout, MTGPModel, ParameterLayout, _condition
+from .multitask import ExactGPLayout, MTGPModel, _condition
 
 
 def gp_fit(
@@ -44,18 +44,6 @@ def _one_task_spec(kernel: ScalarKernelSpec) -> MultiTaskKernelSpec:
     return MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
 
 
-def gp_parameters(kernel: ScalarKernelSpec, noise_variance: float) -> ParameterLayout:
-    """The single-task GP's parameters as the one-task, one-term layout.
-
-    W is fixed at 1 and gamma at 0; the flat vector is
-    ``[log l_1, ..., log l_P, log s2, log noise]``, and ``materialize``
-    returns a one-term spec whose base kernel is the GP's kernel.
-    """
-    return ParameterLayout(
-        _one_task_spec(kernel), [noise_variance], learn_W=False, learn_gamma=False
-    )
-
-
 def gp_log_marginal_likelihood(
     kernel: ScalarKernelSpec,
     noise_variance: float,
@@ -67,8 +55,8 @@ def gp_log_marginal_likelihood(
 
     The gradient is ordered ``[log l_1, ..., log l_P, log s2, log noise]``
     and uses the identity dL/dt = 1/2 tr((alpha alpha^T - K^{-1}) dK/dt);
-    it is the B=1 case of the exact-GP core on the :func:`gp_parameters`
-    layout.
+    it is the B=1 case of the exact-GP core on the one-task, one-term
+    layout with W fixed at 1 and gamma at 0.
     """
     Y = np.asarray(Y, dtype=float).reshape(-1)
     layout = ExactGPLayout(

@@ -18,7 +18,7 @@ import numpy as np
 from .data import MultiTaskDataset, scale_targets, standardize_targets, working_targets
 from .errors import ValidationError
 from .kernels import KERNEL_KINDS
-from .multitask import ExactGPLayout, MTGPModel, ParameterLayout, _condition
+from .multitask import ExactGPLayout, MTGPModel, _condition
 
 SCHEMA_VERSION = 1
 
@@ -89,27 +89,26 @@ def _decode_dataset(tasks_doc: list) -> MultiTaskDataset:
 def model_document(model: MTGPModel, family: str) -> dict:
     """Serializable dict for a fitted model, in the format ``family`` names.
 
-    Both formats store the flat vector of one :class:`ParameterLayout`,
-    named by its :meth:`~ParameterLayout.names`. Family ``gp`` stores the
-    GP's layout (W fixed at 1, gamma at 0), whose names drop the ``term0.``
-    prefix and the noise's task index, and the task mean; any other family
-    stores the fully learned layout and the standardization. Every value is
-    log-transformed except W, so a zero gamma is ``-inf`` and reloads to
-    exactly 0. A family whose file would reload to a different model
-    raises ``ValueError``.
+    Both formats store the model layout's template as the flat vector of
+    that layout :meth:`~ParameterLayout.relaid` with the format's learn
+    flags, named by its :meth:`~ParameterLayout.names`. Family ``gp``
+    stores the GP's layout (W fixed at 1, gamma at 0), whose names drop the
+    ``term0.`` prefix and the noise's task index, and the task mean; any
+    other family stores the fully learned layout and the standardization.
+    No kernel spec is built. Every value is log-transformed except W, so a
+    zero gamma is ``-inf`` and reloads to exactly 0. A family whose file
+    would reload to a different model raises ``ValueError``.
     """
     gp = family == "gp"
-    term = model.kernel.terms[0]
-    if gp:  # the GP of gp_fit: one task, one term with W = 1, gamma = 0, std 1
-        one_term = len(model.kernel.terms) == 1 and term.W.shape == (1, 1)
-        fits = one_term and (term.W[0, 0], term.gamma[0], model.task_stds[0]) == (1.0, 0.0, 1.0)
+    *_, gamma, W = model.layout.groups(model.layout.template[None])
+    if gp:  # the GP of gp_fit: one task, one term of rank 1 with W = 1, gamma = 0, std 1
+        fits = W.shape == (1, 1, 1, 1) and (W.item(), gamma.item(), model.task_stds[0]) == (1, 0, 1)
     else:  # loading refits with the data's standardization or with none
         means, stds = standardize_targets(model.dataset)[1:] if model.standardized else (0.0, 1.0)
         fits = np.all(model.task_means == means) and np.all(model.task_stds == stds)
     if not fits:
         raise ValueError(f"a {family!r} model file would not reload to this model")
-    noise = model.noise_variances
-    layout = ParameterLayout(model.kernel, noise, learn_W=not gp, learn_gamma=not gp)
+    layout = model.layout.relaid(learn_W=not gp, learn_gamma=not gp)
     names = layout.names()
     if gp:  # one task, so no term prefix and no task index on the noise
         names = [name.removeprefix("term0.") for name in names[:-1]] + ["log_noise"]

@@ -67,7 +67,7 @@ class MTGPModel:
 
     Its fitted parameters are ``layout.template``; ``kernel``,
     ``noise_variances`` and ``prior_terms`` are read off them, the kernel spec
-    only when first asked for, so loading and predicting build none.
+    only when first asked for, so training, saving and loading build none.
     """
 
     layout: "ExactGPLayout" = field(repr=False)
@@ -253,10 +253,10 @@ _NAME_FORMATS = (
 
 
 class ParameterLayout:
-    """Flat parameter vector <-> (kernel spec, noise vector) of one model shape.
+    """Flat parameter vector <-> natural parameters of one model shape.
 
-    Built from a template kernel spec and noise vector. This class is the
-    one place that sets the flat order: per term q, its log-lengthscales
+    Built from a kernel spec or by :meth:`ExactGPLayout.of_shape`. This
+    class is the one place that sets the flat order: per term q, its log-lengthscales
     and log-signal-variance, then W_q row-major when ``learn_W`` and its
     log-gamma per task when ``learn_gamma``; finally log-noise per task.
     :meth:`names` names the entries in that order. W is untransformed; a
@@ -368,10 +368,13 @@ class ParameterLayout:
             logs = np.log(self.template[: self.num_logs])
         return np.concatenate([logs, self.template[self.num_logs :]])[self.natural_index]
 
-    def materialize(self, vector: np.ndarray) -> tuple[MultiTaskKernelSpec, np.ndarray]:
-        """Kernel spec and noise vector of one flat parameter vector."""
-        nat = self.natural_batch(np.asarray(vector)[None])[0]
-        return self.spec_of(nat), nat[self.group_slices[2]].copy()
+    def relaid(self, learn_W: bool, learn_gamma: bool) -> "ParameterLayout":
+        """The layout of the same terms around the same template that learns
+        these groups: the flat order of a model file's vector."""
+        layout = ParameterLayout.__new__(ParameterLayout)
+        D, P = self.num_tasks, self.group_shapes[0][1]
+        layout._build(self.kinds, self.ranks, D, P, self.template, learn_W, learn_gamma)
+        return layout
 
     def spec_of(self, nat: np.ndarray) -> MultiTaskKernelSpec:
         """The kernel spec of one row of natural parameters (F,)."""
@@ -390,7 +393,7 @@ class ParameterLayout:
 class ExactGPLayout(ParameterLayout):
     """The parameter layout plus the fixed data of the exact-GP objective.
 
-    Built once per fit from a template kernel, noise vector and dataset. On
+    Built once per fit, by :meth:`of_shape` or from a kernel spec. On
     top of :class:`ParameterLayout` it holds the training inputs, their
     per-dimension squared differences, the task one-hot and the targets, so
     evaluating a batch builds no Python objects. :func:`_assemble` is the
@@ -424,9 +427,9 @@ class ExactGPLayout(ParameterLayout):
     @classmethod
     def of_shape(cls, kinds, ranks, dataset: MultiTaskDataset, learn_W: bool, learn_gamma: bool):
         """The layout of terms of these kinds and ranks on ``dataset`` before
-        its parameters are known, as a model file gives them: its template
-        has W = 1 and gamma = 0 where they are not learned, zero padding in W
-        and zeros for the learned parameters."""
+        its parameters are known, which training and model files give: its
+        template has W = 1 and gamma = 0 where they are not learned, zero
+        padding in W and zeros for the learned parameters."""
         Q, D, P = len(kinds), dataset.num_tasks, dataset.input_dim
         W = np.zeros((Q, D, max(ranks)))
         for q, rank in enumerate(ranks):

@@ -209,12 +209,11 @@ def _check_gp_gradient(seed: int) -> CheckResult:
         dim = int(rng.integers(1, 3))
         X = rng.uniform(0.0, 1.0, size=(5, dim))
         Y = rng.normal(size=5)
-        template = kernels.ScalarKernelSpec(kernels.SQUARED_EXPONENTIAL, np.ones(dim), 1.0)
-        layout = gp.gp_parameters(template, 1.0)
 
-        def objective(vec):
-            spec, noise = layout.materialize(vec)
-            return gp.gp_log_marginal_likelihood(spec.terms[0].base_kernel, noise[0], X, Y)
+        def objective(vec):  # [log l_1, ..., log l_P, log s2, log noise]
+            nat = np.exp(vec)
+            kern = kernels.ScalarKernelSpec(kernels.SQUARED_EXPONENTIAL, nat[:dim], nat[dim])
+            return gp.gp_log_marginal_likelihood(kern, nat[dim + 1], X, Y)
 
         point = rng.normal(0.0, 0.5, size=dim + 2)
         worst = max(worst, training.check_gradients(objective, point))
@@ -231,8 +230,9 @@ def _check_mtgp_gradient(seed: int) -> CheckResult:
         layout = multitask.ParameterLayout(spec, noise)
 
         def objective(vec):
-            spec_v, noise_v = layout.materialize(vec)
-            return multitask.mtgp_log_marginal_likelihood(spec_v, noise_v, dataset)
+            nat = layout.natural_batch(vec[None])[0]
+            noise_v = nat[layout.group_slices[2]]
+            return multitask.mtgp_log_marginal_likelihood(layout.spec_of(nat), noise_v, dataset)
 
         worst = max(worst, training.check_gradients(objective, layout.initial_vector()))
     return CheckResult(

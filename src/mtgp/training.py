@@ -7,17 +7,19 @@ restarted from several seeded initializations; the restart with the best
 objective wins (ties to the lowest restart index).
 
 One driver trains every model, and it trains a list of same-shape datasets
-at once: per dataset the target standardization, the family's template and
-layout and the seeded restart vectors; then one :func:`adam_maximize` run
-over all restarts of all fits, through the vectorized objective of a
-:class:`~mtgp.multitask.LayoutStack` of their layouts (one dataset is a
-stack of one); then per fit the winner, the fitted model and ``fit_info``,
-whose ``wall_time_s`` and ``timing`` are the whole batch's. The objective
-computes each row on its own, so a fit's result is bitwise the one it gets
-when trained alone. :func:`train_mtgp_batch` runs the driver on multi-task
-data and :func:`train_gp_batch` as the one-task case (the independent family
-on one-task datasets), folding the target scale and offset into each model;
-:func:`train_mtgp` and :func:`train_gp` are their one-dataset case.
+at once: per dataset the target standardization, one layout whose template
+is the family's start, and the seeded restart vectors; then one
+:func:`adam_maximize` run over all restarts of all fits, through the
+vectorized objective of a :class:`~mtgp.multitask.LayoutStack` of their
+layouts (one dataset is a stack of one); then per fit the winner, set as
+its layout's template and conditioned on there (no kernel spec is built),
+and ``fit_info``, whose ``wall_time_s`` and ``timing`` are the whole
+batch's. The objective computes each row on its own, so a fit's result is
+bitwise the one it gets when trained alone. :func:`train_mtgp_batch` runs
+the driver on multi-task data and :func:`train_gp_batch` as the one-task
+case (the independent family on one-task datasets), folding the target
+scale and offset into each model; :func:`train_mtgp` and :func:`train_gp`
+are their one-dataset case.
 """
 
 import time
@@ -25,11 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
-from .data import MultiTaskDataset, scale_targets, working_targets
+from .data import MultiTaskDataset, working_targets
 from .errors import DomainError, MTGPError, ShapeError, TrainingFailedError
-from .gp import gp_fit
-from .kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
+from .kernels import KERNEL_KINDS, SQUARED_EXPONENTIAL
 from .multitask import PHASES, ExactGPLayout, LayoutStack, LMLBatch, MTGPModel, _condition
 from .seeding import make_rng
 
@@ -45,6 +45,11 @@ LMC_W_INIT_STD = 0.2
 LMC_GAMMA_INIT_FRACTION = 0.6
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a bool is not one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.05
@@ -57,14 +62,14 @@ class TrainConfig:
         # written so that NaN fails every check
         if not 0.0 < self.learning_rate < np.inf:
             raise DomainError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if not self.max_iterations >= 0:
-            raise DomainError(f"max_iterations must be non-negative, got {self.max_iterations!r}")
+        if not (_is_integer(self.max_iterations) and self.max_iterations >= 0):
+            raise DomainError(f"max_iterations must be an int >= 0, got {self.max_iterations!r}")
         if not 0.0 < self.convergence_tolerance < np.inf:
             raise DomainError(
                 f"convergence_tolerance must be finite and > 0, got {self.convergence_tolerance!r}"
             )
-        if not self.num_restarts >= 1:
-            raise DomainError(f"num_restarts must be at least 1, got {self.num_restarts!r}")
+        if not (_is_integer(self.num_restarts) and self.num_restarts >= 1):
+            raise DomainError(f"num_restarts must be an int >= 1, got {self.num_restarts!r}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,12 @@ class MTGPFamily:
     def __post_init__(self):
         if self.mode not in ("slfm", "lmc", "independent"):
             raise ValueError(f"unknown family mode {self.mode!r}")
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+        if self.kernel_kind not in KERNEL_KINDS:
+            raise DomainError(f"unknown kernel_kind {self.kernel_kind!r}")
+        if not (self.num_terms is None or _is_integer(self.num_terms) and self.num_terms >= 1):
+            raise DomainError(f"num_terms must be None or an int >= 1, got {self.num_terms!r}")
+        if not (_is_integer(self.rank) and self.rank >= 1):
+            raise DomainError(f"rank must be an int >= 1, got {self.rank!r}")
 
     @property
     def learns_W(self) -> bool:
@@ -342,10 +351,9 @@ def _restart_diagnostics(run: AdamRun, rows: range) -> list:
     return diagnostics
 
 
-def build_mtgp_template(
-    family: MTGPFamily, dataset: MultiTaskDataset
-) -> tuple[MultiTaskKernelSpec, np.ndarray]:
-    """Family-shaped kernel spec with heuristic scales and placeholder W.
+def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool):
+    """One fit's layout on its working targets, with the standardization means,
+    stds and ``sum_d N_d log s_d``. Its template is the family's start.
 
     Latent terms start at staggered lengthscales (a geometric spread over one
     octave pair per term) so that separate components can pick up smooth
@@ -353,53 +361,28 @@ def build_mtgp_template(
     all latents onto the same structure. Independent mode keeps one scale per
     task term.
     """
-    D = dataset.num_tasks
-    if family.mode == "lmc" and family.rank > D:
-        # W W^T has rank at most D, so extra columns only add redundant parameters
-        raise DomainError(f"rank {family.rank} exceeds the number of tasks ({D})")
-    Q = D if family.num_terms is None else family.num_terms
-    if family.mode == "independent":
-        Q = D
-    rank = 1 if family.mode in ("slfm", "independent") else family.rank
-    X_all = dataset.stacked_inputs()
-    ls = median_lengthscales(X_all)
-    pooled_var = _target_variance(dataset.stacked_targets())
-    task_vars = np.array([_target_variance(Y) for Y in dataset.targets])
-    if family.mode != "independent" and Q > 1:
-        scale_spread = np.geomspace(1.0, 4.0, Q)
-    else:
-        scale_spread = np.ones(Q)
-    terms = []
-    for q in range(Q):
-        base_kernel = ScalarKernelSpec(family.kernel_kind, ls * scale_spread[q], pooled_var)
-        if family.mode == "independent":
-            W = np.zeros((D, 1))
-            W[q % D, 0] = 1.0
-        else:
-            W = np.zeros((D, rank))
-        if family.mode == "lmc":
-            gamma = (LMC_GAMMA_INIT_FRACTION / Q) * task_vars
-        else:
-            gamma = np.zeros(D)
-        terms.append(CoregionalizationTerm(W, gamma, base_kernel))
-    noise = 0.01 * task_vars
-    return MultiTaskKernelSpec(D, tuple(terms)), noise
-
-
-def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool):
-    """One fit's layout on its working targets, with the standardization means,
-    stds and ``sum_d N_d log s_d``."""
     work, means, stds = working_targets(dataset, standardize)
     # change of variables: observed-units likelihood differs by -sum N_d log s_d
     log_scale = float(np.sum([n * np.log(s) for n, s in zip(dataset.counts, stds)]))
-    template, template_noise = build_mtgp_template(family, work)
-    layout = ExactGPLayout(
-        template,
-        template_noise,
-        work,
-        learn_W=family.learns_W,
-        learn_gamma=family.learns_gamma,
+    D, independent = work.num_tasks, family.mode == "independent"
+    if family.mode == "lmc" and family.rank > D:
+        # W W^T has rank at most D, so extra columns only add redundant parameters
+        raise DomainError(f"rank {family.rank} exceeds the number of tasks ({D})")
+    Q = D if family.num_terms is None or independent else family.num_terms
+    rank = int(family.rank) if family.mode == "lmc" else 1
+    layout = ExactGPLayout.of_shape(
+        [family.kernel_kind] * Q, [rank] * Q, work, family.learns_W, family.learns_gamma
     )
+    ls, s2, noise, gamma, W = (group[0] for group in layout.groups(layout.template[None]))
+    spread = np.geomspace(1.0, 4.0, Q) if not independent and Q > 1 else np.ones(Q)
+    ls[:] = median_lengthscales(work.stacked_inputs()) * spread[:, None]
+    s2[:] = _target_variance(work.stacked_targets())
+    task_vars = np.array([_target_variance(Y) for Y in work.targets])
+    noise[:] = 0.01 * task_vars
+    if family.mode == "lmc":
+        gamma[:] = (LMC_GAMMA_INIT_FRACTION / Q) * task_vars
+    if independent:  # term q loads on task q alone
+        W[:] = np.eye(D)[:, :, None]
     return layout, means, stds, log_scale
 
 
@@ -425,14 +408,14 @@ def _restart_vectors(layout, family: MTGPFamily, config: TrainConfig, seed, stre
 def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> list:
     """The training driver behind :func:`train_mtgp_batch` and :func:`train_gp_batch`.
 
-    Per dataset it standardizes the targets, builds the family's template
-    and layout, and draws the restart vectors from the dataset's own seed.
-    One :func:`adam_maximize` run then ascends every restart of every fit
+    Per dataset it standardizes the targets, builds the family's layout,
+    and draws the restart vectors from the dataset's own seed. One
+    :func:`adam_maximize` run then ascends every restart of every fit
     through the layouts' :class:`LayoutStack`, so a fit's result does not
-    depend on which other fits share its batch. Each fit's winning (spec, noise) goes with its
-    standardization means and stds to ``fit(i, spec, noise, means, stds)``,
-    whose model gets ``fit_info``; ``wall_time_s`` and ``timing`` are the
-    whole batch's.
+    depend on which other fits share its batch. Each fit's winner becomes
+    its layout's template, which goes with its standardization means and
+    stds to ``fit(i, layout, means, stds)``, whose model gets ``fit_info``;
+    ``wall_time_s`` and ``timing`` are the whole batch's.
     """
     started = time.perf_counter()
     if len(seeds) != len(datasets):
@@ -461,8 +444,8 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
             raise TrainingFailedError(f"all restarts failed{where}", diagnostics)
         restart = int(np.argmax(np.where(failed, -np.inf, run.value[rows])))
         row = rows[restart]
-        spec, noise = layout.materialize(run.vector[row])
-        model = fit(i, spec, noise, means, stds)
+        layout.template = layout.natural_batch(run.vector[row][None])[0]
+        model = fit(i, layout, means, stds)
         model.fit_info = {
             "log_marginal_likelihood": float(run.value[row]) - log_scale,
             "objective": float(run.value[row]),
@@ -497,8 +480,7 @@ def train_mtgp_batch(
     """
     datasets = list(datasets)
 
-    def fit(i, spec, noise, means, stds):
-        layout = ExactGPLayout(spec, noise, scale_targets(datasets[i], means, stds))
+    def fit(i, layout, means, stds):
         return _condition(layout, datasets[i], means, stds, standardize)
 
     return _train(datasets, config, list(seeds), family, standardize, "mtgp-restart", trace, fit)
@@ -535,19 +517,20 @@ def train_gp_batch(
     one-task datasets); every X must have the same shape. Optimization runs
     on standardized targets when ``standardize`` is set; the learned scale
     and offset are folded back exactly into each model's signal variance,
-    noise variance, and task mean, so the models, one-task MTGPs of
-    :func:`~mtgp.gp.gp_fit`, predict in raw units with ``mtgp_predict(model, 0, X)``.
+    noise variance, and task mean, so the models, one-task MTGPs with task
+    std 1, predict in raw units with ``mtgp_predict(model, 0, X)``.
     """
     inputs, targets = list(inputs), list(targets)
     if len(inputs) != len(targets):
         raise ShapeError(f"{len(inputs)} input arrays but {len(targets)} target arrays")
     datasets = [MultiTaskDataset((X,), (Y,)) for X, Y in zip(inputs, targets)]
 
-    def fold(i, spec, noise, means, stds):
-        kern, s = spec.terms[0].base_kernel, float(stds[0])
-        raw = ScalarKernelSpec(kern.kind, kern.lengthscales, kern.signal_variance * s**2)
-        noise_variance, mean = float(noise[0]) * s**2, float(means[0])
-        return gp_fit(raw, noise_variance, inputs[i], targets[i], mean_const=mean)
+    def fold(i, layout, means, stds):
+        # signal and noise variance in raw units; the targets keep only the mean
+        for group in layout.group_slices[1:3]:
+            layout.template[group] *= float(stds[0]) ** 2
+        layout.y = datasets[i].targets[0] - means[0]
+        return _condition(layout, datasets[i], means, np.ones(1), False)
 
     family = MTGPFamily(mode="independent", kernel_kind=kernel_kind)
     return _train(datasets, config, list(seeds), family, standardize, "gp-restart", trace, fold)

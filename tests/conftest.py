@@ -5,9 +5,12 @@ dense joint-Gaussian conditioning uses ``np.linalg.solve`` on the full joint
 covariance, and the Kronecker construction uses ``np.kron`` directly.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
+import mtgp.data
 from mtgp.coregionalization import (
     CoregionalizationTerm,
     MultiTaskKernelSpec,
@@ -15,8 +18,9 @@ from mtgp.coregionalization import (
 )
 from mtgp.data import MultiTaskDataset
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
-from mtgp.multitask import ExactGPLayout
+from mtgp.multitask import ExactGPLayout, ParameterLayout
 from mtgp.seeding import make_rng
+from mtgp.training import _fit_layout
 
 
 def dense_gaussian_conditioning(joint, n_train, y_train):
@@ -62,15 +66,63 @@ def random_dataset(rng, num_tasks, dim=1, max_per_task=3, min_per_task=1):
     )
 
 
+def _one_task_spec(kernel: ScalarKernelSpec) -> MultiTaskKernelSpec:
+    return MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
+
+
+def gp_parameter_layout(kernel: ScalarKernelSpec, noise_variance: float) -> ParameterLayout:
+    """The single-task GP's parameters: the one-task, one-term layout with W
+    fixed at 1 and gamma at 0, flat vector ``[log l..., log s2, log noise]``."""
+    spec = _one_task_spec(kernel)
+    return ParameterLayout(spec, [noise_variance], learn_W=False, learn_gamma=False)
+
+
 def gp_exact_layout(kernel: ScalarKernelSpec, noise_variance: float, X, Y) -> ExactGPLayout:
     """The single-task GP's exact-GP objective on (X, Y): the one-task,
     one-term layout with W fixed at 1 and gamma at 0."""
-    spec = MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
     return ExactGPLayout(
-        spec, [noise_variance], MultiTaskDataset((X,), (Y,)), learn_W=False, learn_gamma=False
+        _one_task_spec(kernel),
+        [noise_variance],
+        MultiTaskDataset((X,), (Y,)),
+        learn_W=False,
+        learn_gamma=False,
     )
+
+
+def materialize(layout: ParameterLayout, vector):
+    """The kernel spec and noise vector of one flat parameter vector of ``layout``."""
+    nat = layout.natural_batch(np.asarray(vector)[None])[0]
+    return layout.spec_of(nat), nat[layout.group_slices[2]].copy()
+
+
+def family_template(family, dataset: MultiTaskDataset):
+    """The kernel spec and noise vector training starts ``family`` from on
+    ``dataset``'s own targets; learned loadings W are 1 (training draws them)."""
+    layout = _fit_layout(dataset, family, standardize=False)[0]
+    return layout.spec_of(layout.template), layout.template[layout.group_slices[2]].copy()
 
 
 @pytest.fixture
 def rng():
     return make_rng("tests", 0)
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """A Counter of the parameter layouts (``layouts``), kernel specs
+    (``specs``) and ``mtgp.data.scale_targets`` scalings (``scalings``) built
+    from here on."""
+    counts = collections.Counter()
+    watched = [
+        (ParameterLayout, "_build", "layouts"),
+        (MultiTaskKernelSpec, "__post_init__", "specs"),
+        (mtgp.data, "scale_targets", "scalings"),
+    ]
+    for owner, name, key in watched:
+
+        def counted(*args, _function=getattr(owner, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts

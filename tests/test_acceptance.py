@@ -12,7 +12,7 @@ import pytest
 
 import mtgp.cli as cli
 import mtgp.gp
-from conftest import dense_gaussian_conditioning, kronecker_joint
+from conftest import dense_gaussian_conditioning, gp_parameter_layout, kronecker_joint, materialize
 from mtgp import model_io
 from mtgp.benchmark import (
     StudyConfig,
@@ -27,7 +27,7 @@ from mtgp.coregionalization import (
     assemble_joint_covariance,
 )
 from mtgp.data import MultiTaskDataset
-from mtgp.gp import gp_fit, gp_log_marginal_likelihood, gp_parameters
+from mtgp.gp import gp_fit, gp_log_marginal_likelihood
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import (
     ParameterLayout,
@@ -201,10 +201,10 @@ def test_criterion_05_gradient_correctness():
         dim = int(rng.integers(1, 3))
         X = rng.uniform(0, 1, size=(int(rng.integers(3, 7)), dim))
         Y = rng.normal(size=X.shape[0])
-        layout = gp_parameters(ScalarKernelSpec(SQUARED_EXPONENTIAL, np.ones(dim), 1.0), 1.0)
+        layout = gp_parameter_layout(ScalarKernelSpec(SQUARED_EXPONENTIAL, np.ones(dim), 1.0), 1.0)
 
         def objective(vec):
-            spec, noise = layout.materialize(vec)
+            spec, noise = materialize(layout, vec)
             return gp_log_marginal_likelihood(spec.terms[0].base_kernel, noise[0], X, Y)
 
         worst_gp = max(worst_gp, check_gradients(objective, rng.normal(0, 0.5, size=dim + 2)))
@@ -231,7 +231,7 @@ def test_criterion_05_gradient_correctness():
         mt_layout = ParameterLayout(spec, rng.uniform(0.05, 0.3, size=D))
 
         def objective(vec):
-            s, nz = mt_layout.materialize(vec)
+            s, nz = materialize(mt_layout, vec)
             return mtgp_log_marginal_likelihood(s, nz, dataset)
 
         worst_mt = max(worst_mt, check_gradients(objective, mt_layout.initial_vector()))

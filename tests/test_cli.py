@@ -1,4 +1,3 @@
-import collections
 import csv
 import json
 import math
@@ -770,26 +769,20 @@ class TestModelIO:
         with open(os.path.join(FIXTURES, f"predictions_v1_{family}.csv"), "rb") as fh:
             assert out.read_bytes() == fh.read()
 
-    def test_load_builds_one_layout_and_scales_once(self, monkeypatch):
-        counts = collections.Counter()
-
-        def count(owner, name, key):
-            function = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                counts[key] += 1
-                return function(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        count(multitask.ParameterLayout, "_build", "layouts")
-        count(multitask.MultiTaskKernelSpec, "__post_init__", "specs")
-        count(mtgp.data, "scale_targets", "scalings")
+    def test_load_builds_one_layout_and_scales_once(self, build_counts):
         model = model_io.load_model(os.path.join(FIXTURES, "model_v1_mtgp-lmc.json"))
         mtgp_predict(model, 1, np.array([[0.3]]))
-        assert counts == {"layouts": 1, "scalings": 1}
+        assert build_counts == {"layouts": 1, "scalings": 1}
         assert model.kernel is model.kernel  # the one spec, built when first read
-        assert counts == {"layouts": 1, "specs": 1, "scalings": 1}
+        assert build_counts == {"layouts": 1, "specs": 1, "scalings": 1}
+
+    @pytest.mark.parametrize("family", ["gp", "mtgp-slfm", "mtgp-lmc"])
+    def test_save_reads_the_model_layout_and_builds_no_spec(self, build_counts, family):
+        path = os.path.join(FIXTURES, f"model_v1_{family}.json")
+        model = model_io.load_model(path)
+        build_counts.clear()
+        model_io.model_document(model, family)
+        assert (build_counts["layouts"], build_counts["specs"]) == (1, 0)
 
     @pytest.mark.parametrize("trained,family", [("mtgp-slfm", "gp"), ("gp", "mtgp-slfm")])
     def test_family_that_would_reload_differently_is_rejected(self, tmp_path, trained, family):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_gaussian_conditioning
+from conftest import dense_gaussian_conditioning, gp_parameter_layout, materialize
 from mtgp.errors import IllConditionedKernelError, ShapeError
 from mtgp.gp import gp_fit, gp_log_marginal_likelihood
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
@@ -178,7 +178,6 @@ class TestGPLogMarginalLikelihood:
             assert value == pytest.approx(dense, abs=1e-8)
 
     def test_gradient_matches_finite_differences(self):
-        from mtgp.gp import gp_parameters
         from mtgp.training import check_gradients
 
         for i in range(5):
@@ -186,10 +185,10 @@ class TestGPLogMarginalLikelihood:
             dim = int(rng.integers(1, 3))
             X = rng.uniform(0, 1, size=(5, dim))
             Y = rng.normal(size=5)
-            layout = gp_parameters(se(np.ones(dim)), 1.0)
+            layout = gp_parameter_layout(se(np.ones(dim)), 1.0)
 
             def objective(vec):
-                spec, noise = layout.materialize(vec)
+                spec, noise = materialize(layout, vec)
                 return gp_log_marginal_likelihood(spec.terms[0].base_kernel, noise[0], X, Y)
 
             point = rng.normal(0, 0.5, size=dim + 2)

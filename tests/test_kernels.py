@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gp_exact_layout
+from conftest import gp_exact_layout, gp_parameter_layout
 from mtgp.errors import ShapeError
-from mtgp.gp import gp_parameters
 from mtgp.kernels import (
     MATERN52,
     PROFILE_SCALE,
@@ -153,7 +152,7 @@ class TestKernelMatrixGrad:
 
     def test_grad_order_matches_names(self):
         spec = se([1.0, 2.0], 1.0)
-        names = gp_parameters(spec, 0.1).names()
+        names = gp_parameter_layout(spec, 0.1).names()
         # the GP's flat vector is the kernel's log-parameters plus log-noise
         kernel_names = ["term0.log_lengthscale0", "term0.log_lengthscale1", "term0.log_signal_variance"]
         assert names == kernel_names + ["log_noise0"]

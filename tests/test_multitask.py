@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     dense_gaussian_conditioning,
+    family_template,
     gp_exact_layout,
+    materialize,
     random_dataset,
     random_mtgp_spec,
 )
@@ -29,7 +31,7 @@ from mtgp.multitask import (
     mtgp_predict,
 )
 from mtgp.seeding import make_rng
-from mtgp.training import MTGPFamily, build_mtgp_template
+from mtgp.training import MTGPFamily
 
 
 def evaluate(layout, X):
@@ -417,7 +419,7 @@ class TestMTGPLogMarginalLikelihood:
             layout = ParameterLayout(spec, rng.uniform(0.05, 0.3, size=2))
 
             def objective(vec):
-                s, n = layout.materialize(vec)
+                s, n = materialize(layout, vec)
                 return mtgp_log_marginal_likelihood(s, n, dataset)
 
             assert check_gradients(objective, layout.initial_vector()) < 1e-4
@@ -460,7 +462,6 @@ def _batch_case(name):
     """(layout, dataset) for one configuration of the batched objective."""
     from mtgp.kernels import MATERN52
     from mtgp.multitask import ExactGPLayout
-    from mtgp.training import MTGPFamily, build_mtgp_template
 
     rng = make_rng("batch-core", name)
     if name == "gp":
@@ -481,7 +482,7 @@ def _batch_case(name):
         "ragged-rank": ("lmc", SQUARED_EXPONENTIAL, 1),
     }[name]
     family = MTGPFamily(mode=mode, kernel_kind=kind, rank=rank)
-    spec, noise = build_mtgp_template(family, dataset)
+    spec, noise = family_template(family, dataset)
     if name == "ragged-rank":
         # terms of different ranks: W is padded and only the real columns learned
         W = rng.normal(size=(2, 2))
@@ -521,7 +522,7 @@ class TestBatchedObjective:
         y = dataset.stacked_targets()
         n = y.size
         for b in range(X.shape[0]):
-            spec, noise = layout.materialize(X[b])
+            spec, noise = materialize(layout, X[b])
             K = assemble_joint_covariance(spec, dataset) + np.diag(noise[dataset.task_indices()])
             K += 1e-8 * np.mean(np.diag(K)) * np.eye(n)
             dense = (
@@ -564,7 +565,7 @@ class TestBatchedObjective:
             (rng.uniform(0, 1, (4, 2)), rng.uniform(0, 1, (3, 2))),
             (rng.normal(size=4), rng.normal(size=3)),
         )
-        spec, noise = build_mtgp_template(MTGPFamily(mode="lmc"), dataset)
+        spec, noise = family_template(MTGPFamily(mode="lmc"), dataset)
         layout = ExactGPLayout(spec, noise, dataset)
         point = layout.initial_vector() + rng.normal(0.0, 0.5, size=layout.size)
         point[layout.is_W] = rng.normal(0.0, 0.8, size=int(np.sum(layout.is_W)))
@@ -589,17 +590,17 @@ class TestBatchedObjective:
 
     def test_fixed_groups_keep_template_values(self):
         layout, _ = _batch_case("se-slfm")
-        spec, _ = layout.materialize(self._batch(layout, "se-slfm")[0])
+        spec, _ = materialize(layout, self._batch(layout, "se-slfm")[0])
         assert all(t.rank == 1 and np.all(t.gamma == 0.0) for t in spec.terms)
         layout, _ = _batch_case("independent")
-        spec, _ = layout.materialize(self._batch(layout, "independent")[0])
+        spec, _ = materialize(layout, self._batch(layout, "independent")[0])
         for q, term in enumerate(spec.terms):
             np.testing.assert_array_equal(term.W[:, 0], np.eye(spec.num_tasks)[q])
 
     def test_flat_order_is_the_canonical_parameter_order(self):
         layout, _ = _batch_case("ragged-rank")
         vec = self._batch(layout, "ragged-rank", B=1)[0]
-        spec, noise = layout.materialize(vec)
+        spec, noise = materialize(layout, vec)
         assert [t.rank for t in spec.terms] == [2, 1]
         expected = []
         for term in spec.terms:
@@ -613,7 +614,7 @@ class TestBatchedObjective:
     def test_wrapper_is_the_template_row(self):
         layout, dataset = _batch_case("matern-lmc")
         X = self._batch(layout, "matern-lmc", B=1)
-        spec, noise = layout.materialize(X[0])
+        spec, noise = materialize(layout, X[0])
         value, grad = mtgp_log_marginal_likelihood(spec, noise, dataset)
         batch = evaluate(layout, X)
         assert value == pytest.approx(batch.values[0], rel=1e-12)
@@ -693,7 +694,6 @@ class TestBatchedGradientProperty:
     def test_gradient_matches_central_differences(self, family_case, seed):
         from mtgp.linalg import BASE_JITTER_REL
         from mtgp.multitask import ExactGPLayout
-        from mtgp.training import MTGPFamily, build_mtgp_template
 
         mode, kind = family_case
         rng = np.random.default_rng(seed)
@@ -703,7 +703,7 @@ class TestBatchedGradientProperty:
             tuple(rng.normal(size=int(n)) for n in counts),
         )
         family = MTGPFamily(mode=mode, kernel_kind=kind, rank=2 if mode == "lmc" else 1)
-        spec, noise = build_mtgp_template(family, dataset)
+        spec, noise = family_template(family, dataset)
         layout = ExactGPLayout(
             spec, noise, dataset, learn_W=family.learns_W, learn_gamma=family.learns_gamma
         )
@@ -712,7 +712,7 @@ class TestBatchedGradientProperty:
         y, tasks = dataset.stacked_targets(), dataset.task_indices()
 
         def dense_lml(vec):
-            spec_v, noise_v = layout.materialize(vec)
+            spec_v, noise_v = materialize(layout, vec)
             K = assemble_joint_covariance(spec_v, dataset) + np.diag(noise_v[tasks])
             K += BASE_JITTER_REL * np.mean(np.diag(K)) * np.eye(K.shape[0])
             return -0.5 * y @ np.linalg.solve(K, y) - 0.5 * np.linalg.slogdet(K)[1]
@@ -751,7 +751,7 @@ def _invariance_layouts(mode, kind, rng, fits=1):
             tuple(rng.uniform(0, 1, (int(n), 2)) for n in counts),
             tuple(rng.normal(size=int(n)) for n in counts),
         )
-        spec, noise = build_mtgp_template(family, dataset)
+        spec, noise = family_template(family, dataset)
         if mode == "ragged-rank":
             # term 0 has rank 2, term 1 rank 1: W is padded, the padding fixed at 0
             first = spec.terms[0]

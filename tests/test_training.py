@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import family_template, gp_parameter_layout, materialize
+from mtgp import model_io
 from mtgp.coregionalization import assemble_joint_covariance
 from mtgp.data import MultiTaskDataset
-from mtgp.errors import ShapeError, TrainingFailedError
-from mtgp.gp import gp_parameters
+from mtgp.errors import DomainError, ShapeError, TrainingFailedError
+from mtgp.gp import gp_fit
 from mtgp.kernels import MATERN52, SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import (
     LMLBatch,
     ParameterLayout,
+    mtgp_fit,
     mtgp_log_marginal_likelihood,
     mtgp_predict,
 )
@@ -22,7 +26,6 @@ from mtgp.training import (
     MTGPFamily,
     TrainConfig,
     adam_maximize,
-    build_mtgp_template,
     check_gradients,
     median_lengthscales,
     train_gp,
@@ -58,7 +61,7 @@ def _family_layout(mode, rank=1):
         (rng.normal(size=3), rng.normal(size=2)),
     )
     family = MTGPFamily(mode=mode, rank=rank)
-    template, noise = build_mtgp_template(family, dataset)
+    template, noise = family_template(family, dataset)
     layout = ParameterLayout(
         template, noise, learn_W=family.learns_W, learn_gamma=family.learns_gamma
     )
@@ -74,7 +77,7 @@ class TestParameterLayout:
     def test_round_trip_property(self, mode, values):
         layout, _ = _family_layout(mode, rank=2)
         vec = np.asarray(values[: layout.size])  # the lmc layout has 20 entries
-        spec, noise = layout.materialize(vec)
+        spec, noise = materialize(layout, vec)
         family = MTGPFamily(mode=mode)
         again = ParameterLayout(
             spec, noise, learn_W=family.learns_W, learn_gamma=family.learns_gamma
@@ -83,7 +86,7 @@ class TestParameterLayout:
         np.testing.assert_allclose(again, vec, rtol=0, atol=1e-14)
 
     def test_gp_flat_order(self):
-        layout = gp_parameters(ScalarKernelSpec(SQUARED_EXPONENTIAL, [0.4, 2.2], 1.9), 0.07)
+        layout = gp_parameter_layout(ScalarKernelSpec(SQUARED_EXPONENTIAL, [0.4, 2.2], 1.9), 0.07)
         np.testing.assert_array_equal(
             layout.initial_vector(), np.log([0.4, 2.2, 1.9, 0.07])
         )
@@ -91,9 +94,9 @@ class TestParameterLayout:
 
     def test_gp_near_inverse(self):
         kern = ScalarKernelSpec(SQUARED_EXPONENTIAL, [0.4, 2.2], 1.9)
-        vec = gp_parameters(kern, 0.07).initial_vector()
-        ones = gp_parameters(ScalarKernelSpec(SQUARED_EXPONENTIAL, [1, 1], 1), 1.0)
-        spec, noise = ones.materialize(vec)
+        vec = gp_parameter_layout(kern, 0.07).initial_vector()
+        ones = gp_parameter_layout(ScalarKernelSpec(SQUARED_EXPONENTIAL, [1, 1], 1), 1.0)
+        spec, noise = materialize(ones, vec)
         np.testing.assert_allclose(spec.terms[0].base_kernel.lengthscales, kern.lengthscales, rtol=1e-15)
         assert noise[0] == pytest.approx(0.07, rel=1e-15)
 
@@ -109,7 +112,7 @@ class TestParameterLayout:
             size = 2 * 3 + 2 * (2 * rank if has_W else 0) + 2 * (2 if has_gamma else 0) + 2
             assert layout.size == size
             assert int(layout.is_W.sum()) == (2 * 2 * rank if has_W else 0)
-            spec, _ = layout.materialize(layout.initial_vector())
+            spec, _ = materialize(layout, layout.initial_vector())
             if not has_W:
                 for t, t0 in zip(spec.terms, template.terms):
                     np.testing.assert_array_equal(t.W, t0.W)
@@ -119,7 +122,7 @@ class TestParameterLayout:
     def test_lmc_rank2_round_trip(self):
         layout, _ = _family_layout("lmc", rank=2)
         vec = make_rng("layout-rt", 0).normal(size=layout.size)
-        spec, noise = layout.materialize(vec)
+        spec, noise = materialize(layout, vec)
         np.testing.assert_allclose(
             ParameterLayout(spec, noise).initial_vector(), vec, rtol=1e-12, atol=1e-12
         )
@@ -130,7 +133,7 @@ class TestParameterLayout:
         vec = full.initial_vector()
         gamma = ["log_gamma" in n for n in full.names()]
         assert np.all(vec[gamma] == -np.inf)
-        spec, _ = full.materialize(vec)
+        spec, _ = materialize(full, vec)
         assert all(np.all(t.gamma == 0.0) for t in spec.terms)
 
 
@@ -188,7 +191,7 @@ class TestAdam:
         rng = make_rng("transform-safety", 0)
         X = rng.uniform(0, 1, size=(8, 1))
         Y = rng.normal(size=8)
-        layout = gp_parameters(ScalarKernelSpec(SQUARED_EXPONENTIAL, [1.0], 1.0), 1.0)
+        layout = gp_parameter_layout(ScalarKernelSpec(SQUARED_EXPONENTIAL, [1.0], 1.0), 1.0)
 
         from mtgp.gp import gp_log_marginal_likelihood
 
@@ -196,7 +199,7 @@ class TestAdam:
 
         def objective(vec):
             iterates.append(vec.copy())
-            spec, noise = layout.materialize(vec)
+            spec, noise = materialize(layout, vec)
             return gp_log_marginal_likelihood(spec.terms[0].base_kernel, noise[0], X, Y)
 
         adam_maximize(
@@ -206,7 +209,7 @@ class TestAdam:
         )
         assert len(iterates) > 1
         for vec in iterates:
-            spec, noise = layout.materialize(vec)
+            spec, noise = materialize(layout, vec)
             kern = spec.terms[0].base_kernel
             assert np.all(kern.lengthscales > 0)
             assert kern.signal_variance > 0
@@ -391,6 +394,20 @@ class TestTrainMTGP:
             expected[q, 0] = 1.0
             np.testing.assert_array_equal(t.W, expected)
 
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize(
+        "family",
+        [MTGPFamily("slfm"), MTGPFamily("lmc", MATERN52, rank=2), MTGPFamily("independent")],
+        ids=["slfm", "lmc-matern52-rank2", "independent"],
+    )
+    def test_model_equals_its_refit_through_mtgp_fit(self, family, standardize):
+        dataset = self._dataset()
+        model = train_mtgp(dataset, FAST, family=family, standardize=standardize)
+        refit = mtgp_fit(model.kernel, model.noise_variances, dataset, standardize)
+        _same_conditioning(model, refit)
+        np.testing.assert_array_equal(model.task_means, refit.task_means)
+        np.testing.assert_array_equal(model.task_stds, refit.task_stds)
+
     def test_num_terms_default_is_task_count(self):
         dataset = self._dataset()
         model = train_mtgp(dataset, FAST)
@@ -413,7 +430,7 @@ class TestTrainMTGP:
         model = train_mtgp(
             dataset, TrainConfig(max_iterations=0, num_restarts=1, seed=0)
         )
-        template, _ = build_mtgp_template(
+        template, _ = family_template(
             MTGPFamily(), MultiTaskDataset(dataset.inputs, tuple(
                 (Y - np.mean(Y)) / np.std(Y) for Y in dataset.targets
             ))
@@ -481,6 +498,17 @@ def _same_fit(a, b):
         assert ra["final_objective"] == rb["final_objective"]
 
 
+def _same_conditioning(a, b):
+    """Bitwise-equal factor, weights, jitter and per-term prior pieces of two models."""
+    np.testing.assert_array_equal(a.L, b.L)
+    np.testing.assert_array_equal(a.weights, b.weights)
+    assert a.jitter == b.jitter
+    for pa, pb in zip(a.prior_terms, b.prior_terms, strict=True):
+        assert pa[0] == pb[0]  # the kernel kind
+        for xa, xb in zip(pa[1:], pb[1:]):
+            np.testing.assert_array_equal(xa, xb)
+
+
 class TestTrainBatch:
     """Same-shape fits trained as one batch equal the same fits trained alone."""
 
@@ -532,6 +560,16 @@ class TestTrainBatch:
         dataset = self._datasets(1)[0]
         (model,) = train_mtgp_batch([dataset], FAST, [FAST.seed])
         _same_fit(model, train_mtgp(dataset, FAST))
+
+    def test_batch_builds_one_layout_per_fit_and_no_spec(self, build_counts):
+        datasets = self._datasets(3)
+        config = TrainConfig(max_iterations=5, num_restarts=2)
+        train_mtgp_batch(datasets, config, [0, 1, 2])
+        assert build_counts == {"layouts": 3, "scalings": 3}
+        build_counts.clear()
+        inputs, targets = [d.inputs[0] for d in datasets], [d.targets[0] for d in datasets]
+        train_gp_batch(inputs, targets, config, [0, 1, 2])
+        assert build_counts == {"layouts": 3, "scalings": 3}
 
     def test_mismatched_shapes_raise(self):
         a = self._datasets(1)[0]
@@ -628,6 +666,9 @@ class TestOneTaskCase:
         assert gp.noise_variances[0] == float(mt.noise_variances[0]) * s2
         assert gp.task_means[0] == float(np.mean(Y))
         assert gp.fit_info["objective"] == mt.fit_info["objective"]
+        # the folded model is the one gp_fit conditions on its kernel, noise and mean
+        refit = gp_fit(kernel, gp.noise_variances[0], X, Y, mean_const=gp.task_means[0])
+        _same_conditioning(gp, refit)
 
 
 class TestConfigValidation:
@@ -639,6 +680,41 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(convergence_tolerance=0.0)
 
+    @pytest.mark.parametrize(
+        "field,value", [("max_iterations", 2.5), ("num_restarts", 1.5), ("num_restarts", True)]
+    )
+    def test_train_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_train_config_takes_numpy_integer_counts(self):
+        config = TrainConfig(max_iterations=np.int64(3), num_restarts=np.int32(1))
+        X = np.linspace(0, 1, 5)[:, None]
+        assert train_gp(X, np.sin(3 * X[:, 0]), config).fit_info["iterations"] == 3
+
     def test_family_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             MTGPFamily(mode="tensor")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("num_terms", 0),
+            ("num_terms", -1),
+            ("num_terms", 1.5),
+            ("num_terms", "2"),
+            ("rank", 0),
+            ("rank", 1.5),
+            ("rank", None),
+            ("kernel_kind", "cubic"),
+        ],
+    )
+    def test_family_rejects_bad_shape(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            MTGPFamily(**{field: value})
+
+    def test_family_takes_numpy_integer_shape(self):
+        family = MTGPFamily(mode="lmc", num_terms=np.int64(1), rank=np.int64(2))
+        model = train_mtgp(TestTrainBatch._datasets(1)[0], FAST, family=family)
+        assert [t.rank for t in model.kernel.terms] == [2]
+        assert json.loads(json.dumps(model_io.model_document(model, "mtgp-lmc")))["ranks"] == [2]
