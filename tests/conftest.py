@@ -17,6 +17,7 @@ from mtgp.coregionalization import (
     build_B,
 )
 from mtgp.data import MultiTaskDataset
+from mtgp.gp import _one_task_spec
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import ExactGPLayout, ParameterLayout
 from mtgp.seeding import make_rng
@@ -66,13 +67,8 @@ def random_dataset(rng, num_tasks, dim=1, max_per_task=3, min_per_task=1):
     )
 
 
-def _one_task_spec(kernel: ScalarKernelSpec) -> MultiTaskKernelSpec:
-    return MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
-
-
 def gp_parameter_layout(kernel: ScalarKernelSpec, noise_variance: float) -> ParameterLayout:
-    """The single-task GP's parameters: the one-task, one-term layout with W
-    fixed at 1 and gamma at 0, flat vector ``[log l..., log s2, log noise]``."""
+    """The single-task GP's parameters ``[log l..., log s2, log noise]``."""
     spec = _one_task_spec(kernel)
     return ParameterLayout(spec, [noise_variance], learn_W=False, learn_gamma=False)
 
@@ -80,12 +76,9 @@ def gp_parameter_layout(kernel: ScalarKernelSpec, noise_variance: float) -> Para
 def gp_exact_layout(kernel: ScalarKernelSpec, noise_variance: float, X, Y) -> ExactGPLayout:
     """The single-task GP's exact-GP objective on (X, Y): the one-task,
     one-term layout with W fixed at 1 and gamma at 0."""
+    spec = _one_task_spec(kernel)
     return ExactGPLayout(
-        _one_task_spec(kernel),
-        [noise_variance],
-        MultiTaskDataset((X,), (Y,)),
-        learn_W=False,
-        learn_gamma=False,
+        spec, [noise_variance], MultiTaskDataset((X,), (Y,)), learn_W=False, learn_gamma=False
     )
 
 
