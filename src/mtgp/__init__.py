@@ -24,7 +24,7 @@ from .coregionalization import (
     assemble_joint_covariance,
     build_B,
 )
-from .data import MultiTaskDataset, read_task_csv, standardize_targets
+from .data import MultiTaskDataset, read_task_csv, task_scaling
 from .errors import (
     CalibrationError,
     DomainError,

@@ -30,7 +30,7 @@ from .data import MultiTaskDataset
 from .errors import CalibrationError, DomainError, ShapeError, UndefinedCorrelationError
 from .multitask import mtgp_predict
 from .seeding import make_rng, seed_entropy
-from .training import MTGPFamily, TrainConfig, train_gp_batch, train_mtgp_batch
+from .training import MTGPFamily, TrainConfig, _is_integer, train_gp_batch, train_mtgp_batch
 
 CALIBRATION_GRID_SIZE = 1000
 CORRELATION_TOLERANCE = 0.03
@@ -201,13 +201,16 @@ class StudyConfig:
             )
         if not all(0.0 < r <= 1.0 for r in self.correlations):
             raise DomainError(f"correlation targets must lie in (0, 1], got {self.correlations!r}")
-        if not self.replicates >= 1:
-            raise DomainError(f"replicates must be at least 1, got {self.replicates!r}")
-        if not (self.n_test >= 1 and all(n >= 1 for pair in self.size_grid for n in pair)):
+        if not (_is_integer(self.replicates) and self.replicates >= 1):
+            raise DomainError(f"replicates must be an int >= 1, got {self.replicates!r}")
+        counts = [self.n_test, *(n for pair in self.size_grid for n in pair)]
+        if not all(_is_integer(n) and n >= 1 for n in counts):
             raise DomainError(
-                f"sample counts must be at least 1, got size_grid={self.size_grid!r} "
+                f"sample counts must be ints >= 1, got size_grid={self.size_grid!r} "
                 f"and n_test={self.n_test!r}"
             )
+        if not _is_integer(self.seed):
+            raise DomainError(f"seed must be an int, got {self.seed!r}")
         if not 0.0 <= self.observation_noise < math.inf:
             raise DomainError(
                 f"observation_noise must be finite and non-negative, got {self.observation_noise!r}"

@@ -84,39 +84,24 @@ class MultiTaskDataset:
         return self.inputs[d], self.targets[d]
 
 
-def standardize_targets(
-    dataset: MultiTaskDataset,
-) -> tuple[MultiTaskDataset, np.ndarray, np.ndarray]:
-    """Per-task (Y - mean) / std computed on the training targets only.
+def task_scaling(dataset: MultiTaskDataset, standardize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(means, stds)``: a fit computes on task d's working targets
+    ``(Y_d - means_d) / stds_d``.
 
-    Degenerate tasks (empty, single sample, or constant targets) keep std 1
-    so the transform stays invertible.
+    Standardized, they are each task's training target mean and std; a
+    degenerate task (empty, single sample, or constant targets) keeps std 1
+    so the transform stays invertible. Otherwise they are 0 and 1.
     """
     means = np.zeros(dataset.num_tasks)
     stds = np.ones(dataset.num_tasks)
-    for d, Y in enumerate(dataset.targets):
-        if Y.size > 0:
-            means[d] = float(Y.mean())
-            s = float(Y.std())
-            if s > 0.0:
-                stds[d] = s
-    return scale_targets(dataset, means, stds), means, stds
-
-
-def working_targets(
-    dataset: MultiTaskDataset, standardize: bool
-) -> tuple[MultiTaskDataset, np.ndarray, np.ndarray]:
-    """``(work, means, stds)``: the dataset a fit computes on, its task d's
-    targets ``(Y_d - means_d) / stds_d``, standardized or left as they are."""
     if standardize:
-        return standardize_targets(dataset)
-    return dataset, np.zeros(dataset.num_tasks), np.ones(dataset.num_tasks)
-
-
-def scale_targets(dataset: MultiTaskDataset, means, stds) -> MultiTaskDataset:
-    """The dataset with task d's targets mapped to ``(Y_d - means_d) / stds_d``."""
-    targets = tuple((Y - m) / s for Y, m, s in zip(dataset.targets, means, stds))
-    return MultiTaskDataset(dataset.inputs, targets)
+        for d, Y in enumerate(dataset.targets):
+            if Y.size > 0:
+                means[d] = float(Y.mean())
+                s = float(Y.std())
+                if s > 0.0:
+                    stds[d] = s
+    return means, stds
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ fitted GP is a one-task :class:`~mtgp.multitask.MTGPModel`:
 import numpy as np
 
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
-from .data import MultiTaskDataset, scale_targets
+from .data import MultiTaskDataset
 from .errors import IllConditionedKernelError
 from .kernels import ScalarKernelSpec
 from .multitask import ExactGPLayout, MTGPModel, _condition
@@ -33,11 +33,8 @@ def gp_fit(
     variance is floored at ``NOISE_FLOOR``; a relative jitter is added
     before factorization and escalated on failure (see :mod:`mtgp.linalg`).
     """
-    dataset = MultiTaskDataset((X,), (Y,))
-    means, stds = np.array([float(mean_const)]), np.ones(1)
-    work = scale_targets(dataset, means, stds)
-    layout = ExactGPLayout(_one_task_spec(kernel), [noise_variance], work)
-    return _condition(layout, dataset, means, stds, False)
+    layout = ExactGPLayout(_one_task_spec(kernel), [noise_variance], MultiTaskDataset((X,), (Y,)))
+    return _condition(layout.scale(np.array([float(mean_const)]), np.ones(1)), False)
 
 
 def _one_task_spec(kernel: ScalarKernelSpec) -> MultiTaskKernelSpec:
@@ -58,14 +55,13 @@ def gp_log_marginal_likelihood(
     it is the B=1 case of the exact-GP core on the one-task, one-term
     layout with W fixed at 1 and gamma at 0.
     """
-    Y = np.asarray(Y, dtype=float).reshape(-1)
     layout = ExactGPLayout(
         _one_task_spec(kernel),
         [float(noise_variance)],
-        MultiTaskDataset((X,), (Y - mean_const,)),
+        MultiTaskDataset((X,), (Y,)),
         learn_W=False,
         learn_gamma=False,
-    )
+    ).scale(np.array([float(mean_const)]), np.ones(1))
     batch = layout.evaluate_template()
     if batch.errors:
         raise IllConditionedKernelError(batch.errors[0])

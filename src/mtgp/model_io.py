@@ -5,8 +5,8 @@ parameter schema with transformed values (hex-encoded floats, so repeated
 save/load cycles are lossless), standardization statistics, the training
 data, and a fingerprint of that data. Loading refits the stored parameters
 on the stored data, which reproduces the in-process model bit for bit. It
-reads the file in one pass: one layout, one scaling of the targets, each
-check on the file's contents once (:func:`load_model`).
+reads the file in one pass: one layout, which scales its own targets, and
+each check on the file's contents once (:func:`load_model`).
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .data import MultiTaskDataset, scale_targets, standardize_targets, working_targets
+from .data import MultiTaskDataset, task_scaling
 from .errors import ValidationError
 from .kernels import KERNEL_KINDS
 from .multitask import ExactGPLayout, MTGPModel, _condition
@@ -104,7 +104,7 @@ def model_document(model: MTGPModel, family: str) -> dict:
     if gp:  # the GP of gp_fit: one task, one term of rank 1 with W = 1, gamma = 0, std 1
         fits = W.shape == (1, 1, 1, 1) and (W.item(), gamma.item(), model.task_stds[0]) == (1, 0, 1)
     else:  # loading refits with the data's standardization or with none
-        means, stds = standardize_targets(model.dataset)[1:] if model.standardized else (0.0, 1.0)
+        means, stds = task_scaling(model.dataset, model.standardized)
         fits = np.all(model.task_means == means) and np.all(model.task_stds == stds)
     if not fits:
         raise ValueError(f"a {family!r} model file would not reload to this model")
@@ -173,13 +173,13 @@ def load_model(path):
     """Load and refit a model file; returns an :class:`MTGPModel` (a GP is its
     one-task case, :func:`~mtgp.gp.gp_fit`).
 
-    One pass: the stored data must match ``dataset_fingerprint``; its targets
-    are scaled once, by the stored ``mean_const`` (gp) or the data's own
-    standardization; one :class:`ExactGPLayout` of ``kernel_kinds`` and
-    ``ranks`` on them (:meth:`ExactGPLayout.of_shape`; a ``gp`` file's has
-    one task, one kind and rank 1, with W fixed at 1 and gamma at 0) maps
-    the stored vector to natural parameters, which are checked once and
-    conditioned on. No kernel spec is built until ``model.kernel`` is read.
+    One pass: the stored data must match ``dataset_fingerprint``; one
+    :class:`ExactGPLayout` of ``kernel_kinds`` and ``ranks`` on it
+    (:meth:`ExactGPLayout.of_shape`; a ``gp`` file's has one task, one kind
+    and rank 1, with W fixed at 1 and gamma at 0) scales its targets once,
+    by the stored ``mean_const`` (gp) or the data's own standardization,
+    and maps the stored vector to natural parameters, which are checked once
+    and conditioned on. No kernel spec is built until ``model.kernel`` is read.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -227,11 +227,11 @@ def load_model(path):
     if gp:  # the GP conditions on Y - mean_const, with task std 1
         means = np.array([_unhex(_require(_require(doc, "mean_const"), "hex"))])
         stds, standardized = np.ones(1), False
-        work = scale_targets(dataset, means, stds)
     else:
         standardized = _require(doc, "standardize", bool)
-        work, means, stds = working_targets(dataset, standardized)
-    layout = ExactGPLayout.of_shape(kinds, ranks, work, learn_W=not gp, learn_gamma=not gp)
+        means, stds = task_scaling(dataset, standardized)
+    layout = ExactGPLayout.of_shape(kinds, ranks, dataset, learn_W=not gp, learn_gamma=not gp)
+    layout.scale(means, stds)
     if vector.shape[0] != layout.size:
         raise ValidationError(f"{path}: parameter vector has wrong length")
     with np.errstate(over="ignore"):
@@ -243,4 +243,4 @@ def load_model(path):
             "with positive lengthscales and signal variances"
         )
     layout.template = natural
-    return _condition(layout, dataset, means, stds, standardized)
+    return _condition(layout, standardized)

@@ -7,8 +7,9 @@ standard Gaussian conditioning on that joint matrix, so predictions for one
 task borrow strength from every coupled task.
 
 Targets are standardized per task inside fitting by default (tasks often
-live in wildly different units); statistics are stored on the model and
-inverted at prediction time. Pass ``standardize=False`` to work in raw units.
+live in wildly different units); a fit's layout scales its own targets
+(:meth:`ExactGPLayout.scale`), and the model keeps the statistics and
+inverts them at prediction time. Pass ``standardize=False`` for raw units.
 
 The joint covariance has one assembly, on the flat parameter vectors of
 :class:`ExactGPLayout` (a :class:`ParameterLayout`, the package's one
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import kernels
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
-from .data import MultiTaskDataset, working_targets
-from .errors import IllConditionedKernelError, ShapeError
+from .data import MultiTaskDataset, task_scaling
+from .errors import DomainError, IllConditionedKernelError, ShapeError
 from .linalg import BASE_JITTER_REL, cholesky_batch, cholesky_inverse_batch, chol_solve, tri_solve
 
 NOISE_FLOOR = 1e-10
@@ -133,16 +134,16 @@ def mtgp_fit(
     a failed factorization raises :class:`IllConditionedKernelError`.
     ``jitter`` is the absolute jitter added to the diagonal.
     """
-    work, means, stds = working_targets(dataset, standardize)
-    return _condition(ExactGPLayout(kernel, noise_variances, work), dataset, means, stds, standardize)
+    layout = ExactGPLayout(kernel, noise_variances, dataset)
+    return _condition(layout.scale(*task_scaling(dataset, standardize)), standardize)
 
 
-def _condition(layout: "ExactGPLayout", dataset, means, stds, standardized) -> MTGPModel:
+def _condition(layout: "ExactGPLayout", standardized) -> MTGPModel:
     """The fitted model whose parameters are ``layout.template``.
 
-    ``layout`` holds the targets ``(Y_d - means_d) / stds_d`` of ``dataset``
-    and becomes the model's: its noise variances are floored at
-    ``NOISE_FLOOR`` in place. The model keeps ``dataset``.
+    It is conditioned on the layout's working targets ``y`` and keeps its
+    dataset and scaling. ``layout`` becomes the model's: its noise variances
+    are floored at ``NOISE_FLOOR`` in place.
     """
     noise = layout.template[layout.group_slices[2]]
     np.maximum(noise, NOISE_FLOOR, out=noise)
@@ -152,7 +153,8 @@ def _condition(layout: "ExactGPLayout", dataset, means, stds, standardized) -> M
     if errors:
         raise IllConditionedKernelError(errors[0])
     weights = chol_solve(L[0], layout.y)
-    return MTGPModel(layout, dataset, means, stds, L[0], weights, float(jitter[0]), standardized)
+    data = layout.dataset, layout.means, layout.stds
+    return MTGPModel(layout, *data, L[0], weights, float(jitter[0]), standardized)
 
 
 def mtgp_predict(
@@ -394,15 +396,15 @@ class ExactGPLayout(ParameterLayout):
     """The parameter layout plus the fixed data of the exact-GP objective.
 
     Built once per fit, by :meth:`of_shape` or from a kernel spec. On
-    top of :class:`ParameterLayout` it holds the training inputs, their
-    per-dimension squared differences, the task one-hot and the targets, so
-    evaluating a batch builds no Python objects. :func:`_assemble` is the
-    package's one joint-covariance assembly: the training objective
-    (:meth:`LayoutStack.evaluate`) runs it on a batch, conditioning
-    (:func:`_condition`) and the likelihood wrappers (:meth:`evaluate_template`)
-    on the template, and prediction (:func:`_cross_covariance`) extends it to
-    query rows. A fitted model's layout is its own, with the fitted
-    parameters as its template.
+    top of :class:`ParameterLayout` it holds the raw dataset, its inputs,
+    their per-dimension squared differences, the task one-hot and the
+    working targets (:meth:`scale`), so evaluating a batch builds no Python
+    objects. :func:`_assemble` is the package's one joint-covariance
+    assembly: the training objective (:meth:`LayoutStack.evaluate`) runs it
+    on a batch, conditioning (:func:`_condition`) and the likelihood
+    wrappers (:meth:`evaluate_template`) on the template, and prediction
+    (:func:`_cross_covariance`) extends it to query rows. A fitted model's
+    layout is its own, with the fitted parameters as its template.
     """
 
     def __init__(
@@ -448,6 +450,7 @@ class ExactGPLayout(ParameterLayout):
         ]
         # per term, the factor kernels.kernel_profile expects on r^2
         self.profile_scale = np.array([kernels.PROFILE_SCALE[k] for k in self.kinds])[:, None]
+        self.dataset = dataset
         self.X = dataset.stacked_inputs()
         N = self.X.shape[0]
         diff = self.X[:, None, :] - self.X[None, :, :]
@@ -456,9 +459,19 @@ class ExactGPLayout(ParameterLayout):
         self.pair_index = self.tasks[:, None] * D + self.tasks[None, :]  # into flat (D, D)
         self.onehot = np.zeros((N, D))
         self.onehot[np.arange(N), self.tasks] = 1.0
-        self.y = dataset.stacked_targets()
         self.shape = (Q, D, P, N)
         self.log_norm = 0.5 * N * np.log(2.0 * np.pi)
+        self.scale(np.zeros(D), np.ones(D))
+
+    def scale(self, means: np.ndarray, stds: np.ndarray) -> "ExactGPLayout":
+        """Set the working targets ``y``, each row's ``(Y - means_d) / stds_d``
+        for its task d, keep ``means`` and ``stds`` (D,), and return the layout.
+        Raises :class:`DomainError` when a working target is not finite."""
+        y = (self.dataset.stacked_targets() - means[self.tasks]) / stds[self.tasks]
+        if not np.isfinite(y).all():
+            raise DomainError("working targets (Y - mean) / std must be finite")
+        self.means, self.stds, self.y = means, stds, y
+        return self
 
     def evaluate_template(self) -> LMLBatch:
         """The B=1 batch of the template's own parameters, with no transform round trip."""

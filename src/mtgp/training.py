@@ -7,8 +7,8 @@ restarted from several seeded initializations; the restart with the best
 objective wins (ties to the lowest restart index).
 
 One driver trains every model, and it trains a list of same-shape datasets
-at once: per dataset the target standardization, one layout whose template
-is the family's start, and the seeded restart vectors; then one
+at once: per dataset one layout on its scaled targets, whose template is
+the family's start, and the seeded restart vectors; then one
 :func:`adam_maximize` run over all restarts of all fits, through the
 vectorized objective of a :class:`~mtgp.multitask.LayoutStack` of their
 layouts (one dataset is a stack of one); then per fit the winner, set as
@@ -22,12 +22,13 @@ scale and offset into each model; :func:`train_mtgp` and :func:`train_gp`
 are their one-dataset case.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultiTaskDataset, working_targets
+from .data import MultiTaskDataset, task_scaling
 from .errors import DomainError, MTGPError, ShapeError, TrainingFailedError
 from .kernels import KERNEL_KINDS, SQUARED_EXPONENTIAL
 from .multitask import PHASES, ExactGPLayout, LayoutStack, LMLBatch, MTGPModel, _condition
@@ -70,6 +71,8 @@ class TrainConfig:
             )
         if not (_is_integer(self.num_restarts) and self.num_restarts >= 1):
             raise DomainError(f"num_restarts must be an int >= 1, got {self.num_restarts!r}")
+        if not _is_integer(self.seed):  # negative seeds are masked by seed_entropy
+            raise DomainError(f"seed must be an int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -352,8 +355,9 @@ def _restart_diagnostics(run: AdamRun, rows: range) -> list:
 
 
 def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool):
-    """One fit's layout on its working targets, with the standardization means,
-    stds and ``sum_d N_d log s_d``. Its template is the family's start.
+    """One fit's layout on ``dataset``, which scales its targets by
+    :func:`~mtgp.data.task_scaling`, and ``sum_d N_d log s_d``. Its template
+    is the family's start.
 
     Latent terms start at staggered lengthscales (a geometric spread over one
     octave pair per term) so that separate components can pick up smooth
@@ -361,29 +365,28 @@ def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool
     all latents onto the same structure. Independent mode keeps one scale per
     task term.
     """
-    work, means, stds = working_targets(dataset, standardize)
-    # change of variables: observed-units likelihood differs by -sum N_d log s_d
-    log_scale = float(np.sum([n * np.log(s) for n, s in zip(dataset.counts, stds)]))
-    D, independent = work.num_tasks, family.mode == "independent"
+    D, independent = dataset.num_tasks, family.mode == "independent"
     if family.mode == "lmc" and family.rank > D:
         # W W^T has rank at most D, so extra columns only add redundant parameters
         raise DomainError(f"rank {family.rank} exceeds the number of tasks ({D})")
     Q = D if family.num_terms is None or independent else family.num_terms
     rank = int(family.rank) if family.mode == "lmc" else 1
     layout = ExactGPLayout.of_shape(
-        [family.kernel_kind] * Q, [rank] * Q, work, family.learns_W, family.learns_gamma
-    )
+        [family.kernel_kind] * Q, [rank] * Q, dataset, family.learns_W, family.learns_gamma
+    ).scale(*task_scaling(dataset, standardize))
+    # change of variables: observed-units likelihood differs by -sum N_d log s_d
+    log_scale = float(np.sum([n * np.log(s) for n, s in zip(dataset.counts, layout.stds)]))
     ls, s2, noise, gamma, W = (group[0] for group in layout.groups(layout.template[None]))
     spread = np.geomspace(1.0, 4.0, Q) if not independent and Q > 1 else np.ones(Q)
-    ls[:] = median_lengthscales(work.stacked_inputs()) * spread[:, None]
-    s2[:] = _target_variance(work.stacked_targets())
-    task_vars = np.array([_target_variance(Y) for Y in work.targets])
+    ls[:] = median_lengthscales(layout.X) * spread[:, None]
+    s2[:] = _target_variance(layout.y)
+    task_vars = np.array([_target_variance(layout.y[layout.tasks == d]) for d in range(D)])
     noise[:] = 0.01 * task_vars
     if family.mode == "lmc":
         gamma[:] = (LMC_GAMMA_INIT_FRACTION / Q) * task_vars
     if independent:  # term q loads on task q alone
         W[:] = np.eye(D)[:, :, None]
-    return layout, means, stds, log_scale
+    return layout, log_scale
 
 
 def _restart_vectors(layout, family: MTGPFamily, config: TrainConfig, seed, stream) -> np.ndarray:
@@ -408,23 +411,24 @@ def _restart_vectors(layout, family: MTGPFamily, config: TrainConfig, seed, stre
 def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> list:
     """The training driver behind :func:`train_mtgp_batch` and :func:`train_gp_batch`.
 
-    Per dataset it standardizes the targets, builds the family's layout,
-    and draws the restart vectors from the dataset's own seed. One
+    Per dataset it builds the family's layout on the scaled targets and
+    draws the restart vectors from the dataset's own seed. One
     :func:`adam_maximize` run then ascends every restart of every fit
     through the layouts' :class:`LayoutStack`, so a fit's result does not
     depend on which other fits share its batch. Each fit's winner becomes
-    its layout's template, which goes with its standardization means and
-    stds to ``fit(i, layout, means, stds)``, whose model gets ``fit_info``;
-    ``wall_time_s`` and ``timing`` are the whole batch's.
+    its layout's template, and ``fit(layout)`` conditions on it; its model
+    gets ``fit_info``, whose ``wall_time_s`` and ``timing`` are the whole
+    batch's.
     """
     started = time.perf_counter()
+    datasets, seeds = list(datasets), list(seeds)
     if len(seeds) != len(datasets):
         raise ShapeError(f"{len(datasets)} datasets need as many seeds, got {len(seeds)}")
     if not datasets:
         return []
     R = config.num_restarts
     fits = [_fit_layout(dataset, family, standardize) for dataset in datasets]
-    layouts = [layout for layout, *_ in fits]
+    layouts = [layout for layout, _ in fits]
     objective = LayoutStack(layouts, R).evaluate
     x0 = np.concatenate(
         [_restart_vectors(lay, family, config, seed, stream) for lay, seed in zip(layouts, seeds)]
@@ -435,7 +439,7 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
         diagnostics = [{"restart": r, "status": "failed", "error": str(exc)} for r in range(R)]
         raise TrainingFailedError("all restarts failed", diagnostics) from exc
     models = []
-    for i, (layout, means, stds, log_scale) in enumerate(fits):
+    for i, (layout, log_scale) in enumerate(fits):
         rows = range(i * R, (i + 1) * R)
         diagnostics = _restart_diagnostics(run, rows)
         failed = run.failed[rows]
@@ -445,7 +449,7 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
         restart = int(np.argmax(np.where(failed, -np.inf, run.value[rows])))
         row = rows[restart]
         layout.template = layout.natural_batch(run.vector[row][None])[0]
-        model = fit(i, layout, means, stds)
+        model = fit(layout)
         model.fit_info = {
             "log_marginal_likelihood": float(run.value[row]) - log_scale,
             "objective": float(run.value[row]),
@@ -478,12 +482,8 @@ def train_mtgp_batch(
     :func:`train_mtgp` would return for it alone. ``trace`` numbers rows
     across the batch: restart r of fit i is row ``i * num_restarts + r``.
     """
-    datasets = list(datasets)
-
-    def fit(i, layout, means, stds):
-        return _condition(layout, datasets[i], means, stds, standardize)
-
-    return _train(datasets, config, list(seeds), family, standardize, "mtgp-restart", trace, fit)
+    fit = functools.partial(_condition, standardized=standardize)
+    return _train(datasets, config, seeds, family, standardize, "mtgp-restart", trace, fit)
 
 
 def train_mtgp(
@@ -525,15 +525,14 @@ def train_gp_batch(
         raise ShapeError(f"{len(inputs)} input arrays but {len(targets)} target arrays")
     datasets = [MultiTaskDataset((X,), (Y,)) for X, Y in zip(inputs, targets)]
 
-    def fold(i, layout, means, stds):
+    def fold(layout):
         # signal and noise variance in raw units; the targets keep only the mean
         for group in layout.group_slices[1:3]:
-            layout.template[group] *= float(stds[0]) ** 2
-        layout.y = datasets[i].targets[0] - means[0]
-        return _condition(layout, datasets[i], means, np.ones(1), False)
+            layout.template[group] *= float(layout.stds[0]) ** 2
+        return _condition(layout.scale(layout.means, np.ones(1)), False)
 
     family = MTGPFamily(mode="independent", kernel_kind=kernel_kind)
-    return _train(datasets, config, list(seeds), family, standardize, "gp-restart", trace, fold)
+    return _train(datasets, config, seeds, family, standardize, "gp-restart", trace, fold)
 
 
 def train_gp(

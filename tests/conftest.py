@@ -10,7 +10,6 @@ import collections
 import numpy as np
 import pytest
 
-import mtgp.data
 from mtgp.coregionalization import (
     CoregionalizationTerm,
     MultiTaskKernelSpec,
@@ -103,13 +102,12 @@ def rng():
 @pytest.fixture
 def build_counts(monkeypatch):
     """A Counter of the parameter layouts (``layouts``), kernel specs
-    (``specs``) and ``mtgp.data.scale_targets`` scalings (``scalings``) built
-    from here on."""
+    (``specs``) and datasets (``datasets``) built from here on."""
     counts = collections.Counter()
     watched = [
         (ParameterLayout, "_build", "layouts"),
         (MultiTaskKernelSpec, "__post_init__", "specs"),
-        (mtgp.data, "scale_targets", "scalings"),
+        (MultiTaskDataset, "__post_init__", "datasets"),
     ]
     for owner, name, key in watched:
 

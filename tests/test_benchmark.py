@@ -253,11 +253,26 @@ class TestStudyConfig:
             {"correlations": (0.0,)},
             {"correlations": (math.nan,)},
             {"correlations": (0.89, 0.8900001)},  # one f"{r:g}" artifact name
+            # counts and the seed must be integers, checked before any calibration
+            {"replicates": 1.5},
+            {"replicates": True},
+            {"n_test": 2.5},
+            {"size_grid": ((2.5, 3),)},
+            {"seed": 1.5},
         ],
     )
     def test_bad_values_rejected(self, bad):
         with pytest.raises(DomainError):
             StudyConfig(**bad)
+
+    def test_numpy_integer_counts_accepted(self):
+        config = StudyConfig(
+            size_grid=((np.int64(4), np.int32(6)),),
+            replicates=np.int64(2),
+            n_test=np.int32(5),
+            seed=np.int64(-1),
+        )
+        assert (config.replicates, config.n_test, config.seed) == (2, 5, -1)
 
 
 class TestRunStudy:

@@ -112,6 +112,10 @@ MODEL_FILE_BAD_VALUES = {
     ),
     "noise-overflow": ("mtgp-slfm", lambda doc: set_parameter(doc, "log_noise0", 800), BAD_TRANSFORM),
     "gp-noise-overflow": ("gp", lambda doc: set_parameter(doc, "log_noise", 800), BAD_TRANSFORM),
+    # the working targets Y - mean_const are not finite
+    "gp-mean_const-inf": ("gp", lambda doc: doc["mean_const"].update(hex="inf"), "working targets"),
+    "gp-mean_const-nan": ("gp", lambda doc: doc["mean_const"].update(hex="nan"), "working targets"),
+    "gp-mean_const--inf": ("gp", lambda doc: doc["mean_const"].update(hex="-inf"), "working targets"),
 }
 
 # training settings out of range, in a run config and in a study's train block
@@ -357,7 +361,7 @@ class TestBadInputExitCodes:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1  # one line
 
     @pytest.mark.parametrize(
         "command,header,needle",
@@ -770,11 +774,15 @@ class TestModelIO:
             assert out.read_bytes() == fh.read()
 
     def test_load_builds_one_layout_and_scales_once(self, build_counts):
+        # the one dataset is the file's data; the layout scales its targets itself
         model = model_io.load_model(os.path.join(FIXTURES, "model_v1_mtgp-lmc.json"))
         mtgp_predict(model, 1, np.array([[0.3]]))
-        assert build_counts == {"layouts": 1, "scalings": 1}
+        assert build_counts == {"layouts": 1, "datasets": 1}
         assert model.kernel is model.kernel  # the one spec, built when first read
-        assert build_counts == {"layouts": 1, "specs": 1, "scalings": 1}
+        assert build_counts == {"layouts": 1, "specs": 1, "datasets": 1}
+        build_counts.clear()
+        model_io.load_model(os.path.join(FIXTURES, "model_v1_gp.json"))
+        assert build_counts == {"layouts": 1, "datasets": 1}
 
     @pytest.mark.parametrize("family", ["gp", "mtgp-slfm", "mtgp-lmc"])
     def test_save_reads_the_model_layout_and_builds_no_spec(self, build_counts, family):
@@ -782,7 +790,7 @@ class TestModelIO:
         model = model_io.load_model(path)
         build_counts.clear()
         model_io.model_document(model, family)
-        assert (build_counts["layouts"], build_counts["specs"]) == (1, 0)
+        assert build_counts == {"layouts": 1}  # no spec, no scaled dataset
 
     @pytest.mark.parametrize("trained,family", [("mtgp-slfm", "gp"), ("gp", "mtgp-slfm")])
     def test_family_that_would_reload_differently_is_rejected(self, tmp_path, trained, family):

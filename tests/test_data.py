@@ -6,9 +6,11 @@ from mtgp.data import (
     MultiTaskDataset,
     read_query_csv,
     read_task_csv,
-    standardize_targets,
+    task_scaling,
 )
 from mtgp.errors import ShapeError, ValidationError
+from mtgp.kernels import SQUARED_EXPONENTIAL
+from mtgp.multitask import ExactGPLayout
 
 # row counts around the reader's block boundaries
 BLOCK_EDGE_ROWS = [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]
@@ -51,6 +53,15 @@ class TestMultiTaskDataset:
             MultiTaskDataset((np.zeros((2, 1)),), (np.array([1.0, np.nan]),))
 
 
+def standardized(dataset):
+    """Each task's working targets under the dataset's standardization, as a
+    fit's layout scales them, with the ``means`` and ``stds``."""
+    layout = ExactGPLayout.of_shape([SQUARED_EXPONENTIAL], [1], dataset, True, False)
+    layout.scale(*task_scaling(dataset, True))
+    targets = [layout.y[layout.tasks == d] for d in range(dataset.num_tasks)]
+    return targets, layout.means, layout.stds
+
+
 class TestStandardizeTargets:
     def test_zero_mean_unit_std(self):
         rng = np.random.default_rng(0)
@@ -58,8 +69,8 @@ class TestStandardizeTargets:
             (rng.uniform(0, 1, (20, 1)), rng.uniform(0, 1, (10, 1))),
             (5 + 3 * rng.normal(size=20), -2 + 0.1 * rng.normal(size=10)),
         )
-        out, means, stds = standardize_targets(ds)
-        for Y in out.targets:
+        out, means, stds = standardized(ds)
+        for Y in out:
             assert abs(np.mean(Y)) < 1e-12
             assert np.std(Y) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(means, [np.mean(t) for t in ds.targets])
@@ -69,10 +80,10 @@ class TestStandardizeTargets:
             (np.zeros((1, 1)), np.zeros((2, 1)), np.zeros((0, 1))),
             (np.array([7.0]), np.array([4.0, 4.0]), np.zeros(0)),
         )
-        out, means, stds = standardize_targets(ds)
+        out, means, stds = standardized(ds)
         np.testing.assert_array_equal(stds, [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(out.targets[0], [0.0])
-        np.testing.assert_array_equal(out.targets[1], [0.0, 0.0])
+        np.testing.assert_array_equal(out[0], [0.0])
+        np.testing.assert_array_equal(out[1], [0.0, 0.0])
 
 
 class TestReadTaskCsv(object):

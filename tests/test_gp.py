@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_gaussian_conditioning, gp_parameter_layout, materialize
-from mtgp.errors import IllConditionedKernelError, ShapeError
+from mtgp.errors import DomainError, IllConditionedKernelError, ShapeError
 from mtgp.gp import gp_fit, gp_log_marginal_likelihood
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.linalg import cholesky_batch
@@ -35,6 +35,11 @@ class TestGPFit:
     def test_non_finite_covariance_raises(self):
         with pytest.raises(IllConditionedKernelError, match="not finite"):
             gp_fit(se(), np.inf, np.array([[0.0], [1.0]]), np.zeros(2))
+
+    @pytest.mark.parametrize("fit", [gp_fit, gp_log_marginal_likelihood])
+    def test_non_finite_mean_const_raises(self, fit):
+        with pytest.raises(DomainError, match="working targets"):
+            fit(se(), 0.1, np.array([[0.0], [1.0]]), np.zeros(2), mean_const=np.inf)
 
     def test_cholesky_factor_lower_triangular_positive_diagonal(self, rng):
         X = rng.uniform(0, 1, size=(6, 2))

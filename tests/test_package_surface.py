@@ -1,8 +1,10 @@
-"""The package exports only code the package itself runs.
+"""The package exports only code the package itself runs, and imports only
+what it reads.
 
 Every name ``mtgp/__init__.py`` imports must be used somewhere in the
 package beyond its own definition and that import, so a second code path
-that only tests call cannot be exported.
+that only tests call cannot be exported. Every name another module imports
+must be read in that module, so deleting code leaves no import behind.
 """
 
 import ast
@@ -45,3 +47,24 @@ def test_every_export_is_used_inside_the_package():
     assert "run_study" in exported
     unused = sorted(set(exported) - _used_names())
     assert unused == [], f"exported but never used inside the package: {unused}"
+
+
+def test_every_import_is_read_in_its_module():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the exports
+            continue
+        tree = _parse(path)
+        imported = {
+            (alias.asname or alias.name).split(".")[0]  # ``import a.b`` binds ``a``
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unread == [], f"imported but never read: {unread}"

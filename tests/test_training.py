@@ -564,12 +564,13 @@ class TestTrainBatch:
     def test_batch_builds_one_layout_per_fit_and_no_spec(self, build_counts):
         datasets = self._datasets(3)
         config = TrainConfig(max_iterations=5, num_restarts=2)
+        build_counts.clear()
         train_mtgp_batch(datasets, config, [0, 1, 2])
-        assert build_counts == {"layouts": 3, "scalings": 3}
+        assert build_counts == {"layouts": 3}  # no dataset of scaled targets
         build_counts.clear()
         inputs, targets = [d.inputs[0] for d in datasets], [d.targets[0] for d in datasets]
         train_gp_batch(inputs, targets, config, [0, 1, 2])
-        assert build_counts == {"layouts": 3, "scalings": 3}
+        assert build_counts == {"layouts": 3, "datasets": 3}  # the three input datasets
 
     def test_mismatched_shapes_raise(self):
         a = self._datasets(1)[0]
@@ -686,6 +687,15 @@ class TestConfigValidation:
     def test_train_config_rejects_non_integer_counts(self, field, value):
         with pytest.raises(DomainError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, "abc", True])
+    def test_train_config_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(7), np.uint32(3)])
+    def test_train_config_takes_negative_and_numpy_integer_seeds(self, seed):
+        assert TrainConfig(seed=seed).seed == seed
 
     def test_train_config_takes_numpy_integer_counts(self):
         config = TrainConfig(max_iterations=np.int64(3), num_restarts=np.int32(1))
