@@ -14,7 +14,9 @@ latent-factor special case used as the package default.
 
 :func:`build_B` and :func:`assemble_joint_covariance` are the dense oracle
 of ``mtgp check`` and the acceptance tests; the model itself assembles its
-covariances in :mod:`mtgp.multitask`.
+covariances in :mod:`mtgp.multitask`, where a spec enters a parameter layout
+through :func:`~mtgp.multitask.spec_layout` and leaves it through
+:meth:`~mtgp.multitask.ParameterLayout.spec_of`.
 """
 
 from dataclasses import dataclass

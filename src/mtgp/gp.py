@@ -16,7 +16,7 @@ from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset
 from .errors import IllConditionedKernelError
 from .kernels import ScalarKernelSpec
-from .multitask import ExactGPLayout, MTGPModel, _condition
+from .multitask import ExactGPLayout, MTGPModel, _condition, spec_layout
 
 
 def gp_fit(
@@ -33,12 +33,15 @@ def gp_fit(
     variance is floored at ``NOISE_FLOOR``; a relative jitter is added
     before factorization and escalated on failure (see :mod:`mtgp.linalg`).
     """
-    layout = ExactGPLayout(_one_task_spec(kernel), [noise_variance], MultiTaskDataset((X,), (Y,)))
-    return _condition(layout.scale(np.array([float(mean_const)]), np.ones(1)), False)
+    return _condition(_gp_layout(kernel, noise_variance, X, Y, mean_const), False)
 
 
-def _one_task_spec(kernel: ScalarKernelSpec) -> MultiTaskKernelSpec:
-    return MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
+def _gp_layout(kernel: ScalarKernelSpec, noise_variance, X, Y, mean_const) -> ExactGPLayout:
+    """The GP's own layout on (X, Y): one task, one term with W fixed at 1
+    and gamma at 0, whose working targets are ``Y - mean_const``."""
+    spec = MultiTaskKernelSpec(1, (CoregionalizationTerm(np.ones((1, 1)), np.zeros(1), kernel),))
+    layout = spec_layout(spec, [noise_variance], MultiTaskDataset((X,), (Y,)), False, False)
+    return layout.scale(np.array([float(mean_const)]), np.ones(1))
 
 
 def gp_log_marginal_likelihood(
@@ -55,14 +58,7 @@ def gp_log_marginal_likelihood(
     it is the B=1 case of the exact-GP core on the one-task, one-term
     layout with W fixed at 1 and gamma at 0.
     """
-    layout = ExactGPLayout(
-        _one_task_spec(kernel),
-        [float(noise_variance)],
-        MultiTaskDataset((X,), (Y,)),
-        learn_W=False,
-        learn_gamma=False,
-    ).scale(np.array([float(mean_const)]), np.ones(1))
-    batch = layout.evaluate_template()
+    batch = _gp_layout(kernel, noise_variance, X, Y, mean_const).evaluate_template()
     if batch.errors:
         raise IllConditionedKernelError(batch.errors[0])
     return float(batch.values[0]), batch.grads[0]

@@ -18,7 +18,7 @@ import numpy as np
 from .data import MultiTaskDataset, task_scaling
 from .errors import ValidationError
 from .kernels import KERNEL_KINDS
-from .multitask import ExactGPLayout, MTGPModel, _condition
+from .multitask import ExactGPLayout, MTGPModel, ParameterLayout, _condition
 
 SCHEMA_VERSION = 1
 
@@ -90,8 +90,8 @@ def model_document(model: MTGPModel, family: str) -> dict:
     """Serializable dict for a fitted model, in the format ``family`` names.
 
     Both formats store the model layout's template as the flat vector of
-    that layout :meth:`~ParameterLayout.relaid` with the format's learn
-    flags, named by its :meth:`~ParameterLayout.names`. Family ``gp``
+    the :class:`ParameterLayout` of its kinds and ranks with the format's
+    learn flags, named by its :meth:`~ParameterLayout.names`. Family ``gp``
     stores the GP's layout (W fixed at 1, gamma at 0), whose names drop the
     ``term0.`` prefix and the noise's task index, and the task mean; any
     other family stores the fully learned layout and the standardization.
@@ -108,7 +108,9 @@ def model_document(model: MTGPModel, family: str) -> dict:
         fits = np.all(model.task_means == means) and np.all(model.task_stds == stds)
     if not fits:
         raise ValueError(f"a {family!r} model file would not reload to this model")
-    layout = model.layout.relaid(learn_W=not gp, learn_gamma=not gp)
+    kinds, ranks = model.layout.kinds, model.layout.ranks
+    layout = ParameterLayout(kinds, ranks, model.num_tasks, model.input_dim, not gp, not gp)
+    layout.template = model.layout.template
     names = layout.names()
     if gp:  # one task, so no term prefix and no task index on the noise
         names = [name.removeprefix("term0.") for name in names[:-1]] + ["log_noise"]
@@ -174,12 +176,12 @@ def load_model(path):
     one-task case, :func:`~mtgp.gp.gp_fit`).
 
     One pass: the stored data must match ``dataset_fingerprint``; one
-    :class:`ExactGPLayout` of ``kernel_kinds`` and ``ranks`` on it
-    (:meth:`ExactGPLayout.of_shape`; a ``gp`` file's has one task, one kind
-    and rank 1, with W fixed at 1 and gamma at 0) scales its targets once,
-    by the stored ``mean_const`` (gp) or the data's own standardization,
-    and maps the stored vector to natural parameters, which are checked once
-    and conditioned on. No kernel spec is built until ``model.kernel`` is read.
+    :class:`ExactGPLayout` of ``kernel_kinds`` and ``ranks`` on it (a ``gp``
+    file's has one task, one kind and rank 1, with W fixed at 1 and gamma at
+    0) scales its targets once, by the stored finite ``mean_const`` (gp) or
+    the data's own standardization, and maps the stored vector to natural
+    parameters, which are checked once and conditioned on. No kernel spec is
+    built until ``model.kernel`` is read.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -225,12 +227,14 @@ def load_model(path):
             f"{path}: model file key 'input_dim' is {input_dim}, its data has {dataset.input_dim}"
         )
     if gp:  # the GP conditions on Y - mean_const, with task std 1
-        means = np.array([_unhex(_require(_require(doc, "mean_const"), "hex"))])
-        stds, standardized = np.ones(1), False
+        mean_const = _unhex(_require(_require(doc, "mean_const"), "hex"))
+        if not math.isfinite(mean_const):
+            raise ValidationError(f"{path}: model file key 'mean_const' must be finite")
+        means, stds, standardized = np.array([mean_const]), np.ones(1), False
     else:
         standardized = _require(doc, "standardize", bool)
         means, stds = task_scaling(dataset, standardized)
-    layout = ExactGPLayout.of_shape(kinds, ranks, dataset, learn_W=not gp, learn_gamma=not gp)
+    layout = ExactGPLayout(kinds, ranks, dataset, learn_W=not gp, learn_gamma=not gp)
     layout.scale(means, stds)
     if vector.shape[0] != layout.size:
         raise ValidationError(f"{path}: parameter vector has wrong length")

@@ -112,13 +112,6 @@ class MTGPModel:
         return self.layout.shape[2]
 
 
-def _noise_vector(noise_variances, num_tasks: int) -> np.ndarray:
-    noise = np.asarray(noise_variances, dtype=float).reshape(-1)
-    if noise.shape[0] != num_tasks:
-        raise ShapeError(f"expected {num_tasks} noise variances, got {noise.shape[0]}")
-    return noise
-
-
 def mtgp_fit(
     kernel: MultiTaskKernelSpec,
     noise_variances,
@@ -134,7 +127,7 @@ def mtgp_fit(
     a failed factorization raises :class:`IllConditionedKernelError`.
     ``jitter`` is the absolute jitter added to the diagonal.
     """
-    layout = ExactGPLayout(kernel, noise_variances, dataset)
+    layout = spec_layout(kernel, noise_variances, dataset)
     return _condition(layout.scale(*task_scaling(dataset, standardize)), standardize)
 
 
@@ -257,11 +250,13 @@ _NAME_FORMATS = (
 class ParameterLayout:
     """Flat parameter vector <-> natural parameters of one model shape.
 
-    Built from a kernel spec or by :meth:`ExactGPLayout.of_shape`. This
-    class is the one place that sets the flat order: per term q, its log-lengthscales
-    and log-signal-variance, then W_q row-major when ``learn_W`` and its
-    log-gamma per task when ``learn_gamma``; finally log-noise per task.
-    :meth:`names` names the entries in that order. W is untransformed; a
+    Built from the model shape: term q has kernel ``kinds[q]`` and W_q of
+    rank ``ranks[q]``. The start template has W = 1 in each term's rank
+    columns and zeros elsewhere; :func:`spec_layout` writes a kernel spec
+    into it. This class is the one place that sets the flat order: per term
+    q, its log-lengthscales and log-signal-variance, then W_q row-major when
+    ``learn_W`` and its log-gamma per task when ``learn_gamma``; finally
+    log-noise per task. :meth:`names` names the entries in that order. W is untransformed; a
     zero gamma is ``-inf``. Groups not learned keep the template's values,
     and so do the padding columns of W when terms differ in rank.
 
@@ -278,35 +273,13 @@ class ParameterLayout:
     gamma at 0, whose flat vector is ``[log l..., log s2, log noise]``.
     """
 
-    def __init__(
-        self,
-        spec: MultiTaskKernelSpec,
-        noise_variances,
-        learn_W: bool = True,
-        learn_gamma: bool = True,
-    ):
-        noise = _noise_vector(noise_variances, spec.num_tasks)
-        ranks = [t.rank for t in spec.terms]
-        W = np.zeros((spec.num_terms, spec.num_tasks, max(ranks)))
-        for q, term in enumerate(spec.terms):
-            W[q, :, : term.rank] = term.W
-        template = np.concatenate(
-            [
-                np.array([t.base_kernel.lengthscales for t in spec.terms]).reshape(-1),
-                [t.base_kernel.signal_variance for t in spec.terms],
-                noise,
-                np.array([t.gamma for t in spec.terms]).reshape(-1),
-                W.reshape(-1),
-            ]
-        )
-        kinds = [t.base_kernel.kind for t in spec.terms]
-        self._build(kinds, ranks, spec.num_tasks, spec.input_dim, template, learn_W, learn_gamma)
-
-    def _build(self, kinds, ranks, D: int, P: int, template, learn_W: bool, learn_gamma: bool):
-        """Set the flat order of terms of these kinds and ranks over D tasks and
-        P inputs, around ``template``, their natural parameters (F,)."""
-        Q, R = len(kinds), max(ranks)
-        self.template, self.kinds, self.ranks, self.num_tasks = template, kinds, ranks, D
+    def __init__(self, kinds, ranks, num_tasks: int, input_dim: int, learn_W, learn_gamma):
+        Q, D, P, R = len(kinds), num_tasks, input_dim, max(ranks)
+        self.kinds, self.ranks, self.num_tasks = list(kinds), list(ranks), D
+        W = np.zeros((Q, D, R))
+        for q, rank in enumerate(ranks):
+            W[q, :, :rank] = 1.0
+        self.template = template = np.concatenate([np.zeros(Q * P + Q + D + Q * D), W.reshape(-1)])
         s2_at, noise_at = Q * P, Q * P + Q
         gamma_at = noise_at + D
         self.num_logs = W_at = gamma_at + Q * D
@@ -332,7 +305,6 @@ class ParameterLayout:
         self.scatter = natural if learn_gamma else np.where(natural < W_at, natural, natural - Q * D)
         self.is_W = natural >= W_at
         self.learn_W, self.learn_gamma = learn_W, learn_gamma
-        self.has_gamma = learn_gamma or bool(np.any(template[gamma_at:W_at]))
         bounds = [0, s2_at, noise_at, gamma_at, W_at, None]
         self.group_slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.group_shapes = ((Q, P), (Q,), (D,), (Q, D), (Q, D, R))
@@ -370,14 +342,6 @@ class ParameterLayout:
             logs = np.log(self.template[: self.num_logs])
         return np.concatenate([logs, self.template[self.num_logs :]])[self.natural_index]
 
-    def relaid(self, learn_W: bool, learn_gamma: bool) -> "ParameterLayout":
-        """The layout of the same terms around the same template that learns
-        these groups: the flat order of a model file's vector."""
-        layout = ParameterLayout.__new__(ParameterLayout)
-        D, P = self.num_tasks, self.group_shapes[0][1]
-        layout._build(self.kinds, self.ranks, D, P, self.template, learn_W, learn_gamma)
-        return layout
-
     def spec_of(self, nat: np.ndarray) -> MultiTaskKernelSpec:
         """The kernel spec of one row of natural parameters (F,)."""
         ls, s2, _, gamma, W = (group[0] for group in self.groups(nat[None]))
@@ -395,7 +359,7 @@ class ParameterLayout:
 class ExactGPLayout(ParameterLayout):
     """The parameter layout plus the fixed data of the exact-GP objective.
 
-    Built once per fit, by :meth:`of_shape` or from a kernel spec. On
+    Built once per fit from the model shape and the dataset. On
     top of :class:`ParameterLayout` it holds the raw dataset, its inputs,
     their per-dimension squared differences, the task one-hot and the
     working targets (:meth:`scale`), so evaluating a batch builds no Python
@@ -407,42 +371,8 @@ class ExactGPLayout(ParameterLayout):
     layout is its own, with the fitted parameters as its template.
     """
 
-    def __init__(
-        self,
-        spec: MultiTaskKernelSpec,
-        noise_variances,
-        dataset: MultiTaskDataset,
-        learn_W: bool = True,
-        learn_gamma: bool = True,
-    ):
-        if dataset.num_tasks != spec.num_tasks:
-            raise ShapeError(
-                f"dataset has {dataset.num_tasks} tasks, kernel spec declares {spec.num_tasks}"
-            )
-        if dataset.input_dim != spec.input_dim:
-            raise ShapeError(
-                f"dataset input dimension {dataset.input_dim} != kernel's {spec.input_dim}"
-            )
-        super().__init__(spec, noise_variances, learn_W, learn_gamma)
-        self._attach(dataset)
-
-    @classmethod
-    def of_shape(cls, kinds, ranks, dataset: MultiTaskDataset, learn_W: bool, learn_gamma: bool):
-        """The layout of terms of these kinds and ranks on ``dataset`` before
-        its parameters are known, which training and model files give: its
-        template has W = 1 and gamma = 0 where they are not learned, zero
-        padding in W and zeros for the learned parameters."""
-        Q, D, P = len(kinds), dataset.num_tasks, dataset.input_dim
-        W = np.zeros((Q, D, max(ranks)))
-        for q, rank in enumerate(ranks):
-            W[q, :, :rank] = 1.0
-        layout = cls.__new__(cls)
-        template = np.concatenate([np.zeros(Q * P + Q + D + Q * D), W.reshape(-1)])
-        layout._build(list(kinds), list(ranks), D, P, template, learn_W, learn_gamma)
-        layout._attach(dataset)
-        return layout
-
-    def _attach(self, dataset: MultiTaskDataset):
+    def __init__(self, kinds, ranks, dataset: MultiTaskDataset, learn_W: bool, learn_gamma: bool):
+        super().__init__(kinds, ranks, dataset.num_tasks, dataset.input_dim, learn_W, learn_gamma)
         Q, D, P = len(self.kinds), self.num_tasks, dataset.input_dim
         self.kind_groups = [
             (kind, np.asarray([q for q in range(Q) if self.kinds[q] == kind]))
@@ -476,6 +406,33 @@ class ExactGPLayout(ParameterLayout):
     def evaluate_template(self) -> LMLBatch:
         """The B=1 batch of the template's own parameters, with no transform round trip."""
         return _lml_batch(self, self.template[None], self.sqdiff, self.y, time.perf_counter())
+
+
+def spec_layout(spec, noise_variances, dataset, learn_W=True, learn_gamma=True) -> ExactGPLayout:
+    """The layout of ``spec``'s kinds and ranks on ``dataset``, whose
+    template holds ``spec`` and ``noise_variances``: the one way a kernel
+    spec becomes a layout (:meth:`~ParameterLayout.spec_of` is the way back).
+    Raises :class:`ShapeError` when the spec's task count or input dimension
+    is not the dataset's, or there is not one noise variance per task.
+    """
+    D, P = dataset.num_tasks, dataset.input_dim
+    if spec.num_tasks != D:
+        raise ShapeError(f"dataset has {D} tasks, kernel spec declares {spec.num_tasks}")
+    if spec.input_dim != P:
+        raise ShapeError(f"dataset input dimension {P} != kernel's {spec.input_dim}")
+    noise = np.asarray(noise_variances, dtype=float).reshape(-1)
+    if noise.shape[0] != D:
+        raise ShapeError(f"expected {D} noise variances, got {noise.shape[0]}")
+    kinds = [term.base_kernel.kind for term in spec.terms]
+    layout = ExactGPLayout(kinds, [term.rank for term in spec.terms], dataset, learn_W, learn_gamma)
+    ls, s2, template_noise, gamma, W = (group[0] for group in layout.groups(layout.template[None]))
+    for q, term in enumerate(spec.terms):
+        ls[q] = term.base_kernel.lengthscales
+        s2[q] = term.base_kernel.signal_variance
+        gamma[q] = term.gamma
+        W[q, :, : term.rank] = term.W
+    template_noise[:] = noise
+    return layout
 
 
 class LayoutStack:
@@ -558,8 +515,7 @@ def _task_covariances(layout: ExactGPLayout, W, gamma) -> np.ndarray:
     """``B_q = W_q W_q^T + diag(gamma_q)`` for W (B,Q,D,R) and gamma (B,Q,D)."""
     D = layout.num_tasks
     Bq = W @ W.swapaxes(-1, -2)
-    if layout.has_gamma:
-        Bq.reshape(Bq.shape[:2] + (D * D,))[..., :: D + 1] += gamma
+    Bq.reshape(Bq.shape[:2] + (D * D,))[..., :: D + 1] += gamma
     return Bq
 
 
@@ -676,7 +632,7 @@ def mtgp_log_marginal_likelihood(
     (zero whenever gamma is pinned at zero). This is the B=1 case of
     :class:`ExactGPLayout` with every parameter learned.
     """
-    batch = ExactGPLayout(kernel, noise_variances, dataset).evaluate_template()
+    batch = spec_layout(kernel, noise_variances, dataset).evaluate_template()
     if batch.errors:
         raise IllConditionedKernelError(batch.errors[0])
     return float(batch.values[0]), batch.grads[0]

@@ -227,7 +227,7 @@ def _check_mtgp_gradient(seed: int) -> CheckResult:
     for i in range(5):
         rng = make_rng(seed, "chk-mt-grad", i)
         spec, dataset, noise = _random_mtgp_instance(rng, slfm=False)
-        layout = multitask.ParameterLayout(spec, noise)
+        layout = multitask.spec_layout(spec, noise, dataset)
 
         def objective(vec):
             nat = layout.natural_batch(vec[None])[0]

@@ -371,7 +371,7 @@ def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool
         raise DomainError(f"rank {family.rank} exceeds the number of tasks ({D})")
     Q = D if family.num_terms is None or independent else family.num_terms
     rank = int(family.rank) if family.mode == "lmc" else 1
-    layout = ExactGPLayout.of_shape(
+    layout = ExactGPLayout(
         [family.kernel_kind] * Q, [rank] * Q, dataset, family.learns_W, family.learns_gamma
     ).scale(*task_scaling(dataset, standardize))
     # change of variables: observed-units likelihood differs by -sum N_d log s_d

@@ -16,9 +16,9 @@ from mtgp.coregionalization import (
     build_B,
 )
 from mtgp.data import MultiTaskDataset
-from mtgp.gp import _one_task_spec
+from mtgp.gp import _gp_layout
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
-from mtgp.multitask import ExactGPLayout, ParameterLayout
+from mtgp.multitask import ExactGPLayout, ParameterLayout, spec_layout
 from mtgp.seeding import make_rng
 from mtgp.training import _fit_layout
 
@@ -66,19 +66,23 @@ def random_dataset(rng, num_tasks, dim=1, max_per_task=3, min_per_task=1):
     )
 
 
+def spec_parameter_layout(spec, noise_variances, learn_W=True, learn_gamma=True) -> ParameterLayout:
+    """The layout of ``spec`` and ``noise_variances`` where no data is at hand
+    (:func:`spec_layout` on one zero row per task)."""
+    rows = tuple(np.zeros((1, spec.input_dim)) for _ in range(spec.num_tasks))
+    dataset = MultiTaskDataset(rows, tuple(np.zeros(1) for _ in rows))
+    return spec_layout(spec, noise_variances, dataset, learn_W, learn_gamma)
+
+
 def gp_parameter_layout(kernel: ScalarKernelSpec, noise_variance: float) -> ParameterLayout:
     """The single-task GP's parameters ``[log l..., log s2, log noise]``."""
-    spec = _one_task_spec(kernel)
-    return ParameterLayout(spec, [noise_variance], learn_W=False, learn_gamma=False)
+    return gp_exact_layout(kernel, noise_variance, np.zeros((1, kernel.input_dim)), np.zeros(1))
 
 
 def gp_exact_layout(kernel: ScalarKernelSpec, noise_variance: float, X, Y) -> ExactGPLayout:
     """The single-task GP's exact-GP objective on (X, Y): the one-task,
     one-term layout with W fixed at 1 and gamma at 0."""
-    spec = _one_task_spec(kernel)
-    return ExactGPLayout(
-        spec, [noise_variance], MultiTaskDataset((X,), (Y,)), learn_W=False, learn_gamma=False
-    )
+    return _gp_layout(kernel, noise_variance, X, Y, 0.0)
 
 
 def materialize(layout: ParameterLayout, vector):
@@ -105,7 +109,7 @@ def build_counts(monkeypatch):
     (``specs``) and datasets (``datasets``) built from here on."""
     counts = collections.Counter()
     watched = [
-        (ParameterLayout, "_build", "layouts"),
+        (ParameterLayout, "__init__", "layouts"),
         (MultiTaskKernelSpec, "__post_init__", "specs"),
         (MultiTaskDataset, "__post_init__", "datasets"),
     ]

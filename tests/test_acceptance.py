@@ -30,7 +30,7 @@ from mtgp.data import MultiTaskDataset
 from mtgp.gp import gp_fit, gp_log_marginal_likelihood
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import (
-    ParameterLayout,
+    spec_layout,
     mtgp_fit,
     mtgp_log_marginal_likelihood,
     mtgp_predict,
@@ -228,7 +228,7 @@ def test_criterion_05_gradient_correctness():
             (rng.uniform(0, 1, (3, 1)), rng.uniform(0, 1, (3, 1))),
             (rng.normal(size=3), rng.normal(size=3)),
         )
-        mt_layout = ParameterLayout(spec, rng.uniform(0.05, 0.3, size=D))
+        mt_layout = spec_layout(spec, rng.uniform(0.05, 0.3, size=D), dataset)
 
         def objective(vec):
             s, nz = materialize(mt_layout, vec)

@@ -87,6 +87,7 @@ def edit_hex(array_doc):
 
 # model files with a value of the wrong type: (family, damage, expected message)
 BAD_TRANSFORM = "parameter values must transform to finite numbers"
+MEAN_CONST = "model file key 'mean_const' must be finite"
 MODEL_FILE_BAD_VALUES = {
     "kernel_kinds-empty": ("gp", lambda doc: doc.update(kernel_kinds=[]), "'kernel_kinds'"),
     "tasks-number": ("mtgp-slfm", lambda doc: doc["data"].update(tasks=5), "'tasks'"),
@@ -112,10 +113,9 @@ MODEL_FILE_BAD_VALUES = {
     ),
     "noise-overflow": ("mtgp-slfm", lambda doc: set_parameter(doc, "log_noise0", 800), BAD_TRANSFORM),
     "gp-noise-overflow": ("gp", lambda doc: set_parameter(doc, "log_noise", 800), BAD_TRANSFORM),
-    # the working targets Y - mean_const are not finite
-    "gp-mean_const-inf": ("gp", lambda doc: doc["mean_const"].update(hex="inf"), "working targets"),
-    "gp-mean_const-nan": ("gp", lambda doc: doc["mean_const"].update(hex="nan"), "working targets"),
-    "gp-mean_const--inf": ("gp", lambda doc: doc["mean_const"].update(hex="-inf"), "working targets"),
+    "gp-mean_const-inf": ("gp", lambda doc: doc["mean_const"].update(hex="inf"), MEAN_CONST),
+    "gp-mean_const-nan": ("gp", lambda doc: doc["mean_const"].update(hex="nan"), MEAN_CONST),
+    "gp-mean_const--inf": ("gp", lambda doc: doc["mean_const"].update(hex="-inf"), MEAN_CONST),
 }
 
 # training settings out of range, in a run config and in a study's train block
@@ -773,6 +773,17 @@ class TestModelIO:
         with open(os.path.join(FIXTURES, f"predictions_v1_{family}.csv"), "rb") as fh:
             assert out.read_bytes() == fh.read()
 
+    @pytest.mark.parametrize("family", ["gp", "mtgp-slfm", "mtgp-lmc"])
+    def test_training_reproduces_its_model_file(self, tmp_path, family):
+        # trained_*.json hold the model files `mtgp train` wrote for this data and config
+        extra = {"kernel": "matern52", "rank": 2} if family == "mtgp-lmc" else {}
+        config = write_config(tmp_path / "config.json", family=family, max_iterations=100, **extra)
+        data = os.path.join(FIXTURES, "train_one_task.csv" if family == "gp" else "train_two_tasks.csv")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", data, "--config", str(config), "--out", str(out)]) == 0
+        with open(os.path.join(FIXTURES, f"trained_{family}.json"), "rb") as fh:
+            assert (out / "model.json").read_bytes() == fh.read()
+
     def test_load_builds_one_layout_and_scales_once(self, build_counts):
         # the one dataset is the file's data; the layout scales its targets itself
         model = model_io.load_model(os.path.join(FIXTURES, "model_v1_mtgp-lmc.json"))
@@ -947,6 +958,9 @@ class TestCheckCommand:
         assert cli.main(["check", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 4
+        # check_seed0.txt pins the whole report, figures included
+        with open(os.path.join(FIXTURES, "check_seed0.txt"), encoding="utf-8") as fh:
+            assert out == fh.read()
 
     def test_fault_injection_exits_one(self, monkeypatch, capsys):
         import mtgp.gp

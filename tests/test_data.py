@@ -56,7 +56,7 @@ class TestMultiTaskDataset:
 def standardized(dataset):
     """Each task's working targets under the dataset's standardization, as a
     fit's layout scales them, with the ``means`` and ``stds``."""
-    layout = ExactGPLayout.of_shape([SQUARED_EXPONENTIAL], [1], dataset, True, False)
+    layout = ExactGPLayout([SQUARED_EXPONENTIAL], [1], dataset, True, False)
     layout.scale(*task_scaling(dataset, True))
     targets = [layout.y[layout.tasks == d] for d in range(dataset.num_tasks)]
     return targets, layout.means, layout.stds

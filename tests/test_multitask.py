@@ -12,6 +12,7 @@ from conftest import (
     materialize,
     random_dataset,
     random_mtgp_spec,
+    spec_parameter_layout,
 )
 from mtgp.coregionalization import (
     CoregionalizationTerm,
@@ -23,12 +24,11 @@ from mtgp.errors import ShapeError
 from mtgp.gp import gp_fit, gp_log_marginal_likelihood
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
 from mtgp.multitask import (
-    ExactGPLayout,
     LayoutStack,
-    ParameterLayout,
     mtgp_fit,
     mtgp_log_marginal_likelihood,
     mtgp_predict,
+    spec_layout,
 )
 from mtgp.seeding import make_rng
 from mtgp.training import MTGPFamily
@@ -133,6 +133,22 @@ class TestMTGPFit:
         dataset = random_dataset(make_rng("mt-shape", 1), 2)
         with pytest.raises(ShapeError):
             mtgp_fit(spec, [0.1], dataset)
+
+    @pytest.mark.parametrize("entry", [mtgp_fit, mtgp_log_marginal_likelihood])
+    @pytest.mark.parametrize("mismatch", ["tasks", "input_dim", "noise"])
+    def test_spec_that_does_not_fit_the_data_is_rejected(self, entry, mismatch):
+        rng = make_rng("mt-spec-shape", mismatch)
+        dataset = random_dataset(rng, 2)  # two tasks, one input
+        tasks, dim, noises = {"tasks": (3, 1, 3), "input_dim": (2, 2, 2), "noise": (2, 1, 3)}[mismatch]
+        with pytest.raises(ShapeError):
+            entry(random_mtgp_spec(rng, tasks, dim=dim), [0.1] * noises, dataset)
+
+    @pytest.mark.parametrize("entry", [gp_fit, gp_log_marginal_likelihood])
+    @pytest.mark.parametrize("mismatch", ["input_dim", "noise"])
+    def test_gp_kernel_that_does_not_fit_the_data_is_rejected(self, entry, mismatch):
+        kernel, noise = (se([1.0, 1.0]), 0.1) if mismatch == "input_dim" else (se(), [0.1, 0.2])
+        with pytest.raises(ShapeError):
+            entry(kernel, noise, np.linspace(0.0, 1.0, 3)[:, None], np.zeros(3))
 
     def test_standardization_statistics_stored(self):
         rng = make_rng("mt-std", 0)
@@ -406,7 +422,6 @@ class TestMTGPLogMarginalLikelihood:
         assert value == pytest.approx(expected, abs=1e-8)
 
     def test_gradient_matches_finite_differences(self):
-        from mtgp.multitask import ParameterLayout
         from mtgp.training import check_gradients
 
         for i in range(5):
@@ -416,7 +431,7 @@ class TestMTGPLogMarginalLikelihood:
                 (rng.uniform(0, 1, (3, 1)), rng.uniform(0, 1, (3, 1))),
                 (rng.normal(size=3), rng.normal(size=3)),
             )
-            layout = ParameterLayout(spec, rng.uniform(0.05, 0.3, size=2))
+            layout = spec_layout(spec, rng.uniform(0.05, 0.3, size=2), dataset)
 
             def objective(vec):
                 s, n = materialize(layout, vec)
@@ -426,7 +441,7 @@ class TestMTGPLogMarginalLikelihood:
 
     def test_parameter_name_order(self):
         spec = random_mtgp_spec(make_rng("mt-names", 0), 2, num_terms=1)
-        names = ParameterLayout(spec, np.ones(2)).names()
+        names = spec_parameter_layout(spec, np.ones(2)).names()
         assert names == [
             "term0.log_lengthscale0",
             "term0.log_signal_variance",
@@ -437,6 +452,24 @@ class TestMTGPLogMarginalLikelihood:
             "log_noise0",
             "log_noise1",
         ]
+
+    def test_fixed_nonzero_gamma_enters_the_covariance(self):
+        # a layout that does not learn gamma still adds its template's gamma to B_q
+        from mtgp.linalg import BASE_JITTER_REL
+
+        rng = make_rng("mt-fixed-gamma", 0)
+        spec = random_mtgp_spec(rng, 2, with_gamma=True)
+        dataset = random_dataset(rng, 2, min_per_task=2)
+        noise = np.array([0.1, 0.2])
+        fixed = spec_layout(spec, noise, dataset, learn_gamma=False)
+        assert not any("gamma" in name for name in fixed.names())
+        value = fixed.evaluate_template().values[0]
+        assert value == spec_layout(spec, noise, dataset).evaluate_template().values[0]
+        y, tasks = dataset.stacked_targets(), dataset.task_indices()
+        K = assemble_joint_covariance(spec, dataset) + np.diag(noise[tasks])
+        K += BASE_JITTER_REL * np.mean(np.diag(K)) * np.eye(y.size)
+        dense = -0.5 * y @ np.linalg.solve(K, y) - 0.5 * np.linalg.slogdet(K)[1]
+        assert value == pytest.approx(dense - 0.5 * y.size * np.log(2 * np.pi), rel=1e-10)
 
     def test_uses_total_observation_count_in_constant(self):
         # heterotopic counts: the Gaussian constant must use sum of N_d
@@ -461,7 +494,6 @@ class TestMTGPLogMarginalLikelihood:
 def _batch_case(name):
     """(layout, dataset) for one configuration of the batched objective."""
     from mtgp.kernels import MATERN52
-    from mtgp.multitask import ExactGPLayout
 
     rng = make_rng("batch-core", name)
     if name == "gp":
@@ -495,7 +527,7 @@ def _batch_case(name):
             terms[1].W, terms[1].gamma, ScalarKernelSpec(MATERN52, base.lengthscales, base.signal_variance)
         )
         spec = MultiTaskKernelSpec(spec.num_tasks, tuple(terms))
-    layout = ExactGPLayout(
+    layout = spec_layout(
         spec, noise, dataset, learn_W=family.learns_W, learn_gamma=family.learns_gamma
     )
     return layout, dataset
@@ -566,7 +598,7 @@ class TestBatchedObjective:
             (rng.normal(size=4), rng.normal(size=3)),
         )
         spec, noise = family_template(MTGPFamily(mode="lmc"), dataset)
-        layout = ExactGPLayout(spec, noise, dataset)
+        layout = spec_layout(spec, noise, dataset)
         point = layout.initial_vector() + rng.normal(0.0, 0.5, size=layout.size)
         point[layout.is_W] = rng.normal(0.0, 0.8, size=int(np.sum(layout.is_W)))
         analytic = evaluate(layout, point[None]).grads[0]
@@ -608,7 +640,7 @@ class TestBatchedObjective:
             expected += [np.log(term.base_kernel.signal_variance)]
             expected += list(term.W.reshape(-1)) + list(np.log(term.gamma))
         expected += list(np.log(noise))
-        assert len(expected) == len(ParameterLayout(spec, noise).names())
+        assert len(expected) == len(spec_parameter_layout(spec, noise).names())
         np.testing.assert_allclose(expected, vec, rtol=1e-12)
 
     def test_wrapper_is_the_template_row(self):
@@ -619,7 +651,7 @@ class TestBatchedObjective:
         batch = evaluate(layout, X)
         assert value == pytest.approx(batch.values[0], rel=1e-12)
         # lmc learns every parameter, so both gradients use the canonical order
-        assert grad.shape == (len(ParameterLayout(spec, noise).names()),)
+        assert grad.shape == (len(spec_parameter_layout(spec, noise).names()),)
         np.testing.assert_allclose(grad, batch.grads[0], rtol=1e-9, atol=1e-12)
 
     def test_failed_and_escalated_rows_are_reported(self):
@@ -693,7 +725,6 @@ class TestBatchedGradientProperty:
     @given(st.sampled_from(GRADIENT_FAMILIES), st.integers(0, 2**32 - 1))
     def test_gradient_matches_central_differences(self, family_case, seed):
         from mtgp.linalg import BASE_JITTER_REL
-        from mtgp.multitask import ExactGPLayout
 
         mode, kind = family_case
         rng = np.random.default_rng(seed)
@@ -704,7 +735,7 @@ class TestBatchedGradientProperty:
         )
         family = MTGPFamily(mode=mode, kernel_kind=kind, rank=2 if mode == "lmc" else 1)
         spec, noise = family_template(family, dataset)
-        layout = ExactGPLayout(
+        layout = spec_layout(
             spec, noise, dataset, learn_W=family.learns_W, learn_gamma=family.learns_gamma
         )
         point = layout.initial_vector() + rng.normal(0.0, 0.5, size=layout.size)
@@ -759,7 +790,7 @@ def _invariance_layouts(mode, kind, rng, fits=1):
                 2, (CoregionalizationTerm(W0, first.gamma, first.base_kernel),) + spec.terms[1:]
             )
         layouts.append(
-            ExactGPLayout(spec, noise, dataset, learn_W=family.learns_W, learn_gamma=family.learns_gamma)
+            spec_layout(spec, noise, dataset, learn_W=family.learns_W, learn_gamma=family.learns_gamma)
         )
     return layouts
 

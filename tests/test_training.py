@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import family_template, gp_parameter_layout, materialize
+from conftest import family_template, gp_parameter_layout, materialize, spec_parameter_layout
 from mtgp import model_io
 from mtgp.coregionalization import assemble_joint_covariance
 from mtgp.data import MultiTaskDataset
@@ -15,10 +15,10 @@ from mtgp.gp import gp_fit
 from mtgp.kernels import MATERN52, SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import (
     LMLBatch,
-    ParameterLayout,
     mtgp_fit,
     mtgp_log_marginal_likelihood,
     mtgp_predict,
+    spec_layout,
 )
 from mtgp.seeding import make_rng
 from mtgp.training import (
@@ -62,8 +62,8 @@ def _family_layout(mode, rank=1):
     )
     family = MTGPFamily(mode=mode, rank=rank)
     template, noise = family_template(family, dataset)
-    layout = ParameterLayout(
-        template, noise, learn_W=family.learns_W, learn_gamma=family.learns_gamma
+    layout = spec_layout(
+        template, noise, dataset, learn_W=family.learns_W, learn_gamma=family.learns_gamma
     )
     return layout, template
 
@@ -79,7 +79,7 @@ class TestParameterLayout:
         vec = np.asarray(values[: layout.size])  # the lmc layout has 20 entries
         spec, noise = materialize(layout, vec)
         family = MTGPFamily(mode=mode)
-        again = ParameterLayout(
+        again = spec_parameter_layout(
             spec, noise, learn_W=family.learns_W, learn_gamma=family.learns_gamma
         ).initial_vector()
         np.testing.assert_array_equal(again[layout.is_W], vec[layout.is_W])
@@ -124,12 +124,12 @@ class TestParameterLayout:
         vec = make_rng("layout-rt", 0).normal(size=layout.size)
         spec, noise = materialize(layout, vec)
         np.testing.assert_allclose(
-            ParameterLayout(spec, noise).initial_vector(), vec, rtol=1e-12, atol=1e-12
+            spec_parameter_layout(spec, noise).initial_vector(), vec, rtol=1e-12, atol=1e-12
         )
 
     def test_zero_gamma_is_minus_infinity(self):
         _, template = _family_layout("slfm")
-        full = ParameterLayout(template, np.ones(2))
+        full = spec_parameter_layout(template, np.ones(2))
         vec = full.initial_vector()
         gamma = ["log_gamma" in n for n in full.names()]
         assert np.all(vec[gamma] == -np.inf)
