@@ -187,20 +187,11 @@ def cmd_train(args) -> int:
             trace_fh.close()
     model_path = os.path.join(out_dir, "model.json")
     model_io.save_model(model, model_path, config["family"])
-    metrics = {
-        "log_marginal_likelihood": model.fit_info["log_marginal_likelihood"],
-        "objective": model.fit_info["objective"],
-        "iterations": model.fit_info["iterations"],
-        "winning_restart": model.fit_info["restart"],
-        "num_restarts": train_config.num_restarts,
-        "wall_time_s": model.fit_info["wall_time_s"],
-        "restarts": model.fit_info["restarts"],
-        "timing": model.fit_info["timing"],
-    }
     with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
+        json.dump(model.fit_info, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {model_path} (log marginal likelihood {metrics['log_marginal_likelihood']:.6f})")
+    lml = model.fit_info["log_marginal_likelihood"]
+    print(f"wrote {model_path} (log marginal likelihood {lml:.6f})")
     return 0
 
 
@@ -212,7 +203,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = model_io.load_model(args.model)
     X, tasks, xcols = read_query_csv(args.data)
-    if X.shape[0] > 0 and X.shape[1] != model.input_dim:
+    if X.shape[1] != model.input_dim:
         raise ValidationError(
             f"query has {X.shape[1]} input columns, model expects {model.input_dim}"
         )
@@ -306,39 +297,21 @@ def _parse_study_config(args):
     return benchmark.StudyConfig(**fields), TrainConfig(**train_kwargs)
 
 
-_ROW_FIELDS = [
-    "correlation_target",
-    "correlation_achieved",
-    "aux_a",
-    "aux_b",
-    "n_primary",
-    "n_auxiliary",
-    "replicate",
-    "seed",
-    "gp_rmse",
-    "mtgp_rmse",
-    "percent_improvement",
-]
-
-
 def _write_study_files(result, out_dir: str):
+    """Write the study's files, each from the record it reports."""
     rows_path = os.path.join(out_dir, "study_rows.csv")
-    columns = [[row[f] for row in result.rows] for f in _ROW_FIELDS]
+    header = list(result.rows[0])  # the rows' own keys, in run_study's order
+    columns = [[row[f] for row in result.rows] for f in header]
     # integer fields (sizes, replicate, the 64-bit seed) stay Python ints
     _write_csv(
         rows_path,
-        _ROW_FIELDS,
+        header,
         [np.array(c, dtype=object if all(isinstance(v, int) for v in c) else float) for c in columns],
     )
+    config = dataclasses.asdict(result.config)
+    config["sizes"] = config.pop("size_grid")  # the name study configs give it
     summary = {
-        "config": {
-            "correlations": list(result.config.correlations),
-            "sizes": [list(p) for p in result.config.size_grid],
-            "replicates": result.config.replicates,
-            "n_test": result.config.n_test,
-            "observation_noise": result.config.observation_noise,
-            "seed": result.config.seed,
-        },
+        "config": config,
         "calibrations": {
             f"{target:g}": {
                 "a": params.a,

@@ -183,53 +183,58 @@ def load_model(path):
     parameters, which are checked once and conditioned on. No kernel spec is
     built until ``model.kernel`` is read.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    version = _require(doc, "schema_version")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _decode_model(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    except ValidationError as exc:  # the file is named once, here
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _decode_model(doc) -> MTGPModel:
+    version = _require(doc, "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ValidationError(
-            f"{path}: unsupported model schema version {version} (supported: {SCHEMA_VERSION})"
+            f"unsupported model schema version {version!r} (supported: {SCHEMA_VERSION})"
         )
     model_type = _require(doc, "model_type")
     if model_type not in ("gp", "mtgp"):
-        raise ValidationError(f"{path}: unknown model_type {model_type!r}")
+        raise ValidationError(f"unknown model_type {model_type!r}")
     gp = model_type == "gp"
     kinds = _require(doc, "kernel_kinds", list)
     if not kinds:
-        raise ValidationError(f"{path}: model file key 'kernel_kinds' is empty")
+        raise ValidationError("model file key 'kernel_kinds' is empty")
     for kind in kinds:
         if kind not in KERNEL_KINDS:
-            raise ValidationError(f"{path}: unknown kernel kind {kind!r}")
+            raise ValidationError(f"unknown kernel kind {kind!r}")
     num_tasks = _positive_int(doc, "num_tasks")
     if gp and len(kinds) != 1:
-        raise ValidationError(f"{path}: model file key 'kernel_kinds' of a gp must hold one kind")
+        raise ValidationError("model file key 'kernel_kinds' of a gp must hold one kind")
     if gp and num_tasks != 1:
-        raise ValidationError(f"{path}: model file key 'num_tasks' of a gp must be 1")
+        raise ValidationError("model file key 'num_tasks' of a gp must be 1")
     ranks = [1] if gp else _require(doc, "ranks", list)
     if len(ranks) != len(kinds) or not all(type(r) is int and r >= 1 for r in ranks):
         raise ValidationError(
-            f"{path}: model file key 'ranks' must hold one positive integer per kernel kind"
+            "model file key 'ranks' must hold one positive integer per kernel kind"
         )
     params = _require(doc, "parameters")
     vector = _unhex_all(_require(params, "values_hex", list))
     tasks_doc = _require(_require(doc, "data"), "tasks", list)
     if len(tasks_doc) != num_tasks:
-        raise ValidationError(f"{path}: model file key 'tasks' must hold {num_tasks} tasks")
+        raise ValidationError(f"model file key 'tasks' must hold {num_tasks} tasks")
     dataset = _decode_dataset(tasks_doc)
     if dataset_fingerprint(dataset) != _require(doc, "dataset_fingerprint"):
-        raise ValidationError(f"{path}: data does not match model file key 'dataset_fingerprint'")
+        raise ValidationError("data does not match model file key 'dataset_fingerprint'")
     input_dim = _positive_int(doc, "input_dim")
     if dataset.input_dim != input_dim:
         raise ValidationError(
-            f"{path}: model file key 'input_dim' is {input_dim}, its data has {dataset.input_dim}"
+            f"model file key 'input_dim' is {input_dim}, its data has {dataset.input_dim}"
         )
     if gp:  # the GP conditions on Y - mean_const, with task std 1
         mean_const = _unhex(_require(_require(doc, "mean_const"), "hex"))
         if not math.isfinite(mean_const):
-            raise ValidationError(f"{path}: model file key 'mean_const' must be finite")
+            raise ValidationError("model file key 'mean_const' must be finite")
         means, stds, standardized = np.array([mean_const]), np.ones(1), False
     else:
         standardized = _require(doc, "standardize", bool)
@@ -237,13 +242,13 @@ def load_model(path):
     layout = ExactGPLayout(kinds, ranks, dataset, learn_W=not gp, learn_gamma=not gp)
     layout.scale(means, stds)
     if vector.shape[0] != layout.size:
-        raise ValidationError(f"{path}: parameter vector has wrong length")
+        raise ValidationError("parameter vector has wrong length")
     with np.errstate(over="ignore"):
         natural = layout.natural_batch(vector[None])[0]
     # lengthscales and signal variances lead the natural order
     if not np.isfinite(natural).all() or np.any(natural[: layout.group_slices[1].stop] <= 0.0):
         raise ValidationError(
-            f"{path}: parameter values must transform to finite numbers, "
+            "parameter values must transform to finite numbers, "
             "with positive lengthscales and signal variances"
         )
     layout.template = natural

@@ -13,7 +13,8 @@ the family's start, and the seeded restart vectors; then one
 vectorized objective of a :class:`~mtgp.multitask.LayoutStack` of their
 layouts (one dataset is a stack of one); then per fit the winner, set as
 its layout's template and conditioned on there (no kernel spec is built),
-and ``fit_info``, whose ``wall_time_s`` and ``timing`` are the whole
+and ``fit_info``, the one record of the fit, which ``mtgp train`` writes
+as ``metrics.json``; its ``wall_time_s`` and ``timing`` are the whole
 batch's. The objective computes each row on its own, so a fit's result is
 bitwise the one it gets when trained alone. :func:`train_mtgp_batch` runs
 the driver on multi-task data and :func:`train_gp_batch` as the one-task
@@ -44,6 +45,7 @@ W_INIT_STD = 0.5
 # nearly independent and coupling grows only where the data supports it
 LMC_W_INIT_STD = 0.2
 LMC_GAMMA_INIT_FRACTION = 0.6
+GRADIENT_CHECK_STEP = 1e-6
 
 
 def _is_integer(value) -> bool:
@@ -114,7 +116,7 @@ class MTGPFamily:
 # ---------------------------------------------------------------------------
 
 
-def check_gradients(objective, point, step: float = 1e-6) -> float:
+def check_gradients(objective, point) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
     ``objective(v)`` must return ``(value, gradient)``. The denominator is
@@ -126,11 +128,11 @@ def check_gradients(objective, point, step: float = 1e-6) -> float:
     worst = 0.0
     for i in range(point.size):
         shifted = point.copy()
-        shifted[i] = point[i] + step
+        shifted[i] = point[i] + GRADIENT_CHECK_STEP
         up, _ = objective(shifted)
-        shifted[i] = point[i] - step
+        shifted[i] = point[i] - GRADIENT_CHECK_STEP
         down, _ = objective(shifted)
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * GRADIENT_CHECK_STEP)
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
@@ -146,15 +148,15 @@ class AdamRun:
     """Outcome of :func:`adam_maximize` for a batch of B problems.
 
     Per-row arrays, except ``iterations``: the number of batch steps taken,
-    which is the most any row took. ``value`` is NaN for rows whose initial
-    point failed (``failed``). ``stop_reasons`` holds ``converged``,
-    ``max_iterations`` or ``objective_failed: <message>`` per row, and
-    ``jitter_escalations`` counts the row's evaluations whose Cholesky
-    factorization needed more than the base jitter. ``timing`` holds the
-    run's seconds per objective phase (``<phase>_s`` for each of
-    :data:`~mtgp.multitask.PHASES`), ``adam_step_s`` for everything else
-    (the Adam update, the per-row bookkeeping and call overhead) and
-    ``objective_calls``.
+    which is the most any row took. ``value`` is the best objective a row
+    reached, NaN for a row whose initial point failed. ``stop_reasons``
+    holds ``converged``, ``max_iterations`` or ``objective_failed:
+    <message>`` per row, and ``jitter_escalations`` counts the row's
+    evaluations whose Cholesky factorization needed more than the base
+    jitter. ``timing`` holds the run's seconds per objective phase
+    (``<phase>_s`` for each of :data:`~mtgp.multitask.PHASES`),
+    ``adam_step_s`` for everything else (the Adam update, the per-row
+    bookkeeping and call overhead) and ``objective_calls``.
     """
 
     vector: np.ndarray
@@ -162,8 +164,6 @@ class AdamRun:
     initial_value: np.ndarray
     iterations: int
     row_iterations: np.ndarray
-    converged: np.ndarray
-    failed: np.ndarray
     stop_reasons: list
     jitter_escalations: np.ndarray
     timing: dict
@@ -189,58 +189,46 @@ def adam_maximize(
 
     ``x0`` has shape (B, n). ``objective(X, rows)`` receives the (b, n)
     iterates of the rows still running and their ascending indices into
-    ``x0``, and returns an :class:`~mtgp.multitask.LMLBatch` for them. Each
-    row keeps the best iterate it has seen (its initialization
-    included), so its reported value never falls below the initial one. A
-    row stops when its objective changed by less than the relative
-    tolerance over the last :data:`CONVERGENCE_WINDOW` iterations, or when
-    its objective fails (Cholesky failure or a non-finite value); a failed
-    step is rejected and the row keeps its best iterate. Rows never
-    influence each other. ``trace(row, iteration, value, grad_norm)`` is
-    called per row and evaluation, iteration by iteration.
+    ``x0``, and returns an :class:`~mtgp.multitask.LMLBatch` for them. Step
+    0 evaluates the initial points, each later step one Adam update. Each
+    row keeps the best iterate it has seen (its initialization included),
+    so its reported value never falls below the initial one. A row stops
+    when its objective changed by less than the relative tolerance over the
+    last :data:`CONVERGENCE_WINDOW` iterations, or when its objective fails
+    (Cholesky failure or a non-finite value); a failed step is rejected and
+    the row keeps its best iterate, a NaN value if it failed at step 0. Rows
+    never influence each other. ``trace(row, iteration, value, grad_norm)``
+    is called per row and successful evaluation, iteration by iteration.
     """
     started = time.perf_counter()
     x = np.array(x0, dtype=float)
     B = x.shape[0]
-    batch = objective(x, np.arange(B))
-    phases, calls = list(batch.phases), 1
-    initial_value = np.array(batch.values, dtype=float)
-    best_x, best_value = x.copy(), initial_value.copy()
-    escalations = np.array(batch.escalated, dtype=int)
+    best_x, best_value = x.copy(), np.full(B, np.nan)
+    escalations = np.zeros(B, dtype=int)
     row_iterations = np.zeros(B, dtype=int)
-    converged = np.zeros(B, dtype=bool)
-    failed = np.zeros(B, dtype=bool)
     stop_reasons = ["max_iterations"] * B
-    for r, message in _failures(batch).items():
-        failed[r] = True
-        best_value[r] = np.nan
-        stop_reasons[r] = f"objective_failed: {message}"
-    rows = np.flatnonzero(~failed)
-    if trace is not None:
-        _trace_rows(trace, rows, 0, initial_value[rows], batch.grads[rows])
-
+    phases, calls = [0.0] * len(PHASES), 0
     # the state of the rows still running, compacted to those rows
-    x, grad = x[rows], np.asarray(batch.grads)[rows]
-    bx, bv = x.copy(), initial_value[rows]
+    rows, bx, bv = np.arange(B), x.copy(), best_value.copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     window = CONVERGENCE_WINDOW + 1
-    history = np.empty((window, rows.size))
-    history[0] = bv
-    for t in range(1, config.max_iterations + 1):
-        if rows.size == 0:
-            break
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad**2
-        mhat = m / (1.0 - ADAM_BETA1**t)
-        vhat = v / (1.0 - ADAM_BETA2**t)
-        x += config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    history = np.empty((window, B))
+    for t in range(config.max_iterations + 1):
+        if t > 0:
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad**2
+            mhat = m / (1.0 - ADAM_BETA1**t)
+            vhat = v / (1.0 - ADAM_BETA2**t)
+            x += config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
         batch = objective(x, rows)
         values, grad = batch.values, batch.grads
         phases = [a + b for a, b in zip(phases, batch.phases)]
         calls += 1
+        if t == 0:
+            initial_value = np.array(values, dtype=float)
         if batch.escalated.any():
             escalations[rows] += batch.escalated
         failures = _failures(batch)
@@ -250,7 +238,7 @@ def adam_maximize(
             stop_reasons[rows[i]] = f"objective_failed: {message}"
         if trace is not None:
             _trace_rows(trace, rows[~stop], t, values[~stop], grad[~stop])
-        better = values > bv
+        better = ~(values <= bv)  # true against the NaN before a row's first value
         if failures:
             better &= ~stop
         np.copyto(bv, values, where=better)
@@ -265,7 +253,6 @@ def adam_maximize(
                 done &= ~stop
             if done.any():
                 for r in rows[done]:
-                    converged[r] = True
                     stop_reasons[r] = "converged"
                 stop |= done
                 finished = True
@@ -276,6 +263,8 @@ def adam_maximize(
             keep = ~stop
             rows, x, grad, m, v = rows[keep], x[keep], grad[keep], m[keep], v[keep]
             bx, bv, history = bx[keep], bv[keep], history[:, keep]
+        if rows.size == 0:
+            break
     row_iterations[rows] = config.max_iterations
     best_x[rows] = bx
     best_value[rows] = bv
@@ -288,8 +277,6 @@ def adam_maximize(
         initial_value,
         int(row_iterations.max(initial=0)),
         row_iterations,
-        converged,
-        failed,
         stop_reasons,
         escalations,
         timing,
@@ -338,15 +325,16 @@ def _restart_diagnostics(run: AdamRun, rows: range) -> list:
     """One dict per restart of a fit whose restarts are ``rows`` of the batch run."""
     diagnostics = []
     for r, row in enumerate(rows):
-        info = {"restart": r, "status": "failed" if run.failed[row] else "ok"}
-        if run.failed[row]:
+        failed = np.isnan(run.value[row])
+        info = {"restart": r, "status": "failed" if failed else "ok"}
+        if failed:
             info["error"] = run.stop_reasons[row]
         else:
             info.update(
                 initial_objective=float(run.initial_value[row]),
                 final_objective=float(run.value[row]),
                 iterations=int(run.row_iterations[row]),
-                converged=bool(run.converged[row]),
+                converged=run.stop_reasons[row] == "converged",
             )
         info["stop_reason"] = run.stop_reasons[row]
         info["jitter_escalations"] = int(run.jitter_escalations[row])
@@ -417,8 +405,8 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
     through the layouts' :class:`LayoutStack`, so a fit's result does not
     depend on which other fits share its batch. Each fit's winner becomes
     its layout's template, and ``fit(layout)`` conditions on it; its model
-    gets ``fit_info``, whose ``wall_time_s`` and ``timing`` are the whole
-    batch's.
+    gets ``fit_info`` (``metrics.json``'s keys), whose ``wall_time_s`` and
+    ``timing`` are the whole batch's.
     """
     started = time.perf_counter()
     datasets, seeds = list(datasets), list(seeds)
@@ -442,11 +430,10 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
     for i, (layout, log_scale) in enumerate(fits):
         rows = range(i * R, (i + 1) * R)
         diagnostics = _restart_diagnostics(run, rows)
-        failed = run.failed[rows]
-        if failed.all():
+        if np.isnan(run.value[rows]).all():
             where = f" in fit {i} of {len(fits)}" if len(fits) > 1 else ""
             raise TrainingFailedError(f"all restarts failed{where}", diagnostics)
-        restart = int(np.argmax(np.where(failed, -np.inf, run.value[rows])))
+        restart = int(np.nanargmax(run.value[rows]))
         row = rows[restart]
         layout.template = layout.natural_batch(run.vector[row][None])[0]
         model = fit(layout)
@@ -454,7 +441,8 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
             "log_marginal_likelihood": float(run.value[row]) - log_scale,
             "objective": float(run.value[row]),
             "iterations": int(run.row_iterations[row]),
-            "restart": restart,
+            "winning_restart": restart,
+            "num_restarts": R,
             "wall_time_s": None,  # the whole batch's, set below
             "timing": dict(run.timing),  # the whole batch's
             "restarts": diagnostics,

@@ -90,6 +90,9 @@ BAD_TRANSFORM = "parameter values must transform to finite numbers"
 MEAN_CONST = "model file key 'mean_const' must be finite"
 MODEL_FILE_BAD_VALUES = {
     "kernel_kinds-empty": ("gp", lambda doc: doc.update(kernel_kinds=[]), "'kernel_kinds'"),
+    "schema_version-true": ("gp", lambda doc: doc.update(schema_version=True), "'schema_version'"),
+    "schema_version-float": ("gp", lambda doc: doc.update(schema_version=1.0), "'schema_version'"),
+    "schema_version-string": ("gp", lambda doc: doc.update(schema_version="1"), "'schema_version'"),
     "tasks-number": ("mtgp-slfm", lambda doc: doc["data"].update(tasks=5), "'tasks'"),
     "input_dim-string": ("mtgp-slfm", lambda doc: doc.update(input_dim="abc"), "'input_dim'"),
     "num_tasks-negative": ("mtgp-slfm", lambda doc: doc.update(num_tasks=-1), "'num_tasks'"),
@@ -250,6 +253,15 @@ class TestTrainPredict:
         assert cli.main(["predict", "--model", str(out / "model.json"), "--data", str(query), "--out", str(preds)]) == 0
         assert preds.read_text(encoding="utf-8") == "x1,task,mean,stddev\n"
 
+    def test_header_only_query_of_the_wrong_width_exits_2(self, tmp_path, capsys):
+        model = train_model(tmp_path, "gp")
+        query = tmp_path / "query.csv"
+        query.write_text("x1,x2,task\n", encoding="utf-8")
+        preds = tmp_path / "p.csv"
+        assert cli.main(["predict", "--model", str(model), "--data", str(query), "--out", str(preds)]) == 2
+        assert "query has 2 input columns, model expects 1" in capsys.readouterr().err
+        assert not preds.exists()
+
     def test_query_task_out_of_range_exits_2(self, tmp_path):
         data = write_two_task_csv(tmp_path / "data.csv")
         config = write_config(tmp_path / "config.json")
@@ -357,11 +369,13 @@ class TestTrainPredict:
 class TestBadInputExitCodes:
     """Bad input exits 2 with a one-line error, never a traceback."""
 
-    def _assert_exit_2(self, argv, capsys, needle):
+    def _assert_exit_2(self, argv, capsys, needle, path=None):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
         assert "Traceback" not in err and err.count("\n") == 1  # one line
+        if path is not None:  # the message names the file once, at its start
+            assert err.startswith(f"error: {path}: ") and err.count(str(path)) == 1
 
     @pytest.mark.parametrize(
         "command,header,needle",
@@ -496,7 +510,7 @@ class TestBadInputExitCodes:
         query = tmp_path / "query.csv"
         query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
         argv = ["predict", "--model", str(bad), "--data", str(query), "--out", str(tmp_path / "p.csv")]
-        self._assert_exit_2(argv, capsys, needle)
+        self._assert_exit_2(argv, capsys, needle, path=bad)
 
     @pytest.mark.parametrize("damage", list(MODEL_FILE_BAD_VALUES))
     def test_model_file_bad_value_exits_2(self, tmp_path, capsys, damage):
@@ -508,7 +522,7 @@ class TestBadInputExitCodes:
         query = tmp_path / "query.csv"
         query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
         argv = ["predict", "--model", str(bad), "--data", str(query), "--out", str(tmp_path / "p.csv")]
-        self._assert_exit_2(argv, capsys, needle)
+        self._assert_exit_2(argv, capsys, needle, path=bad)
 
     def test_model_file_overflowing_covariance_exits_3(self, tmp_path, capsys):
         # finite, well-typed parameters whose joint covariance is not finite
@@ -775,14 +789,25 @@ class TestModelIO:
 
     @pytest.mark.parametrize("family", ["gp", "mtgp-slfm", "mtgp-lmc"])
     def test_training_reproduces_its_model_file(self, tmp_path, family):
-        # trained_*.json hold the model files `mtgp train` wrote for this data and config
+        # trained_<family>.json, _metrics.json (without the run's times) and _trace.jsonl
+        # hold what `mtgp train` wrote for this data and config
         extra = {"kernel": "matern52", "rank": 2} if family == "mtgp-lmc" else {}
         config = write_config(tmp_path / "config.json", family=family, max_iterations=100, **extra)
         data = os.path.join(FIXTURES, "train_one_task.csv" if family == "gp" else "train_two_tasks.csv")
         out = tmp_path / "run"
-        assert cli.main(["train", "--data", data, "--config", str(config), "--out", str(out)]) == 0
-        with open(os.path.join(FIXTURES, f"trained_{family}.json"), "rb") as fh:
-            assert (out / "model.json").read_bytes() == fh.read()
+        argv = ["train", "--data", data, "--config", str(config), "--out", str(out)]
+        assert cli.main([*argv, "--trace", str(tmp_path / "trace.jsonl")]) == 0
+        metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+        del metrics["timing"], metrics["wall_time_s"]
+        stripped = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+        pinned = {
+            f"trained_{family}.json": (out / "model.json").read_bytes(),
+            f"trained_{family}_metrics.json": stripped.encode(),
+            f"trained_{family}_trace.jsonl": (tmp_path / "trace.jsonl").read_bytes(),
+        }
+        for name, written in pinned.items():
+            with open(os.path.join(FIXTURES, name), "rb") as fh:
+                assert written == fh.read(), name
 
     def test_load_builds_one_layout_and_scales_once(self, build_counts):
         # the one dataset is the file's data; the layout scales its targets itself
@@ -884,7 +909,15 @@ class TestBenchmarkCommand:
             assert (diag["fits"], diag["restarts"], diag["failed_restarts"]) == (2, 4, 0)
             assert sum(diag["stop_reasons"].values()) == 4
             assert diag["iterations_max"] <= 40
-        assert list(rows[0]) == cli._ROW_FIELDS
+        # the header and config block the study files have always carried
+        assert list(rows[0]) == [
+            "correlation_target", "correlation_achieved", "aux_a", "aux_b", "n_primary",
+            "n_auxiliary", "replicate", "seed", "gp_rmse", "mtgp_rmse", "percent_improvement",
+        ]
+        assert json.dumps(summary["config"], sort_keys=True) == (
+            '{"correlations": [0.89], "n_test": 20, "observation_noise": 0.0, '
+            '"replicates": 2, "seed": 0, "sizes": [[4, 4]]}'
+        )
         assert (out / "series_functions_r0.89.csv").exists()
         assert (out / "series_predictions_r0.89_t1-4_t2-4.csv").exists()
 
