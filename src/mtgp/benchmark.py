@@ -220,6 +220,7 @@ class StudyConfig:
 @dataclass
 class StudyResult:
     config: StudyConfig
+    train: TrainConfig  # the training every fit of the study ran
     calibrations: dict  # target -> ForresterParams
     achieved: dict  # target -> achieved_correlation of its calibration
     rows: list  # per-replicate dicts
@@ -384,7 +385,7 @@ def run_study(study: StudyConfig, train_config: TrainConfig = STUDY_TRAIN_CONFIG
     aggregates.sort(
         key=lambda r: (-r["correlation_target"], r["n_primary"], r["n_auxiliary"])
     )
-    return StudyResult(study, calibrations, achieved, rows, aggregates, series)
+    return StudyResult(study, train_config, calibrations, achieved, rows, aggregates, series)
 
 
 def training_diagnostics(fit_infos) -> dict:

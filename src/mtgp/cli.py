@@ -22,6 +22,7 @@ from .errors import (
     MTGPError,
     ShapeError,
     ValidationError,
+    not_utf8,
 )
 from .kernels import KERNEL_KINDS, SQUARED_EXPONENTIAL
 from .multitask import mtgp_predict
@@ -57,6 +58,8 @@ def _load_json(path) -> dict:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top-level JSON value must be an object")
     return doc
@@ -310,6 +313,7 @@ def _write_study_files(result, out_dir: str):
     )
     config = dataclasses.asdict(result.config)
     config["sizes"] = config.pop("size_grid")  # the name study configs give it
+    config["train"] = dataclasses.asdict(result.train)
     summary = {
         "config": config,
         "calibrations": {

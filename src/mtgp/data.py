@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError, not_utf8
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +143,16 @@ def _row_blocks(reader):
 
 
 def _read_table(path, value_names: tuple, check_row, block_ok):
+    """Open ``path`` and parse it with :func:`_parse_table`; a file that is
+    not UTF-8 text is a :class:`ValidationError`."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _parse_table(path, csv.reader(fh), value_names, check_row, block_ok)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+
+
+def _parse_table(path, reader, value_names: tuple, check_row, block_ok):
     """Parse a CSV of float columns x1..xP plus ``value_names`` and an integer
     ``task`` column, CSV_BLOCK_ROWS rows at a time.
 
@@ -156,48 +166,46 @@ def _read_table(path, value_names: tuple, check_row, block_ok):
     row, the float columns, the tasks).
     """
     required = ("task", *value_names)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file, header row required")
-        fields = [f.strip() for f in header]
-        xcols = _input_columns(fields)
-        extras = set(fields) - set(xcols) - set(required)
-        if extras:
-            raise ValidationError(f"{path}: unknown columns {sorted(extras)}")
-        repeated = sorted({f for f in fields if fields.count(f) > 1})
-        if repeated:
-            raise ValidationError(f"{path}: repeated columns {repeated}")
-        for name in required:
-            if name not in fields:
-                raise ValidationError(f"{path}: missing required column '{name}'")
-        width = len(fields)
-        value_index = [fields.index(c) for c in xcols + list(value_names)]
-        task_index = fields.index("task")
-        all_lines, values, tasks = [], [[] for _ in value_index], []
-        for lines, rows in _row_blocks(reader):
-            try:
-                if set(map(len, rows)) != {width}:
-                    raise ValueError("rows of unequal length")
-                columns = list(zip(*rows))
-                block = [list(map(float, columns[i])) for i in value_index]
-                block_tasks = list(map(int, columns[task_index]))
-                if not block_ok(block, block_tasks, columns[task_index]):
-                    raise ValueError("a row breaks the row rules")
-            except (TypeError, ValueError):
-                for line, row in zip(lines, rows):
-                    if len(row) > width:
-                        raise ValidationError(
-                            f"{path}: line {line}: {len(row)} fields, the header has {width}"
-                        ) from None
-                    row = row + [None] * (width - len(row))
-                    check_row(path, line, [row[i] for i in value_index], row[task_index])
-                raise  # every failed block holds a bad row
-            all_lines += lines
-            for column, v in zip(values, block):
-                column += v
-            tasks += block_tasks
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError(f"{path}: empty file, header row required")
+    fields = [f.strip() for f in header]
+    xcols = _input_columns(fields)
+    extras = set(fields) - set(xcols) - set(required)
+    if extras:
+        raise ValidationError(f"{path}: unknown columns {sorted(extras)}")
+    repeated = sorted({f for f in fields if fields.count(f) > 1})
+    if repeated:
+        raise ValidationError(f"{path}: repeated columns {repeated}")
+    for name in required:
+        if name not in fields:
+            raise ValidationError(f"{path}: missing required column '{name}'")
+    width = len(fields)
+    value_index = [fields.index(c) for c in xcols + list(value_names)]
+    task_index = fields.index("task")
+    all_lines, values, tasks = [], [[] for _ in value_index], []
+    for lines, rows in _row_blocks(reader):
+        try:
+            if set(map(len, rows)) != {width}:
+                raise ValueError("rows of unequal length")
+            columns = list(zip(*rows))
+            block = [list(map(float, columns[i])) for i in value_index]
+            block_tasks = list(map(int, columns[task_index]))
+            if not block_ok(block, block_tasks, columns[task_index]):
+                raise ValueError("a row breaks the row rules")
+        except (TypeError, ValueError):
+            for line, row in zip(lines, rows):
+                if len(row) > width:
+                    raise ValidationError(
+                        f"{path}: line {line}: {len(row)} fields, the header has {width}"
+                    ) from None
+                row = row + [None] * (width - len(row))
+                check_row(path, line, [row[i] for i in value_index], row[task_index])
+            raise  # every failed block holds a bad row
+        all_lines += lines
+        for column, v in zip(values, block):
+            column += v
+        tasks += block_tasks
     return xcols, all_lines, values, tasks
 
 

@@ -43,3 +43,9 @@ class TrainingFailedError(MTGPError):
 
 class ValidationError(MTGPError, ValueError):
     """User-supplied file or configuration failed schema validation."""
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> ValidationError:
+    """The error for a file ``path`` whose bytes do not decode as UTF-8."""
+    bad = exc.object[exc.start : exc.end].hex()
+    return ValidationError(f"{path}: not UTF-8 text: byte 0x{bad}: {exc.reason}")

@@ -5,12 +5,44 @@ The solves call LAPACK's ``dpotrs`` and ``dtrtrs`` with the arguments
 ``scipy.linalg.cho_solve`` and ``solve_triangular`` pass for a C-ordered
 float64 factor, so they return the wrappers' bits without their per-call
 cost, and reject a non-finite operand as the wrappers' ``check_finite`` does.
+
+The three LAPACK routines come from scipy's own extension module
+``scipy/linalg/_flapack``, the one ``scipy.linalg.lapack`` re-exports them
+from, loaded by file path so that ``scipy.linalg`` is never imported:
+importing it pulls in scipy's array-API shim, which clones numpy with
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, and took about 0.39 s of
+the 0.59 s ``import mtgp.cli`` took. Loading the extension alone takes about
+8 ms, and its routines are the same compiled code, so they return the same
+bits. The module is kept out of ``sys.modules``.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtri, dtrtrs
+import scipy
 
 from .errors import IllConditionedKernelError, NonFiniteError
+
+
+def _load_flapack():
+    """scipy's ``linalg/_flapack`` extension, executed from its file."""
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [directory])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack was not found in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # creating the extension entered it in sys.modules under its bare name
+    if sys.modules.get(spec.name) is module:
+        del sys.modules[spec.name]
+    return module
+
+
+_flapack = _load_flapack()
+dpotrs, dtrtri, dtrtrs = _flapack.dpotrs, _flapack.dtrtri, _flapack.dtrtrs
 
 BASE_JITTER_REL = 1e-8
 MAX_JITTER_REL = 1e-4
@@ -66,13 +98,14 @@ def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, d
     return L, rel, jitter, errors
 
 
-def cholesky_inverse_batch(L: np.ndarray) -> np.ndarray:
+def cholesky_inverse_batch(L: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``K^{-1} = L^{-T} L^{-1}`` for each lower factor of a C-ordered stack L
-    (B, N, N), which is overwritten with ``L^{-1}``."""
+    (B, N, N), which is overwritten with ``L^{-1}``; written to and returning
+    ``out`` (B, N, N)."""
     for b in range(L.shape[0]):
         # L[b].T is L^T in Fortran order, so LAPACK inverts it in place
         dtrtri(L[b].T, lower=0, overwrite_c=1)
-    return L.swapaxes(-1, -2) @ L
+    return np.matmul(L.swapaxes(-1, -2), L, out=out)
 
 
 def _require_finite(L: np.ndarray, b: np.ndarray, solve: str):

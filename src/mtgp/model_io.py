@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .data import MultiTaskDataset, task_scaling
-from .errors import ValidationError
+from .errors import ValidationError, not_utf8
 from .kernels import KERNEL_KINDS
 from .multitask import ExactGPLayout, MTGPModel, ParameterLayout, _condition
 
@@ -188,6 +188,8 @@ def load_model(path):
             return _decode_model(json.load(fh))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     except ValidationError as exc:  # the file is named once, here
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -140,8 +140,9 @@ def _condition(layout: "ExactGPLayout", standardized) -> MTGPModel:
     """
     noise = layout.template[layout.group_slices[2]]
     np.maximum(noise, NOISE_FLOOR, out=noise)
+    work = Workspace.of(layout, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        K, _ = _assemble(layout, layout.sqdiff, *layout.groups(layout.template[None]))
+        K, _ = _assemble(layout, layout.sqdiff, *layout.groups(layout.template[None]), work)
         L, _, jitter, errors = cholesky_batch(K)
     if errors:
         raise IllConditionedKernelError(errors[0])
@@ -233,6 +234,42 @@ class LMLBatch(NamedTuple):
     escalated: np.ndarray
     errors: dict
     phases: tuple = (0.0,) * 5
+
+
+class Workspace(NamedTuple):
+    """Preallocated buffers for the objective's (rows, Q, N, N) and
+    (rows, N, N) temporaries, so that evaluating a batch allocates and frees
+    none of them. A batch of B <= rows rows computes into their leading
+    ``[:B]`` views (:meth:`head`) with ``out=``, which gives the bits the
+    allocating expressions give. Without it each call of a study-sized batch
+    allocates and frees about 1 MB, which glibc's allocator hands back to the
+    OS and faults in again on the next call.
+
+    The buffers are views of one block: above glibc's initial 128 KiB mmap
+    threshold it is mapped, and freeing it raises the threshold, so later
+    stacks' workspaces come from the heap and are not faulted in again. (From
+    a study's third operation in one process on, 0-3 page faults each,
+    against about 150 with one allocation per buffer.)
+    """
+
+    unit: np.ndarray  # the profile argument z, overwritten with the unit kernel
+    mask: np.ndarray  # s2_q B_q[task_i, task_j]
+    Km: np.ndarray  # mask * unit
+    K: np.ndarray
+    Kinv: np.ndarray
+    M: np.ndarray  # alpha alpha^T - K^{-1}
+    G: np.ndarray  # M * dK/d(log l_p) without its distance factor, then M * unit
+
+    @classmethod
+    def of(cls, layout: "ExactGPLayout", rows: int) -> "Workspace":
+        Q, _, _, N = layout.shape
+        shapes = ((rows, Q, N, N),) * 3 + ((rows, N, N),) * 3 + ((rows, Q, N, N),)
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        views = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        return cls(*(view.reshape(shape) for view, shape in zip(views, shapes)))
+
+    def head(self, B: int) -> "Workspace":
+        return Workspace(*(buffer[:B] for buffer in self))
 
 
 # the objective's phases, in the order of ``LMLBatch.phases``
@@ -405,7 +442,8 @@ class ExactGPLayout(ParameterLayout):
 
     def evaluate_template(self) -> LMLBatch:
         """The B=1 batch of the template's own parameters, with no transform round trip."""
-        return _lml_batch(self, self.template[None], self.sqdiff, self.y, time.perf_counter())
+        started, work = time.perf_counter(), Workspace.of(self, 1)
+        return _lml_batch(self, self.template[None], self.sqdiff, self.y, work, started)
 
 
 def spec_layout(spec, noise_variances, dataset, learn_W=True, learn_gamma=True) -> ExactGPLayout:
@@ -445,9 +483,10 @@ class LayoutStack:
     layout ``owner[i]``: ``rows_per_layout`` consecutive rows each. The data
     is stacked, ``sqdiff`` (F, P, N*N) and ``y`` (F, N), and
     :meth:`evaluate` picks each running row's dataset by its row index.
-    The objective computes every row on its own, so a row's value and
-    gradient are bitwise the same whichever rows run beside it, in this
-    stack or in a one-row stack of its layout alone.
+    One :class:`Workspace` sized for all rows holds the temporaries of every
+    evaluation. The objective computes every row on its own, so a row's
+    value and gradient are bitwise the same whichever rows run beside it, in
+    this stack or in a one-row stack of its layout alone.
     """
 
     def __init__(self, layouts, rows_per_layout: int):
@@ -458,20 +497,21 @@ class LayoutStack:
         self.sqdiff = np.stack([layout.sqdiff for layout in layouts])
         self.y = np.stack([layout.y for layout in layouts])
         self.owner = np.repeat(np.arange(len(layouts)), rows_per_layout)
-        self._rows = self._data = None  # the running rows and their (sqdiff, y)
+        self.work = Workspace.of(first, self.owner.size)
+        self._rows = self._data = None  # the running rows and their (sqdiff, y, workspace)
 
     def evaluate(self, X: np.ndarray, rows: np.ndarray) -> LMLBatch:
         """Log marginal likelihood and flat gradient of X (B, size), row b of
         which is initial row ``rows[b]``.
 
-        The running rows' data is gathered again only when ``rows`` changes,
-        which happens when a row stops.
+        The running rows' data and workspace views are taken again only when
+        ``rows`` changes, which happens when a row stops.
         """
         started = time.perf_counter()
         if self._rows is None or not np.array_equal(rows, self._rows):
             owner = self.owner[rows]
             self._rows = np.array(rows)
-            self._data = (self.sqdiff[owner], self.y[owner])
+            self._data = (self.sqdiff[owner], self.y[owner], self.work.head(len(rows)))
         nat = self.layout.natural_batch(X)
         return _lml_batch(self.layout, nat, *self._data, started)
 
@@ -519,7 +559,7 @@ def _task_covariances(layout: ExactGPLayout, W, gamma) -> np.ndarray:
     return Bq
 
 
-def _assemble(layout: ExactGPLayout, sqdiff, ls, s2, noise, gamma, W):
+def _assemble(layout: ExactGPLayout, sqdiff, ls, s2, noise, gamma, W, work: Workspace):
     """Joint covariance ``K`` (B, N, N) of a batch of natural parameters.
 
     The kernel profile's factor rides on the inverse squared lengthscales,
@@ -527,6 +567,8 @@ def _assemble(layout: ExactGPLayout, sqdiff, ls, s2, noise, gamma, W):
     weighted by its ``s2_q B_q`` task mask, and the per-task noise lands on
     the diagonal. ``sqdiff`` is the layout's (P, N*N) or one per row,
     (B, P, N*N); parameters as :meth:`ParameterLayout.groups` gives them.
+    ``K``, ``unit``, ``mask`` and ``Km`` are buffers of ``work``, a
+    :class:`Workspace` of B rows.
     Also returns the per-term pieces the gradient reuses: ``(inv_ls2, unit,
     slope, Bq, mask, Km)`` with ``Km = mask * unit``, where ``slope is
     unit`` for SE.
@@ -534,22 +576,27 @@ def _assemble(layout: ExactGPLayout, sqdiff, ls, s2, noise, gamma, W):
     Q, D, P, N = layout.shape
     B = ls.shape[0]
     inv_ls2 = ls**-2.0
-    z = ((inv_ls2 * layout.profile_scale) @ sqdiff).reshape(B, Q, N, N)
+    z = work.unit
+    np.matmul(inv_ls2 * layout.profile_scale, sqdiff, out=z.reshape(B, Q, N * N))
     if len(layout.kind_groups) == 1:
         unit, slope = kernels.kernel_profile(layout.kind_groups[0][0], z)
     else:
-        unit, slope = np.empty_like(z), np.empty_like(z)
-        for kind, qs in layout.kind_groups:
+        unit, slope = z, np.empty_like(z)
+        for kind, qs in layout.kind_groups:  # z[:, qs] is a copy
             unit[:, qs], slope[:, qs] = kernels.kernel_profile(kind, z[:, qs])
     Bq = _task_covariances(layout, W, gamma)
-    mask = np.take((Bq * s2[..., None, None]).reshape(B, Q, D * D), layout.pair_index, axis=-1)
-    Km = mask * unit
-    K = Km.sum(axis=1)
+    # the indices are valid; mode="raise" would buffer the output
+    mask = np.take(
+        (Bq * s2[..., None, None]).reshape(B, Q, D * D), layout.pair_index, axis=-1,
+        out=work.mask, mode="clip",
+    )
+    Km = np.multiply(mask, unit, out=work.Km)
+    K = np.sum(Km, axis=1, out=work.K)
     K.reshape(B, N * N)[:, :: N + 1] += noise[:, layout.tasks]
     return K, (inv_ls2, unit, slope, Bq, mask, Km)
 
 
-def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, started: float) -> LMLBatch:
+def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, work: Workspace, started: float) -> LMLBatch:
     """Value and flat gradient of the joint log marginal likelihood.
 
     ``nat`` holds the natural parameters (B, F) of the batch's rows,
@@ -561,8 +608,10 @@ def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, started: float) -> LMLBatc
     adding ``rel tr(M) / N`` to M's diagonal carries its derivative. Per
     term, ``T = E^T (M * K_q) E`` sums M * K_q over task blocks, so dL/dW =
     T W, dL/d(log gamma) = gamma diag(T) / 2 and dL/d(log s2) = sum(B_q *
-    T) / 2. Gradients of positive parameters are in log space. ``started``
-    is the evaluation's start, from which the phases are timed.
+    T) / 2. Gradients of positive parameters are in log space. The large
+    temporaries live in ``work``, a :class:`Workspace` of B rows; ``values``
+    and ``grads`` are new arrays.
+    ``started`` is the evaluation's start, from which the phases are timed.
     """
     Q, D, P, N = layout.shape
     B = nat.shape[0]
@@ -570,7 +619,7 @@ def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, started: float) -> LMLBatc
         ls, s2, noise, gamma, W = layout.groups(nat)
         t_natural = time.perf_counter()
         K, (inv_ls2, unit, slope, Bq, mask, Km) = _assemble(
-            layout, sqdiff, ls, s2, noise, gamma, W
+            layout, sqdiff, ls, s2, noise, gamma, W, work
         )
         t_assembled = time.perf_counter()
         L, rel, _, errors = cholesky_batch(K)
@@ -578,25 +627,31 @@ def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, started: float) -> LMLBatc
             L[list(errors)] = np.eye(N)
         half_logdet = np.log(L.reshape(B, N * N)[:, :: N + 1]).sum(axis=1)
         t_factored = time.perf_counter()
-        Kinv = cholesky_inverse_batch(L)
+        Kinv = cholesky_inverse_batch(L, work.Kinv)
         t_inverted = time.perf_counter()
 
         alpha = (Kinv @ y[..., None])[..., 0]
         values = -0.5 * (alpha * y).sum(axis=-1) - half_logdet - layout.log_norm
-        M = alpha[:, :, None] * alpha[:, None, :]
+        M = np.multiply(alpha[:, :, None], alpha[:, None, :], out=work.M)
         M -= Kinv
         M_diag = M.reshape(B, N * N)[:, :: N + 1]
         M_diag += (rel / N * M_diag.sum(axis=1))[:, None]
         # G = M * dK/d(log l_p) without the (d_p / l_p)^2 factor; slope is unit for SE
-        G = M[:, None] * Km if slope is unit else (M[:, None] * mask) * slope
+        if slope is unit:
+            G = np.multiply(M[:, None], Km, out=work.G)
+        else:
+            G = np.multiply(M[:, None], mask, out=work.G)
+            G *= slope
         g_ls = 0.5 * inv_ls2 * (G.reshape(B, Q, N * N) @ sqdiff.swapaxes(-1, -2))
         g_noise = 0.5 * noise * (M_diag[:, None, :] @ layout.onehot)[:, 0]
         if layout.learn_W or layout.learn_gamma:
-            T = layout.onehot.T @ (M[:, None] * unit) @ layout.onehot
+            T = layout.onehot.T @ np.multiply(M[:, None], unit, out=work.G) @ layout.onehot
             T *= s2[..., None, None]
             g_s2 = 0.5 * (Bq * T).sum(axis=(-2, -1))
-        else:  # dK/d(log s2_q) = Km_q, which is G for SE
-            g_s2 = 0.5 * (G if slope is unit else M[:, None] * Km).sum(axis=(-2, -1))
+        else:  # dK/d(log s2_q) = Km_q, and M * Km is G for SE
+            if slope is not unit:
+                G = np.multiply(M[:, None], Km, out=work.G)
+            g_s2 = 0.5 * G.sum(axis=(-2, -1))
         parts = [g_ls.reshape(B, Q * P), g_s2, g_noise]
         if layout.learn_gamma:
             g_gamma = 0.5 * gamma * T.reshape(B, Q, D * D)[..., :: D + 1]

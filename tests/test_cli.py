@@ -492,6 +492,30 @@ class TestBadInputExitCodes:
         self._assert_exit_2(argv, capsys, str(bad))
         assert calls == []
 
+    @pytest.mark.parametrize("command,flag", [("train", "--data"), ("train", "--config"),
+                                              ("predict", "--model"), ("predict", "--data")])
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, command, flag):
+        if command == "train":
+            files = {
+                "--data": write_two_task_csv(tmp_path / "data.csv"),
+                "--config": write_config(tmp_path / "config.json", max_iterations=5),
+                "--out": tmp_path / "o",
+            }
+        else:
+            query = tmp_path / "query.csv"
+            query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
+            files = {
+                "--model": train_model(tmp_path, "mtgp-slfm"),
+                "--data": query,
+                "--out": tmp_path / "p.csv",
+            }
+        bad = files[flag]
+        text = bad.read_bytes()
+        cut = text.index(b"0")  # inside a value of the CSV or the JSON
+        bad.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        argv = [command] + [str(v) for item in files.items() for v in item]
+        self._assert_exit_2(argv, capsys, "not UTF-8 text: byte 0xff", path=bad)
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_query_value_exits_2(self, tmp_path, capsys, bad):
         model = train_model(tmp_path, "mtgp-slfm")
@@ -909,14 +933,17 @@ class TestBenchmarkCommand:
             assert (diag["fits"], diag["restarts"], diag["failed_restarts"]) == (2, 4, 0)
             assert sum(diag["stop_reasons"].values()) == 4
             assert diag["iterations_max"] <= 40
-        # the header and config block the study files have always carried
+        # the header the study files have always carried, and the config block
+        # with the training the study ran
         assert list(rows[0]) == [
             "correlation_target", "correlation_achieved", "aux_a", "aux_b", "n_primary",
             "n_auxiliary", "replicate", "seed", "gp_rmse", "mtgp_rmse", "percent_improvement",
         ]
         assert json.dumps(summary["config"], sort_keys=True) == (
             '{"correlations": [0.89], "n_test": 20, "observation_noise": 0.0, '
-            '"replicates": 2, "seed": 0, "sizes": [[4, 4]]}'
+            '"replicates": 2, "seed": 0, "sizes": [[4, 4]], "train": {'
+            '"convergence_tolerance": 1e-07, "learning_rate": 0.05, "max_iterations": 40, '
+            '"num_restarts": 2, "seed": 0}}'
         )
         assert (out / "series_functions_r0.89.csv").exists()
         assert (out / "series_predictions_r0.89_t1-4_t2-4.csv").exists()

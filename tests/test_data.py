@@ -129,6 +129,17 @@ class TestReadTaskCsv(object):
         with pytest.raises(ValidationError, match="line 3"):
             read_task_csv(path)
 
+    @pytest.mark.parametrize("reader", [read_task_csv, read_query_csv])
+    @pytest.mark.parametrize("rows", [1, 2 * CSV_BLOCK_ROWS])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, reader, rows):
+        # with 2 * CSV_BLOCK_ROWS rows the bad byte is decoded after the first block
+        header = "x1,task,y\n" if reader is read_task_csv else "x1,task\n"
+        row = "0.1,0,1.0\n" if reader is read_task_csv else "0.1,0\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes((header + row * rows).encode() + b"0.2,0\xff\n")
+        with pytest.raises(ValidationError, match=f"^{path}: not UTF-8 text: byte 0xff"):
+            reader(path)
+
     def test_fractional_task_rejected(self, tmp_path):
         path = self.write(tmp_path, "x1,task,y\n0.1,0.5,1.0\n")
         with pytest.raises(ValidationError, match="task"):

@@ -1,11 +1,18 @@
-"""The direct LAPACK solves return scipy's bits and reject non-finite operands."""
+"""The direct LAPACK calls return scipy's bits and reject non-finite
+operands, and importing the package loads no ``scipy.linalg``."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
+import mtgp
 from mtgp.errors import NonFiniteError
-from mtgp.linalg import chol_solve, cholesky_batch, tri_solve
+from mtgp.linalg import chol_solve, cholesky_batch, cholesky_inverse_batch, tri_solve
 from mtgp.seeding import make_rng
 
 
@@ -30,6 +37,32 @@ def test_solves_equal_scipy_bitwise(n, rhs):
     np.testing.assert_array_equal(tri_solve(L, b), solve_triangular(L, b, lower=True))
     np.testing.assert_array_equal(chol_solve(L, b), cho_solve((L, True), b))
     np.testing.assert_array_equal(b, given)  # the right-hand side is not overwritten
+
+
+@pytest.mark.parametrize("n", [1, 5, 17, 30])
+def test_inverse_equals_scipy_dtrtri_bitwise(n):
+    rng = make_rng("linalg-inverse", n)
+    factors = np.stack([factor(rng, n) for _ in range(3)])
+    # scipy's dtrtri on L^T in Fortran order: the call cholesky_inverse_batch makes
+    inverses = np.stack([dtrtri(L.T, lower=0)[0].T for L in factors])
+    out = np.full(factors.shape, np.nan)
+    Kinv = cholesky_inverse_batch(factors, out)
+    assert Kinv is out
+    np.testing.assert_array_equal(factors, inverses)  # L is overwritten with L^{-1}
+    np.testing.assert_array_equal(Kinv, inverses.swapaxes(-1, -2) @ inverses)
+
+
+def test_importing_the_cli_loads_no_scipy_linalg():
+    code = (
+        "import sys, mtgp.cli; "
+        "print(sorted(m for m in sys.modules if 'lapack' in m or m.startswith('scipy.linalg')"
+        " or m.endswith('.linalg')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mtgp.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    # neither scipy.linalg nor the extension loaded from its directory is a module
+    assert run.stdout.strip() == "['mtgp.linalg', 'numpy.linalg']"
 
 
 @pytest.mark.parametrize("solve", [tri_solve, chol_solve])

@@ -100,14 +100,15 @@ class TestMTGPFit:
 
     def test_factor_is_cholesky_batch_of_the_assembled_covariance(self):
         from mtgp.linalg import cholesky_batch
-        from mtgp.multitask import _assemble
+        from mtgp.multitask import Workspace, _assemble
 
         rng = make_rng("mt-fit-factor", 0)
         spec = random_mtgp_spec(rng, 2, with_gamma=True)
         dataset = random_dataset(rng, 2, max_per_task=5)
         model = mtgp_fit(spec, [0.05, 0.2], dataset)
         layout = model.layout
-        K, _ = _assemble(layout, layout.sqdiff, *layout.groups(layout.template[None]))
+        groups = layout.groups(layout.template[None])
+        K, _ = _assemble(layout, layout.sqdiff, *groups, Workspace.of(layout, 1))
         given = K[0].diagonal().copy()
         L, _, _, errors = cholesky_batch(K)  # adds the jitter to K's diagonal in place
         assert not errors
@@ -839,3 +840,29 @@ class TestBatchInvariance:
             alone = evaluate(layout, X0[rows[mine]])
             np.testing.assert_array_equal(alone.values, batch.values[mine])
             np.testing.assert_array_equal(alone.grads, batch.grads[mine])
+
+
+class TestWorkspace:
+    """The stack's workspace holds temporaries only: results outlive the next call."""
+
+    @pytest.mark.parametrize("case", INVARIANCE_CASES)
+    def test_later_calls_leave_earlier_results_unchanged(self, case):
+        R = 4
+        rng = np.random.default_rng(7)
+        layouts = _invariance_layouts(*case, rng, fits=2)
+        stack = LayoutStack(layouts, R)
+        X0 = np.concatenate([_random_points(layout, rng, R) for layout in layouts])
+        # all rows, the same rows at new points, then rows stopping until one is left
+        calls = [np.arange(2 * R), np.arange(2 * R), np.array([0, 2, 5, 6, 7]), np.array([6])]
+        kept = []
+        for i, rows in enumerate(calls):
+            X = X0[rows] + 0.1 * i
+            batch = stack.evaluate(X, rows)
+            kept.append((batch, batch.values.copy(), batch.grads.copy()))
+            # the stack's rows equal their evaluation in a stack of their own
+            fresh = LayoutStack(layouts, R).evaluate(X, rows)
+            np.testing.assert_array_equal(batch.values, fresh.values)
+            np.testing.assert_array_equal(batch.grads, fresh.grads)
+        for batch, values, grads in kept:
+            np.testing.assert_array_equal(batch.values, values)
+            np.testing.assert_array_equal(batch.grads, grads)
