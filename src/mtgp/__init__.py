@@ -52,12 +52,4 @@ from .multitask import (
     mtgp_predict,
 )
 from .selfcheck import run_self_checks
-from .training import (
-    MTGPFamily,
-    TrainConfig,
-    check_gradients,
-    train_gp,
-    train_gp_batch,
-    train_mtgp,
-    train_mtgp_batch,
-)
+from .training import FitJob, MTGPFamily, TrainConfig, check_gradients, train

@@ -11,9 +11,9 @@ For each seeded draw of data it trains a single-task GP on the task-1 data
 alone and a multi-task GP on both tasks, then compares root-mean-square
 errors on held-out task-1 points.
 
-A study's fits are many small ones of few shapes, so it trains each shape
-as one batch (:func:`~mtgp.training.train_gp_batch`,
-:func:`~mtgp.training.train_mtgp_batch`): the single-task baselines of all
+A study's fits are many small ones of few shapes; it lists them all as
+jobs (:class:`~mtgp.training.FitJob`) of one :func:`~mtgp.training.train`
+call, which batches the fits of each shape: the single-task baselines of all
 replicates of one primary size, and the multi-task fits of all correlation
 levels and replicates of one size pair. Every fit gets the result it would
 get alone, so a row does not depend on the rest of the study. Each cell's
@@ -30,7 +30,7 @@ from .data import MultiTaskDataset
 from .errors import CalibrationError, DomainError, ShapeError, UndefinedCorrelationError
 from .multitask import mtgp_predict
 from .seeding import make_rng, seed_entropy
-from .training import MTGPFamily, TrainConfig, _is_integer, train_gp_batch, train_mtgp_batch
+from .training import FitJob, MTGPFamily, TrainConfig, _is_integer, train
 
 CALIBRATION_GRID_SIZE = 1000
 CORRELATION_TOLERANCE = 0.03
@@ -277,73 +277,66 @@ def run_study(study: StudyConfig, train_config: TrainConfig = STUDY_TRAIN_CONFIG
     The task-1 training design depends only on (study seed, n_primary,
     replicate), so the single-task baseline is trained once per such key and
     shared across correlation levels, mirroring the paired comparisons of
-    the study tables. Fits of one shape train as one batch: the baselines of
-    all replicates of an n_primary together, and the multi-task fits of all
-    correlation levels and replicates of an (n_primary, n_auxiliary) cell
-    together; each fit's result is the one it would get alone.
+    the study tables. Every fit of the study, baseline or multi-task, is one
+    job of a single :func:`~mtgp.training.train` call, which trains the
+    fits of each shape as one batch; each fit's result is the one it would
+    get alone.
     """
     calibrations = {r: calibrate_auxiliary(r) for r in study.correlations}
     achieved = {r: achieved_correlation(aux) for r, aux in calibrations.items()}
     replicates = range(study.replicates)
 
-    gp_preds, gp_fits = {}, {}
+    # a baseline's draw is keyed (n1, rep), a multi-task fit's (target, n1, n2, rep)
+    seeds, gp_draws, mt_draws, jobs = {}, {}, {}, []
     for n1 in sorted({n1 for n1, _ in study.size_grid}):
-        seeds = [_scenario_seed(study.seed, n1, rep) for rep in replicates]
-        designs = [_scenario_data(study, n1, 1, seed, PRIMARY_PARAMS) for seed in seeds]
-        models = train_gp_batch(
-            [x1 for x1, *_ in designs],
-            [y1 for _, y1, *_ in designs],
-            train_config,
-            [_model_seed(train_config, seed, "gp") for seed in seeds],
-        )
-        for rep, model, (*_, x_test, _) in zip(replicates, models, designs):
-            gp_preds[(n1, rep)] = mtgp_predict(model, 0, x_test)
-            gp_fits[(n1, rep)] = model.fit_info
-
-    rows, cells, series, mtgp_fits = [], {}, {}, {}
+        for rep in replicates:
+            seed = seeds[(n1, rep)] = _scenario_seed(study.seed, n1, rep)
+            x1, y1, *_ = gp_draws[(n1, rep)] = _scenario_data(study, n1, 1, seed, PRIMARY_PARAMS)
+            model_seed = _model_seed(train_config, seed, "gp")
+            jobs.append(FitJob(MultiTaskDataset((x1,), (y1,)), model_seed, MTGPFamily("gp")))
     for n1, n2 in study.size_grid:
-        jobs = [(target, rep) for target in study.correlations for rep in replicates]
-        seeds = [_scenario_seed(study.seed, n1, rep) for _, rep in jobs]
-        draws = [
-            _scenario_data(study, n1, n2, seed, calibrations[target])
-            for (target, _), seed in zip(jobs, seeds)
-        ]
-        models = train_mtgp_batch(
-            [MultiTaskDataset((x1, x2), (y1, y2)) for x1, y1, x2, y2, _, _ in draws],
-            train_config,
-            [_model_seed(train_config, seed, "mtgp") for seed in seeds],
-            family=BENCHMARK_MTGP_FAMILY,
+        for target in study.correlations:
+            for rep in replicates:
+                draw = _scenario_data(study, n1, n2, seeds[(n1, rep)], calibrations[target])
+                x1, y1, x2, y2, *_ = mt_draws[(target, n1, n2, rep)] = draw
+                model_seed = _model_seed(train_config, seeds[(n1, rep)], "mtgp")
+                dataset = MultiTaskDataset((x1, x2), (y1, y2))
+                jobs.append(FitJob(dataset, model_seed, BENCHMARK_MTGP_FAMILY))
+    fits = dict(zip([*gp_draws, *mt_draws], train(jobs, train_config)))
+    gp_preds = {
+        key: mtgp_predict(fits[key], 0, x_test) for key, (*_, x_test, _) in gp_draws.items()
+    }
+
+    rows, cells, series = [], {}, {}
+    for (target, n1, n2, rep), (*_, x_test, y_test) in mt_draws.items():
+        aux = calibrations[target]
+        mt, gp = mtgp_predict(fits[(target, n1, n2, rep)], 0, x_test), gp_preds[(n1, rep)]
+        gp_rmse, mtgp_rmse = rmse(gp.mean, y_test), rmse(mt.mean, y_test)
+        rows.append(
+            {
+                "correlation_target": target,
+                "correlation_achieved": achieved[target],
+                "aux_a": aux.a,
+                "aux_b": aux.b,
+                "n_primary": n1,
+                "n_auxiliary": n2,
+                "replicate": rep,
+                "seed": seeds[(n1, rep)],
+                "gp_rmse": gp_rmse,
+                "mtgp_rmse": mtgp_rmse,
+                "percent_improvement": percent_improvement(gp_rmse, mtgp_rmse),
+            }
         )
-        for (target, rep), seed, model, (*_, x_test, y_test) in zip(jobs, seeds, models, draws):
-            aux = calibrations[target]
-            mtgp_fits[(target, n1, n2, rep)] = model.fit_info
-            mt, gp = mtgp_predict(model, 0, x_test), gp_preds[(n1, rep)]
-            gp_rmse, mtgp_rmse = rmse(gp.mean, y_test), rmse(mt.mean, y_test)
-            rows.append(
-                {
-                    "correlation_target": target,
-                    "correlation_achieved": achieved[target],
-                    "aux_a": aux.a,
-                    "aux_b": aux.b,
-                    "n_primary": n1,
-                    "n_auxiliary": n2,
-                    "replicate": rep,
-                    "seed": seed,
-                    "gp_rmse": gp_rmse,
-                    "mtgp_rmse": mtgp_rmse,
-                    "percent_improvement": percent_improvement(gp_rmse, mtgp_rmse),
-                }
-            )
-            cells.setdefault((target, n1, n2), []).append(rows[-1])
-            if rep == 0:
-                series[(target, n1, n2)] = {
-                    "x": x_test[:, 0],
-                    "true": y_test,
-                    "gp_mean": gp.mean,
-                    "gp_stddev": gp.stddev,
-                    "mtgp_mean": mt.mean,
-                    "mtgp_stddev": mt.stddev,
-                }
+        cells.setdefault((target, n1, n2), []).append(rows[-1])
+        if rep == 0:
+            series[(target, n1, n2)] = {
+                "x": x_test[:, 0],
+                "true": y_test,
+                "gp_mean": gp.mean,
+                "gp_stddev": gp.stddev,
+                "mtgp_mean": mt.mean,
+                "mtgp_stddev": mt.stddev,
+            }
 
     aggregates = []
     for target in study.correlations:
@@ -369,9 +362,11 @@ def run_study(study: StudyConfig, train_config: TrainConfig = STUDY_TRAIN_CONFIG
                     "improvement_per_replicate_mean": float(np.mean(col("percent_improvement"))),
                     "improvement_per_replicate_std": float(np.std(col("percent_improvement"))),
                     "mtgp_training": training_diagnostics(
-                        [mtgp_fits[(target, n1, n2, rep)] for rep in replicates]
+                        [fits[(target, n1, n2, rep)].fit_info for rep in replicates]
                     ),
-                    "gp_training": training_diagnostics([gp_fits[(n1, rep)] for rep in replicates]),
+                    "gp_training": training_diagnostics(
+                        [fits[(n1, rep)].fit_info for rep in replicates]
+                    ),
                 }
             )
     rows.sort(

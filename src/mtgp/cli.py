@@ -27,7 +27,7 @@ from .errors import (
 from .kernels import KERNEL_KINDS, SQUARED_EXPONENTIAL
 from .multitask import mtgp_predict
 from .selfcheck import run_self_checks
-from .training import MTGPFamily, TrainConfig, train_gp, train_mtgp
+from .training import FitJob, MTGPFamily, TrainConfig, train
 
 FAMILIES = ("gp", "mtgp-slfm", "mtgp-lmc")
 
@@ -108,20 +108,19 @@ def _parse_run_config(path) -> dict:
     kernel = _get_typed(doc, "kernel", str, SQUARED_EXPONENTIAL, path)
     if kernel not in KERNEL_KINDS:
         raise ValidationError(f"{path}: key 'kernel' must be one of {list(KERNEL_KINDS)}")
-    config = {
+    q, rank = _get_typed(doc, "q", int, None, path), _get_typed(doc, "rank", int, 1, path)
+    try:
+        model_family = MTGPFamily(family.removeprefix("mtgp-"), kernel, q, rank)
+    except DomainError as exc:  # a num_terms or rank error, named by its config key
+        key = "q" if str(exc).startswith("num_terms") else "rank"
+        raise ValidationError(f"{path}: key {key!r}: {exc}") from None
+    return {
         "family": family,
-        "kernel": kernel,
-        "q": _get_typed(doc, "q", int, None, path),
-        "rank": _get_typed(doc, "rank", int, 1, path),
+        "model_family": model_family,
         "standardize": _get_typed(doc, "standardize", bool, True, path),
         "train": _train_settings(doc, dataclasses.asdict(TrainConfig()), path),
         "output_dir": _get_typed(doc, "output_dir", str, None, path),
     }
-    if config["q"] is not None and config["q"] < 1:
-        raise ValidationError(f"{path}: key 'q' must be a positive integer")
-    if config["rank"] < 1:
-        raise ValidationError(f"{path}: key 'rank' must be a positive integer")
-    return config
 
 
 def _open_trace(path):
@@ -154,37 +153,13 @@ def cmd_train(args) -> int:
     if out_dir is None:
         raise ValidationError("no output directory: pass --out or set 'output_dir' in the config")
     dataset, _ = read_task_csv(args.data)
-    if config["family"] == "gp" and dataset.num_tasks != 1:
-        raise ValidationError(f"family 'gp' requires a single task, data has {dataset.num_tasks}")
     train_config = TrainConfig(**config["train"])
+    job = FitJob(dataset, train_config.seed, config["model_family"], config["standardize"])
     # an unusable output directory fails before the training, not after it
     os.makedirs(out_dir, exist_ok=True)
     trace, trace_fh = _open_trace(args.trace)
     try:
-        if config["family"] == "gp":
-            model = train_gp(
-                dataset.inputs[0],
-                dataset.targets[0],
-                train_config,
-                kernel_kind=config["kernel"],
-                standardize=config["standardize"],
-                trace=trace,
-            )
-        else:
-            mode = "slfm" if config["family"] == "mtgp-slfm" else "lmc"
-            family = MTGPFamily(
-                mode=mode,
-                kernel_kind=config["kernel"],
-                num_terms=config["q"],
-                rank=config["rank"],
-            )
-            model = train_mtgp(
-                dataset,
-                train_config,
-                family=family,
-                standardize=config["standardize"],
-                trace=trace,
-            )
+        (model,) = train([job], train_config, trace)
     finally:
         if trace_fh is not None:
             trace_fh.close()

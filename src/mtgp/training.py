@@ -6,21 +6,20 @@ construction. The optimizer is Adam with bias correction run full-batch,
 restarted from several seeded initializations; the restart with the best
 objective wins (ties to the lowest restart index).
 
-One driver trains every model, and it trains a list of same-shape datasets
-at once: per dataset one layout on its scaled targets, whose template is
-the family's start, and the seeded restart vectors; then one
-:func:`adam_maximize` run over all restarts of all fits, through the
-vectorized objective of a :class:`~mtgp.multitask.LayoutStack` of their
-layouts (one dataset is a stack of one); then per fit the winner, set as
-its layout's template and conditioned on there (no kernel spec is built),
-and ``fit_info``, the one record of the fit, which ``mtgp train`` writes
-as ``metrics.json``; its ``wall_time_s`` and ``timing`` are the whole
-batch's. The objective computes each row on its own, so a fit's result is
-bitwise the one it gets when trained alone. :func:`train_mtgp_batch` runs
-the driver on multi-task data and :func:`train_gp_batch` as the one-task
-case (the independent family on one-task datasets), folding the target
-scale and offset into each model; :func:`train_mtgp` and :func:`train_gp`
-are their one-dataset case.
+:func:`train` trains every model. Each :class:`FitJob` names a dataset, the
+seed of its restarts, its family and whether its targets are standardized.
+Jobs that :class:`~mtgp.multitask.LayoutStack` can stack (one family and
+``standardize``, the same rows per task and input dimension) train as one
+group: per job one layout on its scaled targets, whose template is the
+family's start, and the seeded restart vectors; then one
+:func:`adam_maximize` run over all restarts of the group; then per job the
+winner, set as its layout's template and conditioned on there (no kernel
+spec is built), and ``fit_info``, the one record of the fit, which ``mtgp
+train`` writes as ``metrics.json``; its ``wall_time_s`` and ``timing`` are
+the whole group's. The objective computes each row on its own, so a fit's
+result is bitwise the one it gets when trained alone. The single-task GP is
+the family of mode ``"gp"``: the independent family on one task, whose model
+has the target scale and offset folded in.
 """
 
 import functools
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultiTaskDataset, task_scaling
-from .errors import DomainError, MTGPError, ShapeError, TrainingFailedError
+from .errors import DomainError, MTGPError, TrainingFailedError
 from .kernels import KERNEL_KINDS, SQUARED_EXPONENTIAL
 from .multitask import PHASES, ExactGPLayout, LayoutStack, LMLBatch, MTGPModel, _condition
 from .seeding import make_rng
@@ -79,12 +78,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MTGPFamily:
-    """Model family for multi-task training.
+    """Model family.
 
     mode "slfm": rank-one loadings per term, gamma pinned to zero.
     mode "lmc": low-rank-plus-diagonal task matrices, gamma learned.
     mode "independent": fixed indicator loadings, one term per task; tasks
     share nothing (used for decoupling checks).
+    mode "gp": the single-task GP, the independent family on one task. Its
+    restarts draw from a stream of their own, and its model has the target
+    scale folded into its signal and noise variances.
     """
 
     mode: str = "slfm"
@@ -93,7 +95,7 @@ class MTGPFamily:
     rank: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("slfm", "lmc", "independent"):
+        if self.mode not in ("slfm", "lmc", "independent", "gp"):
             raise ValueError(f"unknown family mode {self.mode!r}")
         if self.kernel_kind not in KERNEL_KINDS:
             raise DomainError(f"unknown kernel_kind {self.kernel_kind!r}")
@@ -101,14 +103,40 @@ class MTGPFamily:
             raise DomainError(f"num_terms must be None or an int >= 1, got {self.num_terms!r}")
         if not (_is_integer(self.rank) and self.rank >= 1):
             raise DomainError(f"rank must be an int >= 1, got {self.rank!r}")
+        if self.num_terms is not None and not self.learns_W:
+            raise DomainError(
+                f"num_terms must be None in mode {self.mode!r}, got {self.num_terms!r}"
+            )
+        if self.rank != 1 and self.mode != "lmc":
+            raise DomainError(f"rank must be 1 outside mode 'lmc', got {self.rank!r}")
 
     @property
     def learns_W(self) -> bool:
-        return self.mode != "independent"
+        return self.mode in ("slfm", "lmc")
 
     @property
     def learns_gamma(self) -> bool:
         return self.mode == "lmc"
+
+
+@dataclass(frozen=True)
+class FitJob:
+    """One fit for :func:`train`: its dataset, the seed its restarts draw
+    from (in place of ``TrainConfig.seed``), its family and whether its
+    targets are standardized."""
+
+    dataset: MultiTaskDataset
+    seed: int
+    family: MTGPFamily = MTGPFamily()
+    standardize: bool = True
+
+    def __post_init__(self):
+        if not _is_integer(self.seed):  # negative seeds are masked by seed_entropy
+            raise DomainError(f"seed must be an int, got {self.seed!r}")
+        if self.family.mode == "gp" and self.dataset.num_tasks != 1:
+            raise DomainError(
+                f"family 'gp' requires a single task, data has {self.dataset.num_tasks}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -350,42 +378,45 @@ def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool
     Latent terms start at staggered lengthscales (a geometric spread over one
     octave pair per term) so that separate components can pick up smooth
     trends and short-scale structure; a single shared scale tends to collapse
-    all latents onto the same structure. Independent mode keeps one scale per
-    task term.
+    all latents onto the same structure. Families with fixed loadings keep
+    one scale per task term.
     """
-    D, independent = dataset.num_tasks, family.mode == "independent"
-    if family.mode == "lmc" and family.rank > D:
+    D = dataset.num_tasks
+    if family.rank > D:
         # W W^T has rank at most D, so extra columns only add redundant parameters
         raise DomainError(f"rank {family.rank} exceeds the number of tasks ({D})")
-    Q = D if family.num_terms is None or independent else family.num_terms
-    rank = int(family.rank) if family.mode == "lmc" else 1
-    layout = ExactGPLayout(
-        [family.kernel_kind] * Q, [rank] * Q, dataset, family.learns_W, family.learns_gamma
-    ).scale(*task_scaling(dataset, standardize))
+    Q = family.num_terms or D
+    kinds, ranks = [family.kernel_kind] * Q, [int(family.rank)] * Q
+    layout = ExactGPLayout(kinds, ranks, dataset, family.learns_W, family.learns_gamma).scale(
+        *task_scaling(dataset, standardize)
+    )
     # change of variables: observed-units likelihood differs by -sum N_d log s_d
     log_scale = float(np.sum([n * np.log(s) for n, s in zip(dataset.counts, layout.stds)]))
     ls, s2, noise, gamma, W = (group[0] for group in layout.groups(layout.template[None]))
-    spread = np.geomspace(1.0, 4.0, Q) if not independent and Q > 1 else np.ones(Q)
+    spread = np.geomspace(1.0, 4.0, Q) if family.learns_W and Q > 1 else np.ones(Q)
     ls[:] = median_lengthscales(layout.X) * spread[:, None]
     s2[:] = _target_variance(layout.y)
     task_vars = np.array([_target_variance(layout.y[layout.tasks == d]) for d in range(D)])
     noise[:] = 0.01 * task_vars
-    if family.mode == "lmc":
+    if family.learns_gamma:
         gamma[:] = (LMC_GAMMA_INIT_FRACTION / Q) * task_vars
-    if independent:  # term q loads on task q alone
+    if not family.learns_W:  # term q loads on task q alone
         W[:] = np.eye(D)[:, :, None]
     return layout, log_scale
 
 
-def _restart_vectors(layout, family: MTGPFamily, config: TrainConfig, seed, stream) -> np.ndarray:
+def _restart_vectors(layout, family: MTGPFamily, config: TrainConfig, seed) -> np.ndarray:
     """The (num_restarts, size) initial vectors of one fit.
 
-    Restart r draws from ``make_rng(seed, stream, r)``: it redraws the learned
-    task loadings W (diagonal-dominant families start with timid coupling),
-    and restarts after the first also jitter the log-parameters.
+    Restart r draws from ``make_rng(seed, stream, r)``, the stream being
+    ``"gp-restart"`` for the gp family and ``"mtgp-restart"`` for the others:
+    it redraws the learned task loadings W (diagonal-dominant families start
+    with timid coupling), and restarts after the first also jitter the
+    log-parameters.
     """
     is_w = layout.is_W
     w_std = LMC_W_INIT_STD if family.mode == "lmc" else W_INIT_STD
+    stream = "gp-restart" if family.mode == "gp" else "mtgp-restart"
     x0 = np.tile(layout.initial_vector(), (config.num_restarts, 1))
     for r, vec in enumerate(x0):
         rng = make_rng(seed, stream, r)
@@ -396,55 +427,67 @@ def _restart_vectors(layout, family: MTGPFamily, config: TrainConfig, seed, stre
     return x0
 
 
-def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> list:
-    """The training driver behind :func:`train_mtgp_batch` and :func:`train_gp_batch`.
+def _job_trace(trace, index, R, row, *record):
+    """``trace`` of the group row ``row``, renumbered as its job's row in :func:`train`."""
+    trace(index[row // R] * R + row % R, *record)
 
-    Per dataset it builds the family's layout on the scaled targets and
-    draws the restart vectors from the dataset's own seed. One
-    :func:`adam_maximize` run then ascends every restart of every fit
-    through the layouts' :class:`LayoutStack`, so a fit's result does not
-    depend on which other fits share its batch. Each fit's winner becomes
-    its layout's template, and ``fit(layout)`` conditions on it; its model
-    gets ``fit_info`` (``metrics.json``'s keys), whose ``wall_time_s`` and
-    ``timing`` are the whole batch's.
+
+def _train(jobs: dict, config: TrainConfig, trace) -> list:
+    """Train one group of :func:`train`'s jobs, ``{job index: job}``, which
+    share their family, ``standardize`` and shape, as one batch.
+
+    Per job it builds the family's layout on the scaled targets and draws
+    the restart vectors from the job's seed. One :func:`adam_maximize` run
+    then ascends every restart of every fit through the layouts'
+    :class:`LayoutStack`, so a fit's result does not depend on which other
+    fits share its batch. Each fit's winner becomes its layout's template,
+    and the model is conditioned on it; the gp family first folds the target
+    scale into the signal and noise variances, so its model predicts raw
+    targets with task std 1 and keeps only the mean. The model gets
+    ``fit_info`` (``metrics.json``'s keys), whose ``wall_time_s`` and
+    ``timing`` are the whole group's.
     """
     started = time.perf_counter()
-    datasets, seeds = list(datasets), list(seeds)
-    if len(seeds) != len(datasets):
-        raise ShapeError(f"{len(datasets)} datasets need as many seeds, got {len(seeds)}")
-    if not datasets:
-        return []
-    R = config.num_restarts
-    fits = [_fit_layout(dataset, family, standardize) for dataset in datasets]
+    R, index = config.num_restarts, list(jobs)
+    family, standardize = jobs[index[0]].family, jobs[index[0]].standardize
+    fits = [_fit_layout(job.dataset, family, standardize) for job in jobs.values()]
     layouts = [layout for layout, _ in fits]
     objective = LayoutStack(layouts, R).evaluate
+    seeds = [job.seed for job in jobs.values()]
     x0 = np.concatenate(
-        [_restart_vectors(lay, family, config, seed, stream) for lay, seed in zip(layouts, seeds)]
+        [_restart_vectors(lay, family, config, seed) for lay, seed in zip(layouts, seeds)]
     )
+    if trace is not None:  # the group's row k * R + r is restart r of job index[k]
+        trace = functools.partial(_job_trace, trace, index, R)
     try:
         run = adam_maximize(objective, x0, config, trace=trace)
     except MTGPError as exc:
         diagnostics = [{"restart": r, "status": "failed", "error": str(exc)} for r in range(R)]
         raise TrainingFailedError("all restarts failed", diagnostics) from exc
     models = []
-    for i, (layout, log_scale) in enumerate(fits):
-        rows = range(i * R, (i + 1) * R)
+    for k, (layout, log_scale) in enumerate(fits):
+        rows = range(k * R, (k + 1) * R)
         diagnostics = _restart_diagnostics(run, rows)
         if np.isnan(run.value[rows]).all():
-            where = f" in fit {i} of {len(fits)}" if len(fits) > 1 else ""
-            raise TrainingFailedError(f"all restarts failed{where}", diagnostics)
+            raise TrainingFailedError(f"all restarts failed in fit {index[k]}", diagnostics)
         restart = int(np.nanargmax(run.value[rows]))
         row = rows[restart]
         layout.template = layout.natural_batch(run.vector[row][None])[0]
-        model = fit(layout)
+        # the gp family: signal and noise variance in raw units, and the
+        # targets keep only the mean, so the model is not a standardized one
+        if family.mode == "gp":
+            for group in layout.group_slices[1:3]:
+                layout.template[group] *= float(layout.stds[0]) ** 2
+            layout.scale(layout.means, np.ones(1))
+        model = _condition(layout, standardize and family.mode != "gp")
         model.fit_info = {
             "log_marginal_likelihood": float(run.value[row]) - log_scale,
             "objective": float(run.value[row]),
             "iterations": int(run.row_iterations[row]),
             "winning_restart": restart,
             "num_restarts": R,
-            "wall_time_s": None,  # the whole batch's, set below
-            "timing": dict(run.timing),  # the whole batch's
+            "wall_time_s": None,  # the whole group's, set below
+            "timing": dict(run.timing),  # the whole group's
             "restarts": diagnostics,
         }
         models.append(model)
@@ -454,82 +497,21 @@ def _train(datasets, config, seeds, family, standardize, stream, trace, fit) -> 
     return models
 
 
-def train_mtgp_batch(
-    datasets,
-    config: TrainConfig,
-    seeds,
-    family: MTGPFamily = MTGPFamily(),
-    standardize: bool = True,
-    trace=None,
-) -> list[MTGPModel]:
-    """Fit one multi-task GP per dataset, all restarts of all fits in one batch.
+def train(jobs, config: TrainConfig, trace=None) -> list[MTGPModel]:
+    """Fit one model per :class:`FitJob` under ``config``, in job order.
 
-    The datasets must share their shape: task count, rows per task and input
-    dimension (else :class:`~mtgp.errors.ShapeError`). Fit i uses
-    ``seeds[i]`` in place of ``config.seed`` and returns the model
-    :func:`train_mtgp` would return for it alone. ``trace`` numbers rows
-    across the batch: restart r of fit i is row ``i * num_restarts + r``.
+    Jobs of one family and ``standardize`` whose datasets share the rows per
+    task and the input dimension train as one batch, the groups in order of
+    first appearance; each model is bitwise the one its job gets when
+    trained alone. ``config.seed`` is not read: each job carries its seed.
+    ``trace(row, iteration, value, grad_norm)`` numbers rows across the
+    jobs: restart r of job j is row ``j * num_restarts + r``.
     """
-    fit = functools.partial(_condition, standardized=standardize)
-    return _train(datasets, config, seeds, family, standardize, "mtgp-restart", trace, fit)
-
-
-def train_mtgp(
-    dataset: MultiTaskDataset,
-    config: TrainConfig = TrainConfig(),
-    family: MTGPFamily = MTGPFamily(),
-    standardize: bool = True,
-    trace=None,
-) -> MTGPModel:
-    """Fit a multi-task GP by joint marginal-likelihood ascent.
-
-    The one-dataset case of :func:`train_mtgp_batch`. The winning restart's
-    parameters are conditioned on the targets it trained on; the model keeps
-    the raw dataset.
-    """
-    return train_mtgp_batch([dataset], config, [config.seed], family, standardize, trace)[0]
-
-
-def train_gp_batch(
-    inputs,
-    targets,
-    config: TrainConfig,
-    seeds,
-    kernel_kind: str = SQUARED_EXPONENTIAL,
-    standardize: bool = True,
-    trace=None,
-) -> list[MTGPModel]:
-    """Fit one single-task GP per (X, Y) pair, all restarts in one batch.
-
-    The one-task case of :func:`train_mtgp_batch` (the independent family on
-    one-task datasets); every X must have the same shape. Optimization runs
-    on standardized targets when ``standardize`` is set; the learned scale
-    and offset are folded back exactly into each model's signal variance,
-    noise variance, and task mean, so the models, one-task MTGPs with task
-    std 1, predict in raw units with ``mtgp_predict(model, 0, X)``.
-    """
-    inputs, targets = list(inputs), list(targets)
-    if len(inputs) != len(targets):
-        raise ShapeError(f"{len(inputs)} input arrays but {len(targets)} target arrays")
-    datasets = [MultiTaskDataset((X,), (Y,)) for X, Y in zip(inputs, targets)]
-
-    def fold(layout):
-        # signal and noise variance in raw units; the targets keep only the mean
-        for group in layout.group_slices[1:3]:
-            layout.template[group] *= float(layout.stds[0]) ** 2
-        return _condition(layout.scale(layout.means, np.ones(1)), False)
-
-    family = MTGPFamily(mode="independent", kernel_kind=kernel_kind)
-    return _train(datasets, config, seeds, family, standardize, "gp-restart", trace, fold)
-
-
-def train_gp(
-    X,
-    Y,
-    config: TrainConfig = TrainConfig(),
-    kernel_kind: str = SQUARED_EXPONENTIAL,
-    standardize: bool = True,
-    trace=None,
-) -> MTGPModel:
-    """Fit a single-task GP: the one-dataset case of :func:`train_gp_batch`."""
-    return train_gp_batch([X], [Y], config, [config.seed], kernel_kind, standardize, trace)[0]
+    groups = {}
+    for i, job in enumerate(jobs):
+        key = (job.family, job.standardize, job.dataset.counts, job.dataset.input_dim)
+        groups.setdefault(key, {})[i] = job
+    models = {}
+    for group in groups.values():
+        models.update(zip(group, _train(group, config, trace)))
+    return [models[i] for i in range(len(models))]

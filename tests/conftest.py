@@ -20,7 +20,7 @@ from mtgp.gp import _gp_layout
 from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import ExactGPLayout, ParameterLayout, spec_layout
 from mtgp.seeding import make_rng
-from mtgp.training import _fit_layout
+from mtgp.training import FitJob, MTGPFamily, _fit_layout, train
 
 
 def dense_gaussian_conditioning(joint, n_train, y_train):
@@ -96,6 +96,18 @@ def family_template(family, dataset: MultiTaskDataset):
     ``dataset``'s own targets; learned loadings W are 1 (training draws them)."""
     layout = _fit_layout(dataset, family, standardize=False)[0]
     return layout.spec_of(layout.template), layout.template[layout.group_slices[2]].copy()
+
+
+def train_alone(dataset, config, family=MTGPFamily(), standardize=True, trace=None):
+    """The model of one :class:`FitJob` on ``dataset``, seeded by
+    ``config.seed``, trained on its own."""
+    return train([FitJob(dataset, config.seed, family, standardize)], config, trace)[0]
+
+
+def train_gp_alone(X, Y, config, kernel_kind=SQUARED_EXPONENTIAL, standardize=True):
+    """:func:`train_alone` of the gp family on the one-task data ``(X, Y)``."""
+    family = MTGPFamily("gp", kernel_kind)
+    return train_alone(MultiTaskDataset((X,), (Y,)), config, family, standardize)
 
 
 @pytest.fixture

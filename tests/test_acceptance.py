@@ -12,7 +12,13 @@ import pytest
 
 import mtgp.cli as cli
 import mtgp.gp
-from conftest import dense_gaussian_conditioning, gp_parameter_layout, kronecker_joint, materialize
+from conftest import (
+    dense_gaussian_conditioning,
+    gp_parameter_layout,
+    kronecker_joint,
+    materialize,
+    train_alone,
+)
 from mtgp import model_io
 from mtgp.benchmark import (
     StudyConfig,
@@ -36,7 +42,7 @@ from mtgp.multitask import (
     mtgp_predict,
 )
 from mtgp.seeding import make_rng
-from mtgp.training import TrainConfig, check_gradients, train_mtgp
+from mtgp.training import TrainConfig, check_gradients
 
 
 def report(number, name, detail=""):
@@ -362,7 +368,7 @@ def test_criterion_09_determinism_and_round_trip(tmp_path):
     from mtgp.data import read_task_csv
 
     dataset, _ = read_task_csv(data_path)
-    model = train_mtgp(
+    model = train_alone(
         dataset,
         TrainConfig(max_iterations=60, num_restarts=2, seed=0),
     )

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import train_alone, train_gp_alone
+
 from mtgp.benchmark import (
     BENCHMARK_MTGP_FAMILY,
     ForresterParams,
@@ -30,14 +32,7 @@ from mtgp.data import MultiTaskDataset
 from mtgp.errors import DomainError, ShapeError, UndefinedCorrelationError
 from mtgp import cli, training
 from mtgp.multitask import mtgp_predict
-from mtgp.training import (
-    MTGPFamily,
-    TrainConfig,
-    train_gp,
-    train_gp_batch,
-    train_mtgp,
-    train_mtgp_batch,
-)
+from mtgp.training import FitJob, MTGPFamily, TrainConfig, train
 
 TINY = TrainConfig(max_iterations=40, num_restarts=2, seed=0)
 
@@ -163,8 +158,8 @@ def standalone_rmses(study, n_primary, n_auxiliary, seed, aux):
     TINY with the seed :func:`run_study` gives it: the reference a batched
     study row equals."""
     x1, y1, x2, y2, x_test, y_test = _scenario_data(study, n_primary, n_auxiliary, seed, aux)
-    gp = train_gp(x1, y1, replace(TINY, seed=_model_seed(TINY, seed, "gp")))
-    mtgp = train_mtgp(
+    gp = train_gp_alone(x1, y1, replace(TINY, seed=_model_seed(TINY, seed, "gp")))
+    mtgp = train_alone(
         MultiTaskDataset((x1, x2), (y1, y2)),
         replace(TINY, seed=_model_seed(TINY, seed, "mtgp")),
         family=BENCHMARK_MTGP_FAMILY,
@@ -215,18 +210,20 @@ class TestRunScenario:
         study = StudyConfig(n_test=40)
         seeds = range(10)
         draws = [_scenario_data(study, 6, 6, seed, aux) for seed in seeds]
-        gps = train_gp_batch(
-            [x1 for x1, *_ in draws],
-            [y1 for _, y1, *_ in draws],
-            cfg,
-            [_model_seed(cfg, seed, "gp") for seed in seeds],
-        )
-        mtgps = train_mtgp_batch(
-            [MultiTaskDataset((x1, x2), (y1, y2)) for x1, y1, x2, y2, _, _ in draws],
-            cfg,
-            [_model_seed(cfg, seed, "mtgp") for seed in seeds],
-            family=MTGPFamily(mode="independent"),
-        )
+        gp_jobs = [
+            FitJob(MultiTaskDataset((x1,), (y1,)), _model_seed(cfg, seed, "gp"), MTGPFamily("gp"))
+            for seed, (x1, y1, *_) in zip(seeds, draws)
+        ]
+        mtgp_jobs = [
+            FitJob(
+                MultiTaskDataset((x1, x2), (y1, y2)),
+                _model_seed(cfg, seed, "mtgp"),
+                MTGPFamily(mode="independent"),
+            )
+            for seed, (x1, y1, x2, y2, _, _) in zip(seeds, draws)
+        ]
+        models = train(gp_jobs + mtgp_jobs, cfg)
+        gps, mtgps = models[: len(seeds)], models[len(seeds) :]
         rel = []
         for gp, mtgp, (*_, x_test, y_test) in zip(gps, mtgps, draws):
             gp_rmse = rmse(mtgp_predict(gp, 0, x_test).mean, y_test)

@@ -131,6 +131,14 @@ BAD_TRAIN_SETTINGS = [
     ("convergence_tolerance", math.inf),
 ]
 
+# run-config family settings that are out of range or that the family does not use
+BAD_FAMILY_SETTINGS = [
+    ("gp", "q", 4),
+    ("mtgp-slfm", "rank", 3),
+    ("mtgp-slfm", "q", 0),
+    ("mtgp-lmc", "rank", 0),
+]
+
 # the parameters.schema lists model files have always carried
 MODEL_FILE_SCHEMAS = {
     "gp": [["log_lengthscale0", "log"], ["log_signal_variance", "log"], ["log_noise", "log"]],
@@ -198,11 +206,13 @@ class TestTrainPredict:
         expected = mtgp_predict(model, 0, np.array([[0.4]])).mean[0]
         assert float(read_csv_rows(preds)[0]["mean"]) == pytest.approx(expected, abs=1e-10)
 
-    def test_gp_family_rejects_multi_task_data(self, tmp_path):
+    def test_gp_family_rejects_multi_task_data(self, tmp_path, capsys):
         data = write_two_task_csv(tmp_path / "data.csv")
         config = write_config(tmp_path / "config.json", family="gp")
         code = cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
+        assert "family 'gp' requires a single task, data has 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_task_gap_exits_2(self, tmp_path, capsys):
         data = tmp_path / "gap.csv"
@@ -238,7 +248,7 @@ class TestTrainPredict:
         def boom(*args, **kwargs):
             raise TrainingFailedError("all restarts failed", [{"restart": 0}])
 
-        monkeypatch.setattr(cli, "train_mtgp", boom)
+        monkeypatch.setattr(cli, "train", boom)
         code = cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 3
 
@@ -468,8 +478,7 @@ class TestBadInputExitCodes:
         def recording(*args, **kwargs):
             calls.append(args)
 
-        monkeypatch.setattr(cli, "train_gp", recording)
-        monkeypatch.setattr(cli, "train_mtgp", recording)
+        monkeypatch.setattr(cli, "train", recording)
         data = write_two_task_csv(tmp_path / "data.csv", n1=0 if family == "gp" else 5)
         config = write_config(tmp_path / "config.json", family=family)
         (tmp_path / "file").write_text("", encoding="utf-8")
@@ -583,6 +592,14 @@ class TestBadInputExitCodes:
     def test_out_of_range_study_flag_exits_2(self, tmp_path, capsys, flags, needle):
         argv = ["benchmark", "--out", str(tmp_path / "s"), "--correlations", "0.89", *flags]
         self._assert_exit_2(argv, capsys, needle)
+
+    @pytest.mark.parametrize("family,key,value", BAD_FAMILY_SETTINGS)
+    def test_bad_family_setting_exits_2(self, tmp_path, capsys, family, key, value):
+        data = write_two_task_csv(tmp_path / "data.csv", n1=0 if family == "gp" else 5)
+        config = write_config(tmp_path / "config.json", family=family, **{key: value})
+        argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        self._assert_exit_2(argv, capsys, f"key {key!r}", path=config)
+        assert not (tmp_path / "o").exists()
 
     def test_lmc_rank_above_task_count_exits_2(self, tmp_path, capsys):
         data = write_two_task_csv(tmp_path / "data.csv")
@@ -708,17 +725,17 @@ class TestRepeatedMain:
         data = write_two_task_csv(tmp_path / "data.csv")
         config = write_config(tmp_path / "config.json", seed=3, max_iterations=5)
         seeds = []
-        train = cli.train_mtgp
+        train = cli.train
 
-        def recording(dataset, config, **kwargs):
-            seeds.append(config.seed)
-            return train(dataset, config, **kwargs)
+        def recording(jobs, config, trace=None):
+            seeds.append((config.seed, *(job.seed for job in jobs)))
+            return train(jobs, config, trace)
 
-        monkeypatch.setattr(cli, "train_mtgp", recording)
+        monkeypatch.setattr(cli, "train", recording)
         argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
         assert cli.main(argv + ["--seed", "7"]) == 0
         assert cli.main(argv) == 0
-        assert seeds == [7, 3]
+        assert seeds == [(7, 7), (3, 3)]
 
     def test_a_command_rebound_after_a_call_is_the_one_that_runs(self, tmp_path, monkeypatch, capsys):
         argv = ["predict", "--model", str(tmp_path / "missing.json"), "--data", "q.csv", "--out", "p.csv"]
@@ -947,6 +964,17 @@ class TestBenchmarkCommand:
         )
         assert (out / "series_functions_r0.89.csv").exists()
         assert (out / "series_predictions_r0.89_t1-4_t2-4.csv").exists()
+
+    def test_criterion_7_grid_reproduces_its_pinned_files(self, tmp_path, capsys):
+        # criterion 7's grid at 2 replicates; the pinned files were written by
+        # this same command, so any change to a study number shows here
+        out = tmp_path / "study"
+        argv = ["benchmark", "--correlations", "0.89,0.53,0.33", "--sizes", "5,5;5,20;10,10",
+                "--replicates", "2", "--seed", "0", "--out", str(out)]
+        assert cli.main(argv) == 0
+        for name in ("study_rows.csv", "summary.json"):
+            with open(os.path.join(FIXTURES, "study_c7_r2", name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
 
     def test_flag_overrides(self, tmp_path):
         config = tmp_path / "study.json"

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import family_template, gp_parameter_layout, materialize, spec_parameter_layout
+from conftest import (
+    family_template,
+    gp_parameter_layout,
+    materialize,
+    spec_parameter_layout,
+    train_alone,
+    train_gp_alone,
+)
 from mtgp import model_io
 from mtgp.coregionalization import assemble_joint_covariance
 from mtgp.data import MultiTaskDataset
-from mtgp.errors import DomainError, ShapeError, TrainingFailedError
+from mtgp.errors import DomainError, TrainingFailedError
 from mtgp.gp import gp_fit
 from mtgp.kernels import MATERN52, SQUARED_EXPONENTIAL, ScalarKernelSpec, kernel_matrix
 from mtgp.multitask import (
@@ -23,15 +30,13 @@ from mtgp.multitask import (
 from mtgp.seeding import make_rng
 from mtgp.training import (
     AdamRun,
+    FitJob,
     MTGPFamily,
     TrainConfig,
     adam_maximize,
     check_gradients,
     median_lengthscales,
-    train_gp,
-    train_gp_batch,
-    train_mtgp,
-    train_mtgp_batch,
+    train,
 )
 
 FAST = TrainConfig(max_iterations=150, num_restarts=2, seed=0)
@@ -75,7 +80,7 @@ class TestParameterLayout:
         st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
     )
     def test_round_trip_property(self, mode, values):
-        layout, _ = _family_layout(mode, rank=2)
+        layout, _ = _family_layout(mode, rank=2 if mode == "lmc" else 1)
         vec = np.asarray(values[: layout.size])  # the lmc layout has 20 entries
         spec, noise = materialize(layout, vec)
         family = MTGPFamily(mode=mode)
@@ -269,7 +274,7 @@ class TestTrainGP:
             X = rng.uniform(0, 1, size=(40, 1))
             K = kernel_matrix(true, X, X) + 1e-4 * np.eye(40)
             Y = np.linalg.cholesky(K) @ rng.normal(size=40)
-            model = train_gp(
+            model = train_gp_alone(
                 X, Y, TrainConfig(max_iterations=800, num_restarts=2, seed=seed)
             )
             ls = model.kernel.terms[0].base_kernel.lengthscales
@@ -281,7 +286,7 @@ class TestTrainGP:
         X = rng.uniform(0, 1, size=(40, 1))
         K = kernel_matrix(true, X, X) + 1e-4 * np.eye(40)
         Y = np.linalg.cholesky(K) @ rng.normal(size=40)
-        model = train_gp(
+        model = train_gp_alone(
             X,
             Y,
             TrainConfig(max_iterations=800, num_restarts=2, seed=0),
@@ -294,7 +299,7 @@ class TestTrainGP:
         rng = make_rng("purenoise", 1)
         X = rng.uniform(0, 1, size=(30, 1))
         Y = rng.normal(size=30) * 2.0
-        model = train_gp(X, Y, TrainConfig(max_iterations=1500, num_restarts=3, seed=0))
+        model = train_gp_alone(X, Y, TrainConfig(max_iterations=1500, num_restarts=3, seed=0))
         sample_var = float(np.var(Y))
         assert sample_var / 2 <= model.noise_variances[0] <= sample_var * 2
         assert model.kernel.terms[0].base_kernel.signal_variance < model.noise_variances[0]
@@ -307,7 +312,7 @@ class TestTrainGP:
         rng = make_rng("purenoise", 0)
         X = rng.uniform(0, 1, size=(30, 1))
         Y = rng.normal(size=30) * 2.0
-        model = train_gp(X, Y, TrainConfig(max_iterations=1500, num_restarts=3, seed=0))
+        model = train_gp_alone(X, Y, TrainConfig(max_iterations=1500, num_restarts=3, seed=0))
         sample_var = float(np.var(Y))
         total = model.noise_variances[0] + model.kernel.terms[0].base_kernel.signal_variance
         assert sample_var / 2 <= total <= sample_var * 2
@@ -319,8 +324,8 @@ class TestTrainGP:
         rng = make_rng("det", 0)
         X = rng.uniform(0, 1, size=(12, 1))
         Y = rng.normal(size=12)
-        a = train_gp(X, Y, FAST)
-        b = train_gp(X, Y, FAST)
+        a = train_gp_alone(X, Y, FAST)
+        b = train_gp_alone(X, Y, FAST)
         ka, kb = a.kernel.terms[0].base_kernel, b.kernel.terms[0].base_kernel
         np.testing.assert_array_equal(ka.lengthscales, kb.lengthscales)
         assert ka.signal_variance == kb.signal_variance
@@ -330,7 +335,7 @@ class TestTrainGP:
         rng = make_rng("noopt", 0)
         X = rng.uniform(0, 1, size=(10, 1))
         Y = 3.0 + rng.normal(size=10)
-        model = train_gp(
+        model = train_gp_alone(
             X, Y, TrainConfig(max_iterations=0, num_restarts=1, seed=0), standardize=False
         )
         kernel = model.kernel.terms[0].base_kernel
@@ -342,7 +347,7 @@ class TestTrainGP:
         rng = make_rng("winner", 0)
         X = rng.uniform(0, 1, size=(10, 1))
         Y = np.sin(6 * X[:, 0])
-        model = train_gp(X, Y, TrainConfig(max_iterations=100, num_restarts=4, seed=3))
+        model = train_gp_alone(X, Y, TrainConfig(max_iterations=100, num_restarts=4, seed=3))
         finals = [
             d["final_objective"] for d in model.fit_info["restarts"] if d["status"] == "ok"
         ]
@@ -352,7 +357,7 @@ class TestTrainGP:
         rng = make_rng("fold", 0)
         X = rng.uniform(0, 1, size=(15, 1))
         Y = 100.0 + 25.0 * np.sin(6 * X[:, 0])
-        model = train_gp(X, Y, FAST, standardize=True)
+        model = train_gp_alone(X, Y, FAST, standardize=True)
         pred = mtgp_predict(model, 0, X)
         assert np.max(np.abs(pred.mean - Y)) < 25.0  # raw units, not standardized
 
@@ -367,8 +372,8 @@ class TestTrainMTGP:
 
     def test_deterministic_given_seed(self):
         dataset = self._dataset()
-        a = train_mtgp(dataset, FAST)
-        b = train_mtgp(dataset, FAST)
+        a = train_alone(dataset, FAST)
+        b = train_alone(dataset, FAST)
         for ta, tb in zip(a.kernel.terms, b.kernel.terms):
             np.testing.assert_array_equal(ta.W, tb.W)
             np.testing.assert_array_equal(ta.base_kernel.lengthscales, tb.base_kernel.lengthscales)
@@ -376,18 +381,18 @@ class TestTrainMTGP:
 
     def test_improves_objective_from_initialization(self):
         dataset = self._dataset()
-        model = train_mtgp(dataset, FAST)
+        model = train_alone(dataset, FAST)
         for diag in model.fit_info["restarts"]:
             if diag["status"] == "ok":
                 assert diag["final_objective"] >= diag["initial_objective"]
 
     def test_family_modes_produce_expected_structure(self):
         dataset = self._dataset()
-        slfm = train_mtgp(dataset, FAST, family=MTGPFamily(mode="slfm"))
+        slfm = train_alone(dataset, FAST, family=MTGPFamily(mode="slfm"))
         assert all(t.rank == 1 and np.all(t.gamma == 0.0) for t in slfm.kernel.terms)
-        lmc = train_mtgp(dataset, FAST, family=MTGPFamily(mode="lmc"))
+        lmc = train_alone(dataset, FAST, family=MTGPFamily(mode="lmc"))
         assert any(np.any(t.gamma > 0) for t in lmc.kernel.terms)
-        ind = train_mtgp(dataset, FAST, family=MTGPFamily(mode="independent"))
+        ind = train_alone(dataset, FAST, family=MTGPFamily(mode="independent"))
         for q, t in enumerate(ind.kernel.terms):
             expected = np.zeros((2, 1))
             expected[q, 0] = 1.0
@@ -401,7 +406,7 @@ class TestTrainMTGP:
     )
     def test_model_equals_its_refit_through_mtgp_fit(self, family, standardize):
         dataset = self._dataset()
-        model = train_mtgp(dataset, FAST, family=family, standardize=standardize)
+        model = train_alone(dataset, FAST, family=family, standardize=standardize)
         refit = mtgp_fit(model.kernel, model.noise_variances, dataset, standardize)
         _same_conditioning(model, refit)
         np.testing.assert_array_equal(model.task_means, refit.task_means)
@@ -409,13 +414,13 @@ class TestTrainMTGP:
 
     def test_num_terms_default_is_task_count(self):
         dataset = self._dataset()
-        model = train_mtgp(dataset, FAST)
+        model = train_alone(dataset, FAST)
         assert model.kernel.num_terms == dataset.num_tasks
 
     def test_trace_callback_invoked(self):
         dataset = self._dataset()
         records = []
-        train_mtgp(
+        train_alone(
             dataset,
             TrainConfig(max_iterations=5, num_restarts=2, seed=0),
             trace=lambda r, i, v, g: records.append((r, i, v, g)),
@@ -426,7 +431,7 @@ class TestTrainMTGP:
 
     def test_zero_iterations_keeps_template(self):
         dataset = self._dataset()
-        model = train_mtgp(
+        model = train_alone(
             dataset, TrainConfig(max_iterations=0, num_restarts=1, seed=0)
         )
         template, _ = family_template(
@@ -447,8 +452,8 @@ class TestTrainMTGP:
         dataset = self._dataset()
         config = TrainConfig(max_iterations=400, num_restarts=1, seed=5, convergence_tolerance=1e-4)
         for family in (MTGPFamily(mode="slfm"), MTGPFamily(mode="lmc", kernel_kind=MATERN52)):
-            alone = train_mtgp(dataset, config, family=family).fit_info["restarts"][0]
-            batch = train_mtgp(
+            alone = train_alone(dataset, config, family=family).fit_info["restarts"][0]
+            batch = train_alone(
                 dataset, TrainConfig(**{**config.__dict__, "num_restarts": 4}), family=family
             ).fit_info["restarts"][0]
             assert batch["final_objective"] == pytest.approx(alone["final_objective"], rel=1e-8)
@@ -457,7 +462,7 @@ class TestTrainMTGP:
 
     def test_restart_diagnostics_report_stop_reason_and_escalations(self):
         dataset = self._dataset()
-        model = train_mtgp(dataset, TrainConfig(max_iterations=300, num_restarts=3, seed=1))
+        model = train_alone(dataset, TrainConfig(max_iterations=300, num_restarts=3, seed=1))
         for diag in model.fit_info["restarts"]:
             assert diag["status"] == "ok"
             assert diag["stop_reason"] in ("converged", "max_iterations")
@@ -476,7 +481,7 @@ class TestTrainMTGP:
 
             training_module.adam_maximize = failing_adam
             with pytest.raises(TrainingFailedError) as excinfo:
-                train_mtgp(dataset, FAST)
+                train_alone(dataset, FAST)
             assert len(excinfo.value.diagnostics) == FAST.num_restarts
         finally:
             training_module.adam_maximize = original
@@ -525,6 +530,11 @@ class TestTrainBatch:
             out.append(MultiTaskDataset((X0, X1), (f(X0), (0.8 + 0.1 * i) * f(X1) - 0.2)))
         return out
 
+    @staticmethod
+    def _gp_datasets(count, n=7, dim=2):
+        datasets = TestTrainBatch._datasets(count, n, 0, dim)
+        return [MultiTaskDataset(d.inputs[:1], d.targets[:1]) for d in datasets]
+
     @pytest.mark.parametrize(
         "family,sizes",
         [
@@ -536,50 +546,70 @@ class TestTrainBatch:
     def test_mtgp_batch_equals_each_fit_alone(self, family, sizes):
         datasets = self._datasets(4, *sizes)
         seeds = [11, 12, 13, 14]
-        models = train_mtgp_batch(datasets, self.CONFIG, seeds, family=family)
+        models = train([FitJob(d, seed, family) for d, seed in zip(datasets, seeds)], self.CONFIG)
         stops = {r["stop_reason"] for m in models for r in m.fit_info["restarts"]}
         assert stops == {"converged", "max_iterations"}
         for dataset, seed, model in zip(datasets, seeds, models):
-            alone = train_mtgp(dataset, replace(self.CONFIG, seed=seed), family=family)
+            alone = train_alone(dataset, replace(self.CONFIG, seed=seed), family=family)
             _same_fit(model, alone)
 
     def test_gp_batch_equals_each_fit_alone(self):
-        datasets = self._datasets(5, n0=7, n1=0, dim=2)
-        inputs = [d.inputs[0] for d in datasets]
-        targets = [d.targets[0] for d in datasets]
+        datasets = self._gp_datasets(5)
         seeds = [3, 1, 4, 1, 5]
-        models = train_gp_batch(inputs, targets, self.CONFIG, seeds, kernel_kind=MATERN52)
+        family = MTGPFamily("gp", MATERN52)
+        models = train([FitJob(d, seed, family) for d, seed in zip(datasets, seeds)], self.CONFIG)
         stops = {r["stop_reason"] for m in models for r in m.fit_info["restarts"]}
         assert stops == {"converged", "max_iterations"}
-        for X, Y, seed, model in zip(inputs, targets, seeds, models):
-            alone = train_gp(X, Y, replace(self.CONFIG, seed=seed), kernel_kind=MATERN52)
+        for dataset, seed, model in zip(datasets, seeds, models):
+            (X,), (Y,) = dataset.inputs, dataset.targets
+            alone = train_gp_alone(X, Y, replace(self.CONFIG, seed=seed), kernel_kind=MATERN52)
             _same_fit(model, alone)
 
-    def test_one_dataset_batch_is_train_mtgp(self):
+    def test_the_job_seed_stands_in_for_the_config_seed(self):
         dataset = self._datasets(1)[0]
-        (model,) = train_mtgp_batch([dataset], FAST, [FAST.seed])
-        _same_fit(model, train_mtgp(dataset, FAST))
+        (model,) = train([FitJob(dataset, 5)], FAST)
+        _same_fit(model, train_alone(dataset, replace(FAST, seed=5)))
+        assert model.fit_info["objective"] != train_alone(dataset, FAST).fit_info["objective"]
 
     def test_batch_builds_one_layout_per_fit_and_no_spec(self, build_counts):
-        datasets = self._datasets(3)
         config = TrainConfig(max_iterations=5, num_restarts=2)
-        build_counts.clear()
-        train_mtgp_batch(datasets, config, [0, 1, 2])
-        assert build_counts == {"layouts": 3}  # no dataset of scaled targets
-        build_counts.clear()
-        inputs, targets = [d.inputs[0] for d in datasets], [d.targets[0] for d in datasets]
-        train_gp_batch(inputs, targets, config, [0, 1, 2])
-        assert build_counts == {"layouts": 3, "datasets": 3}  # the three input datasets
+        for jobs in (
+            [FitJob(d, i) for i, d in enumerate(self._datasets(3))],
+            [FitJob(d, i, MTGPFamily("gp")) for i, d in enumerate(self._gp_datasets(3))],
+        ):
+            build_counts.clear()
+            train(jobs, config)
+            assert build_counts == {"layouts": 3}  # no dataset of scaled targets
 
-    def test_mismatched_shapes_raise(self):
-        a = self._datasets(1)[0]
-        b = self._datasets(1, n0=5, n1=5)[0]
-        with pytest.raises(ShapeError):
-            train_mtgp_batch([a, b], FAST, [0, 1])
-        with pytest.raises(ShapeError):
-            train_gp_batch([a.inputs[0], b.inputs[0]], [a.targets[0], b.targets[0]], FAST, [0, 1])
-        with pytest.raises(ShapeError):
-            train_mtgp_batch([a, a], FAST, [0])
+    def test_mixed_jobs_train_in_one_stack_per_shape(self, monkeypatch):
+        from mtgp.multitask import LayoutStack
+
+        stacks, original = [], LayoutStack.__init__
+
+        def counted(self, layouts, rows_per_layout):
+            stacks.append(len(layouts))
+            original(self, layouts, rows_per_layout)
+
+        monkeypatch.setattr(LayoutStack, "__init__", counted)
+        a, b, gp = self._datasets(2), self._datasets(2, n0=5, n1=5), self._gp_datasets(2, dim=1)
+        jobs = [
+            FitJob(a[0], 1), FitJob(gp[0], 2, MTGPFamily("gp")), FitJob(b[0], 3),
+            FitJob(a[1], 4), FitJob(gp[1], 5, MTGPFamily("gp")), FitJob(b[1], 6),
+        ]
+        traced = {}
+
+        def trace(row, iteration, value, grad_norm):
+            traced.setdefault(row, []).append(value)
+
+        models = train(jobs, self.CONFIG, trace)
+        assert stacks == [2, 2, 2]  # shapes a, gp and b, in order of first appearance
+        R = self.CONFIG.num_restarts
+        assert sorted(traced) == list(range(len(jobs) * R))  # restart r of job j is row j * R + r
+        for j, (job, model) in enumerate(zip(jobs, models)):
+            assert model.num_tasks == job.dataset.num_tasks
+            _same_fit(model, train([job], self.CONFIG)[0])
+            finals = [r["final_objective"] for r in model.fit_info["restarts"]]
+            assert [max(traced[j * R + r]) for r in range(R)] == finals
 
     def test_failed_fit_raises_with_its_diagnostics(self, monkeypatch):
         from mtgp.multitask import LayoutStack
@@ -588,13 +618,16 @@ class TestTrainBatch:
 
         def fail_fit_one(self, X, rows):
             batch = original(self, X, rows)
-            for i in np.flatnonzero(self.owner[rows] == 1):
-                batch.errors[int(i)] = "synthetic Cholesky failure"
+            if self.y.shape[1] == 10:  # the stack of the 6 + 4 row datasets
+                for i in np.flatnonzero(self.owner[rows] == 1):
+                    batch.errors[int(i)] = "synthetic Cholesky failure"
             return batch
 
         monkeypatch.setattr(LayoutStack, "evaluate", fail_fit_one)
-        with pytest.raises(TrainingFailedError, match="fit 1 of 3") as excinfo:
-            train_mtgp_batch(self._datasets(3), FAST, [0, 1, 2])
+        other = [FitJob(d, i) for i, d in enumerate(self._datasets(2, n0=5, n1=6))]
+        jobs = other + [FitJob(d, i) for i, d in enumerate(self._datasets(3))]
+        with pytest.raises(TrainingFailedError, match="all restarts failed in fit 3$") as excinfo:
+            train(jobs, FAST)
         diagnostics = excinfo.value.diagnostics
         assert [d["restart"] for d in diagnostics] == list(range(FAST.num_restarts))
         for diag in diagnostics:
@@ -615,7 +648,7 @@ def dense_lml(K, r):
 
 
 class TestOneTaskCase:
-    """train_gp is the one-task, independent-family case of train_mtgp's driver."""
+    """The gp family is the one-task, independent-family case of the training driver."""
 
     def _data(self):
         rng = make_rng("one-task", 0)
@@ -626,7 +659,7 @@ class TestOneTaskCase:
     @pytest.mark.parametrize("standardize", [True, False])
     def test_gp_lml_is_raw_target_likelihood(self, standardize):
         X, Y = self._data()
-        model = train_gp(X, Y, FAST, kernel_kind=MATERN52, standardize=standardize)
+        model = train_gp_alone(X, Y, FAST, kernel_kind=MATERN52, standardize=standardize)
         kernel = model.kernel.terms[0].base_kernel
         K = kernel_matrix(kernel, X, X) + model.noise_variances[0] * np.eye(Y.size)
         dense = dense_lml(with_base_jitter(K), Y - model.task_means[0])
@@ -642,7 +675,7 @@ class TestOneTaskCase:
                 -3.0 + 0.5 * np.sin(5 * X1[:, 0]) + 0.05 * rng.normal(size=6),
             ),
         )
-        model = train_mtgp(dataset, FAST, family=MTGPFamily(mode="lmc", rank=2))
+        model = train_alone(dataset, FAST, family=MTGPFamily(mode="lmc", rank=2))
         tasks = dataset.task_indices()
         s = model.task_stds[tasks]
         K = assemble_joint_covariance(model.kernel, dataset) + np.diag(model.noise_variances[tasks])
@@ -656,8 +689,8 @@ class TestOneTaskCase:
     def test_gp_equals_independent_mtgp_scaled_back(self):
         X, Y = self._data()
         config = TrainConfig(max_iterations=150, num_restarts=1, seed=2)
-        gp = train_gp(X, Y, config)
-        mt = train_mtgp(MultiTaskDataset((X,), (Y,)), config, family=MTGPFamily(mode="independent"))
+        gp = train_gp_alone(X, Y, config)
+        mt = train_alone(MultiTaskDataset((X,), (Y,)), config, family=MTGPFamily(mode="independent"))
         s2 = float(np.std(Y)) ** 2
         base = mt.kernel.terms[0].base_kernel
         kernel = gp.kernel.terms[0].base_kernel
@@ -699,7 +732,7 @@ class TestConfigValidation:
     def test_train_config_takes_numpy_integer_counts(self):
         config = TrainConfig(max_iterations=np.int64(3), num_restarts=np.int32(1))
         X = np.linspace(0, 1, 5)[:, None]
-        assert train_gp(X, np.sin(3 * X[:, 0]), config).fit_info["iterations"] == 3
+        assert train_gp_alone(X, np.sin(3 * X[:, 0]), config).fit_info["iterations"] == 3
 
     def test_family_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -722,8 +755,31 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match=field):
             MTGPFamily(**{field: value})
 
+    @pytest.mark.parametrize(
+        "settings,field",
+        [
+            ({"mode": "slfm", "rank": 2}, "rank"),
+            ({"mode": "independent", "rank": 2}, "rank"),
+            ({"mode": "gp", "rank": 3}, "rank"),
+            ({"mode": "independent", "num_terms": 2}, "num_terms"),
+            ({"mode": "gp", "num_terms": 1}, "num_terms"),
+        ],
+    )
+    def test_family_rejects_a_setting_its_mode_does_not_use(self, settings, field):
+        with pytest.raises(DomainError, match=field):
+            MTGPFamily(**settings)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_job_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            FitJob(TestTrainBatch._datasets(1)[0], seed)
+
+    def test_gp_job_requires_a_single_task(self):
+        with pytest.raises(DomainError, match="family 'gp' requires a single task, data has 2"):
+            FitJob(TestTrainBatch._datasets(1)[0], 0, MTGPFamily("gp"))
+
     def test_family_takes_numpy_integer_shape(self):
         family = MTGPFamily(mode="lmc", num_terms=np.int64(1), rank=np.int64(2))
-        model = train_mtgp(TestTrainBatch._datasets(1)[0], FAST, family=family)
+        model = train_alone(TestTrainBatch._datasets(1)[0], FAST, family=family)
         assert [t.rank for t in model.kernel.terms] == [2]
         assert json.loads(json.dumps(model_io.model_document(model, "mtgp-lmc")))["ranks"] == [2]
