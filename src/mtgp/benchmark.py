@@ -277,16 +277,19 @@ def run_study(study: StudyConfig, train_config: TrainConfig = STUDY_TRAIN_CONFIG
     The task-1 training design depends only on (study seed, n_primary,
     replicate), so the single-task baseline is trained once per such key and
     shared across correlation levels, mirroring the paired comparisons of
-    the study tables. Every fit of the study, baseline or multi-task, is one
-    job of a single :func:`~mtgp.training.train` call, which trains the
-    fits of each shape as one batch; each fit's result is the one it would
-    get alone.
+    the study tables. Every fit of the study is one job of a single
+    :func:`~mtgp.training.train` call; each fit's result is the one it would
+    get alone. The cells run in output order, targets descending and size
+    pairs ascending, and each builds its rows and aggregate in one pass.
     """
     calibrations = {r: calibrate_auxiliary(r) for r in study.correlations}
     achieved = {r: achieved_correlation(aux) for r, aux in calibrations.items()}
     replicates = range(study.replicates)
 
-    # a baseline's draw is keyed (n1, rep), a multi-task fit's (target, n1, n2, rep)
+    # the cells in output order; a baseline's draw is keyed (n1, rep), a
+    # multi-task fit's (target, n1, n2, rep)
+    correlations, sizes = sorted(study.correlations, reverse=True), sorted(study.size_grid)
+    grid = [(target, n1, n2) for target in correlations for n1, n2 in sizes]
     seeds, gp_draws, mt_draws, jobs = {}, {}, {}, []
     for n1 in sorted({n1 for n1, _ in study.size_grid}):
         for rep in replicates:
@@ -294,92 +297,77 @@ def run_study(study: StudyConfig, train_config: TrainConfig = STUDY_TRAIN_CONFIG
             x1, y1, *_ = gp_draws[(n1, rep)] = _scenario_data(study, n1, 1, seed, PRIMARY_PARAMS)
             model_seed = _model_seed(train_config, seed, "gp")
             jobs.append(FitJob(MultiTaskDataset((x1,), (y1,)), model_seed, MTGPFamily("gp")))
-    for n1, n2 in study.size_grid:
-        for target in study.correlations:
-            for rep in replicates:
-                draw = _scenario_data(study, n1, n2, seeds[(n1, rep)], calibrations[target])
-                x1, y1, x2, y2, *_ = mt_draws[(target, n1, n2, rep)] = draw
-                model_seed = _model_seed(train_config, seeds[(n1, rep)], "mtgp")
-                dataset = MultiTaskDataset((x1, x2), (y1, y2))
-                jobs.append(FitJob(dataset, model_seed, BENCHMARK_MTGP_FAMILY))
+    for target, n1, n2 in grid:
+        for rep in replicates:
+            draw = _scenario_data(study, n1, n2, seeds[(n1, rep)], calibrations[target])
+            x1, y1, x2, y2, *_ = mt_draws[(target, n1, n2, rep)] = draw
+            model_seed = _model_seed(train_config, seeds[(n1, rep)], "mtgp")
+            dataset = MultiTaskDataset((x1, x2), (y1, y2))
+            jobs.append(FitJob(dataset, model_seed, BENCHMARK_MTGP_FAMILY))
     fits = dict(zip([*gp_draws, *mt_draws], train(jobs, train_config)))
     gp_preds = {
         key: mtgp_predict(fits[key], 0, x_test) for key, (*_, x_test, _) in gp_draws.items()
     }
 
-    rows, cells, series = [], {}, {}
-    for (target, n1, n2, rep), (*_, x_test, y_test) in mt_draws.items():
-        aux = calibrations[target]
-        mt, gp = mtgp_predict(fits[(target, n1, n2, rep)], 0, x_test), gp_preds[(n1, rep)]
-        gp_rmse, mtgp_rmse = rmse(gp.mean, y_test), rmse(mt.mean, y_test)
-        rows.append(
-            {
-                "correlation_target": target,
-                "correlation_achieved": achieved[target],
-                "aux_a": aux.a,
-                "aux_b": aux.b,
-                "n_primary": n1,
-                "n_auxiliary": n2,
-                "replicate": rep,
-                "seed": seeds[(n1, rep)],
-                "gp_rmse": gp_rmse,
-                "mtgp_rmse": mtgp_rmse,
-                "percent_improvement": percent_improvement(gp_rmse, mtgp_rmse),
-            }
-        )
-        cells.setdefault((target, n1, n2), []).append(rows[-1])
-        if rep == 0:
-            series[(target, n1, n2)] = {
-                "x": x_test[:, 0],
-                "true": y_test,
-                "gp_mean": gp.mean,
-                "gp_stddev": gp.stddev,
-                "mtgp_mean": mt.mean,
-                "mtgp_stddev": mt.stddev,
-            }
-
-    aggregates = []
-    for target in study.correlations:
-        for n1, n2 in study.size_grid:
-            cell = cells[(target, n1, n2)]
-            def col(name):
-                return np.asarray([row[name] for row in cell])
-            gp_mean = float(np.mean(col("gp_rmse")))
-            mtgp_mean = float(np.mean(col("mtgp_rmse")))
-            aggregates.append(
+    rows, aggregates, series = [], [], {}
+    for target, n1, n2 in grid:
+        aux, cell = calibrations[target], []
+        for rep in replicates:
+            *_, x_test, y_test = mt_draws[(target, n1, n2, rep)]
+            mt, gp = mtgp_predict(fits[(target, n1, n2, rep)], 0, x_test), gp_preds[(n1, rep)]
+            gp_rmse, mtgp_rmse = rmse(gp.mean, y_test), rmse(mt.mean, y_test)
+            cell.append(
                 {
                     "correlation_target": target,
                     "correlation_achieved": achieved[target],
+                    "aux_a": aux.a,
+                    "aux_b": aux.b,
                     "n_primary": n1,
                     "n_auxiliary": n2,
-                    "replicates": len(cell),
-                    "gp_rmse_mean": gp_mean,
-                    "gp_rmse_std": float(np.std(col("gp_rmse"))),
-                    "mtgp_rmse_mean": mtgp_mean,
-                    "mtgp_rmse_std": float(np.std(col("mtgp_rmse"))),
-                    # headline number, consistent with quoting the two mean RMSEs
-                    "improvement": percent_improvement(gp_mean, mtgp_mean),
-                    "improvement_per_replicate_mean": float(np.mean(col("percent_improvement"))),
-                    "improvement_per_replicate_std": float(np.std(col("percent_improvement"))),
-                    "mtgp_training": training_diagnostics(
-                        [fits[(target, n1, n2, rep)].fit_info for rep in replicates]
-                    ),
-                    "gp_training": training_diagnostics(
-                        [fits[(n1, rep)].fit_info for rep in replicates]
-                    ),
+                    "replicate": rep,
+                    "seed": seeds[(n1, rep)],
+                    "gp_rmse": gp_rmse,
+                    "mtgp_rmse": mtgp_rmse,
+                    "percent_improvement": percent_improvement(gp_rmse, mtgp_rmse),
                 }
             )
-    rows.sort(
-        key=lambda r: (
-            -r["correlation_target"],
-            r["n_primary"],
-            r["n_auxiliary"],
-            r["replicate"],
+            if rep == 0:
+                series[(target, n1, n2)] = {
+                    "x": x_test[:, 0],
+                    "true": y_test,
+                    "gp_mean": gp.mean,
+                    "gp_stddev": gp.stddev,
+                    "mtgp_mean": mt.mean,
+                    "mtgp_stddev": mt.stddev,
+                }
+        rows += cell
+        def col(name):
+            return np.asarray([row[name] for row in cell])
+        gp_mean = float(np.mean(col("gp_rmse")))
+        mtgp_mean = float(np.mean(col("mtgp_rmse")))
+        aggregates.append(
+            {
+                "correlation_target": target,
+                "correlation_achieved": achieved[target],
+                "n_primary": n1,
+                "n_auxiliary": n2,
+                "replicates": len(cell),
+                "gp_rmse_mean": gp_mean,
+                "gp_rmse_std": float(np.std(col("gp_rmse"))),
+                "mtgp_rmse_mean": mtgp_mean,
+                "mtgp_rmse_std": float(np.std(col("mtgp_rmse"))),
+                # headline number, consistent with quoting the two mean RMSEs
+                "improvement": percent_improvement(gp_mean, mtgp_mean),
+                "improvement_per_replicate_mean": float(np.mean(col("percent_improvement"))),
+                "improvement_per_replicate_std": float(np.std(col("percent_improvement"))),
+                "mtgp_training": training_diagnostics(
+                    [fits[(target, n1, n2, rep)].fit_info for rep in replicates]
+                ),
+                "gp_training": training_diagnostics(
+                    [fits[(n1, rep)].fit_info for rep in replicates]
+                ),
+            }
         )
-    )
-    aggregates.sort(
-        key=lambda r: (-r["correlation_target"], r["n_primary"], r["n_auxiliary"])
-    )
     return StudyResult(study, train_config, calibrations, achieved, rows, aggregates, series)
 
 

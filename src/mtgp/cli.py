@@ -155,9 +155,20 @@ def cmd_train(args) -> int:
     dataset, _ = read_task_csv(args.data)
     train_config = TrainConfig(**config["train"])
     job = FitJob(dataset, train_config.seed, config["model_family"], config["standardize"])
-    # an unusable output directory fails before the training, not after it
+    # an unusable output directory or trace fails before the training and
+    # leaves no directory behind (the trace may go inside --out)
+    made = []  # the directories os.makedirs makes, innermost first
+    head = os.path.abspath(out_dir)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out_dir, exist_ok=True)
-    trace, trace_fh = _open_trace(args.trace)
+    try:
+        trace, trace_fh = _open_trace(args.trace)
+    except OSError:
+        for path in made:
+            os.rmdir(path)
+        raise
     try:
         (model,) = train([job], train_config, trace)
     finally:
@@ -412,12 +423,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (ValidationError, ShapeError, DomainError, OSError) as exc:
+    except (MTGPError, OSError) as exc:  # bad input exits 2, a failed computation 3
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MTGPError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ValidationError, ShapeError, DomainError, OSError)) else 3
 
 
 def entrypoint():

@@ -222,6 +222,9 @@ def _decode_model(doc) -> MTGPModel:
         )
     params = _require(doc, "parameters")
     vector = _unhex_all(_require(params, "values_hex", list))
+    # each rank column stores at least one value: check before any array is sized by the ranks
+    if sum(ranks) > vector.shape[0]:
+        raise ValidationError("parameter vector has wrong length")
     tasks_doc = _require(_require(doc, "data"), "tasks", list)
     if len(tasks_doc) != num_tasks:
         raise ValidationError(f"model file key 'tasks' must hold {num_tasks} tasks")

@@ -303,8 +303,8 @@ class ParameterLayout:
     ``np.take`` of the flat vectors by ``gather`` fills it and one
     ``np.exp`` transforms it, both row by row, so each row's natural
     parameters are computed the same way in any batch. The gradient, one
-    concatenation of the learned groups' gradients, returns to the flat
-    order through one ``np.take`` by ``scatter``.
+    concatenation of the groups' gradients in natural order, returns to the
+    flat order through one ``np.take`` by ``natural_index``.
 
     The single-task GP is the one-task, one-term case with W fixed at 1 and
     gamma at 0, whose flat vector is ``[log l..., log s2, log noise]``.
@@ -338,8 +338,6 @@ class ParameterLayout:
         fixed[natural] = False
         self.fixed = np.flatnonzero(fixed)
         self.natural_index = natural
-        # the gradient concatenates [ls, s2, noise, gamma if learned, W if learned]
-        self.scatter = natural if learn_gamma else np.where(natural < W_at, natural, natural - Q * D)
         self.is_W = natural >= W_at
         self.learn_W, self.learn_gamma = learn_W, learn_gamma
         bounds = [0, s2_at, noise_at, gamma_at, W_at, None]
@@ -476,13 +474,14 @@ def spec_layout(spec, noise_variances, dataset, learn_W=True, learn_gamma=True) 
 class LayoutStack:
     """Same-shape exact-GP layouts evaluated as one batch.
 
-    Each layout holds one dataset and its fit's template; all share the
-    model shape, the task pattern (rows per task) and the template values of
-    every parameter they do not learn, so one flat vector means the same
-    parameters under each. Row i of the batch's initial vectors belongs to
-    layout ``owner[i]``: ``rows_per_layout`` consecutive rows each. The data
-    is stacked, ``sqdiff`` (F, P, N*N) and ``y`` (F, N), and
-    :meth:`evaluate` picks each running row's dataset by its row index.
+    Each layout holds one dataset and its fit's template. The caller
+    guarantees that all share the model shape, the task pattern (rows per
+    task) and the template values of every parameter they do not learn, so
+    one flat vector means the same parameters under each; the layouts of one
+    :func:`~mtgp.training.train` group do. Row i of the batch's initial
+    vectors belongs to layout ``owner[i]``: ``rows_per_layout`` consecutive
+    rows each. The data is stacked, ``sqdiff`` (F, P, N*N) and ``y`` (F, N),
+    and :meth:`evaluate` picks each running row's dataset by its row index.
     One :class:`Workspace` sized for all rows holds the temporaries of every
     evaluation. The objective computes every row on its own, so a row's
     value and gradient are bitwise the same whichever rows run beside it, in
@@ -490,14 +489,11 @@ class LayoutStack:
     """
 
     def __init__(self, layouts, rows_per_layout: int):
-        first = layouts[0]
-        for layout in layouts[1:]:
-            _require_same_shape(first, layout)
-        self.layout = first
+        self.layout = layouts[0]
         self.sqdiff = np.stack([layout.sqdiff for layout in layouts])
         self.y = np.stack([layout.y for layout in layouts])
         self.owner = np.repeat(np.arange(len(layouts)), rows_per_layout)
-        self.work = Workspace.of(first, self.owner.size)
+        self.work = Workspace.of(self.layout, self.owner.size)
         self._rows = self._data = None  # the running rows and their (sqdiff, y, workspace)
 
     def evaluate(self, X: np.ndarray, rows: np.ndarray) -> LMLBatch:
@@ -514,22 +510,6 @@ class LayoutStack:
             self._data = (self.sqdiff[owner], self.y[owner], self.work.head(len(rows)))
         nat = self.layout.natural_batch(X)
         return _lml_batch(self.layout, nat, *self._data, started)
-
-
-def _require_same_shape(a: ExactGPLayout, b: ExactGPLayout):
-    """Raise ShapeError unless one flat vector means the same model under a and b."""
-    if a.shape != b.shape or a.size != b.size or a.kinds != b.kinds or a.ranks != b.ranks:
-        raise ShapeError(
-            f"layouts of one batch must share a model shape: (Q, D, P, N) {a.shape} "
-            f"with {a.size} parameters vs {b.shape} with {b.size}"
-        )
-    if not np.array_equal(a.tasks, b.tasks):
-        raise ShapeError("layouts of one batch must share the rows per task")
-    if not (
-        np.array_equal(a.natural_index, b.natural_index)
-        and np.array_equal(a.template[a.fixed], b.template[b.fixed])
-    ):
-        raise ShapeError("layouts of one batch must learn and fix the same parameters")
 
 
 def _scaled_sq_dists(A: np.ndarray, B: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -608,7 +588,9 @@ def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, work: Workspace, started: 
     adding ``rel tr(M) / N`` to M's diagonal carries its derivative. Per
     term, ``T = E^T (M * K_q) E`` sums M * K_q over task blocks, so dL/dW =
     T W, dL/d(log gamma) = gamma diag(T) / 2 and dL/d(log s2) = sum(B_q *
-    T) / 2. Gradients of positive parameters are in log space. The large
+    T) / 2. Gradients of positive parameters are in log space, concatenated
+    in natural order (a layout that learns neither W nor gamma stops after
+    noise) and gathered once by ``layout.natural_index``. The large
     temporaries live in ``work``, a :class:`Workspace` of B rows; ``values``
     and ``grads`` are new arrays.
     ``started`` is the evaluation's start, from which the phases are timed.
@@ -648,17 +630,15 @@ def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, work: Workspace, started: 
             T = layout.onehot.T @ np.multiply(M[:, None], unit, out=work.G) @ layout.onehot
             T *= s2[..., None, None]
             g_s2 = 0.5 * (Bq * T).sum(axis=(-2, -1))
+            g_gamma = 0.5 * gamma * T.reshape(B, Q, D * D)[..., :: D + 1]
+            loadings = [g_gamma.reshape(B, Q * D), (T @ W).reshape(B, -1)]
         else:  # dK/d(log s2_q) = Km_q, and M * Km is G for SE
             if slope is not unit:
                 G = np.multiply(M[:, None], Km, out=work.G)
             g_s2 = 0.5 * G.sum(axis=(-2, -1))
-        parts = [g_ls.reshape(B, Q * P), g_s2, g_noise]
-        if layout.learn_gamma:
-            g_gamma = 0.5 * gamma * T.reshape(B, Q, D * D)[..., :: D + 1]
-            parts.append(g_gamma.reshape(B, Q * D))
-        if layout.learn_W:
-            parts.append((T @ W).reshape(B, -1))
-        grads = np.take(np.concatenate(parts, axis=1), layout.scatter, axis=1)
+            loadings = []  # natural_index stops at noise
+        g_natural = np.concatenate([g_ls.reshape(B, Q * P), g_s2, g_noise, *loadings], axis=1)
+        grads = np.take(g_natural, layout.natural_index, axis=1)
     if errors:
         rows = list(errors)
         values[rows] = np.nan

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultiTaskDataset, task_scaling
-from .errors import DomainError, MTGPError, TrainingFailedError
+from .errors import DomainError, TrainingFailedError
 from .kernels import KERNEL_KINDS, SQUARED_EXPONENTIAL
 from .multitask import PHASES, ExactGPLayout, LayoutStack, LMLBatch, MTGPModel, _condition
 from .seeding import make_rng
@@ -123,7 +123,8 @@ class MTGPFamily:
 class FitJob:
     """One fit for :func:`train`: its dataset, the seed its restarts draw
     from (in place of ``TrainConfig.seed``), its family and whether its
-    targets are standardized."""
+    targets are standardized. Its checks against the dataset (a ``gp`` job
+    has one task, a rank is at most the task count) run when it is made."""
 
     dataset: MultiTaskDataset
     seed: int
@@ -133,10 +134,11 @@ class FitJob:
     def __post_init__(self):
         if not _is_integer(self.seed):  # negative seeds are masked by seed_entropy
             raise DomainError(f"seed must be an int, got {self.seed!r}")
-        if self.family.mode == "gp" and self.dataset.num_tasks != 1:
-            raise DomainError(
-                f"family 'gp' requires a single task, data has {self.dataset.num_tasks}"
-            )
+        D = self.dataset.num_tasks
+        if self.family.mode == "gp" and D != 1:
+            raise DomainError(f"family 'gp' requires a single task, data has {D}")
+        if self.family.rank > D:  # W W^T has rank at most D: extra columns are redundant
+            raise DomainError(f"rank {self.family.rank} exceeds the number of tasks ({D})")
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,9 @@ def _restart_diagnostics(run: AdamRun, rows: range) -> list:
 def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool):
     """One fit's layout on ``dataset``, which scales its targets by
     :func:`~mtgp.data.task_scaling`, and ``sum_d N_d log s_d``. Its template
-    is the family's start.
+    is the family's start. Its shape, learned entries and fixed template
+    values depend only on :func:`train`'s group key, so the layouts of one
+    group can share a :class:`LayoutStack`.
 
     Latent terms start at staggered lengthscales (a geometric spread over one
     octave pair per term) so that separate components can pick up smooth
@@ -382,9 +386,6 @@ def _fit_layout(dataset: MultiTaskDataset, family: MTGPFamily, standardize: bool
     one scale per task term.
     """
     D = dataset.num_tasks
-    if family.rank > D:
-        # W W^T has rank at most D, so extra columns only add redundant parameters
-        raise DomainError(f"rank {family.rank} exceeds the number of tasks ({D})")
     Q = family.num_terms or D
     kinds, ranks = [family.kernel_kind] * Q, [int(family.rank)] * Q
     layout = ExactGPLayout(kinds, ranks, dataset, family.learns_W, family.learns_gamma).scale(
@@ -445,7 +446,8 @@ def _train(jobs: dict, config: TrainConfig, trace) -> list:
     scale into the signal and noise variances, so its model predicts raw
     targets with task std 1 and keeps only the mean. The model gets
     ``fit_info`` (``metrics.json``'s keys), whose ``wall_time_s`` and
-    ``timing`` are the whole group's.
+    ``timing`` are the whole group's. A fit whose restarts all failed
+    raises :class:`~mtgp.errors.TrainingFailedError` with their diagnostics.
     """
     started = time.perf_counter()
     R, index = config.num_restarts, list(jobs)
@@ -459,11 +461,7 @@ def _train(jobs: dict, config: TrainConfig, trace) -> list:
     )
     if trace is not None:  # the group's row k * R + r is restart r of job index[k]
         trace = functools.partial(_job_trace, trace, index, R)
-    try:
-        run = adam_maximize(objective, x0, config, trace=trace)
-    except MTGPError as exc:
-        diagnostics = [{"restart": r, "status": "failed", "error": str(exc)} for r in range(R)]
-        raise TrainingFailedError("all restarts failed", diagnostics) from exc
+    run = adam_maximize(objective, x0, config, trace=trace)
     models = []
     for k, (layout, log_scale) in enumerate(fits):
         rows = range(k * R, (k + 1) * R)

@@ -345,6 +345,21 @@ class TestRunStudy:
             assert gp_rmse == row["gp_rmse"]
             assert mtgp_rmse == row["mtgp_rmse"]
 
+    def test_unsorted_axes_give_the_sorted_study(self):
+        def study(correlations, size_grid):
+            config = StudyConfig(correlations, size_grid, replicates=2, n_test=20, seed=1)
+            return run_study(config, TINY)
+
+        unsorted = study((0.53, 0.89), ((6, 4), (4, 4)))
+        ordered = study((0.89, 0.53), ((4, 4), (6, 4)))
+        assert unsorted.rows == ordered.rows
+        assert unsorted.aggregates == ordered.aggregates
+        assert [r["correlation_target"] for r in unsorted.aggregates] == [0.89, 0.89, 0.53, 0.53]
+        assert unsorted.series.keys() == ordered.series.keys()
+        for key, series in unsorted.series.items():
+            for name, values in series.items():
+                np.testing.assert_array_equal(values, ordered.series[key][name])
+
     def test_one_adam_run_per_cell_and_per_primary_size(self, monkeypatch):
         runs = []
         original = training.adam_maximize

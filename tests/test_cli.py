@@ -97,6 +97,7 @@ MODEL_FILE_BAD_VALUES = {
     "input_dim-string": ("mtgp-slfm", lambda doc: doc.update(input_dim="abc"), "'input_dim'"),
     "num_tasks-negative": ("mtgp-slfm", lambda doc: doc.update(num_tasks=-1), "'num_tasks'"),
     "ranks-string": ("mtgp-slfm", lambda doc: doc.update(ranks=["a", "b"]), "'ranks'"),
+    "ranks-huge": ("mtgp-slfm", lambda doc: doc.update(ranks=[10**30, 1]), "wrong length"),
     "standardize-string": ("mtgp-slfm", lambda doc: doc.update(standardize="false"), "'standardize'"),
     "standardize-list": ("mtgp-slfm", lambda doc: doc.update(standardize=[1]), "'standardize'"),
     "y-edited": ("mtgp-slfm", lambda doc: edit_hex(doc["data"]["tasks"][0]["y"]), "'dataset_fingerprint'"),
@@ -321,8 +322,9 @@ class TestTrainPredict:
     def test_trace_written(self, tmp_path):
         data = write_two_task_csv(tmp_path / "data.csv")
         config = write_config(tmp_path / "config.json", max_iterations=5)
-        trace = tmp_path / "trace.jsonl"
-        cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o"), "--trace", str(trace)])
+        trace = tmp_path / "o" / "trace.jsonl"  # inside the --out that train makes
+        argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        assert cli.main([*argv, "--trace", str(trace)]) == 0
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert {rec["restart"] for rec in lines} == {0, 1}
         assert all({"iteration", "objective", "grad_norm"} <= set(rec) for rec in lines)
@@ -470,6 +472,8 @@ class TestBadInputExitCodes:
         files[flag] = bad
         argv = [command] + [str(v) for item in files.items() for v in item]
         self._assert_exit_2(argv, capsys, str(bad))
+        if (command, flag) == ("train", "--trace"):
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("family", ["gp", "mtgp-slfm"])
     def test_unusable_train_out_fails_before_training(self, tmp_path, capsys, monkeypatch, family):
@@ -606,6 +610,7 @@ class TestBadInputExitCodes:
         config = write_config(tmp_path / "config.json", family="mtgp-lmc", rank=50)
         argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
         self._assert_exit_2(argv, capsys, "rank 50 exceeds the number of tasks (2)")
+        assert not (tmp_path / "o").exists()
 
 
 class TestOracleIndependence:

@@ -5,6 +5,8 @@ Every name ``mtgp/__init__.py`` imports must be used somewhere in the
 package beyond its own definition and that import, so a second code path
 that only tests call cannot be exported. Every name another module imports
 must be read in that module, so deleting code leaves no import behind.
+Every private top-level function, class and constant must be read somewhere
+in the package, so deleting a caller leaves no helper behind.
 """
 
 import ast
@@ -68,3 +70,20 @@ def test_every_import_is_read_in_its_module():
         }
         unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert unread == [], f"imported but never read: {unread}"
+
+
+def test_every_private_definition_is_read_in_the_package():
+    used = _used_names()
+    orphaned = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            orphaned += [f"{path.name}: {name}" for name in private if name not in used]
+    assert orphaned == [], f"private but never read: {orphaned}"

@@ -469,23 +469,6 @@ class TestTrainMTGP:
             assert diag["converged"] == (diag["stop_reason"] == "converged")
             assert diag["jitter_escalations"] >= 0
 
-    def test_training_failure_carries_diagnostics(self):
-        dataset = self._dataset()
-
-        from mtgp import training as training_module
-
-        original = training_module.adam_maximize
-        try:
-            def failing_adam(objective, x0, config, trace=None):
-                raise training_module.MTGPError("synthetic factorization failure")
-
-            training_module.adam_maximize = failing_adam
-            with pytest.raises(TrainingFailedError) as excinfo:
-                train_alone(dataset, FAST)
-            assert len(excinfo.value.diagnostics) == FAST.num_restarts
-        finally:
-            training_module.adam_maximize = original
-
 
 def _same_fit(a, b):
     """Bitwise-equal learned parameters, objective and restart outcomes of two models."""
@@ -777,6 +760,11 @@ class TestConfigValidation:
     def test_gp_job_requires_a_single_task(self):
         with pytest.raises(DomainError, match="family 'gp' requires a single task, data has 2"):
             FitJob(TestTrainBatch._datasets(1)[0], 0, MTGPFamily("gp"))
+
+    def test_job_rejects_a_rank_above_its_task_count(self):
+        family = MTGPFamily("lmc", rank=3)
+        with pytest.raises(DomainError, match=r"rank 3 exceeds the number of tasks \(2\)"):
+            FitJob(TestTrainBatch._datasets(1)[0], 0, family)
 
     def test_family_takes_numpy_integer_shape(self):
         family = MTGPFamily(mode="lmc", num_terms=np.int64(1), rank=np.int64(2))
