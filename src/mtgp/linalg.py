@@ -122,14 +122,17 @@ def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+def tri_solve(L: np.ndarray, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
     """Solve ``L x = b`` for a lower-triangular, C-ordered L (N, N) and b (N,) or (N, K).
 
     LAPACK reads L's memory as ``L^T`` in Fortran order and solves the
-    transposed system, so L is not copied.
+    transposed system, so L is not copied. With ``overwrite_b``, a float64 b
+    in Fortran order (such as ``K.T`` of a C-ordered K) is overwritten with
+    x, which is returned in its memory; any other b is copied and left
+    unchanged, as without it. The result's bits are the same either way.
     """
     _require_finite(L, b, "tri_solve")
-    x, info = dtrtrs(L.T, b, lower=0, trans=1)
+    x, info = dtrtrs(L.T, b, lower=0, trans=1, overwrite_b=overwrite_b)
     if info:  # > 0: a zero on the diagonal
         raise IllConditionedKernelError(f"tri_solve: dtrtrs returned info {info}")
     return x

@@ -41,6 +41,8 @@ from .linalg import BASE_JITTER_REL, cholesky_batch, cholesky_inverse_batch, cho
 
 NOISE_FLOOR = 1e-10
 _DOUBLE_MAX = np.finfo(float).max
+# query rows whose kernel values are computed together (see _kernel_rows)
+PREDICT_BLOCK_ROWS = 256
 
 
 @dataclass(eq=False)
@@ -156,6 +158,9 @@ def mtgp_predict(
 ) -> PosteriorPrediction:
     """Posterior mean/variance for one task at query points Xstar.
 
+    ``K(X*, X)`` is assembled in row blocks (:func:`_kernel_rows`), but the
+    mean's product and the triangular solve, made in place in ``K(X*, X)``,
+    run over all rows at once, so outputs do not depend on the block size.
     A query so far from the data that a kernel's argument overflows gets
     that kernel's limit, 0, so far enough away the prediction is the prior.
     """
@@ -174,14 +179,15 @@ def mtgp_predict(
         return PosteriorPrediction(empty, empty.copy(), np.zeros((0, 0)) if full_cov else None)
     Kstar, prior = _cross_covariance(model, task, Xstar, full_cov)
     mean = mu + s * (Kstar @ model.weights)
-    V = tri_solve(model.L, Kstar.T)
+    V = tri_solve(model.L, Kstar.T, overwrite_b=True)  # Kstar is overwritten
     if full_cov:
         cov = (prior - V.T @ V) * s**2
         cov = 0.5 * (cov + cov.T)
         variance = np.maximum(np.diag(cov).copy(), 0.0)
         np.fill_diagonal(cov, variance)
         return PosteriorPrediction(mean, variance, cov)
-    variance = (prior - np.sum(V**2, axis=0)) * s**2
+    V *= V
+    variance = (prior - np.sum(V, axis=0)) * s**2
     return PosteriorPrediction(mean, np.maximum(variance, 0.0))
 
 
@@ -190,28 +196,61 @@ def _cross_covariance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prior covariances of task ``task`` at the query rows Xstar (M, P).
 
-    Returns ``K(X*, X)`` (M, N) against the training rows, and ``K(X*, X*)``
-    (M, M) when ``full_cov``, else its diagonal, the prior variance (M,).
-    Terms are added one at a time from the model's :attr:`~MTGPModel.prior_terms`,
-    so a large query never holds a (Q, M, N) stack.
+    Returns ``K(X*, X)`` (M, N, C-ordered) against the training rows, and
+    ``K(X*, X*)`` (M, M) when ``full_cov``, else its diagonal, the prior
+    variance (M,): :func:`_kernel_rows` of the :attr:`~MTGPModel.prior_terms`
+    whose task coefficients are not all 0.
     """
-    X, tasks = model.layout.X, model.layout.tasks
-    Kstar = np.zeros((Xstar.shape[0], X.shape[0]))
-    prior = np.zeros((Xstar.shape[0],) * (2 if full_cov else 1))
-    with np.errstate(over="ignore"):  # a far query's distances overflow
-        for kind, scale, s2, Bq in model.prior_terms:
-            coeffs = Bq[task, tasks]
-            if coeffs.any():
-                z = _scaled_sq_dists(Xstar, X, scale)
-                Kstar += s2 * kernels.kernel_profile(kind, z)[0] * coeffs
-            if Bq[task, task] == 0.0:
-                continue
-            if full_cov:
-                z = _scaled_sq_dists(Xstar, Xstar, scale)
-                prior += Bq[task, task] * (s2 * kernels.kernel_profile(kind, z)[0])
-            else:
-                prior += Bq[task, task] * s2
+    cross, auto = [], []
+    for kind, scale, s2, Bq in model.prior_terms:
+        coeffs = Bq[task, model.layout.tasks]
+        if coeffs.any():
+            cross.append((kind, scale, s2, coeffs))
+        if Bq[task, task] != 0.0:
+            auto.append((kind, scale, s2, Bq[task, task]))
+    Kstar = _kernel_rows(Xstar, model.layout.X, cross)
+    if full_cov:
+        return Kstar, _kernel_rows(Xstar, Xstar, auto)
+    prior = np.zeros(Xstar.shape[0])
+    for _, _, s2, coeff in auto:
+        prior += coeff * s2
     return Kstar, prior
+
+
+def _kernel_rows(A: np.ndarray, B: np.ndarray, terms: list) -> np.ndarray:
+    """``sum_t (s2_t * unit_t(A_i, B_j)) * c_t`` (M, N) for rows A (M, P) and
+    B (N, P) over ``terms`` ``(kind, scale, s2, c)``, ``c`` a scalar or (N,).
+
+    PREDICT_BLOCK_ROWS rows of A at a time, in scratch made once per call:
+    each input's squared differences once per block, shared by all terms,
+    then each term's ``sum_p (A_ip - B_jp)^2 * scale_p``, summed from 0 in
+    input order. A sum that overflows to +inf is clamped to the largest
+    double, where the Matern profile reaches its limit 0 (at +inf it would be
+    ``(1 + inf) * exp(-inf)``, NaN); -inf already gives the squared
+    exponential's 0. All steps are elementwise, so blocking keeps the bits.
+    """
+    M, N = A.shape[0], B.shape[0]
+    out = np.zeros((M, N))
+    rows = min(M, PREDICT_BLOCK_ROWS)
+    scratch = np.empty((A.shape[1] + 2, rows, N))
+    sqdiff, z, tmp = scratch[:-2], scratch[-2], scratch[-1]
+    with np.errstate(over="ignore"):  # a far query's distances overflow
+        for start in range(0, M, rows):
+            block = slice(start, start + rows)
+            n = min(rows, M - start)
+            d = np.subtract(A[block].T[:, :, None], B.T[:, None, :], out=sqdiff[:, :n])
+            d *= d
+            zb, tb = z[:n], tmp[:n]
+            for kind, scale, s2, c in terms:
+                zb.fill(0.0)
+                for p, w in enumerate(scale):
+                    zb += np.multiply(d[p], w, out=tb)
+                np.minimum(zb, _DOUBLE_MAX, out=zb)
+                unit = kernels.kernel_profile(kind, zb)[0]  # zb, overwritten
+                unit *= s2
+                unit *= c
+                out[block] += unit
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,25 +549,6 @@ class LayoutStack:
             self._data = (self.sqdiff[owner], self.y[owner], self.work.head(len(rows)))
         nat = self.layout.natural_batch(X)
         return _lml_batch(self.layout, nat, *self._data, started)
-
-
-def _scaled_sq_dists(A: np.ndarray, B: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``sum_p (A_ip - B_jp)^2 * scale_p`` for row sets A (M, P) and B (N, P).
-
-    Summed one input dimension at a time, so a large query holds (M, N)
-    arrays only, never an (M, N, P) one. A sum that overflows to +inf is
-    clamped to the largest double, where the Matern profile reaches its
-    limit 0 (at +inf it would be ``(1 + inf) * exp(-inf)``, NaN); finite sums
-    are unchanged, and -inf already gives the squared exponential's 0.
-    Callers ignore the overflow.
-    """
-    sq = np.zeros((A.shape[0], B.shape[0]))
-    for p, w in enumerate(scale):
-        d = A[:, p, None] - B[None, :, p]
-        d *= d
-        d *= w
-        sq += d
-    return np.minimum(sq, _DOUBLE_MAX, out=sq)
 
 
 def _task_covariances(layout: ExactGPLayout, W, gamma) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -721,6 +722,85 @@ class TestPredictEdgeCases:
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
+
+
+# `mtgp predict` of write_block_query's query against models trained on
+# write_three_task_csv's data: sha256 of the output, recorded when each
+# task's K(X*, X) was still computed in one piece
+BLOCK_QUERY_SHA256 = {
+    "mtgp-lmc": "d84df3be74c66c845b8d26660b08531b658960f6ef9d1d88cbfbd6ce2f9c0925",
+    "mtgp-slfm": "5d15eb17727edda9abb0f4fe4c0e45542c4ddff405ce078ab9810accbc63d0a0",
+    "gp": "e93cad5bcebbf8017f78933b66a5b1839d45b9185e1499c72ec0aa623b4f7809",
+}
+# 2 * PREDICT_BLOCK_ROWS + 37 at the default block size of 256
+BLOCK_QUERY_ROWS_PER_TASK = 549
+
+
+def write_three_task_csv(path, seed=0):
+    """A seeded 3-input, 3-task training CSV of 8, 12 and 10 rows."""
+    rng = make_rng("cli-three-tasks", seed)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "x3", "task", "y"])
+        for task, n in enumerate((8, 12, 10)):
+            for x in rng.uniform(0.0, 1.0, size=(n, 3)):
+                y = np.sin(3.0 * x[0] + x[1]) + (0.5 + 0.2 * task) * x[2] ** 2 + 0.1 * task
+                writer.writerow([repr(float(v)) for v in x] + [task, repr(float(y))])
+    return path
+
+
+def write_block_query(path, num_tasks, seed=0):
+    """BLOCK_QUERY_ROWS_PER_TASK rows per task on [0, 1]^3, tasks interleaved;
+    each task's row 267, past its first block of the default 256 rows, is at
+    x = 1e300."""
+    rng = make_rng("cli-block-query", seed)
+    X = rng.uniform(0.0, 1.0, size=(num_tasks * BLOCK_QUERY_ROWS_PER_TASK, 3))
+    tasks = np.arange(X.shape[0]) % num_tasks
+    X[num_tasks * 267 + np.arange(num_tasks)] = 1e300
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "x3", "task"])
+        for x, task in zip(X, tasks):
+            writer.writerow([repr(float(v)) for v in x] + [int(task)])
+    return path
+
+
+class TestBlockedPrediction:
+    """A query of several blocks of rows per task predicts the same bytes at
+    every block size: only elementwise work is blocked, never the mean's
+    product or the solve, whose bits depend on where a row sits."""
+
+    @pytest.mark.parametrize(
+        "family,kernel,rank",
+        [("mtgp-lmc", "matern52", 2), ("mtgp-slfm", "squared_exponential", 1), ("gp", "matern52", 1)],
+    )
+    def test_outputs_equal_the_pinned_bytes_at_every_block_size(
+        self, tmp_path, capsys, monkeypatch, family, kernel, rank
+    ):
+        assert BLOCK_QUERY_ROWS_PER_TASK > 2 * multitask.PREDICT_BLOCK_ROWS
+        data = write_three_task_csv(tmp_path / "data.csv")
+        if family == "gp":
+            rows = read_csv_rows(data)
+            with open(tmp_path / "task0.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(row for row in rows if row["task"] == "0")
+            data = tmp_path / "task0.csv"
+        config = write_config(
+            tmp_path / "config.json", family=family, kernel=kernel, rank=rank, max_iterations=40
+        )
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
+        query = write_block_query(tmp_path / "query.csv", 1 if family == "gp" else 3)
+        preds = tmp_path / "preds.csv"
+        argv = ["predict", "--model", str(out / "model.json"), "--data", str(query), "--out", str(preds)]
+        capsys.readouterr()
+        for block_rows in (1, 7, multitask.PREDICT_BLOCK_ROWS):
+            monkeypatch.setattr(multitask, "PREDICT_BLOCK_ROWS", block_rows)
+            assert cli.main(argv) == 0
+            digest = hashlib.sha256(preds.read_bytes()).hexdigest()
+            assert digest == BLOCK_QUERY_SHA256[family], block_rows
+        assert capsys.readouterr().err == ""
 
 
 class TestRepeatedMain:

@@ -11,6 +11,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dtrtri
 
 import mtgp
+from mtgp import linalg
 from mtgp.errors import NonFiniteError
 from mtgp.linalg import chol_solve, cholesky_batch, cholesky_inverse_batch, tri_solve
 from mtgp.seeding import make_rng
@@ -74,3 +75,41 @@ def test_non_finite_operand_raises(solve, bad, operand):
     (L if operand == "factor" else b)[1, 0] = bad
     with pytest.raises(NonFiniteError, match="not finite"):
         solve(L, b)
+
+
+@pytest.mark.parametrize("n", [1, 7, 30])
+def test_tri_solve_overwrites_a_fortran_ordered_rhs(n):
+    rng = make_rng("linalg-overwrite", n)
+    L = factor(rng, n)
+    b = rng.normal(size=(40, n)).T  # the Fortran-ordered K(X*, X)^T
+    expected = solve_triangular(L, b, lower=True)
+    x = tri_solve(L, b, overwrite_b=True)
+    np.testing.assert_array_equal(x, expected)
+    assert np.shares_memory(x, b)
+    np.testing.assert_array_equal(b, expected)
+
+
+@pytest.mark.parametrize("n", [2, 7, 30])  # at n = 1 a C-ordered row is Fortran-ordered too
+def test_tri_solve_copies_a_c_ordered_rhs(n):
+    rng = make_rng("linalg-overwrite-c", n)
+    L = factor(rng, n)
+    b = rng.normal(size=(n, 40))
+    given = b.copy()
+    x = tri_solve(L, b, overwrite_b=True)
+    np.testing.assert_array_equal(x, solve_triangular(L, b, lower=True))
+    assert not np.shares_memory(x, b)
+    np.testing.assert_array_equal(b, given)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tri_solve_checks_finiteness_before_lapack(monkeypatch, bad):
+    rng = make_rng("linalg-overwrite-non-finite", 0)
+    L, b = factor(rng, 4), rng.normal(size=(40, 4)).T
+    b[2, 5] = bad
+    given = b.copy()
+    calls = []
+    monkeypatch.setattr(linalg, "dtrtrs", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(NonFiniteError, match="not finite"):
+        tri_solve(L, b, overwrite_b=True)
+    assert calls == []
+    np.testing.assert_array_equal(b, given)

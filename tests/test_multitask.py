@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     gp_exact_layout,
     materialize,
     random_dataset,
+    random_kernel,
     random_mtgp_spec,
     spec_parameter_layout,
 )
@@ -22,8 +24,9 @@ from mtgp.coregionalization import (
 from mtgp.data import MultiTaskDataset
 from mtgp.errors import ShapeError
 from mtgp.gp import gp_fit, gp_log_marginal_likelihood
-from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
+from mtgp.kernels import MATERN52, SQUARED_EXPONENTIAL, ScalarKernelSpec
 from mtgp.multitask import (
+    PREDICT_BLOCK_ROWS,
     LayoutStack,
     mtgp_fit,
     mtgp_log_marginal_likelihood,
@@ -328,6 +331,35 @@ class TestMTGPPredict:
         np.testing.assert_allclose(pred.mean, Y0, atol=0.2)
         assert np.all(pred.variance >= 0.0)
 
+
+    def test_a_large_query_holds_one_cross_covariance(self):
+        # K(X*, X) is assembled in blocks into one (M, N) array and the solve
+        # runs in place in it, so a 32-block query's traced peak stays near
+        # M N 8 bytes (the unblocked assembly held about five such arrays)
+        rng = make_rng("mt-predict-memory", 0)
+        D, P, n = 3, 3, 10
+        terms = tuple(
+            CoregionalizationTerm(
+                rng.normal(0.0, 0.7, (D, 1)), rng.uniform(0.05, 0.3, D), random_kernel(rng, P, kind)
+            )
+            for kind in (MATERN52, SQUARED_EXPONENTIAL, MATERN52)
+        )
+        dataset = MultiTaskDataset(
+            tuple(rng.uniform(0, 1, (n, P)) for _ in range(D)), tuple(rng.normal(size=n) for _ in range(D))
+        )
+        model = mtgp_fit(MultiTaskKernelSpec(D, terms), [0.01] * D, dataset)
+        M = 32 * PREDICT_BLOCK_ROWS
+        Xs = rng.uniform(0, 1, (M, P))
+        expected = mtgp_predict(model, 1, Xs)
+        tracemalloc.start()
+        try:
+            pred = mtgp_predict(model, 1, Xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * M * D * n * 8
+        np.testing.assert_array_equal(pred.mean, expected.mean)
+        np.testing.assert_array_equal(pred.variance, expected.variance)
 
 def _close(a, b, tol=1e-10):
     """|a - b| <= tol, relative once |a| exceeds 1."""
