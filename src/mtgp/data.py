@@ -113,17 +113,17 @@ def task_scaling(dataset: MultiTaskDataset, standardize: bool) -> tuple[np.ndarr
 CSV_BLOCK_ROWS = 4096
 
 
-def _input_columns(fieldnames: list[str]) -> list[str]:
+def _input_columns(path, fieldnames: list[str]) -> list[str]:
     xcols = sorted(
         (name for name in fieldnames if name.startswith("x") and name[1:].isdigit()),
         key=lambda name: int(name[1:]),
     )
     if not xcols:
-        raise ValidationError("no input columns found; expected x1..xP")
+        raise ValidationError(f"{path}: no input columns found; expected x1..xP")
     expected = [f"x{i}" for i in range(1, len(xcols) + 1)]
     if xcols != expected:
         raise ValidationError(
-            f"input columns {xcols} are not contiguous x1..x{len(xcols)}"
+            f"{path}: input columns {xcols} are not contiguous x1..x{len(xcols)}"
         )
     return xcols
 
@@ -143,13 +143,19 @@ def _row_blocks(reader):
 
 
 def _read_table(path, value_names: tuple, check_row, block_ok):
-    """Open ``path`` and parse it with :func:`_parse_table`; a file that is
-    not UTF-8 text is a :class:`ValidationError`."""
+    """Open ``path`` and parse it with :func:`_parse_table`. A leading
+    byte-order mark (a spreadsheet's "CSV UTF-8") is not part of the first
+    column name. A file that is not UTF-8 text, or a line the csv module
+    rejects (a field longer than its limit, a NUL byte), is a
+    :class:`ValidationError` naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _parse_table(path, csv.reader(fh), value_names, check_row, block_ok)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            return _parse_table(path, reader, value_names, check_row, block_ok)
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_table(path, reader, value_names: tuple, check_row, block_ok):
@@ -170,7 +176,7 @@ def _parse_table(path, reader, value_names: tuple, check_row, block_ok):
     if header is None:
         raise ValidationError(f"{path}: empty file, header row required")
     fields = [f.strip() for f in header]
-    xcols = _input_columns(fields)
+    xcols = _input_columns(path, fields)
     extras = set(fields) - set(xcols) - set(required)
     if extras:
         raise ValidationError(f"{path}: unknown columns {sorted(extras)}")

@@ -18,11 +18,13 @@ bits. The module is kept out of ``sys.modules``.
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 
 import numpy as np
 import scipy
+from numpy.linalg import _umath_linalg
 
 from .errors import IllConditionedKernelError, NonFiniteError
 
@@ -43,6 +45,8 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dpotrs, dtrtri, dtrtrs = _flapack.dpotrs, _flapack.dtrtri, _flapack.dtrtrs
+# the lower-factor gufunc behind np.linalg.cholesky, without its per-call checks
+_cholesky_lo = _umath_linalg.cholesky_lo
 
 BASE_JITTER_REL = 1e-8
 MAX_JITTER_REL = 1e-4
@@ -52,13 +56,16 @@ def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, d
     """Lower Cholesky factors of a stack ``K`` of shape (B, N, N), overwriting K.
 
     Each matrix gets ``rel * sum(diag K) / N`` added to its diagonal in place,
-    at ``rel = BASE_JITTER_REL`` first, and one batched factorization runs.
-    If it fails, each matrix is factorized on its own with the same routine
-    (so a matrix that factorizes gets the bits the batched call would give
-    it, whatever the other matrices are), multiplying its ``rel`` by 10 on
-    failure until it exceeds ``MAX_JITTER_REL``. A factor with a non-finite
-    diagonal (a covariance with non-finite or overflowing entries) is a
-    failure too.
+    at ``rel = BASE_JITTER_REL`` first, and one batched factorization runs:
+    the gufunc ``np.linalg.cholesky`` calls, called directly, which leaves
+    NaN in place of a factor that fails instead of raising. When every
+    factor's diagonal is finite, that is all. Otherwise each matrix whose
+    diagonal is not is factorized again on its own with
+    ``np.linalg.cholesky`` (the same LAPACK call per matrix, so a matrix
+    that factorizes gets the bits the batched call would give it, whatever
+    the other matrices are), multiplying its ``rel`` by 10 on failure until
+    it exceeds ``MAX_JITTER_REL``. A factor with a non-finite diagonal (a
+    covariance with non-finite or overflowing entries) is a failure too.
 
     Returns:
         (L, rel, jitter, errors): the factors, the (B,) relative and absolute
@@ -67,29 +74,28 @@ def cholesky_batch(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, d
     """
     B, N = K.shape[0], K.shape[-1]
     diag = K.reshape(B, N * N)[:, :: N + 1]
-    total = diag.sum(axis=1)
+    total = np.add.reduce(diag, axis=1)
     given = diag.copy()
     rel = np.full(B, BASE_JITTER_REL)
     jitter = total * (BASE_JITTER_REL / N)
     diag += jitter[:, None]
-    try:
-        L = np.linalg.cholesky(K)
-        # a factor's diagonal is positive, so its sum is finite unless an entry is not
-        if np.isfinite(L.reshape(B, N * N)[:, :: N + 1].sum()):
-            return L, rel, jitter, {}
-    except np.linalg.LinAlgError:
-        L = np.full(K.shape, np.nan)
-        for b in range(B):
-            while rel[b] <= MAX_JITTER_REL:
-                try:
-                    L[b] = np.linalg.cholesky(K[b])
-                    break
-                except np.linalg.LinAlgError:
-                    rel[b] *= 10.0
-                    jitter[b] = total[b] * (rel[b] / N)
-                    diag[b] = given[b] + jitter[b]
+    with np.errstate(invalid="ignore"):  # raised by a factor that fails
+        L = _cholesky_lo(K)
+    # a factor's diagonal is positive, so its sum is finite unless an entry is not
+    L_diag = L.reshape(B, N * N)[:, :: N + 1]
+    if math.isfinite(np.add.reduce(L_diag, axis=None)):
+        return L, rel, jitter, {}
+    for b in np.flatnonzero(~np.isfinite(L_diag).all(axis=1)):
+        while rel[b] <= MAX_JITTER_REL:
+            try:
+                L[b] = np.linalg.cholesky(K[b])
+                break
+            except np.linalg.LinAlgError:
+                rel[b] *= 10.0
+                jitter[b] = total[b] * (rel[b] / N)
+                diag[b] = given[b] + jitter[b]
     errors = {}
-    for b in np.flatnonzero(~np.isfinite(L.reshape(B, N * N)[:, :: N + 1]).all(axis=1)):
+    for b in np.flatnonzero(~np.isfinite(L_diag).all(axis=1)):
         errors[int(b)] = f"Cholesky failed for {N}x{N} matrix " + (
             f"even with relative jitter {MAX_JITTER_REL:g}" if rel[b] > MAX_JITTER_REL
             else "with a factor that is not finite"
@@ -104,7 +110,7 @@ def cholesky_inverse_batch(L: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``out`` (B, N, N)."""
     for b in range(L.shape[0]):
         # L[b].T is L^T in Fortran order, so LAPACK inverts it in place
-        dtrtri(L[b].T, lower=0, overwrite_c=1)
+        dtrtri(L[b].T, 0, 0, 1)  # lower=0, unitdiag=0, overwrite_c=1
     return np.matmul(L.swapaxes(-1, -2), L, out=out)
 
 

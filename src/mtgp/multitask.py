@@ -338,12 +338,12 @@ class ParameterLayout:
 
     Inside, a batch's natural parameters are one (B, F) array in the order
     ``[ls (Q*P) | s2 (Q) | noise (D) | gamma (Q*D) | W (Q*D*R)]``, whose
-    leading ``num_logs`` entries (all but W) are exponentiated. One
-    ``np.take`` of the flat vectors by ``gather`` fills it and one
-    ``np.exp`` transforms it, both row by row, so each row's natural
-    parameters are computed the same way in any batch. The gradient, one
-    concatenation of the groups' gradients in natural order, returns to the
-    flat order through one ``np.take`` by ``natural_index``.
+    leading ``num_logs`` entries (all but W) are exponentiated. One ``take``
+    of the flat vectors by ``gather`` fills it and one ``np.exp`` transforms
+    it, both row by row, so each row's natural parameters are computed the
+    same way in any batch. The gradient, one concatenation of the groups'
+    gradients in natural order, returns to the flat order through one
+    ``take`` by ``natural_index``.
 
     The single-task GP is the one-task, one-term case with W fixed at 1 and
     gamma at 0, whose flat vector is ``[log l..., log s2, log noise]``.
@@ -373,9 +373,8 @@ class ParameterLayout:
         self.size = natural.size
         self.gather = np.zeros(template.size, dtype=int)
         self.gather[natural] = np.arange(self.size)
-        fixed = np.ones(template.size, dtype=bool)
-        fixed[natural] = False
-        self.fixed = np.flatnonzero(fixed)
+        self.fixed = np.ones(template.size, dtype=bool)  # entries kept at the template's value
+        self.fixed[natural] = False
         self.natural_index = natural
         self.is_W = natural >= W_at
         self.learn_W, self.learn_gamma = learn_W, learn_gamma
@@ -383,13 +382,17 @@ class ParameterLayout:
         self.group_slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.group_shapes = ((Q, P), (Q,), (D,), (Q, D), (Q, D, R))
 
-    def natural_batch(self, X: np.ndarray) -> np.ndarray:
-        """The (B, F) natural parameters of the flat batch X (B, size)."""
-        nat = np.take(X, self.gather, axis=1)
+    def natural_batch(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (B, F) natural parameters of the flat batch X (B, size), in a
+        new array or, when given, in ``out`` (B, F), which is returned: one
+        ``take`` by ``gather``, one in-place ``exp`` of the log entries and
+        one copy of the fixed entries from the template. Either way each
+        entry is the same copy or ``exp`` of one flat entry, so the bits do
+        not depend on where they are written."""
+        nat = X.take(self.gather, axis=1, out=out, mode="clip")  # the indices are valid
         logs = nat[:, : self.num_logs]
         np.exp(logs, out=logs)
-        if self.fixed.size:
-            nat[:, self.fixed] = self.template[self.fixed]
+        np.copyto(nat, self.template, where=self.fixed)
         return nat
 
     def groups(self, nat: np.ndarray):
@@ -480,7 +483,8 @@ class ExactGPLayout(ParameterLayout):
     def evaluate_template(self) -> LMLBatch:
         """The B=1 batch of the template's own parameters, with no transform round trip."""
         started, work = time.perf_counter(), Workspace.of(self, 1)
-        return _lml_batch(self, self.template[None], self.sqdiff, self.y, work, started)
+        groups = self.groups(self.template[None])
+        return _lml_batch(self, groups, self.sqdiff, self.y, work, started)
 
 
 def spec_layout(spec, noise_variances, dataset, learn_W=True, learn_gamma=True) -> ExactGPLayout:
@@ -521,10 +525,11 @@ class LayoutStack:
     vectors belongs to layout ``owner[i]``: ``rows_per_layout`` consecutive
     rows each. The data is stacked, ``sqdiff`` (F, P, N*N) and ``y`` (F, N),
     and :meth:`evaluate` picks each running row's dataset by its row index.
-    One :class:`Workspace` sized for all rows holds the temporaries of every
-    evaluation. The objective computes every row on its own, so a row's
-    value and gradient are bitwise the same whichever rows run beside it, in
-    this stack or in a one-row stack of its layout alone.
+    The stack owns a natural-parameter buffer with a row per initial row and
+    one :class:`Workspace` sized for all rows, which hold the temporaries of
+    every evaluation. The objective computes every row on its own, so a
+    row's value and gradient are bitwise the same whichever rows run beside
+    it, in this stack or in a one-row stack of its layout alone.
     """
 
     def __init__(self, layouts, rows_per_layout: int):
@@ -533,22 +538,33 @@ class LayoutStack:
         self.y = np.stack([layout.y for layout in layouts])
         self.owner = np.repeat(np.arange(len(layouts)), rows_per_layout)
         self.work = Workspace.of(self.layout, self.owner.size)
-        self._rows = self._data = None  # the running rows and their (sqdiff, y, workspace)
+        self.nat = np.empty((self.owner.size, self.layout.template.size))
+        # the running rows (kept by reference) and their natural-parameter
+        # buffer, its groups() views, data and workspace views
+        self._rows = self._nat = self._data = None
 
     def evaluate(self, X: np.ndarray, rows: np.ndarray) -> LMLBatch:
         """Log marginal likelihood and flat gradient of X (B, size), row b of
         which is initial row ``rows[b]``.
 
-        The running rows' data and workspace views are taken again only when
-        ``rows`` changes, which happens when a row stops.
+        The natural parameters are written into the leading B rows of the
+        stack's own buffer. Its :meth:`~ParameterLayout.groups` views and the
+        running rows' data and workspace views are taken again only when
+        ``rows`` is another object than at the last call, so the caller
+        passes the same array for as long as the same rows run and never
+        changes it in place (:func:`~mtgp.training.adam_maximize` rebinds it
+        only when a row stops); an equal new array only costs the views
+        again. The stack's buffers hold temporaries only: the returned
+        ``values`` and ``grads`` are new arrays.
         """
         started = time.perf_counter()
-        if self._rows is None or not np.array_equal(rows, self._rows):
+        if rows is not self._rows:
             owner = self.owner[rows]
-            self._rows = np.array(rows)
-            self._data = (self.sqdiff[owner], self.y[owner], self.work.head(len(rows)))
-        nat = self.layout.natural_batch(X)
-        return _lml_batch(self.layout, nat, *self._data, started)
+            self._rows, self._nat = rows, self.nat[: len(rows)]
+            groups = self.layout.groups(self._nat)
+            self._data = (groups, self.sqdiff[owner], self.y[owner], self.work.head(len(rows)))
+        self.layout.natural_batch(X, out=self._nat)
+        return _lml_batch(self.layout, *self._data, started)
 
 
 def _task_covariances(layout: ExactGPLayout, W, gamma) -> np.ndarray:
@@ -586,40 +602,44 @@ def _assemble(layout: ExactGPLayout, sqdiff, ls, s2, noise, gamma, W, work: Work
             unit[:, qs], slope[:, qs] = kernels.kernel_profile(kind, z[:, qs])
     Bq = _task_covariances(layout, W, gamma)
     # the indices are valid; mode="raise" would buffer the output
-    mask = np.take(
-        (Bq * s2[..., None, None]).reshape(B, Q, D * D), layout.pair_index, axis=-1,
-        out=work.mask, mode="clip",
+    mask = (Bq * s2[..., None, None]).reshape(B, Q, D * D).take(
+        layout.pair_index, axis=-1, out=work.mask, mode="clip"
     )
     Km = np.multiply(mask, unit, out=work.Km)
-    K = np.sum(Km, axis=1, out=work.K)
-    K.reshape(B, N * N)[:, :: N + 1] += noise[:, layout.tasks]
+    K = np.add.reduce(Km, axis=1, out=work.K)
+    K.reshape(B, N * N)[:, :: N + 1] += noise.take(layout.tasks, axis=1)
     return K, (inv_ls2, unit, slope, Bq, mask, Km)
 
 
-def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, work: Workspace, started: float) -> LMLBatch:
+def _lml_batch(
+    layout: ExactGPLayout, groups, sqdiff, y, work: Workspace, started: float
+) -> LMLBatch:
     """Value and flat gradient of the joint log marginal likelihood.
 
-    ``nat`` holds the natural parameters (B, F) of the batch's rows,
-    ``sqdiff`` and ``y`` their data, shared (P, N*N) and (N,) or one per
-    row, (B, P, N*N) and (B, N). Every operation acts on each row alone, so
-    a row's result does not depend on the rows beside it. With ``M = alpha
-    alpha^T - K^{-1}`` every derivative is ``1/2 tr(M dK/dt)``. The jitter
-    ``rel mean(diag K)`` the factorization adds moves with the parameters;
-    adding ``rel tr(M) / N`` to M's diagonal carries its derivative. Per
-    term, ``T = E^T (M * K_q) E`` sums M * K_q over task blocks, so dL/dW =
-    T W, dL/d(log gamma) = gamma diag(T) / 2 and dL/d(log s2) = sum(B_q *
-    T) / 2. Gradients of positive parameters are in log space, concatenated
-    in natural order (a layout that learns neither W nor gamma stops after
-    noise) and gathered once by ``layout.natural_index``. The large
-    temporaries live in ``work``, a :class:`Workspace` of B rows; ``values``
-    and ``grads`` are new arrays.
-    ``started`` is the evaluation's start, from which the phases are timed.
+    ``groups`` holds the :meth:`~ParameterLayout.groups` views of the
+    natural parameters (B, F) of the batch's rows, ``sqdiff`` and ``y``
+    their data, shared (P, N*N) and (N,) or one per row, (B, P, N*N) and
+    (B, N). Every operation acts on each row alone, so a row's result does
+    not depend on the rows beside it. With ``M = alpha alpha^T - K^{-1}``
+    every derivative is ``1/2 tr(M dK/dt)``. The jitter ``rel mean(diag K)``
+    the factorization adds moves with the parameters; adding ``rel tr(M) /
+    N`` to M's diagonal carries its derivative. Per term, ``T = E^T (M *
+    K_q) E`` sums M * K_q over task blocks, so dL/dW = T W, dL/d(log gamma)
+    = gamma diag(T) / 2 and dL/d(log s2) = sum(B_q * T) / 2. Gradients of
+    positive parameters are in log space, concatenated in natural order (a
+    layout that learns neither W nor gamma stops after noise) and gathered
+    once by ``layout.natural_index``. The large temporaries live in
+    ``work``, a :class:`Workspace` of B rows; ``values`` and ``grads`` are
+    new arrays. Sums and gathers call ``np.add.reduce`` and
+    ``ndarray.take``, the C loops behind ``np.sum`` and ``np.take``, without
+    the Python wrappers. ``started`` is the evaluation's start, from which
+    the phases are timed.
     """
     Q, D, P, N = layout.shape
-    B = nat.shape[0]
+    ls, s2, noise, gamma, W = groups
+    B = ls.shape[0]
+    t_natural = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ls, s2, noise, gamma, W = layout.groups(nat)
-        t_natural = time.perf_counter()
         K, (inv_ls2, unit, slope, Bq, mask, Km) = _assemble(
             layout, sqdiff, ls, s2, noise, gamma, W, work
         )
@@ -627,17 +647,17 @@ def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, work: Workspace, started: 
         L, rel, _, errors = cholesky_batch(K)
         if errors:
             L[list(errors)] = np.eye(N)
-        half_logdet = np.log(L.reshape(B, N * N)[:, :: N + 1]).sum(axis=1)
+        half_logdet = np.add.reduce(np.log(L.reshape(B, N * N)[:, :: N + 1]), axis=1)
         t_factored = time.perf_counter()
         Kinv = cholesky_inverse_batch(L, work.Kinv)
         t_inverted = time.perf_counter()
 
         alpha = (Kinv @ y[..., None])[..., 0]
-        values = -0.5 * (alpha * y).sum(axis=-1) - half_logdet - layout.log_norm
+        values = -0.5 * np.add.reduce(alpha * y, axis=-1) - half_logdet - layout.log_norm
         M = np.multiply(alpha[:, :, None], alpha[:, None, :], out=work.M)
         M -= Kinv
         M_diag = M.reshape(B, N * N)[:, :: N + 1]
-        M_diag += (rel / N * M_diag.sum(axis=1))[:, None]
+        M_diag += (rel / N * np.add.reduce(M_diag, axis=1))[:, None]
         # G = M * dK/d(log l_p) without the (d_p / l_p)^2 factor; slope is unit for SE
         if slope is unit:
             G = np.multiply(M[:, None], Km, out=work.G)
@@ -649,16 +669,16 @@ def _lml_batch(layout: ExactGPLayout, nat, sqdiff, y, work: Workspace, started: 
         if layout.learn_W or layout.learn_gamma:
             T = layout.onehot.T @ np.multiply(M[:, None], unit, out=work.G) @ layout.onehot
             T *= s2[..., None, None]
-            g_s2 = 0.5 * (Bq * T).sum(axis=(-2, -1))
+            g_s2 = 0.5 * np.add.reduce(Bq * T, axis=(-2, -1))
             g_gamma = 0.5 * gamma * T.reshape(B, Q, D * D)[..., :: D + 1]
             loadings = [g_gamma.reshape(B, Q * D), (T @ W).reshape(B, -1)]
         else:  # dK/d(log s2_q) = Km_q, and M * Km is G for SE
             if slope is not unit:
                 G = np.multiply(M[:, None], Km, out=work.G)
-            g_s2 = 0.5 * G.sum(axis=(-2, -1))
+            g_s2 = 0.5 * np.add.reduce(G, axis=(-2, -1))
             loadings = []  # natural_index stops at noise
         g_natural = np.concatenate([g_ls.reshape(B, Q * P), g_s2, g_noise, *loadings], axis=1)
-        grads = np.take(g_natural, layout.natural_index, axis=1)
+        grads = g_natural.take(layout.natural_index, axis=1)
     if errors:
         rows = list(errors)
         values[rows] = np.nan

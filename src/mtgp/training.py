@@ -23,6 +23,7 @@ has the target scale and offset folded in.
 """
 
 import functools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -201,7 +202,12 @@ class AdamRun:
 
 def _failures(batch: LMLBatch) -> dict:
     """Row -> message for every row whose evaluation failed or is not finite."""
-    if not batch.errors and np.isfinite(batch.values).all() and np.isfinite(batch.grads).all():
+    # np.count_nonzero is C; ndarray.all() goes through a Python wrapper
+    if (
+        not batch.errors
+        and np.count_nonzero(np.isfinite(batch.values)) == batch.values.size
+        and np.count_nonzero(np.isfinite(batch.grads)) == batch.grads.size
+    ):
         return {}
     finite = np.isfinite(batch.values) & np.all(np.isfinite(batch.grads), axis=1)
     failures = {int(i): "objective not finite" for i in np.flatnonzero(~finite)}
@@ -219,25 +225,31 @@ def adam_maximize(
 
     ``x0`` has shape (B, n). ``objective(X, rows)`` receives the (b, n)
     iterates of the rows still running and their ascending indices into
-    ``x0``, and returns an :class:`~mtgp.multitask.LMLBatch` for them. Step
-    0 evaluates the initial points, each later step one Adam update. Each
-    row keeps the best iterate it has seen (its initialization included),
-    so its reported value never falls below the initial one. A row stops
-    when its objective changed by less than the relative tolerance over the
-    last :data:`CONVERGENCE_WINDOW` iterations, or when its objective fails
-    (Cholesky failure or a non-finite value); a failed step is rejected and
-    the row keeps its best iterate, a NaN value if it failed at step 0. Rows
-    never influence each other. ``trace(row, iteration, value, grad_norm)``
-    is called per row and successful evaluation, iteration by iteration.
+    ``x0``, and returns an :class:`~mtgp.multitask.LMLBatch` for them.
+    ``rows`` is the same object from call to call until a row stops, and is
+    never changed in place (:class:`~mtgp.multitask.LayoutStack` recognizes
+    it by identity). Step 0 evaluates the initial points, each later step
+    one Adam update. Each row keeps the best iterate it has seen (its
+    initialization included), so its reported value never falls below the
+    initial one. A row stops when its objective changed by less than the
+    relative tolerance over the last :data:`CONVERGENCE_WINDOW` iterations,
+    or when its objective fails (Cholesky failure or a non-finite value); a
+    failed step is rejected and the row keeps its best iterate, a NaN value
+    if it failed at step 0. Rows never influence each other.
+    ``trace(row, iteration, value, grad_norm)`` is called per row and
+    successful evaluation, iteration by iteration.
+
+    The update keeps numpy's operators: at these sizes ``out=`` keywords
+    cost more to parse than the temporaries they save.
     """
     started = time.perf_counter()
     x = np.array(x0, dtype=float)
     B = x.shape[0]
     best_x, best_value = x.copy(), np.full(B, np.nan)
     escalations = np.zeros(B, dtype=int)
-    row_iterations = np.zeros(B, dtype=int)
+    row_iterations = np.full(B, config.max_iterations)
     stop_reasons = ["max_iterations"] * B
-    phases, calls = [0.0] * len(PHASES), 0
+    phases = [0.0] * len(PHASES)
     # the state of the rows still running, compacted to those rows
     rows, bx, bv = np.arange(B), x.copy(), best_value.copy()
     m = np.zeros_like(x)
@@ -255,11 +267,10 @@ def adam_maximize(
             x += config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
         batch = objective(x, rows)
         values, grad = batch.values, batch.grads
-        phases = [a + b for a, b in zip(phases, batch.phases)]
-        calls += 1
+        phases = list(map(operator.add, phases, batch.phases))
         if t == 0:
             initial_value = np.array(values, dtype=float)
-        if batch.escalated.any():
+        if np.count_nonzero(batch.escalated):
             escalations[rows] += batch.escalated
         failures = _failures(batch)
         stop = np.zeros(rows.size, dtype=bool)
@@ -281,7 +292,7 @@ def adam_maximize(
             done = np.abs(values - prev) <= tolerance
             if failures:
                 done &= ~stop
-            if done.any():
+            if np.count_nonzero(done):
                 for r in rows[done]:
                     stop_reasons[r] = "converged"
                 stop |= done
@@ -295,12 +306,11 @@ def adam_maximize(
             bx, bv, history = bx[keep], bv[keep], history[:, keep]
         if rows.size == 0:
             break
-    row_iterations[rows] = config.max_iterations
     best_x[rows] = bx
     best_value[rows] = bv
     timing = {f"{name}_s": seconds for name, seconds in zip(PHASES, phases)}
     timing["adam_step_s"] = time.perf_counter() - started - sum(phases)
-    timing["objective_calls"] = calls
+    timing["objective_calls"] = t + 1
     return AdamRun(
         best_x,
         best_value,

@@ -432,6 +432,20 @@ class TestBadInputExitCodes:
             argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.csv")]
         self._assert_exit_2(argv, capsys, needle)
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_field_over_the_csv_limit_exits_2(self, tmp_path, capsys, command):
+        # csv's default field limit is 131072 characters
+        data = tmp_path / "long.csv"
+        if command == "train":
+            data.write_text("x1,task,y\n0.1,0,1.0\n" + "1" * 200_000 + ",0,2.0\n", encoding="utf-8")
+            config = write_config(tmp_path / "config.json")
+            argv = ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        else:
+            data.write_text("x1,task\n0.1,0\n" + "1" * 200_000 + ",0\n", encoding="utf-8")
+            model = train_model(tmp_path, "mtgp-slfm")
+            argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.csv")]
+        self._assert_exit_2(argv, capsys, "line 3: field larger than field limit", path=data)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_training_value_exits_2(self, tmp_path, capsys, bad):
         data = tmp_path / "bad.csv"

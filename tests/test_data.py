@@ -121,8 +121,34 @@ class TestReadTaskCsv(object):
 
     def test_non_contiguous_x_columns_rejected(self, tmp_path):
         path = self.write(tmp_path, "x1,x3,task,y\n0.1,0.2,0,1.0\n")
-        with pytest.raises(ValidationError, match="not contiguous"):
+        with pytest.raises(ValidationError, match=f"^{path}: input columns .* not contiguous"):
             read_task_csv(path)
+
+    @pytest.mark.parametrize("reader", [read_task_csv, read_query_csv])
+    def test_missing_input_columns_name_the_file(self, tmp_path, reader):
+        path = self.write(tmp_path, "task,y\n0,1.0\n")
+        with pytest.raises(ValidationError, match=f"^{path}: no input columns found"):
+            reader(path)
+
+    def test_leading_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts with the byte-order mark EF BB BF
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx1,task,y\n0.1,0,1.0\n")
+        ds, xcols = read_task_csv(path)
+        assert xcols == ["x1"]
+        np.testing.assert_array_equal(ds.inputs[0], [[0.1]])
+        query = tmp_path / "bom_query.csv"
+        query.write_bytes(b"\xef\xbb\xbfx1,task\n0.1,0\n")
+        X, tasks, xcols = read_query_csv(query)
+        assert xcols == ["x1"]
+        np.testing.assert_array_equal(X, [[0.1]])
+
+    @pytest.mark.parametrize("reader", [read_task_csv, read_query_csv])
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, reader):
+        header, row = ("x1,task,y\n", ",0,1.0\n") if reader is read_task_csv else ("x1,task\n", ",0\n")
+        path = self.write(tmp_path, header + "0.1" + row + "1" * 200_000 + row)
+        with pytest.raises(ValidationError, match=f"^{path}: line 3: field larger than field limit"):
+            reader(path)
 
     def test_bad_number_reports_line(self, tmp_path):
         path = self.write(tmp_path, "x1,task,y\n0.1,0,1.0\nabc,0,2.0\n")

@@ -28,6 +28,8 @@ from mtgp.kernels import MATERN52, SQUARED_EXPONENTIAL, ScalarKernelSpec
 from mtgp.multitask import (
     PREDICT_BLOCK_ROWS,
     LayoutStack,
+    Workspace,
+    _lml_batch,
     mtgp_fit,
     mtgp_log_marginal_likelihood,
     mtgp_predict,
@@ -103,7 +105,7 @@ class TestMTGPFit:
 
     def test_factor_is_cholesky_batch_of_the_assembled_covariance(self):
         from mtgp.linalg import cholesky_batch
-        from mtgp.multitask import Workspace, _assemble
+        from mtgp.multitask import _assemble
 
         rng = make_rng("mt-fit-factor", 0)
         spec = random_mtgp_spec(rng, 2, with_gamma=True)
@@ -895,6 +897,37 @@ class TestWorkspace:
             fresh = LayoutStack(layouts, R).evaluate(X, rows)
             np.testing.assert_array_equal(batch.values, fresh.values)
             np.testing.assert_array_equal(batch.grads, fresh.grads)
+        for batch, values, grads in kept:
+            np.testing.assert_array_equal(batch.values, values)
+            np.testing.assert_array_equal(batch.grads, grads)
+
+    @pytest.mark.parametrize("case", INVARIANCE_CASES)
+    def test_rows_by_identity_equal_fresh_one_layout_stacks(self, case):
+        # the stack takes its parameter buffer's views again only for another
+        # rows object: the same object at new points, an equal new array, a
+        # shrunk set and another set of the same length must all equal each
+        # row's evaluation in a fresh stack of its own layout, and that
+        # evaluation without a stack
+        R = 4
+        rng = np.random.default_rng(11)
+        layouts = _invariance_layouts(*case, rng, fits=2)
+        stack = LayoutStack(layouts, R)
+        X0 = np.concatenate([_random_points(layout, rng, R) for layout in layouts])
+        rows = np.arange(2 * R)
+        calls = [rows, rows, np.arange(2 * R), np.array([1, 2, 6]), np.array([1, 5, 6]), np.array([6])]
+        kept = []
+        for i, rows in enumerate(calls):
+            X = X0[rows] + 0.1 * i
+            batch = stack.evaluate(X, rows)
+            kept.append((batch, batch.values.copy(), batch.grads.copy()))
+            for b, row in enumerate(rows):
+                layout, x = layouts[row // R], X[b : b + 1]
+                groups = layout.groups(layout.natural_batch(x))
+                data = layout.sqdiff[None], layout.y[None], Workspace.of(layout, 1)
+                for alone in evaluate(layout, x), _lml_batch(layout, groups, *data, 0.0):
+                    np.testing.assert_array_equal(alone.values[0], batch.values[b])
+                    np.testing.assert_array_equal(alone.grads[0], batch.grads[b])
+        # nothing the stack owns is handed out: earlier results are unchanged
         for batch, values, grads in kept:
             np.testing.assert_array_equal(batch.values, values)
             np.testing.assert_array_equal(batch.grads, grads)
