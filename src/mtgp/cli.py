@@ -22,7 +22,9 @@ from .errors import (
     MTGPError,
     ShapeError,
     ValidationError,
-    not_utf8,
+    read_json,
+    read_key,
+    write_json,
 )
 from .kernels import KERNEL_KINDS, SQUARED_EXPONENTIAL
 from .multitask import mtgp_predict
@@ -30,9 +32,6 @@ from .selfcheck import run_self_checks
 from .training import FitJob, MTGPFamily, TrainConfig, train
 
 FAMILIES = ("gp", "mtgp-slfm", "mtgp-lmc")
-
-# the defaults of a study config's train block: the study's own training
-BENCHMARK_TRAIN_DEFAULTS = dataclasses.asdict(benchmark.STUDY_TRAIN_CONFIG)
 
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray]):
@@ -50,65 +49,41 @@ def _write_csv(path, header: list[str], columns: list[np.ndarray]):
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
+def _config_object(doc, allowed, path, what: str = "top-level JSON value") -> dict:
+    """``doc`` (``what`` in the config file ``path``), a JSON object with keys in ``allowed``."""
     if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: top-level JSON value must be an object")
-    return doc
-
-
-def _validate_keys(doc: dict, allowed: dict, path: str):
+        raise ValidationError(f"{path}: {what} must be an object")
     for key in doc:
         if key not in allowed:
             raise ValidationError(f"{path}: unknown key {key!r}")
-
-
-def _get_typed(doc: dict, key: str, kind, default, path: str):
-    if key not in doc or doc[key] is None:
-        return default
-    value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    bool_mismatch = isinstance(value, bool) and kind is not bool
-    if not isinstance(value, kind) or bool_mismatch:
-        raise ValidationError(f"{path}: key {key!r} must be of type {kind.__name__}")
-    return value
+    return doc
 
 
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+# each TrainConfig key and its type
+_TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 _RUN_CONFIG_KEYS = {"family", "kernel", "q", "rank", "standardize", *_TRAIN_KEYS, "output_dir"}
 
 
-def _train_settings(doc: dict, defaults: dict, path: str) -> dict:
-    """The :class:`TrainConfig` keys of ``doc``, typed and defaulted like ``defaults``."""
-    return {
-        key: _get_typed(doc, key, type(defaults[key]), defaults[key], path)
-        for key in _TRAIN_KEYS
-    }
+def _given(doc: dict, kinds: dict, path: str) -> dict:
+    """The keys of ``kinds`` that ``doc`` sets, each of its type; an absent or
+    null key is left out, so it keeps the default of the record it sets."""
+    typed = {key: read_key(doc, key, f"{path}:", kind, None) for key, kind in kinds.items()}
+    return {key: value for key, value in typed.items() if value is not None}
 
 
 def _parse_run_config(path) -> dict:
-    doc = _load_json(path)
-    _validate_keys(doc, _RUN_CONFIG_KEYS, path)
+    doc = _config_object(read_json(path), _RUN_CONFIG_KEYS, path)
     family = doc.get("family")
     if family not in FAMILIES:
         raise ValidationError(f"{path}: key 'family' must be one of {list(FAMILIES)}")
-    kernel = _get_typed(doc, "kernel", str, SQUARED_EXPONENTIAL, path)
+    kernel = read_key(doc, "kernel", f"{path}:", str, SQUARED_EXPONENTIAL)
     if kernel not in KERNEL_KINDS:
         raise ValidationError(f"{path}: key 'kernel' must be one of {list(KERNEL_KINDS)}")
-    q, rank = _get_typed(doc, "q", int, None, path), _get_typed(doc, "rank", int, 1, path)
+    q, rank = read_key(doc, "q", f"{path}:", int, None), read_key(doc, "rank", f"{path}:", int, 1)
     try:
         model_family = MTGPFamily(family.removeprefix("mtgp-"), kernel, q, rank)
     except DomainError as exc:  # a num_terms or rank error, named by its config key
@@ -117,9 +92,9 @@ def _parse_run_config(path) -> dict:
     return {
         "family": family,
         "model_family": model_family,
-        "standardize": _get_typed(doc, "standardize", bool, True, path),
-        "train": _train_settings(doc, dataclasses.asdict(TrainConfig()), path),
-        "output_dir": _get_typed(doc, "output_dir", str, None, path),
+        "standardize": read_key(doc, "standardize", f"{path}:", bool, True),
+        "train": _given(doc, _TRAIN_KEYS, path),
+        "output_dir": read_key(doc, "output_dir", f"{path}:", str, None),
     }
 
 
@@ -176,9 +151,7 @@ def cmd_train(args) -> int:
             trace_fh.close()
     model_path = os.path.join(out_dir, "model.json")
     model_io.save_model(model, model_path, config["family"])
-    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(model.fit_info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "metrics.json"), model.fit_info)
     lml = model.fit_info["log_marginal_likelihood"]
     print(f"wrote {model_path} (log marginal likelihood {lml:.6f})")
     return 0
@@ -217,15 +190,12 @@ def cmd_predict(args) -> int:
 # benchmark
 # ---------------------------------------------------------------------------
 
-_STUDY_KEYS = {
-    "correlations",
-    "sizes",
-    "replicates",
-    "n_test",
-    "observation_noise",
-    "seed",
-    "train",
-}
+_STUDY_FIELDS = dataclasses.fields(benchmark.StudyConfig)
+# each StudyConfig field's key in study configs and in summary.json
+_STUDY_NAMES = {f.name: "sizes" if f.name == "size_grid" else f.name for f in _STUDY_FIELDS}
+_STUDY_KEYS = {*_STUDY_NAMES.values(), "train"}
+# the types of the scalar fields: replicates, n_test, observation_noise, seed
+_STUDY_SCALARS = {f.name: f.type for f in _STUDY_FIELDS if f.type is not tuple}
 
 
 def _parse_sizes(text: str) -> tuple:
@@ -249,41 +219,40 @@ def _parse_correlations(text: str) -> tuple:
 
 
 def _parse_study_config(args):
-    doc = _load_json(args.config) if args.config else {}
-    if args.config:
-        _validate_keys(doc, _STUDY_KEYS, args.config)
-    path = args.config or "<defaults>"
-    correlations = doc.get("correlations", list(benchmark.DEFAULT_CORRELATIONS))
-    if not isinstance(correlations, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in correlations
+    """The :class:`~mtgp.benchmark.StudyConfig` and :class:`TrainConfig` of
+    the study config file (if any) and the flags, which override it. A key or
+    flag that is absent or null keeps its default: StudyConfig's, and
+    ``benchmark.STUDY_TRAIN_CONFIG``'s in the ``train`` block."""
+    path = args.config
+    doc = _config_object(read_json(path), _STUDY_KEYS, path) if path else {}
+    correlations, sizes = doc.get("correlations"), doc.get("sizes")
+    if correlations is not None and not (
+        isinstance(correlations, list)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in correlations)
     ):
         raise ValidationError(f"{path}: 'correlations' must be a list of numbers")
-    sizes = doc.get("sizes", [list(p) for p in benchmark.DEFAULT_SIZE_GRID])
-    if not isinstance(sizes, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(n) is int for n in p) for p in sizes
+    if sizes is not None and not (
+        isinstance(sizes, list)
+        and all(isinstance(p, list) and list(map(type, p)) == [int, int] for p in sizes)
     ):
         raise ValidationError(f"{path}: 'sizes' must be a list of [n1, n2] integer pairs")
-    train_doc = doc.get("train", {})
-    if not isinstance(train_doc, dict):
-        raise ValidationError(f"{path}: 'train' must be an object")
-    _validate_keys(train_doc, _TRAIN_KEYS, path)
-    train_kwargs = _train_settings(train_doc, BENCHMARK_TRAIN_DEFAULTS, path)
-    fields = {
-        "correlations": tuple(float(v) for v in correlations),
-        "size_grid": tuple(tuple(p) for p in sizes),
-        "replicates": _get_typed(doc, "replicates", int, 5, path),
-        "n_test": _get_typed(doc, "n_test", int, 100, path),
-        "observation_noise": _get_typed(doc, "observation_noise", float, 0.0, path),
-        "seed": _get_typed(doc, "seed", int, 0, path),
-    }
+    train_doc = {} if doc.get("train") is None else doc["train"]
+    train = _given(_config_object(train_doc, _TRAIN_KEYS, path, "'train'"), _TRAIN_KEYS, path)
+    given = _given(doc, _STUDY_SCALARS, path)
+    if correlations is not None:
+        given["correlations"] = tuple(map(float, correlations))
+    if sizes is not None:
+        given["sizes"] = tuple(map(tuple, sizes))
     # flags override the config file; StudyConfig checks the merged values
-    overrides = {"replicates": args.replicates, "seed": args.seed}
+    flags = {"replicates": args.replicates, "seed": args.seed}
+    given.update((key, value) for key, value in flags.items() if value is not None)
     if args.correlations is not None:
-        overrides["correlations"] = _parse_correlations(args.correlations)
+        given["correlations"] = _parse_correlations(args.correlations)
     if args.sizes is not None:
-        overrides["size_grid"] = _parse_sizes(args.sizes)
-    fields.update((k, v) for k, v in overrides.items() if v is not None)
-    return benchmark.StudyConfig(**fields), TrainConfig(**train_kwargs)
+        given["sizes"] = _parse_sizes(args.sizes)
+    fields = {field: given[key] for field, key in _STUDY_NAMES.items() if key in given}
+    study = benchmark.StudyConfig(**fields)
+    return study, dataclasses.replace(benchmark.STUDY_TRAIN_CONFIG, **train)
 
 
 def _write_study_files(result, out_dir: str):
@@ -297,8 +266,7 @@ def _write_study_files(result, out_dir: str):
         header,
         [np.array(c, dtype=object if all(isinstance(v, int) for v in c) else float) for c in columns],
     )
-    config = dataclasses.asdict(result.config)
-    config["sizes"] = config.pop("size_grid")  # the name study configs give it
+    config = {_STUDY_NAMES[field]: v for field, v in dataclasses.asdict(result.config).items()}
     config["train"] = dataclasses.asdict(result.train)
     summary = {
         "config": config,
@@ -312,9 +280,7 @@ def _write_study_files(result, out_dir: str):
         },
         "aggregates": result.aggregates,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     grid = np.linspace(0.0, 1.0, 200)
     primary = benchmark.forrester(grid, benchmark.PRIMARY_PARAMS)
     for target, params in result.calibrations.items():

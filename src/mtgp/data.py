@@ -6,6 +6,7 @@ task-major: all rows of task 0, then task 1, and so on.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,7 +143,37 @@ def _row_blocks(reader):
         yield lines, rows
 
 
-def _read_table(path, value_names: tuple, check_row, block_ok):
+def _convert(rows, width: int, value_index: list, task_index: int, task_data: bool):
+    """The float value columns and integer tasks of CSV ``rows``: the one
+    statement of the row rules, checked in this order and raised as a
+    ``ValueError`` with the message of a one-row block: surplus fields, a
+    non-numeric value (a short row's missing fields read as None), a
+    non-finite one (task data), a task that is not an integer, a negative
+    task (in task data, also one that reads as another float)."""
+    lengths = set(map(len, rows))
+    if lengths != {width}:
+        if max(lengths) > width:
+            raise ValueError(f"{max(lengths)} fields, the header has {width}")
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    columns = list(zip(*rows))
+    try:
+        values = [list(map(float, columns[i])) for i in value_index]
+    except (TypeError, ValueError):
+        raise ValueError("non-numeric value") from None
+    if task_data and not all(all(map(math.isfinite, v)) for v in values):
+        raise ValueError("non-finite value")
+    fields = columns[task_index]
+    try:
+        tasks = list(map(int, fields))
+    except (TypeError, ValueError):
+        raise ValueError(f"task {(fields[0] or '').strip()!r} is not an integer") from None
+    if min(tasks) < 0 or task_data and list(map(float, fields)) != tasks:
+        rule = "a non-negative integer" if task_data else "non-negative"
+        raise ValueError(f"task index must be {rule}")
+    return values, tasks
+
+
+def _read_table(path, value_names: tuple, task_data: bool):
     """Open ``path`` and parse it with :func:`_parse_table`. A leading
     byte-order mark (a spreadsheet's "CSV UTF-8") is not part of the first
     column name. A file that is not UTF-8 text, or a line the csv module
@@ -151,25 +182,22 @@ def _read_table(path, value_names: tuple, check_row, block_ok):
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            return _parse_table(path, reader, value_names, check_row, block_ok)
+            return _parse_table(path, reader, value_names, task_data)
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
     except csv.Error as exc:
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _parse_table(path, reader, value_names: tuple, check_row, block_ok):
+def _parse_table(path, reader, value_names: tuple, task_data: bool):
     """Parse a CSV of float columns x1..xP plus ``value_names`` and an integer
     ``task`` column, CSV_BLOCK_ROWS rows at a time.
 
     Header names are stripped; any other column, or a repeated name, is
-    rejected. Each block's columns convert with one ``float`` / ``int`` map
-    each; a block that fails to convert or fails ``block_ok(values, tasks,
-    task_fields)`` is checked row by row with ``check_row(path, line,
-    value_fields, task_field)`` to raise its first bad row's error. A row
-    with surplus fields is rejected; a short one reads its missing fields as
-    None. Blank lines are skipped. Returns (xcols, the file line of each
-    row, the float columns, the tasks).
+    rejected. Each block converts with :func:`_convert`; a block that fails
+    is converted again row by row to raise its first bad row's error with
+    the row's file line. Blank lines are skipped. Returns (xcols, the file
+    line of each row, the float columns, the tasks).
     """
     required = ("task", *value_names)
     header = next(reader, None)
@@ -186,66 +214,27 @@ def _parse_table(path, reader, value_names: tuple, check_row, block_ok):
     for name in required:
         if name not in fields:
             raise ValidationError(f"{path}: missing required column '{name}'")
-    width = len(fields)
     value_index = [fields.index(c) for c in xcols + list(value_names)]
-    task_index = fields.index("task")
+    convert = functools.partial(
+        _convert, width=len(fields), value_index=value_index,
+        task_index=fields.index("task"), task_data=task_data,
+    )
     all_lines, values, tasks = [], [[] for _ in value_index], []
     for lines, rows in _row_blocks(reader):
         try:
-            if set(map(len, rows)) != {width}:
-                raise ValueError("rows of unequal length")
-            columns = list(zip(*rows))
-            block = [list(map(float, columns[i])) for i in value_index]
-            block_tasks = list(map(int, columns[task_index]))
-            if not block_ok(block, block_tasks, columns[task_index]):
-                raise ValueError("a row breaks the row rules")
-        except (TypeError, ValueError):
+            block, block_tasks = convert(rows)
+        except ValueError:
             for line, row in zip(lines, rows):
-                if len(row) > width:
-                    raise ValidationError(
-                        f"{path}: line {line}: {len(row)} fields, the header has {width}"
-                    ) from None
-                row = row + [None] * (width - len(row))
-                check_row(path, line, [row[i] for i in value_index], row[task_index])
+                try:
+                    convert([row])
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {line}: {exc}") from None
             raise  # every failed block holds a bad row
         all_lines += lines
         for column, v in zip(values, block):
             column += v
         tasks += block_tasks
     return xcols, all_lines, values, tasks
-
-
-def _parse_floats(path, line, fields) -> list[float]:
-    try:
-        return [float(f) for f in fields]
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: line {line}: non-numeric value") from None
-
-
-def _parse_task(path, line, field) -> tuple[int, str]:
-    raw = (field or "").strip()
-    try:
-        return int(raw), raw
-    except ValueError:
-        raise ValidationError(f"{path}: line {line}: task {raw!r} is not an integer") from None
-
-
-def _check_data_row(path, line, value_fields, task_field):
-    values = _parse_floats(path, line, value_fields)
-    if not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"{path}: line {line}: non-finite value")
-    task, raw = _parse_task(path, line, task_field)
-    if task < 0 or float(raw) != task:
-        raise ValidationError(f"{path}: line {line}: task index must be a non-negative integer")
-
-
-def _data_block_ok(values, tasks, task_fields) -> bool:
-    """Whether every row of a converted block passes :func:`_check_data_row`."""
-    return (
-        all(all(map(math.isfinite, v)) for v in values)
-        and min(tasks) >= 0
-        and list(map(float, task_fields)) == tasks
-    )
 
 
 def read_task_csv(path) -> tuple[MultiTaskDataset, list[str]]:
@@ -255,7 +244,7 @@ def read_task_csv(path) -> tuple[MultiTaskDataset, list[str]]:
     :class:`ValidationError` naming the offending file line or column on any
     malformed content, including non-contiguous task indices.
     """
-    xcols, _, values, rows_task = _read_table(path, ("y",), _check_data_row, _data_block_ok)
+    xcols, _, values, rows_task = _read_table(path, ("y",), task_data=True)
     if not rows_task:
         raise ValidationError(f"{path}: no data rows")
     present = sorted(set(rows_task))
@@ -278,12 +267,6 @@ def read_task_csv(path) -> tuple[MultiTaskDataset, list[str]]:
     return MultiTaskDataset(inputs, targets), xcols
 
 
-def _check_query_row(path, line, value_fields, task_field):
-    _parse_floats(path, line, value_fields)
-    if _parse_task(path, line, task_field)[0] < 0:
-        raise ValidationError(f"{path}: line {line}: task index must be non-negative")
-
-
 def read_query_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Parse a prediction-query CSV with columns x1..xP and task.
 
@@ -292,9 +275,7 @@ def read_query_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     an empty file (header only) yields zero-row arrays. Errors name the file
     line; a non-numeric value anywhere is reported before a non-finite one.
     """
-    xcols, lines, values, tasks = _read_table(
-        path, (), _check_query_row, lambda values, tasks, task_fields: min(tasks) >= 0
-    )
+    xcols, lines, values, tasks = _read_table(path, (), task_data=False)
     X = np.column_stack(values)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:

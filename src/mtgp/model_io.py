@@ -10,36 +10,33 @@ each check on the file's contents once (:func:`load_model`).
 """
 
 import hashlib
-import json
 import math
 
 import numpy as np
 
 from .data import MultiTaskDataset, task_scaling
-from .errors import ValidationError, not_utf8
+from .errors import ValidationError, read_json, read_key, write_json
 from .kernels import KERNEL_KINDS
 from .multitask import ExactGPLayout, MTGPModel, ParameterLayout, _condition
 
 SCHEMA_VERSION = 1
+_FILE = "model file"  # how read_key's messages name a model file
 
 
 def _hex(x: float) -> str:
     return float(x).hex()
 
 
-def _unhex(s: str) -> float:
-    try:
-        return float.fromhex(s)
-    except (TypeError, ValueError):
-        raise ValidationError(f"bad hex float {s!r} in model file") from None
-
-
-def _unhex_all(values: list) -> np.ndarray:
+def _unhex(values: list) -> np.ndarray:
+    """The floats of the hex strings ``values``, or an error naming the first bad one."""
     try:
         return np.fromiter(map(float.fromhex, values), dtype=float, count=len(values))
     except (TypeError, ValueError):
         for s in values:
-            _unhex(s)  # raises on the first bad value
+            try:
+                float.fromhex(s)
+            except (TypeError, ValueError):
+                raise ValidationError(f"bad hex float {s!r} in model file") from None
         raise
 
 
@@ -57,9 +54,9 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(doc: dict) -> np.ndarray:
-    flat = _unhex_all(_require(doc, "hex", list))
-    shape = _require(doc, "shape", list)
-    if not all(isinstance(n, int) and n >= 0 for n in shape) or math.prod(shape) != flat.size:
+    flat = _unhex(read_key(doc, "hex", _FILE, list))
+    shape = read_key(doc, "shape", _FILE, list)
+    if not all(type(n) is int and n >= 0 for n in shape) or math.prod(shape) != flat.size:
         raise ValidationError(f"model file array of shape {shape} has {flat.size} values")
     return flat.reshape(shape)
 
@@ -81,8 +78,8 @@ def _encode_dataset(dataset: MultiTaskDataset) -> list:
 
 
 def _decode_dataset(tasks_doc: list) -> MultiTaskDataset:
-    inputs = tuple(_decode_array(_require(t, "x")) for t in tasks_doc)
-    targets = tuple(_decode_array(_require(t, "y")) for t in tasks_doc)
+    inputs = tuple(_decode_array(read_key(t, "x", _FILE)) for t in tasks_doc)
+    targets = tuple(_decode_array(read_key(t, "y", _FILE)) for t in tasks_doc)
     return MultiTaskDataset(inputs, targets)
 
 
@@ -147,25 +144,12 @@ def model_document(model: MTGPModel, family: str) -> dict:
 
 def save_model(model, path, family: str) -> dict:
     doc = model_document(model, family)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
     return doc
 
 
-def _require(doc: dict, key: str, kind: type | None = None):
-    """``doc[key]``, which must exist and, when ``kind`` is given, be of that type."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValidationError(f"model file missing key {key!r}")
-    value = doc[key]
-    # bool is a subclass of int, so a bool passes only where a bool is asked for
-    if kind and not (isinstance(value, kind) and (kind is bool) == isinstance(value, bool)):
-        raise ValidationError(f"model file key {key!r} must be of type {kind.__name__}")
-    return value
-
-
 def _positive_int(doc: dict, key: str) -> int:
-    value = _require(doc, key, int)
+    value = read_key(doc, key, _FILE, int)
     if value < 1:
         raise ValidationError(f"model file key {key!r} must be a positive integer, got {value}")
     return value
@@ -183,28 +167,24 @@ def load_model(path):
     parameters, which are checked once and conditioned on. No kernel spec is
     built until ``model.kernel`` is read.
     """
+    doc = read_json(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return _decode_model(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
+        return _decode_model(doc)
     except ValidationError as exc:  # the file is named once, here
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def _decode_model(doc) -> MTGPModel:
-    version = _require(doc, "schema_version", int)
+    version = read_key(doc, "schema_version", _FILE, int)
     if version != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported model schema version {version!r} (supported: {SCHEMA_VERSION})"
         )
-    model_type = _require(doc, "model_type")
+    model_type = read_key(doc, "model_type", _FILE)
     if model_type not in ("gp", "mtgp"):
         raise ValidationError(f"unknown model_type {model_type!r}")
     gp = model_type == "gp"
-    kinds = _require(doc, "kernel_kinds", list)
+    kinds = read_key(doc, "kernel_kinds", _FILE, list)
     if not kinds:
         raise ValidationError("model file key 'kernel_kinds' is empty")
     for kind in kinds:
@@ -215,21 +195,21 @@ def _decode_model(doc) -> MTGPModel:
         raise ValidationError("model file key 'kernel_kinds' of a gp must hold one kind")
     if gp and num_tasks != 1:
         raise ValidationError("model file key 'num_tasks' of a gp must be 1")
-    ranks = [1] if gp else _require(doc, "ranks", list)
+    ranks = [1] if gp else read_key(doc, "ranks", _FILE, list)
     if len(ranks) != len(kinds) or not all(type(r) is int and r >= 1 for r in ranks):
         raise ValidationError(
             "model file key 'ranks' must hold one positive integer per kernel kind"
         )
-    params = _require(doc, "parameters")
-    vector = _unhex_all(_require(params, "values_hex", list))
+    params = read_key(doc, "parameters", _FILE)
+    vector = _unhex(read_key(params, "values_hex", _FILE, list))
     # each rank column stores at least one value: check before any array is sized by the ranks
     if sum(ranks) > vector.shape[0]:
         raise ValidationError("parameter vector has wrong length")
-    tasks_doc = _require(_require(doc, "data"), "tasks", list)
+    tasks_doc = read_key(read_key(doc, "data", _FILE), "tasks", _FILE, list)
     if len(tasks_doc) != num_tasks:
         raise ValidationError(f"model file key 'tasks' must hold {num_tasks} tasks")
     dataset = _decode_dataset(tasks_doc)
-    if dataset_fingerprint(dataset) != _require(doc, "dataset_fingerprint"):
+    if dataset_fingerprint(dataset) != read_key(doc, "dataset_fingerprint", _FILE):
         raise ValidationError("data does not match model file key 'dataset_fingerprint'")
     input_dim = _positive_int(doc, "input_dim")
     if dataset.input_dim != input_dim:
@@ -237,12 +217,12 @@ def _decode_model(doc) -> MTGPModel:
             f"model file key 'input_dim' is {input_dim}, its data has {dataset.input_dim}"
         )
     if gp:  # the GP conditions on Y - mean_const, with task std 1
-        mean_const = _unhex(_require(_require(doc, "mean_const"), "hex"))
+        (mean_const,) = _unhex([read_key(read_key(doc, "mean_const", _FILE), "hex", _FILE)])
         if not math.isfinite(mean_const):
             raise ValidationError("model file key 'mean_const' must be finite")
         means, stds, standardized = np.array([mean_const]), np.ones(1), False
     else:
-        standardized = _require(doc, "standardize", bool)
+        standardized = read_key(doc, "standardize", _FILE, bool)
         means, stds = task_scaling(dataset, standardized)
     layout = ExactGPLayout(kinds, ranks, dataset, learn_W=not gp, learn_gamma=not gp)
     layout.scale(means, stds)

@@ -179,7 +179,7 @@ def mtgp_predict(
         return PosteriorPrediction(empty, empty.copy(), np.zeros((0, 0)) if full_cov else None)
     Kstar, prior = _cross_covariance(model, task, Xstar, full_cov)
     mean = mu + s * (Kstar @ model.weights)
-    V = tri_solve(model.L, Kstar.T, overwrite_b=True)  # Kstar is overwritten
+    V = tri_solve(model.L, Kstar.T)  # Kstar is overwritten
     if full_cov:
         cov = (prior - V.T @ V) * s**2
         cov = 0.5 * (cov + cov.T)

@@ -10,6 +10,7 @@ import collections
 import numpy as np
 import pytest
 
+from mtgp import multitask
 from mtgp.coregionalization import (
     CoregionalizationTerm,
     MultiTaskKernelSpec,
@@ -133,3 +134,25 @@ def build_counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     return counts
+
+
+def rig_factorization(monkeypatch, plan: dict):
+    """Make ``multitask.cholesky_batch`` rig its n-th call's stack by
+    ``plan[n] = (escalate, fail)``: row ``escalate`` becomes a matrix that
+    factorizes only at a relative jitter of 1e-6, row ``fail`` one that
+    fails at the maximum jitter (None: no such row). Returns the batch size
+    of each call."""
+    factor, calls = multitask.cholesky_batch, []
+
+    def rigged(K):
+        escalate, fail = plan.get(len(calls), (None, None))
+        N = K.shape[-1]
+        if escalate is not None:
+            K[escalate] = np.diag(np.r_[np.ones(N - 1), -1e-7])
+        if fail is not None:
+            K[fail] = np.diag(np.r_[np.ones(N - 1), -1.0])
+        calls.append(K.shape[0])
+        return factor(K)
+
+    monkeypatch.setattr(multitask, "cholesky_batch", rigged)
+    return calls

@@ -273,7 +273,8 @@ def test_criterion_07_trend_reproduction():
         replicates=20,
         seed=0,
     )
-    config = TrainConfig(**cli.BENCHMARK_TRAIN_DEFAULTS)
+    # the training `mtgp benchmark` runs when no config sets it
+    _, config = cli._parse_study_config(cli.build_parser().parse_args(["benchmark", "--out", "-"]))
     result = run_study(study, config)
     elapsed = time.perf_counter() - started
 

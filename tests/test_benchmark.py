@@ -285,7 +285,9 @@ class TestRunStudy:
     def test_one_study_training_for_the_api_and_the_cli(self):
         default = inspect.signature(run_study).parameters["train_config"].default
         assert default is STUDY_TRAIN_CONFIG
-        assert TrainConfig(**cli.BENCHMARK_TRAIN_DEFAULTS) == STUDY_TRAIN_CONFIG
+        # `mtgp benchmark` trains as run_study does unless a config sets a train key
+        _, parsed = cli._parse_study_config(cli.build_parser().parse_args(["benchmark", "--out", "-"]))
+        assert parsed == STUDY_TRAIN_CONFIG
         assert STUDY_TRAIN_CONFIG.max_iterations == 200
 
     def test_row_and_aggregate_counts(self):

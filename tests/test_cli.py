@@ -2,10 +2,13 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,7 +124,70 @@ MODEL_FILE_BAD_VALUES = {
     "gp-mean_const-inf": ("gp", lambda doc: doc["mean_const"].update(hex="inf"), MEAN_CONST),
     "gp-mean_const-nan": ("gp", lambda doc: doc["mean_const"].update(hex="nan"), MEAN_CONST),
     "gp-mean_const--inf": ("gp", lambda doc: doc["mean_const"].update(hex="-inf"), MEAN_CONST),
+    "values_hex-not-hex": (
+        "mtgp-slfm",
+        lambda doc: operator.setitem(doc["parameters"]["values_hex"], 0, "zz"),
+        "bad hex float 'zz' in model file",
+    ),
+    "x-hex-number": (
+        "mtgp-slfm",
+        lambda doc: operator.setitem(doc["data"]["tasks"][0]["x"]["hex"], 0, 5),
+        "bad hex float 5 in model file",
+    ),
+    "gp-mean_const-not-hex": (
+        "gp", lambda doc: doc["mean_const"].update(hex="one"), "bad hex float 'one' in model file"
+    ),
+    "model_type-unknown": ("gp", lambda doc: doc.update(model_type="svm"), "unknown model_type 'svm'"),
+    "kernel_kinds-unknown": (
+        "mtgp-slfm", lambda doc: doc.update(kernel_kinds=["rbf", "rbf"]), "unknown kernel kind 'rbf'"
+    ),
+    "input_dim-disagrees": (
+        "mtgp-slfm", lambda doc: doc.update(input_dim=2), "model file key 'input_dim' is 2, its data has 1"
+    ),
+    "y-shape-bool": (
+        "mtgp-slfm",
+        lambda doc: doc["data"]["tasks"][0]["y"].update(shape=[6, True]),
+        "model file array of shape [6, True] has 6 values",
+    ),
+    "values_hex-one-more": (
+        "mtgp-slfm",
+        lambda doc: doc["parameters"]["values_hex"].append("0x0.0p+0"),
+        "parameter vector has wrong length",
+    ),
 }
+
+# run configs that exit 2, with the message after the config's path
+BAD_RUN_CONFIGS = [
+    ({"family": "svm"}, "key 'family' must be one of ['gp', 'mtgp-slfm', 'mtgp-lmc']"),
+    ({"kernel": "rbf"}, "key 'kernel' must be one of ['squared_exponential', 'matern52']"),
+    ({"kernel": 5}, "key 'kernel' must be of type str"),
+    ({"q": True}, "key 'q' must be of type int"),
+    ({"q": 2.0}, "key 'q' must be of type int"),
+    ({"learning_rate": "fast"}, "key 'learning_rate' must be of type float"),
+    ({"max_iterations": 5.0}, "key 'max_iterations' must be of type int"),
+    ({"standardize": 1}, "key 'standardize' must be of type bool"),
+    ({"output_dir": 3}, "key 'output_dir' must be of type str"),
+    ({"colour": 1}, "unknown key 'colour'"),
+]
+
+# study configs and flags that exit 2, with the message ({config}: the config's path)
+BAD_STUDY_CONFIGS = [
+    (["--sizes", "4,x"], {}, "bad --sizes entry '4,x'; expected integers"),
+    (["--sizes", "4"], {}, "bad --sizes entry '4'; expected 'n1,n2'"),
+    (["--correlations", "0.5,high"], {}, "bad --correlations value '0.5,high'"),
+    ([], {"correlations": [0.5, "a"]}, "{config}: 'correlations' must be a list of numbers"),
+    ([], {"correlations": 0.5}, "{config}: 'correlations' must be a list of numbers"),
+    ([], {"correlations": [True]}, "{config}: 'correlations' must be a list of numbers"),
+    ([], {"sizes": [[4, 4.0]]}, "{config}: 'sizes' must be a list of [n1, n2] integer pairs"),
+    ([], {"sizes": "4,4"}, "{config}: 'sizes' must be a list of [n1, n2] integer pairs"),
+    ([], {"train": [1]}, "{config}: 'train' must be an object"),
+    ([], {"train": {"rate": 1}}, "{config}: unknown key 'rate'"),
+    ([], {"train": {"seed": 1.5}}, "{config}: key 'seed' must be of type int"),
+    ([], {"train": {"learning_rate": False}}, "{config}: key 'learning_rate' must be of type float"),
+    ([], {"replicates": True}, "{config}: key 'replicates' must be of type int"),
+    ([], {"observation_noise": "0"}, "{config}: key 'observation_noise' must be of type float"),
+    ([], {"size_grid": [[4, 4]]}, "{config}: unknown key 'size_grid'"),
+]
 
 # training settings out of range, in a run config and in a study's train block
 BAD_TRAIN_SETTINGS = [
@@ -390,6 +456,36 @@ class TestBadInputExitCodes:
         if path is not None:  # the message names the file once, at its start
             assert err.startswith(f"error: {path}: ") and err.count(str(path)) == 1
 
+    def _assert_message(self, argv, capsys, message):
+        """Exit 2 with exactly ``error: <message>`` on stderr."""
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @staticmethod
+    def _files(tmp_path, command):
+        """Usable files for each file flag of ``command``."""
+        if command == "train":
+            return {
+                "--data": write_two_task_csv(tmp_path / "data.csv"),
+                "--config": write_config(tmp_path / "config.json", max_iterations=5),
+                "--out": tmp_path / "o",
+            }
+        if command == "benchmark":
+            study = tmp_path / "study.json"
+            study.write_text('{"replicates": 1}', encoding="utf-8")
+            return {"--config": study, "--out": tmp_path / "s"}
+        query = tmp_path / "query.csv"
+        query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
+        return {
+            "--model": train_model(tmp_path, "mtgp-slfm"),
+            "--data": query,
+            "--out": tmp_path / "p.csv",
+        }
+
+    @staticmethod
+    def _argv(command, files):
+        return [command] + [str(v) for item in files.items() for v in item]
+
     @pytest.mark.parametrize(
         "command,header,needle",
         [
@@ -458,34 +554,23 @@ class TestBadInputExitCodes:
         "command,flag",
         [
             ("train", "--data"),
+            ("train", "--config"),
             ("train", "--out"),
             ("train", "--trace"),
             ("predict", "--model"),
             ("predict", "--data"),
             ("predict", "--out"),
+            ("benchmark", "--config"),
         ],
     )
     def test_unusable_file_exits_2(self, tmp_path, capsys, command, flag):
-        if command == "train":
-            files = {
-                "--data": write_two_task_csv(tmp_path / "data.csv"),
-                "--config": write_config(tmp_path / "config.json", max_iterations=5),
-                "--out": tmp_path / "o",
-            }
-        else:
-            query = tmp_path / "query.csv"
-            query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
-            files = {
-                "--model": train_model(tmp_path, "mtgp-slfm"),
-                "--data": query,
-                "--out": tmp_path / "p.csv",
-            }
+        files = self._files(tmp_path, command)
         bad = tmp_path / "missing" / "x"
         if (command, flag) == ("train", "--out"):
             # the output directory cannot be made under a regular file
             (tmp_path / "missing").write_text("", encoding="utf-8")
         files[flag] = bad
-        argv = [command] + [str(v) for item in files.items() for v in item]
+        argv = self._argv(command, files)
         self._assert_exit_2(argv, capsys, str(bad))
         if (command, flag) == ("train", "--trace"):
             assert not (tmp_path / "o").exists()
@@ -523,26 +608,52 @@ class TestBadInputExitCodes:
     @pytest.mark.parametrize("command,flag", [("train", "--data"), ("train", "--config"),
                                               ("predict", "--model"), ("predict", "--data")])
     def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, command, flag):
-        if command == "train":
-            files = {
-                "--data": write_two_task_csv(tmp_path / "data.csv"),
-                "--config": write_config(tmp_path / "config.json", max_iterations=5),
-                "--out": tmp_path / "o",
-            }
-        else:
-            query = tmp_path / "query.csv"
-            query.write_text("x1,task\n0.5,0\n", encoding="utf-8")
-            files = {
-                "--model": train_model(tmp_path, "mtgp-slfm"),
-                "--data": query,
-                "--out": tmp_path / "p.csv",
-            }
+        files = self._files(tmp_path, command)
         bad = files[flag]
         text = bad.read_bytes()
         cut = text.index(b"0")  # inside a value of the CSV or the JSON
         bad.write_bytes(text[:cut] + b"\xff" + text[cut:])
-        argv = [command] + [str(v) for item in files.items() for v in item]
-        self._assert_exit_2(argv, capsys, "not UTF-8 text: byte 0xff", path=bad)
+        self._assert_exit_2(self._argv(command, files), capsys, "not UTF-8 text: byte 0xff", path=bad)
+
+    @pytest.mark.parametrize(
+        "command,flag,text,message",
+        [
+            ("train", "--config", "{", "not valid JSON: "
+             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("benchmark", "--config", "", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("predict", "--model", "{}x", "not valid JSON: Extra data: line 1 column 3 (char 2)"),
+            ("train", "--config", "[]", "top-level JSON value must be an object"),
+            ("benchmark", "--config", "null", "top-level JSON value must be an object"),
+            ("predict", "--model", "[]", "model file missing key 'schema_version'"),
+        ],
+    )
+    def test_json_file_that_is_not_an_object_exits_2(
+        self, tmp_path, capsys, command, flag, text, message
+    ):
+        files = self._files(tmp_path, command)
+        files[flag].write_text(text, encoding="utf-8")
+        self._assert_message(self._argv(command, files), capsys, f"{files[flag]}: {message}")
+
+    @pytest.mark.parametrize("doc,message", BAD_RUN_CONFIGS)
+    def test_bad_run_config_exits_2(self, tmp_path, capsys, doc, message):
+        files = self._files(tmp_path, "train")
+        write_config(files["--config"], **doc)
+        self._assert_message(self._argv("train", files), capsys, f"{files['--config']}: {message}")
+        assert not files["--out"].exists()
+
+    def test_no_output_directory_exits_2(self, tmp_path, capsys):
+        files = self._files(tmp_path, "train")
+        del files["--out"]
+        message = "no output directory: pass --out or set 'output_dir' in the config"
+        self._assert_message(self._argv("train", files), capsys, message)
+
+    @pytest.mark.parametrize("flags,doc,message", BAD_STUDY_CONFIGS)
+    def test_bad_study_config_exits_2(self, tmp_path, capsys, flags, doc, message):
+        files = self._files(tmp_path, "benchmark")
+        files["--config"].write_text(json.dumps(doc), encoding="utf-8")
+        argv = self._argv("benchmark", files) + flags
+        self._assert_message(argv, capsys, message.format(config=files["--config"]))
+        assert not files["--out"].exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_query_value_exits_2(self, tmp_path, capsys, bad):
@@ -1138,6 +1249,49 @@ class TestBenchmarkCommand:
         config = tmp_path / "study.json"
         config.write_text(json.dumps({"replicate": 3}), encoding="utf-8")
         assert cli.main(["benchmark", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+
+
+def parse_study(*flags):
+    return cli._parse_study_config(cli.build_parser().parse_args(["benchmark", "--out", "-", *flags]))
+
+
+class TestConfigDefaults:
+    """An absent or null config key takes the default of the record it sets."""
+
+    def test_study_defaults_are_the_records(self):
+        assert parse_study() == (benchmark.StudyConfig(), benchmark.STUDY_TRAIN_CONFIG)
+
+    @pytest.mark.parametrize("key", sorted(cli._STUDY_KEYS))
+    def test_null_study_key_is_its_default(self, tmp_path, key):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({key: None}), encoding="utf-8")
+        assert parse_study("--config", str(config)) == parse_study()
+
+    def test_null_study_train_keys_are_the_study_training(self, tmp_path):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"train": dict.fromkeys(cli._TRAIN_KEYS)}), encoding="utf-8")
+        assert parse_study("--config", str(config))[1] == benchmark.STUDY_TRAIN_CONFIG
+
+    def test_null_run_config_keys_are_their_defaults(self, tmp_path):
+        given, plain = tmp_path / "given.json", tmp_path / "plain.json"
+        plain.write_text('{"family": "mtgp-slfm"}', encoding="utf-8")
+        nulls = dict.fromkeys(cli._RUN_CONFIG_KEYS - {"family"})
+        given.write_text(json.dumps({"family": "mtgp-slfm", **nulls}), encoding="utf-8")
+        assert cli._parse_run_config(str(given)) == cli._parse_run_config(str(plain))
+
+
+class TestReadmeConfigKeys:
+    """The README names every key the config readers take, and no other."""
+
+    README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def test_run_json_example_has_the_run_config_keys(self):
+        example = self.README.split("`run.json` (unknown keys are rejected):")[1].split("```")[1]
+        assert set(re.findall(r'^\s*"(\w+)":', example, re.M)) == cli._RUN_CONFIG_KEYS
+
+    def test_study_config_sentence_has_the_study_keys(self):
+        sentence = self.README.split("A `--config` file may set")[1].split(";")[0]
+        assert set(re.findall(r"`(\w+)`", sentence)) == cli._STUDY_KEYS
 
 
 class TestCheckCommand:

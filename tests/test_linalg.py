@@ -35,9 +35,10 @@ def test_solves_equal_scipy_bitwise(n, rhs):
         "transposed": lambda: rng.normal(size=(40, n)).T,  # the Fortran-ordered K(X*, X)^T
     }[rhs]()
     given = b.copy()
-    np.testing.assert_array_equal(tri_solve(L, b), solve_triangular(L, b, lower=True))
     np.testing.assert_array_equal(chol_solve(L, b), cho_solve((L, True), b))
-    np.testing.assert_array_equal(b, given)  # the right-hand side is not overwritten
+    np.testing.assert_array_equal(b, given)  # chol_solve does not overwrite the right-hand side
+    # tri_solve solves a Fortran-ordered b (a vector, the transposed case) in place
+    np.testing.assert_array_equal(tri_solve(L, b), solve_triangular(L, given, lower=True))
 
 
 @pytest.mark.parametrize("n", [1, 5, 17, 30])
@@ -83,7 +84,7 @@ def test_tri_solve_overwrites_a_fortran_ordered_rhs(n):
     L = factor(rng, n)
     b = rng.normal(size=(40, n)).T  # the Fortran-ordered K(X*, X)^T
     expected = solve_triangular(L, b, lower=True)
-    x = tri_solve(L, b, overwrite_b=True)
+    x = tri_solve(L, b)
     np.testing.assert_array_equal(x, expected)
     assert np.shares_memory(x, b)
     np.testing.assert_array_equal(b, expected)
@@ -95,7 +96,7 @@ def test_tri_solve_copies_a_c_ordered_rhs(n):
     L = factor(rng, n)
     b = rng.normal(size=(n, 40))
     given = b.copy()
-    x = tri_solve(L, b, overwrite_b=True)
+    x = tri_solve(L, b)
     np.testing.assert_array_equal(x, solve_triangular(L, b, lower=True))
     assert not np.shares_memory(x, b)
     np.testing.assert_array_equal(b, given)
@@ -110,6 +111,6 @@ def test_tri_solve_checks_finiteness_before_lapack(monkeypatch, bad):
     calls = []
     monkeypatch.setattr(linalg, "dtrtrs", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(NonFiniteError, match="not finite"):
-        tri_solve(L, b, overwrite_b=True)
+        tri_solve(L, b)
     assert calls == []
     np.testing.assert_array_equal(b, given)

@@ -14,6 +14,7 @@ from conftest import (
     random_dataset,
     random_kernel,
     random_mtgp_spec,
+    rig_factorization,
     spec_parameter_layout,
 )
 from mtgp.coregionalization import (
@@ -931,3 +932,24 @@ class TestWorkspace:
         for batch, values, grads in kept:
             np.testing.assert_array_equal(batch.values, values)
             np.testing.assert_array_equal(batch.grads, grads)
+
+
+class TestFailedRows:
+    """A row whose factorization fails or needs more jitter leaves the others as they are alone."""
+
+    @pytest.mark.parametrize("case", INVARIANCE_CASES)
+    def test_failed_row_is_nan_and_the_others_equal_their_one_row_stacks(self, monkeypatch, case):
+        rng = np.random.default_rng(3)
+        (layout,) = _invariance_layouts(*case, rng)
+        X = _random_points(layout, rng, 4)
+        alone = [evaluate(layout, X[b : b + 1]) for b in range(4)]
+        rig_factorization(monkeypatch, {0: (1, 2)})
+        batch = evaluate(layout, X)
+        N = layout.shape[-1]
+        assert batch.errors == {2: f"Cholesky failed for {N}x{N} matrix even with relative jitter 0.0001"}
+        assert list(batch.escalated) == [False, True, False, False]
+        assert np.isnan(batch.values[2]) and np.isnan(batch.grads[2]).all()
+        assert np.isfinite(batch.values[[0, 1, 3]]).all() and np.isfinite(batch.grads[[0, 1, 3]]).all()
+        for b in (0, 3):
+            np.testing.assert_array_equal(batch.values[b], alone[b].values[0])
+            np.testing.assert_array_equal(batch.grads[b], alone[b].grads[0])

@@ -10,6 +10,7 @@ from conftest import (
     family_template,
     gp_parameter_layout,
     materialize,
+    rig_factorization,
     spec_parameter_layout,
     train_alone,
     train_gp_alone,
@@ -468,6 +469,24 @@ class TestTrainMTGP:
             assert diag["stop_reason"] in ("converged", "max_iterations")
             assert diag["converged"] == (diag["stop_reason"] == "converged")
             assert diag["jitter_escalations"] >= 0
+
+
+def test_escalated_and_failed_restarts_are_reported(monkeypatch):
+    # step 0 evaluates the four restarts: restart 1's factorization needs
+    # escalated jitter and restart 2's fails, so step 1 runs restarts 0, 1
+    # and 3, and the third of them, restart 3, needs escalated jitter
+    dataset = TestTrainMTGP()._dataset()
+    config = TrainConfig(max_iterations=20, num_restarts=4, seed=3)
+    clean = train_alone(dataset, config).fit_info["restarts"]
+    assert [r["jitter_escalations"] for r in clean] == [0, 0, 0, 0]
+    calls = rig_factorization(monkeypatch, {0: (1, 2), 1: (2, None)})
+    restarts = train_alone(dataset, config).fit_info["restarts"]
+    assert calls[:2] == [4, 3]
+    assert [r["jitter_escalations"] for r in restarts] == [0, 1, 0, 1]
+    assert [r["status"] for r in restarts] == ["ok", "ok", "failed", "ok"]
+    failed = "objective_failed: Cholesky failed for 18x18 matrix even with relative jitter 0.0001"
+    assert restarts[2]["error"] == restarts[2]["stop_reason"] == failed
+    assert restarts[0] == clean[0]  # rows never influence each other
 
 
 def _same_fit(a, b):
