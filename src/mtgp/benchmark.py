@@ -29,7 +29,7 @@ import numpy as np
 from .data import MultiTaskDataset
 from .errors import CalibrationError, DomainError, ShapeError, UndefinedCorrelationError
 from .multitask import mtgp_predict
-from .seeding import make_rng, seed_entropy
+from .seeding import derive_seed, make_rng
 from .training import FitJob, MTGPFamily, TrainConfig, _is_integer, train
 
 CALIBRATION_GRID_SIZE = 1000
@@ -51,7 +51,7 @@ class ForresterParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ValueError("Forrester coefficients must be finite")
+            raise DomainError("Forrester coefficients must be finite")
 
 
 PRIMARY_PARAMS = ForresterParams(1.0, 0.0)
@@ -149,8 +149,8 @@ def calibrate_auxiliary(target_r: float) -> ForresterParams:
         pref = np.where(near, pref, np.inf)
         i, j = np.unravel_index(int(np.argmin(pref)), pref.shape)
         best = (float(A[i, j]), float(B[i, j]), float(corr[i, j]))
-        a_step = a_grid[1] - a_grid[0] if na > 1 else 0.0
-        b_step = b_grid[1] - b_grid[0] if nb > 1 else 0.0
+        a_step = a_grid[1] - a_grid[0]
+        b_step = b_grid[1] - b_grid[0]
         a_lo = max(_A_BOX[0], best[0] - 2.0 * a_step)
         a_hi = min(_A_BOX[1], best[0] + 2.0 * a_step)
         b_lo = max(_B_BOX[0], best[1] - 2.0 * b_step)
@@ -228,13 +228,6 @@ class StudyResult:
     series: dict  # (target, n1, n2) -> prediction-band arrays for replicate 0
 
 
-def _scenario_seed(study_seed: int, n_primary: int, replicate: int) -> int:
-    # shared across correlation levels and auxiliary sizes so the task-1
-    # design (and hence the GP baseline) is paired within a replicate
-    entropy = seed_entropy(study_seed, "scenario", n_primary, replicate)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
 def _sample_inputs(rng, n: int, forbidden: np.ndarray) -> np.ndarray:
     """Uniform samples on [0, 1], redrawn if they collide with held-out points."""
     x = rng.uniform(0.0, 1.0, size=n)
@@ -245,30 +238,24 @@ def _sample_inputs(rng, n: int, forbidden: np.ndarray) -> np.ndarray:
 
 
 def _scenario_data(
-    study: StudyConfig, n_primary: int, n_auxiliary: int, seed: int, aux: ForresterParams
+    study: StudyConfig, x_test, n_primary: int, n_auxiliary: int, seed: int, aux: ForresterParams
 ):
-    """One seeded draw: task-1 and auxiliary training data, and the task-1 test grid.
+    """One seeded draw ``(x1, y1, x2, y2)``: task-1 and auxiliary training
+    data, whose inputs avoid the held-out inputs ``x_test``.
 
     Each task's inputs come from their own stream, so the task-1 design
     depends only on ``seed`` and ``n_primary``; y1's noise is drawn before
     y2's from a third stream.
     """
-    x_test = np.linspace(0.0, 1.0, study.n_test).reshape(-1, 1)
-    y_test = forrester(x_test[:, 0], PRIMARY_PARAMS)
-    x1 = _sample_inputs(make_rng(seed, "task1"), n_primary, x_test[:, 0])
-    x2 = _sample_inputs(make_rng(seed, "task2"), n_auxiliary, x_test[:, 0])
+    x1 = _sample_inputs(make_rng(seed, "task1"), n_primary, x_test)
+    x2 = _sample_inputs(make_rng(seed, "task2"), n_auxiliary, x_test)
     y1 = forrester(x1[:, 0], PRIMARY_PARAMS)
     y2 = forrester(x2[:, 0], aux)
     if study.observation_noise > 0.0:
         noise_rng = make_rng(seed, "noise")
         y1 = y1 + noise_rng.normal(0.0, study.observation_noise, size=y1.shape)
         y2 = y2 + noise_rng.normal(0.0, study.observation_noise, size=y2.shape)
-    return x1, y1, x2, y2, x_test, y_test
-
-
-def _model_seed(config: TrainConfig, scenario_seed: int, tag: str) -> int:
-    mixed = seed_entropy(config.seed, scenario_seed, tag)
-    return int(np.random.SeedSequence(mixed).generate_state(1, np.uint64)[0])
+    return x1, y1, x2, y2
 
 
 def run_study(study: StudyConfig, train_config: TrainConfig = STUDY_TRAIN_CONFIG) -> StudyResult:
@@ -279,41 +266,41 @@ def run_study(study: StudyConfig, train_config: TrainConfig = STUDY_TRAIN_CONFIG
     shared across correlation levels, mirroring the paired comparisons of
     the study tables. Every fit of the study is one job of a single
     :func:`~mtgp.training.train` call; each fit's result is the one it would
-    get alone. The cells run in output order, targets descending and size
+    get alone and is scored on the one held-out task-1 grid of ``n_test``
+    points. The cells run in output order, targets descending and size
     pairs ascending, and each builds its rows and aggregate in one pass.
     """
     calibrations = {r: calibrate_auxiliary(r) for r in study.correlations}
     achieved = {r: achieved_correlation(aux) for r, aux in calibrations.items()}
     replicates = range(study.replicates)
+    x_test = np.linspace(0.0, 1.0, study.n_test).reshape(-1, 1)
+    y_test = forrester(x_test[:, 0], PRIMARY_PARAMS)
 
-    # the cells in output order; a baseline's draw is keyed (n1, rep), a
+    # the cells in output order; a baseline's fit is keyed (n1, rep), a
     # multi-task fit's (target, n1, n2, rep)
     correlations, sizes = sorted(study.correlations, reverse=True), sorted(study.size_grid)
     grid = [(target, n1, n2) for target in correlations for n1, n2 in sizes]
-    seeds, gp_draws, mt_draws, jobs = {}, {}, {}, []
+    seeds, jobs = {}, []
     for n1 in sorted({n1 for n1, _ in study.size_grid}):
         for rep in replicates:
-            seed = seeds[(n1, rep)] = _scenario_seed(study.seed, n1, rep)
-            x1, y1, *_ = gp_draws[(n1, rep)] = _scenario_data(study, n1, 1, seed, PRIMARY_PARAMS)
-            model_seed = _model_seed(train_config, seed, "gp")
+            seed = seeds[(n1, rep)] = derive_seed(study.seed, "scenario", n1, rep)
+            x1, y1, _, _ = _scenario_data(study, x_test, n1, 0, seed, PRIMARY_PARAMS)
+            model_seed = derive_seed(train_config.seed, seed, "gp")
             jobs.append(FitJob(MultiTaskDataset((x1,), (y1,)), model_seed, MTGPFamily("gp")))
-    for target, n1, n2 in grid:
-        for rep in replicates:
-            draw = _scenario_data(study, n1, n2, seeds[(n1, rep)], calibrations[target])
-            x1, y1, x2, y2, *_ = mt_draws[(target, n1, n2, rep)] = draw
-            model_seed = _model_seed(train_config, seeds[(n1, rep)], "mtgp")
-            dataset = MultiTaskDataset((x1, x2), (y1, y2))
-            jobs.append(FitJob(dataset, model_seed, BENCHMARK_MTGP_FAMILY))
-    fits = dict(zip([*gp_draws, *mt_draws], train(jobs, train_config)))
-    gp_preds = {
-        key: mtgp_predict(fits[key], 0, x_test) for key, (*_, x_test, _) in gp_draws.items()
-    }
+    mt_keys = [(target, n1, n2, rep) for target, n1, n2 in grid for rep in replicates]
+    for target, n1, n2, rep in mt_keys:
+        seed = seeds[(n1, rep)]
+        x1, y1, x2, y2 = _scenario_data(study, x_test, n1, n2, seed, calibrations[target])
+        model_seed = derive_seed(train_config.seed, seed, "mtgp")
+        dataset = MultiTaskDataset((x1, x2), (y1, y2))
+        jobs.append(FitJob(dataset, model_seed, BENCHMARK_MTGP_FAMILY))
+    fits = dict(zip([*seeds, *mt_keys], train(jobs, train_config)))
+    gp_preds = {key: mtgp_predict(fits[key], 0, x_test) for key in seeds}
 
     rows, aggregates, series = [], [], {}
     for target, n1, n2 in grid:
         aux, cell = calibrations[target], []
         for rep in replicates:
-            *_, x_test, y_test = mt_draws[(target, n1, n2, rep)]
             mt, gp = mtgp_predict(fits[(target, n1, n2, rep)], 0, x_test), gp_preds[(n1, rep)]
             gp_rmse, mtgp_rmse = rmse(gp.mean, y_test), rmse(mt.mean, y_test)
             cell.append(

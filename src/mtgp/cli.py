@@ -169,7 +169,7 @@ def cmd_predict(args) -> int:
         raise ValidationError(
             f"query has {X.shape[1]} input columns, model expects {model.input_dim}"
         )
-    bad = tasks[(tasks < 0) | (tasks >= model.num_tasks)]
+    bad = tasks[tasks >= model.num_tasks]
     if bad.size:
         raise ValidationError(
             f"query task index {int(bad[0])} out of range for a {model.num_tasks}-task model"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultiTaskDataset
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .kernels import ScalarKernelSpec, kernel_matrix
 
 
@@ -49,9 +49,9 @@ class CoregionalizationTerm:
                 f"gamma has length {gamma.shape[0]} but W has {W.shape[0]} rows"
             )
         if not np.all(np.isfinite(W)) or not np.all(np.isfinite(gamma)):
-            raise ValueError("W and gamma must be finite")
+            raise DomainError("W and gamma must be finite")
         if np.any(gamma < 0.0):
-            raise ValueError("gamma entries must be non-negative")
+            raise DomainError("gamma entries must be non-negative")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "gamma", gamma)
 

@@ -149,7 +149,7 @@ def _convert(rows, width: int, value_index: list, task_index: int, task_data: bo
     ``ValueError`` with the message of a one-row block: surplus fields, a
     non-numeric value (a short row's missing fields read as None), a
     non-finite one (task data), a task that is not an integer, a negative
-    task (in task data, also one that reads as another float)."""
+    task."""
     lengths = set(map(len, rows))
     if lengths != {width}:
         if max(lengths) > width:
@@ -167,7 +167,7 @@ def _convert(rows, width: int, value_index: list, task_index: int, task_data: bo
         tasks = list(map(int, fields))
     except (TypeError, ValueError):
         raise ValueError(f"task {(fields[0] or '').strip()!r} is not an integer") from None
-    if min(tasks) < 0 or task_data and list(map(float, fields)) != tasks:
+    if min(tasks) < 0:
         rule = "a non-negative integer" if task_data else "non-negative"
         raise ValueError(f"task index must be {rule}")
     return values, tasks

@@ -14,7 +14,6 @@ import numpy as np
 
 from .coregionalization import CoregionalizationTerm, MultiTaskKernelSpec
 from .data import MultiTaskDataset
-from .errors import IllConditionedKernelError
 from .kernels import ScalarKernelSpec
 from .multitask import ExactGPLayout, MTGPModel, _condition, spec_layout
 
@@ -58,7 +57,4 @@ def gp_log_marginal_likelihood(
     it is the B=1 case of the exact-GP core on the one-task, one-term
     layout with W fixed at 1 and gamma at 0.
     """
-    batch = _gp_layout(kernel, noise_variance, X, Y, mean_const).evaluate_template()
-    if batch.errors:
-        raise IllConditionedKernelError(batch.errors[0])
-    return float(batch.values[0]), batch.grads[0]
+    return _gp_layout(kernel, noise_variance, X, Y, mean_const).log_marginal_likelihood()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 SQUARED_EXPONENTIAL = "squared_exponential"
 MATERN52 = "matern52"
@@ -43,15 +43,15 @@ class ScalarKernelSpec:
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
+            raise DomainError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
         if ls.ndim != 1 or ls.size == 0:
             raise ShapeError("lengthscales must be a nonempty 1-d vector")
         if not np.all(np.isfinite(ls)) or np.any(ls <= 0.0):
-            raise ValueError("lengthscales must be finite and strictly positive")
+            raise DomainError("lengthscales must be finite and strictly positive")
         sv = float(self.signal_variance)
         if not np.isfinite(sv) or sv <= 0.0:
-            raise ValueError("signal_variance must be finite and strictly positive")
+            raise DomainError("signal_variance must be finite and strictly positive")
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "signal_variance", sv)
 

@@ -230,8 +230,8 @@ def _decode_model(doc) -> MTGPModel:
         raise ValidationError("parameter vector has wrong length")
     with np.errstate(over="ignore"):
         natural = layout.natural_batch(vector[None])[0]
-    # lengthscales and signal variances lead the natural order
-    if not np.isfinite(natural).all() or np.any(natural[: layout.group_slices[1].stop] <= 0.0):
+    ls, s2, *_ = layout.groups(natural[None])
+    if not np.isfinite(natural).all() or np.any(ls <= 0.0) or np.any(s2 <= 0.0):
         raise ValidationError(
             "parameter values must transform to finite numbers, "
             "with positive lengthscales and signal variances"

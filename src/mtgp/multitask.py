@@ -443,7 +443,7 @@ class ExactGPLayout(ParameterLayout):
     objects. :func:`_assemble` is the package's one joint-covariance
     assembly: the training objective (:meth:`LayoutStack.evaluate`) runs it
     on a batch, conditioning (:func:`_condition`) and the likelihood
-    wrappers (:meth:`evaluate_template`) on the template, and prediction
+    wrappers (:meth:`log_marginal_likelihood`) on the template, and prediction
     (:func:`_cross_covariance`) extends it to query rows. A fitted model's
     layout is its own, with the fitted parameters as its template.
     """
@@ -480,11 +480,15 @@ class ExactGPLayout(ParameterLayout):
         self.means, self.stds, self.y = means, stds, y
         return self
 
-    def evaluate_template(self) -> LMLBatch:
-        """The B=1 batch of the template's own parameters, with no transform round trip."""
-        started, work = time.perf_counter(), Workspace.of(self, 1)
-        groups = self.groups(self.template[None])
-        return _lml_batch(self, groups, self.sqdiff, self.y, work, started)
+    def log_marginal_likelihood(self) -> tuple[float, np.ndarray]:
+        """Value and flat gradient of the template's own parameters: the B=1
+        batch, with no transform round trip. Raises
+        :class:`IllConditionedKernelError` when the factorization fails."""
+        started, groups = time.perf_counter(), self.groups(self.template[None])
+        batch = _lml_batch(self, groups, self.sqdiff, self.y, Workspace.of(self, 1), started)
+        if batch.errors:
+            raise IllConditionedKernelError(batch.errors[0])
+        return float(batch.values[0]), batch.grads[0]
 
 
 def spec_layout(spec, noise_variances, dataset, learn_W=True, learn_gamma=True) -> ExactGPLayout:
@@ -645,8 +649,6 @@ def _lml_batch(
         )
         t_assembled = time.perf_counter()
         L, rel, _, errors = cholesky_batch(K)
-        if errors:
-            L[list(errors)] = np.eye(N)
         half_logdet = np.add.reduce(np.log(L.reshape(B, N * N)[:, :: N + 1]), axis=1)
         t_factored = time.perf_counter()
         Kinv = cholesky_inverse_batch(L, work.Kinv)
@@ -707,7 +709,4 @@ def mtgp_log_marginal_likelihood(
     (zero whenever gamma is pinned at zero). This is the B=1 case of
     :class:`ExactGPLayout` with every parameter learned.
     """
-    batch = spec_layout(kernel, noise_variances, dataset).evaluate_template()
-    if batch.errors:
-        raise IllConditionedKernelError(batch.errors[0])
-    return float(batch.values[0]), batch.grads[0]
+    return spec_layout(kernel, noise_variances, dataset).log_marginal_likelihood()

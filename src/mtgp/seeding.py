@@ -1,4 +1,4 @@
-"""Deterministic RNG derivation from mixed integer/string keys."""
+"""Deterministic RNGs and integer seeds derived from mixed integer/string keys."""
 
 import hashlib
 
@@ -25,3 +25,8 @@ def seed_entropy(*parts) -> list[int]:
 
 def make_rng(*parts) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed_entropy(*parts)))
+
+
+def derive_seed(*parts) -> int:
+    """One unsigned 64-bit integer seed derived from the seed components."""
+    return int(np.random.SeedSequence(seed_entropy(*parts)).generate_state(1, np.uint64)[0])

@@ -230,9 +230,9 @@ def _check_mtgp_gradient(seed: int) -> CheckResult:
         layout = multitask.spec_layout(spec, noise, dataset)
 
         def objective(vec):
-            nat = layout.natural_batch(vec[None])[0]
-            noise_v = nat[layout.group_slices[2]]
-            return multitask.mtgp_log_marginal_likelihood(layout.spec_of(nat), noise_v, dataset)
+            nat = layout.natural_batch(vec[None])
+            _, _, noise_v, _, _ = layout.groups(nat)
+            return multitask.mtgp_log_marginal_likelihood(layout.spec_of(nat[0]), noise_v, dataset)
 
         worst = max(worst, training.check_gradients(objective, layout.initial_vector()))
     return CheckResult(

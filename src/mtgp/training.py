@@ -97,7 +97,7 @@ class MTGPFamily:
 
     def __post_init__(self):
         if self.mode not in ("slfm", "lmc", "independent", "gp"):
-            raise ValueError(f"unknown family mode {self.mode!r}")
+            raise DomainError(f"unknown family mode {self.mode!r}")
         if self.kernel_kind not in KERNEL_KINDS:
             raise DomainError(f"unknown kernel_kind {self.kernel_kind!r}")
         if not (self.num_terms is None or _is_integer(self.num_terms) and self.num_terms >= 1):
@@ -484,8 +484,9 @@ def _train(jobs: dict, config: TrainConfig, trace) -> list:
         # the gp family: signal and noise variance in raw units, and the
         # targets keep only the mean, so the model is not a standardized one
         if family.mode == "gp":
-            for group in layout.group_slices[1:3]:
-                layout.template[group] *= float(layout.stds[0]) ** 2
+            _, s2, noise, _, _ = layout.groups(layout.template[None])
+            s2 *= float(layout.stds[0]) ** 2
+            noise *= float(layout.stds[0]) ** 2
             layout.scale(layout.means, np.ones(1))
         model = _condition(layout, standardize and family.mode != "gp")
         model.fit_info = {

@@ -15,9 +15,7 @@ from mtgp.benchmark import (
     PRIMARY_PARAMS,
     STUDY_TRAIN_CONFIG,
     StudyConfig,
-    _model_seed,
     _scenario_data,
-    _scenario_seed,
     achieved_correlation,
     calibrate_auxiliary,
     forrester,
@@ -32,6 +30,7 @@ from mtgp.data import MultiTaskDataset
 from mtgp.errors import DomainError, ShapeError, UndefinedCorrelationError
 from mtgp import cli, training
 from mtgp.multitask import mtgp_predict
+from mtgp.seeding import derive_seed
 from mtgp.training import FitJob, MTGPFamily, TrainConfig, train
 
 TINY = TrainConfig(max_iterations=40, num_restarts=2, seed=0)
@@ -153,15 +152,23 @@ class TestCalibration:
             calibrate_auxiliary(1.2)
 
 
+def held_out(study):
+    """The study's held-out task-1 grid and its Forrester values."""
+    x_test = np.linspace(0.0, 1.0, study.n_test).reshape(-1, 1)
+    return x_test, forrester(x_test[:, 0], PRIMARY_PARAMS)
+
+
 def standalone_rmses(study, n_primary, n_auxiliary, seed, aux):
     """(GP, MTGP) task-1 test RMSEs of one draw, each model trained alone under
     TINY with the seed :func:`run_study` gives it: the reference a batched
-    study row equals."""
-    x1, y1, x2, y2, x_test, y_test = _scenario_data(study, n_primary, n_auxiliary, seed, aux)
-    gp = train_gp_alone(x1, y1, replace(TINY, seed=_model_seed(TINY, seed, "gp")))
+    study row equals. The GP's draw is the same with or without the
+    auxiliary task: task streams are separate and y1's noise comes first."""
+    x_test, y_test = held_out(study)
+    x1, y1, x2, y2 = _scenario_data(study, x_test, n_primary, n_auxiliary, seed, aux)
+    gp = train_gp_alone(x1, y1, replace(TINY, seed=derive_seed(TINY.seed, seed, "gp")))
     mtgp = train_alone(
         MultiTaskDataset((x1, x2), (y1, y2)),
-        replace(TINY, seed=_model_seed(TINY, seed, "mtgp")),
+        replace(TINY, seed=derive_seed(TINY.seed, seed, "mtgp")),
         family=BENCHMARK_MTGP_FAMILY,
     )
     return tuple(rmse(mtgp_predict(model, 0, x_test).mean, y_test) for model in (gp, mtgp))
@@ -191,13 +198,16 @@ class TestRunScenario:
         assert row["correlation_achieved"] == pytest.approx(1.0, abs=1e-12)
 
     def test_training_inputs_disjoint_from_test_grid(self):
-        x1, y1, x2, y2, xt, yt = _scenario_data(self.scenario(n_test=50), 4, 4, 5, PRIMARY_PARAMS)
+        study = self.scenario(n_test=50)
+        xt, _ = held_out(study)
+        x1, y1, x2, y2 = _scenario_data(study, xt, 4, 4, 5, PRIMARY_PARAMS)
         assert not np.any(np.isin(x1[:, 0], xt[:, 0]))
         assert not np.any(np.isin(x2[:, 0], xt[:, 0]))
 
     def test_observation_noise_applied(self):
-        clean = _scenario_data(self.scenario(), 4, 4, 5, PRIMARY_PARAMS)
-        noisy = _scenario_data(self.scenario(observation_noise=0.5), 4, 4, 5, PRIMARY_PARAMS)
+        xt, _ = held_out(self.scenario())
+        clean = _scenario_data(self.scenario(), xt, 4, 4, 5, PRIMARY_PARAMS)
+        noisy = _scenario_data(self.scenario(observation_noise=0.5), xt, 4, 4, 5, PRIMARY_PARAMS)
         np.testing.assert_array_equal(clean[0], noisy[0])  # same inputs
         assert np.any(clean[1] != noisy[1])  # different targets
 
@@ -208,24 +218,25 @@ class TestRunScenario:
         cfg = TrainConfig(max_iterations=600, num_restarts=3, seed=0)
         aux = calibrate_auxiliary(0.89)
         study = StudyConfig(n_test=40)
+        x_test, y_test = held_out(study)
         seeds = range(10)
-        draws = [_scenario_data(study, 6, 6, seed, aux) for seed in seeds]
+        draws = [_scenario_data(study, x_test, 6, 6, seed, aux) for seed in seeds]
         gp_jobs = [
-            FitJob(MultiTaskDataset((x1,), (y1,)), _model_seed(cfg, seed, "gp"), MTGPFamily("gp"))
-            for seed, (x1, y1, *_) in zip(seeds, draws)
+            FitJob(MultiTaskDataset((x1,), (y1,)), derive_seed(cfg.seed, seed, "gp"), MTGPFamily("gp"))
+            for seed, (x1, y1, _, _) in zip(seeds, draws)
         ]
         mtgp_jobs = [
             FitJob(
                 MultiTaskDataset((x1, x2), (y1, y2)),
-                _model_seed(cfg, seed, "mtgp"),
+                derive_seed(cfg.seed, seed, "mtgp"),
                 MTGPFamily(mode="independent"),
             )
-            for seed, (x1, y1, x2, y2, _, _) in zip(seeds, draws)
+            for seed, (x1, y1, x2, y2) in zip(seeds, draws)
         ]
         models = train(gp_jobs + mtgp_jobs, cfg)
         gps, mtgps = models[: len(seeds)], models[len(seeds) :]
         rel = []
-        for gp, mtgp, (*_, x_test, y_test) in zip(gps, mtgps, draws):
+        for gp, mtgp in zip(gps, mtgps):
             gp_rmse = rmse(mtgp_predict(gp, 0, x_test).mean, y_test)
             mtgp_rmse = rmse(mtgp_predict(mtgp, 0, x_test).mean, y_test)
             rel.append(abs(mtgp_rmse - gp_rmse) / gp_rmse)
@@ -325,7 +336,7 @@ class TestRunStudy:
         res = run_study(study, TINY)
         row = res.rows[0]
         gp_rmse, mtgp_rmse = standalone_rmses(
-            study, 4, 5, _scenario_seed(3, 4, 0), res.calibrations[0.89]
+            study, 4, 5, derive_seed(3, "scenario", 4, 0), res.calibrations[0.89]
         )
         assert gp_rmse == row["gp_rmse"]
         assert mtgp_rmse == row["mtgp_rmse"]
@@ -341,7 +352,7 @@ class TestRunStudy:
                 study,
                 4,
                 5,
-                _scenario_seed(3, 4, row["replicate"]),
+                derive_seed(3, "scenario", 4, row["replicate"]),
                 res.calibrations[row["correlation_target"]],
             )
             assert gp_rmse == row["gp_rmse"]

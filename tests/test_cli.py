@@ -290,9 +290,10 @@ class TestTrainPredict:
         assert code == 2
         assert "missing [1]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("task", [10**12, 10**30, 2**100])
+    @pytest.mark.parametrize("task", [10**12, 2**53 + 1, 10**30, 2**100])
     def test_huge_task_id_exits_2_with_a_short_message(self, tmp_path, capsys, task):
-        # the listed gaps are bounded by the row count, not by the largest id
+        # the listed gaps are bounded by the row count, not by the largest id,
+        # and an id above 2^53 is read exactly
         data = tmp_path / "huge.csv"
         data.write_text(f"x1,task,y\n0.1,0,1.0\n0.2,{task},2.0\n", encoding="utf-8")
         config = write_config(tmp_path / "config.json")
@@ -300,6 +301,7 @@ class TestTrainPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert "huge.csv" in err and len(err) < 300
+        assert f"indices [0, {task}] are not contiguous from 0; missing [1] and {task - 2} more" in err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         data = write_two_task_csv(tmp_path / "data.csv")

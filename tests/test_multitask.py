@@ -499,8 +499,8 @@ class TestMTGPLogMarginalLikelihood:
         noise = np.array([0.1, 0.2])
         fixed = spec_layout(spec, noise, dataset, learn_gamma=False)
         assert not any("gamma" in name for name in fixed.names())
-        value = fixed.evaluate_template().values[0]
-        assert value == spec_layout(spec, noise, dataset).evaluate_template().values[0]
+        value, _ = fixed.log_marginal_likelihood()
+        assert value == spec_layout(spec, noise, dataset).log_marginal_likelihood()[0]
         y, tasks = dataset.stacked_targets(), dataset.task_indices()
         K = assemble_joint_covariance(spec, dataset) + np.diag(noise[tasks])
         K += BASE_JITTER_REL * np.mean(np.diag(K)) * np.eye(y.size)

@@ -6,15 +6,27 @@ package beyond its own definition and that import, so a second code path
 that only tests call cannot be exported. Every name another module imports
 must be read in that module, so deleting code leaves no import behind.
 Every private top-level function, class and constant must be read somewhere
-in the package, so deleting a caller leaves no helper behind.
+in the package, so deleting a caller leaves no helper behind. Every module
+has a line in the README's module map, and every record's validation error
+is an :class:`~mtgp.errors.MTGPError`, which a library caller can catch.
 """
 
 import ast
+import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import mtgp
+from mtgp.benchmark import ForresterParams
+from mtgp.coregionalization import CoregionalizationTerm
+from mtgp.errors import MTGPError
+from mtgp.kernels import SQUARED_EXPONENTIAL, ScalarKernelSpec
+from mtgp.training import MTGPFamily
 
 PACKAGE = Path(mtgp.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -87,3 +99,31 @@ def test_every_private_definition_is_read_in_the_package():
             private = [n for n in names if n.startswith("_") and not n.startswith("__")]
             orphaned += [f"{path.name}: {name}" for name in private if name not in used]
     assert orphaned == [], f"private but never read: {orphaned}"
+
+
+def test_readme_layout_names_every_module():
+    block = README.read_text(encoding="utf-8").split("## Layout", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE))
+    modules = {path.name for path in PACKAGE.glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert listed == modules
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ScalarKernelSpec("cubic", np.ones(1), 1.0),
+        lambda: ScalarKernelSpec(SQUARED_EXPONENTIAL, np.zeros(1), 1.0),
+        lambda: ScalarKernelSpec(SQUARED_EXPONENTIAL, np.ones(1), np.inf),
+        lambda: CoregionalizationTerm(np.full((1, 1), np.nan), np.zeros(1), None),
+        lambda: CoregionalizationTerm(np.ones((1, 1)), -np.ones(1), None),
+        lambda: MTGPFamily(mode="dense"),
+        lambda: ForresterParams(np.nan, 0.0),
+    ],
+    ids=[
+        "kernel-kind", "lengthscales", "signal-variance", "W-not-finite",
+        "gamma-negative", "family-mode", "forrester",
+    ],
+)
+def test_validation_errors_are_package_errors(build):
+    with pytest.raises(MTGPError):
+        build()
